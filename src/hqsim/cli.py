@@ -567,10 +567,11 @@ def main(argv=None) -> int:
         bits = [f"n={point['n']}", f"n_q={point['n_q']}"]
         if "deviation" in point:
             bits.append(f"deviation={point['deviation']:.3e} ({point['deviation_oracle']})")
-        if "solutions_found" in point:
+            bits.append(f"gates={point['quantum_gate_units']} prep={point['state_prep_units']}")
+        else:
             sols = point["solutions_found"]
             bits.append(f"found=[{sols}]" if sols else "found=[]")
-        bits.append(f"quantum={point['quantum_oracle_queries']}")
+            bits.append(f"quantum={point['quantum_oracle_queries']}")
         bits.append(f"classical_ops={point['classical_ops']}")
         print("  ".join(bits))
     for path in written:

@@ -33,6 +33,7 @@ __all__ = [
     "new_basis_state",
     "apply_gate",
     "apply_circuit",
+    "apply_circuit_batch",
     "build_qft_circuit",
     "shift_gates",
     "apply_controlled_circuit",
@@ -209,24 +210,59 @@ def _apply_gate_tensor(tensor: np.ndarray, gate: GateOp, axis_of) -> None:
         raise TypeError(f"unknown gate {gate!r}")
 
 
+def apply_circuit_batch(rows: np.ndarray, circuit, control: int | None = None) -> None:
+    """Apply a gate sequence, in place, to every row of an ``(L, 2**Q)``
+    C-contiguous complex array; each row is one ``Q``-qubit register.
+
+    The rows are viewed as an ``(L, 2, ..., 2)`` tensor whose leading axis is
+    the batch, so qubit ``q`` sits on axis ``q + 1``.  With ``control`` set,
+    every gate acts only on the branch where that qubit is |1>, and no gate
+    may touch it.
+    """
+    if rows.ndim != 2 or not rows.flags.c_contiguous or rows.dtype != complex:
+        raise ValueError("rows must be a C-contiguous (L, 2**Q) complex array")
+    num_qubits = rows.shape[1].bit_length() - 1
+    if rows.shape[1] != 2**num_qubits or num_qubits < 1:
+        raise ValueError(f"row length {rows.shape[1]} is not a power of two >= 2")
+    if control is not None:
+        _check_qubit(control, num_qubits)
+    for gate in circuit:
+        for q in _gate_qubits(gate):
+            _check_qubit(q, num_qubits)
+            if q == control:
+                raise ValueError(f"gate {gate!r} touches the control qubit {control}")
+    tensor = rows.reshape((rows.shape[0],) + (2,) * num_qubits)
+    if control is None:
+        view = tensor
+
+        def axis_of(q: int) -> int:
+            return q + 1
+    else:
+        idx = [slice(None)] * tensor.ndim
+        idx[control + 1] = 1
+        view = tensor[tuple(idx)]  # writable view of the control-on branch
+
+        def axis_of(q: int) -> int:
+            return q if q > control else q + 1
+
+    for gate in circuit:
+        _apply_gate_tensor(view, gate, axis_of)
+
+
+def _apply_to_state(state: StateVector, circuit, control: int | None = None) -> StateVector:
+    rows = state.amplitudes.copy()[None, :]
+    apply_circuit_batch(rows, circuit, control)
+    return StateVector(state.num_qubits, rows[0], state.unnormalized)
+
+
 def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
     """Return the state with one gate applied; the input is untouched."""
-    for q in _gate_qubits(gate):
-        _check_qubit(q, state.num_qubits)
-    tensor = state.amplitudes.copy().reshape((2,) * state.num_qubits)
-    _apply_gate_tensor(tensor, gate, lambda q: q)
-    return StateVector(state.num_qubits, tensor.reshape(-1), state.unnormalized)
+    return _apply_to_state(state, [gate])
 
 
 def apply_circuit(state: StateVector, circuit) -> StateVector:
     """Apply a gate sequence left to right."""
-    for gate in circuit:
-        for q in _gate_qubits(gate):
-            _check_qubit(q, state.num_qubits)
-    tensor = state.amplitudes.copy().reshape((2,) * state.num_qubits)
-    for gate in circuit:
-        _apply_gate_tensor(tensor, gate, lambda q: q)
-    return StateVector(state.num_qubits, tensor.reshape(-1), state.unnormalized)
+    return _apply_to_state(state, circuit)
 
 
 def build_qft_circuit(n_q: int) -> list[GateOp]:
@@ -271,23 +307,7 @@ def apply_controlled_circuit(state: StateVector, control: int, circuit) -> State
     Gate indices refer to the full register; none may touch the control
     qubit.
     """
-    _check_qubit(control, state.num_qubits)
-    for gate in circuit:
-        for q in _gate_qubits(gate):
-            _check_qubit(q, state.num_qubits)
-            if q == control:
-                raise ValueError(f"gate {gate!r} touches the control qubit {control}")
-    tensor = state.amplitudes.copy().reshape((2,) * state.num_qubits)
-    idx = [slice(None)] * state.num_qubits
-    idx[control] = 1
-    view = tensor[tuple(idx)]  # writable view of the control-on branch
-
-    def axis_of(q: int) -> int:
-        return q - 1 if q > control else q
-
-    for gate in circuit:
-        _apply_gate_tensor(view, gate, axis_of)
-    return StateVector(state.num_qubits, tensor.reshape(-1), state.unnormalized)
+    return _apply_to_state(state, circuit, control)
 
 
 def circuit_matrix(circuit, num_qubits: int) -> np.ndarray:

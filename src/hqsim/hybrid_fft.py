@@ -7,6 +7,13 @@ results are recombined through ``n - n_q`` classical butterfly levels.  With
 ``n_q = 0`` the whole computation is the plain radix-2 FFT; with
 ``n_q = n`` it is a single node evaluation.  The sign convention is
 ``y_k = sum_j x_j exp(+2*pi*i*k*j/N)`` throughout.
+
+Every stage works on arrays: one bit-reversal permutation lays the leaves
+out as the rows of a matrix, the batched node stage
+(:func:`~hqsim.readout.evaluate_nodes`) evaluates all of them at once, and
+each butterfly level combines all even/odd row pairs in one array
+operation, the level-by-level form of the Cooley-Tukey recursion (Van Loan,
+*Computational Frameworks for the FFT*, SIAM 1992).
 """
 
 from __future__ import annotations
@@ -15,14 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostLedger, merge_ledgers
-from .readout import (
-    BlockVector,
-    build_schedule,
-    execute_schedule,
-    rebuild_phases,
-    rescale_to_dft,
-)
+from .costs import CostLedger
+from .readout import BlockVector, evaluate_nodes
 
 __all__ = [
     "RealSignal",
@@ -80,15 +81,7 @@ class TwiddleTable:
     def for_size(cls, size: int) -> "TwiddleTable":
         if size < 1 or size & (size - 1):
             raise ValueError(f"twiddle size must be a power of two, got {size}")
-        cached = _TWIDDLE_CACHE.get(size)
-        if cached is None:
-            roots = np.exp(2j * np.pi * np.arange(size) / size)
-            cached = cls(size, roots)
-            _TWIDDLE_CACHE[size] = cached
-        return cached
-
-
-_TWIDDLE_CACHE: dict[int, TwiddleTable] = {}
+        return cls(size, np.exp(2j * np.pi * np.arange(size) / size))
 
 
 @dataclass(frozen=True)
@@ -129,12 +122,15 @@ def direct_dft(signal: RealSignal) -> SpectrumVector:
     return SpectrumVector(_dft_matrix(signal.size) @ signal.values.astype(complex))
 
 
-def bit_reverse(value: int, bits: int) -> int:
-    out = 0
-    for _ in range(bits):
-        out = (out << 1) | (value & 1)
-        value >>= 1
-    return out
+def _leaf_rows(signal: RealSignal, n_q: int) -> np.ndarray:
+    """The leaves of :func:`decimate_leaves` as the rows of one matrix,
+    picked by one bit-reversal permutation."""
+    if not 0 <= n_q <= signal.n:
+        raise ValueError(f"n_q={n_q} out of range for n={signal.n}")
+    reversal = np.zeros(1, dtype=np.intp)
+    for _ in range(signal.n - n_q):
+        reversal = np.concatenate([2 * reversal, 2 * reversal + 1])
+    return signal.values.reshape(2**n_q, reversal.size).T[reversal]
 
 
 def decimate_leaves(signal: RealSignal, n_q: int) -> list[BlockVector]:
@@ -144,14 +140,35 @@ def decimate_leaves(signal: RealSignal, n_q: int) -> list[BlockVector]:
     bit-reversed value of ``r`` modulo ``2**(n-n_q)``, in increasing order,
     so adjacent leaves are even/odd partners at every combine level.
     """
-    if not 0 <= n_q <= signal.n:
-        raise ValueError(f"n_q={n_q} out of range for n={signal.n}")
-    levels = signal.n - n_q
-    stride = 2**levels
-    return [
-        BlockVector.from_values(signal.values[bit_reverse(r, levels)::stride])
-        for r in range(stride)
-    ]
+    return [BlockVector.from_values(row) for row in _leaf_rows(signal, n_q)]
+
+
+def _combine_level(spec, stderr, roots, ledger):
+    """One radix-2 level over the row pairs ``(spec[2i], spec[2i+1])``:
+    ``y_k = even[k % h] + roots[k] * odd[k % h]``; one classical op per
+    output coefficient."""
+    pairs, h = spec.shape[0] // 2, spec.shape[1]
+    twiddles = roots.reshape(2, h)
+    spec = (spec[0::2, None, :] + twiddles * spec[1::2, None, :]).reshape(pairs, 2 * h)
+    if stderr is not None:
+        half = np.sqrt(stderr[0::2] ** 2 + stderr[1::2] ** 2)
+        stderr = np.concatenate([half, half], axis=1)
+    if ledger is not None:
+        ledger.classical_ops += pairs * 2 * h
+    return spec, stderr
+
+
+def _combine_levels(spec, stderr, ledger):
+    """Combine the rows of ``spec`` level by level into one spectrum.
+
+    Each level's roots are a strided view of one table of the final size:
+    the strides are powers of two, so they equal
+    ``TwiddleTable.for_size(2 * h).roots`` bit for bit.
+    """
+    roots = TwiddleTable.for_size(spec.size).roots
+    while spec.shape[0] > 1:
+        spec, stderr = _combine_level(spec, stderr, roots[::spec.shape[0] // 2], ledger)
+    return SpectrumVector(spec[0], None if stderr is None else stderr[0])
 
 
 def butterfly_combine(
@@ -170,49 +187,20 @@ def butterfly_combine(
     N = 2 * h
     if twiddles.size != N:
         raise ValueError(f"twiddle table of size {twiddles.size}, expected {N}")
-    doubled_even = np.concatenate([even.values, even.values])
-    doubled_odd = np.concatenate([odd.values, odd.values])
-    values = doubled_even + twiddles.roots * doubled_odd
     stderr = None
     if even.stderr is not None and odd.stderr is not None:
-        var = np.concatenate([even.stderr, even.stderr]) ** 2
-        var = var + np.concatenate([odd.stderr, odd.stderr]) ** 2
-        stderr = np.sqrt(var)
-    if ledger is not None:
-        ledger.classical_ops += N
-    return SpectrumVector(values, stderr)
-
-
-def _combine_levels(spectra: list[SpectrumVector], ledger: CostLedger | None) -> SpectrumVector:
-    while len(spectra) > 1:
-        twiddles = TwiddleTable.for_size(2 * spectra[0].size)
-        spectra = [
-            butterfly_combine(spectra[i], spectra[i + 1], twiddles, ledger)
-            for i in range(0, len(spectra), 2)
-        ]
-    return spectra[0]
+        stderr = np.stack([even.stderr, odd.stderr])
+    values, stderr = _combine_level(np.stack([even.values, odd.values]), stderr, twiddles.roots, ledger)
+    return SpectrumVector(values[0], None if stderr is None else stderr[0])
 
 
 def classical_fft(signal: RealSignal, ledger: CostLedger | None = None) -> SpectrumVector:
     """Radix-2 decimation-in-time FFT; charges ``n * 2**n`` classical ops."""
-    leaves = decimate_leaves(signal, 0)
-    spectra = [SpectrumVector(block.values.astype(complex)) for block in leaves]
-    return _combine_levels(spectra, ledger)
+    return _combine_levels(_leaf_rows(signal, 0).astype(complex), None, ledger)
 
 
 def _leaf_seed(master_seed: int, leaf_index: int) -> int:
     return int(np.random.SeedSequence([master_seed, leaf_index]).generate_state(1)[0])
-
-
-def _node_spectrum(block: BlockVector, schedule, plan: FftPlan, seed: int, ledger: CostLedger) -> SpectrumVector:
-    record = execute_schedule(block, schedule, plan.mode, plan.shots, seed, ledger)
-    estimate = rebuild_phases(record, block, ledger)
-    values = rescale_to_dft(estimate)
-    stderr = None
-    if estimate.stderr is not None:
-        stderr = estimate.stderr * estimate.scale
-    ledger.node_accesses += 1
-    return SpectrumVector(values, stderr)
 
 
 def hybrid_dft(signal: RealSignal, plan: FftPlan) -> tuple[SpectrumVector, CostLedger]:
@@ -220,35 +208,24 @@ def hybrid_dft(signal: RealSignal, plan: FftPlan) -> tuple[SpectrumVector, CostL
 
     Zero leaves short-circuit to zero spectra without touching the node.
     With ``n_q = 0`` the quantum stage is skipped entirely and the plain FFT
-    path runs.  Per-leaf ledgers are merged at the end, and leaf seeds
-    derive from (master seed, leaf index), so results are independent of
-    leaf execution order.
+    levels run on the single-sample leaves.  Leaf seeds derive from (master
+    seed, leaf index), so results do not depend on how the leaves are
+    batched.
     """
     if plan.n != signal.n:
         raise ValueError(f"plan built for n={plan.n}, signal has n={signal.n}")
-    ledgers: list[CostLedger] = []
-    top = CostLedger()
+    ledger = CostLedger()
+    leaves = _leaf_rows(signal, plan.n_q)
+    sampled = plan.mode == "sampled"
     if plan.n_q == 0:
-        spectrum = classical_fft(signal, top)
-        if plan.mode == "sampled":
-            spectrum.stderr = np.zeros(signal.size)
+        spec = leaves.astype(complex)
+        stderr = np.zeros(leaves.shape) if sampled else None
     else:
-        schedule = build_schedule(plan.n_q)
         if plan.charge_decimation:
-            top.decimation_ops += (plan.n - plan.n_q) * 2**plan.n
-        spectra = []
-        for idx, block in enumerate(decimate_leaves(signal, plan.n_q)):
-            led = CostLedger()
-            if block.norm == 0.0:
-                zeros = np.zeros(block.size, dtype=complex)
-                stderr = np.zeros(block.size) if plan.mode == "sampled" else None
-                spectra.append(SpectrumVector(zeros, stderr))
-            else:
-                seed = _leaf_seed(plan.master_seed, idx)
-                spectra.append(_node_spectrum(block, schedule, plan, seed, led))
-            ledgers.append(led)
-        spectrum = _combine_levels(spectra, top)
-    ledger = merge_ledgers([top, *ledgers])
+            ledger.decimation_ops += (plan.n - plan.n_q) * 2**plan.n
+        seeds = [_leaf_seed(plan.master_seed, i) for i in range(len(leaves))] if sampled else None
+        spec, stderr = evaluate_nodes(leaves, plan.mode, plan.shots, seeds, ledger)
+    spectrum = _combine_levels(spec, stderr, ledger)
     ledger.classical_bits = 2**plan.n * plan.n_precision
     ledger.qubit_count = plan.n_q + 1
     return spectrum, ledger

@@ -234,3 +234,11 @@ def test_main_run_ok(capsys):
     assert main(["search-run", "--n", "4", "--nq", "2", "--solutions", "5"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "found=[5]" in out
+
+
+def test_main_dft_summary_reports_gate_and_prep_units(capsys):
+    assert main(["dft-run", "--n", "4", "--nq", "2", "--seed", "1"]) == EXIT_OK
+    out = capsys.readouterr().out
+    # Four 4-point leaves, each 4 gates and n_q**2 * 2**n_q = 16 prep units.
+    assert "gates=16 prep=64" in out
+    assert "quantum=" not in out

@@ -14,6 +14,7 @@ from hqsim.core import (
     StateVector,
     Swap,
     apply_circuit,
+    apply_circuit_batch,
     apply_controlled_circuit,
     apply_gate,
     build_qft_circuit,
@@ -218,6 +219,31 @@ def test_controlled_circuit_with_interior_control():
     expected[0b010] = INV_SQRT2
     expected[0b011] = -INV_SQRT2
     assert np.allclose(out.amplitudes, expected, atol=1e-15)
+
+
+@pytest.mark.parametrize("control", [None, 0, 1])
+def test_batched_rows_match_single_states(control):
+    rng = np.random.default_rng(17)
+    rows = rng.normal(size=(5, 16)) + 1j * rng.normal(size=(5, 16))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    circuit = [Hadamard(3), PhaseShift(2, 0.4), ControlledPhase(3, 2, 1.3), Swap(2, 3)]
+    batch = rows.copy()
+    apply_circuit_batch(batch, circuit, control)
+    for row, got in zip(rows, batch):
+        state = StateVector(4, row)
+        if control is None:
+            want = apply_circuit(state, circuit)
+        else:
+            want = apply_controlled_circuit(state, control, circuit)
+        assert np.array_equal(got, want.amplitudes)
+
+
+def test_batched_rows_must_be_contiguous():
+    rows = np.zeros((4, 8), dtype=complex)
+    with pytest.raises(ValueError):
+        apply_circuit_batch(rows[::2], [Hadamard(0)])
+    with pytest.raises(ValueError):
+        apply_circuit_batch(rows[:, :6], [Hadamard(0)])
 
 
 # --- projections and effects ------------------------------------------------

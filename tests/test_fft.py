@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hqsim.costs import CostLedger
+from hqsim.readout import build_schedule, execute_schedule, rebuild_phases, rescale_to_dft
 from hqsim.hybrid_fft import (
     FftPlan,
     RealSignal,
@@ -292,3 +293,87 @@ def test_hybrid_sampled_mode_is_close_to_exact():
     got, _ = hybrid_dft(signal, FftPlan(n=4, n_q=2, mode="sampled", shots=200000, master_seed=5))
     scale = math.sqrt(float(np.sum(signal.values**2)) * 16)
     assert np.max(np.abs(got.values - want)) < 0.05 * scale
+
+
+# --- batched nodes against the per-leaf path -----------------------------
+
+def per_leaf_transform(signal, plan):
+    """hybrid_dft rebuilt from batch-of-one calls: execute_schedule and
+    rebuild_phases on each nonzero leaf, then pairwise radix-2 combines."""
+    ledger = CostLedger()
+    sampled = plan.mode == "sampled"
+    spectra, errors = [], []
+    for idx, block in enumerate(decimate_leaves(signal, plan.n_q)):
+        if plan.n_q == 0 or block.norm == 0.0:
+            spectra.append(block.values.astype(complex))
+            errors.append(np.zeros(block.size))
+            continue
+        seed = int(np.random.SeedSequence([plan.master_seed, idx]).generate_state(1)[0])
+        record = execute_schedule(block, build_schedule(plan.n_q), plan.mode, plan.shots, seed, ledger)
+        estimate = rebuild_phases(record, block, ledger)
+        ledger.node_accesses += 1
+        spectra.append(rescale_to_dft(estimate))
+        errors.append(estimate.stderr * estimate.scale if sampled else np.zeros(block.size))
+    while len(spectra) > 1:
+        size = 2 * spectra[0].size
+        roots = np.exp(2j * np.pi * np.arange(size) / size)
+        spectra = [np.concatenate([e, e]) + roots * np.concatenate([o, o])
+                   for e, o in zip(spectra[0::2], spectra[1::2])]
+        errors = [np.sqrt(np.concatenate([e, e]) ** 2 + np.concatenate([o, o]) ** 2)
+                  for e, o in zip(errors[0::2], errors[1::2])]
+        ledger.classical_ops += size * len(spectra)
+    ledger.classical_bits = signal.size * plan.n_precision
+    ledger.qubit_count = plan.n_q + 1
+    return spectra[0], errors[0] if sampled else None, ledger
+
+
+# Criterion 3's block: x_1 == x_7 makes the k=1 minus reference zero while
+# the imaginary part of coefficient 1 is not, which forces a fallback.
+CRITERION_3_BLOCK = np.array([1.0, 1.0, 2.0, 1.0, 1.0, -1.0, 1.0, 1.0])
+
+
+def _test_signal(kind, n, rng):
+    size = 2**n
+    if kind == "uniform":
+        return rng.uniform(-1.0, 1.0, size)
+    if kind == "integers":  # small integers: zero leaves and zero references
+        return rng.integers(-2, 3, size).astype(float)
+    if kind == "repeated":  # at n_q = 3 every leaf is CRITERION_3_BLOCK
+        return np.repeat(CRITERION_3_BLOCK, max(size // 8, 1))[:size]
+    values = np.zeros(size)  # sparse integer spikes
+    values[rng.integers(0, size, 3)] = rng.integers(1, 4, 3)
+    return values
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
+    st.sampled_from(["uniform", "integers", "repeated", "spikes"]),
+    st.sampled_from([("exact", 0), ("sampled", 64), ("sampled", 1000)]),
+    st.integers(0, 2**32 - 1),
+)
+def test_hybrid_equals_per_leaf_path(sizes, kind, mode_shots, seed):
+    n, n_q = sizes
+    mode, shots = mode_shots
+    signal = RealSignal.from_values(_test_signal(kind, n, np.random.default_rng(seed)))
+    plan = FftPlan(n=n, n_q=n_q, mode=mode, shots=shots, master_seed=seed)
+    got, ledger = hybrid_dft(signal, plan)
+    want, want_stderr, want_ledger = per_leaf_transform(signal, plan)
+    assert ledger.as_dict() == want_ledger.as_dict()
+    assert np.max(np.abs(got.values - want)) <= 1e-12
+    if mode == "sampled":
+        assert np.max(np.abs(got.stderr - want_stderr)) <= 1e-12
+    else:
+        assert got.stderr is None
+
+
+def test_hybrid_resolves_fallback_leaves():
+    # Each of the four 8-point leaves is CRITERION_3_BLOCK.
+    signal = RealSignal.from_values(np.repeat(CRITERION_3_BLOCK, 4))
+    plan = FftPlan(n=5, n_q=3)
+    got, ledger = hybrid_dft(signal, plan)
+    assert ledger.classical_fallbacks >= 4
+    assert ledger.fallback_ops == 8 * ledger.classical_fallbacks
+    assert np.max(np.abs(got.values - direct_dft(signal).values)) < 1e-9
+    _, _, want_ledger = per_leaf_transform(signal, plan)
+    assert ledger.as_dict() == want_ledger.as_dict()

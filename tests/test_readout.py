@@ -3,11 +3,22 @@ import math
 import numpy as np
 import pytest
 
+from hqsim.core import (
+    Hadamard,
+    MeasurementEffect,
+    StateVector,
+    apply_controlled_circuit,
+    apply_gate,
+    build_qft_circuit,
+    effect_probability,
+    shift_gates,
+)
 from hqsim.costs import CostLedger
 from hqsim.readout import (
     ROLE_MAGNITUDE,
     ROLE_REFERENCE,
     BlockVector,
+    _measure,
     build_schedule,
     execute_schedule,
     prepare_block_state,
@@ -172,6 +183,35 @@ def test_sampled_mode_requires_shots():
     block = BlockVector.from_values([1, 0, 0, 0])
     with pytest.raises(ValueError):
         execute_schedule(block, build_schedule(2), mode="sampled", shots=0)
+
+
+@pytest.mark.parametrize("n_q", [1, 2, 3, 4, 5])
+def test_batched_probabilities_match_per_entry_effects(n_q):
+    # The batch reads the schedule's fixed layout with index arithmetic; the
+    # per-entry reference projects one effect object at a time.
+    N = 2**n_q
+    rng = np.random.default_rng(60 + n_q)
+    rows = [rng.normal(size=N), rng.integers(-2, 3, size=N).astype(float),
+            np.tile([1.0, 1.0, 2.0, 1.0, 1.0, -1.0, 1.0, 1.0], N)[:N], np.eye(N)[N - 1]]
+    blocks = [BlockVector.from_values(v) for v in rows if np.any(v)]
+    normalized = np.array([block.values / block.norm for block in blocks])
+    magnitude, reference = _measure(normalized, 0, None, None)
+    schedule = build_schedule(n_q)
+    circuit = shift_gates(build_qft_circuit(n_q), 1)
+    for row, block in enumerate(blocks):
+        joint = np.concatenate([prepare_block_state(block).amplitudes, np.zeros(N)])
+        state = apply_gate(StateVector(n_q + 1, joint), Hadamard(0))
+        state = apply_controlled_circuit(state, 0, circuit)
+        for entry in schedule.entries:
+            if entry.role == ROLE_MAGNITUDE:
+                ancilla = MeasurementEffect.basis(1, 1)
+                got = magnitude[row, entry.projector_index]
+            else:
+                phase = complex(math.cos(entry.ancilla_phase), math.sin(entry.ancilla_phase))
+                ancilla = MeasurementEffect.superposition(1, [(0, INV_SQRT2), (1, phase * INV_SQRT2)])
+                got = reference[row, entry.projector_index]
+            want = effect_probability(state, entry.data_projector, ancilla)
+            assert abs(got - want) <= 1e-15
 
 
 # --- phase rebuilding -------------------------------------------------------
