@@ -12,80 +12,20 @@ fixed integer costs to a ledger that can be compared, exactly, with
 closed-form forecasts.
 """
 
-from .core import (
-    ControlledPhase,
-    GateOp,
-    Hadamard,
-    MeasurementEffect,
-    PhaseShift,
-    ResourceLimitError,
-    StateVector,
-    Swap,
-    apply_controlled_circuit,
-    apply_gate,
-    build_qft_circuit,
-    effect_probability,
-    new_basis_state,
-    project_data_register,
-    sample_effect,
-)
-from .costs import (
-    CostForecast,
-    CostLedger,
-    fit_scaling_exponent,
-    merge_ledgers,
-    predict_dft_cost,
-    predict_search_cost,
-)
-from .hybrid_fft import (
-    FftPlan,
-    RealSignal,
-    SpectrumVector,
-    TwiddleTable,
-    butterfly_combine,
-    classical_fft,
-    decimate_leaves,
-    direct_dft,
-    hybrid_dft,
-)
-from .readout import (
-    BlockVector,
-    ReadoutRecord,
-    ReadoutSchedule,
-    SpectrumEstimate,
-    build_schedule,
-    execute_schedule,
-    prepare_block_state,
-    rebuild_phases,
-    rescale_to_dft,
-)
-from .search import (
-    GroverOutcome,
-    SearchGeometry,
-    SearchOracle,
-    SublistPartition,
-    grover_operator_apply,
-    partition_search,
-    plan_iterations,
-    search_node,
-)
+from . import core, costs, hybrid_fft, readout, search
+from .core import *
+from .costs import *
+from .hybrid_fft import *
+from .readout import *
+from .search import *
 
 __version__ = "0.1.0"
 
+# The public names are the submodules' own lists; nothing is listed twice.
 __all__ = [
-    "ControlledPhase", "GateOp", "Hadamard", "MeasurementEffect", "PhaseShift",
-    "ResourceLimitError", "StateVector", "Swap", "apply_controlled_circuit",
-    "apply_gate", "build_qft_circuit", "effect_probability", "new_basis_state",
-    "project_data_register", "sample_effect",
-    "CostForecast", "CostLedger", "fit_scaling_exponent", "merge_ledgers",
-    "predict_dft_cost", "predict_search_cost",
-    "FftPlan", "RealSignal", "SpectrumVector", "TwiddleTable",
-    "butterfly_combine", "classical_fft", "decimate_leaves", "direct_dft",
-    "hybrid_dft",
-    "BlockVector", "ReadoutRecord", "ReadoutSchedule", "SpectrumEstimate",
-    "build_schedule", "execute_schedule", "prepare_block_state",
-    "rebuild_phases", "rescale_to_dft",
-    "GroverOutcome", "SearchGeometry", "SearchOracle", "SublistPartition",
-    "grover_operator_apply", "partition_search", "plan_iterations",
-    "search_node",
+    *core.__all__,
+    *costs.__all__,
+    *hybrid_fft.__all__,
+    *readout.__all__,
+    *search.__all__,
 ]

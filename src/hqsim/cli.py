@@ -242,7 +242,28 @@ def _search_oracle(config: RunConfig) -> SearchOracle:
     return SearchOracle.random(config.n, config.random_solutions, config.master_seed)
 
 
-def _dft_point(config: RunConfig, signal: RealSignal, n_q: int) -> dict:
+def _point(config: RunConfig, n_q: int, ledger, forecast, **columns) -> dict:
+    """One report row: the run settings, every ledger counter, the forecast
+    terms, then the pipeline's own ``columns`` in the order given."""
+    point = {
+        "n": config.n,
+        "n_q": n_q,
+        "mode": config.mode,
+        "shots": config.shots,
+        "seed": config.master_seed,
+    }
+    point.update(ledger.as_dict())
+    point["headline_quantum_queries"] = ledger.headline_quantum_queries
+    point["bits_per_qubit"] = ledger.memory_ratio()
+    for name, value in forecast.terms.items():
+        point[f"forecast_{name}"] = value
+    point.update(columns)
+    return point
+
+
+def _dft_point(
+    config: RunConfig, signal: RealSignal, n_q: int, reference, oracle_name: str
+) -> dict:
     plan = FftPlan(
         n=config.n,
         n_q=n_q,
@@ -252,26 +273,11 @@ def _dft_point(config: RunConfig, signal: RealSignal, n_q: int) -> dict:
         n_precision=config.n_precision,
     )
     spectrum, ledger = hybrid_dft(signal, plan)
-    if config.n <= DIRECT_ORACLE_MAX_N:
-        reference, oracle_name = direct_dft(signal), "direct"
-    else:
-        reference, oracle_name = classical_fft(signal), "fft"
-    deviation = float(np.max(np.abs(spectrum.values - reference.values)))
-    point = {
-        "n": config.n,
-        "n_q": n_q,
-        "mode": config.mode,
-        "shots": config.shots,
-        "seed": config.master_seed,
-    }
-    point.update(ledger.as_dict())
-    point["headline_quantum_queries"] = ledger.headline_quantum_queries
-    point["bits_per_qubit"] = ledger.memory_ratio()
-    for name, value in predict_dft_cost(config.n, n_q).terms.items():
-        point[f"forecast_{name}"] = value
-    point["deviation"] = deviation
-    point["deviation_oracle"] = oracle_name
-    return point
+    return _point(
+        config, n_q, ledger, predict_dft_cost(config.n, n_q),
+        deviation=float(np.max(np.abs(spectrum.values - reference.values))),
+        deviation_oracle=oracle_name,
+    )
 
 
 def _search_point(config: RunConfig, oracle: SearchOracle, n_q: int) -> dict:
@@ -279,28 +285,15 @@ def _search_point(config: RunConfig, oracle: SearchOracle, n_q: int) -> dict:
         oracle,
         n_q,
         mode=config.mode,
-        shots=max(config.shots, 1),
         master_seed=config.master_seed,
         n_precision=config.n_precision,
     )
-    point = {
-        "n": config.n,
-        "n_q": n_q,
-        "mode": config.mode,
-        "shots": config.shots,
-        "seed": config.master_seed,
-    }
-    point.update(ledger.as_dict())
-    point["headline_quantum_queries"] = ledger.headline_quantum_queries
-    point["bits_per_qubit"] = ledger.memory_ratio()
-    for name, value in predict_search_cost(config.n, n_q).terms.items():
-        point[f"forecast_{name}"] = value
-    point["solutions_found"] = ";".join(str(s) for s in sorted(found))
-    point["solutions_expected"] = oracle.solution_count
-    point["solutions_correct"] = (
-        oracle.solutions is None or found == set(oracle.solutions)
+    return _point(
+        config, n_q, ledger, predict_search_cost(config.n, n_q),
+        solutions_found=";".join(str(s) for s in sorted(found)),
+        solutions_expected=oracle.solution_count,
+        solutions_correct=oracle.solutions is None or found == set(oracle.solutions),
     )
-    return point
 
 
 def run_experiment(config: RunConfig) -> ExperimentReport:
@@ -311,8 +304,13 @@ def run_experiment(config: RunConfig) -> ExperimentReport:
         return report
     if config.command.startswith("dft"):
         signal = _dft_signal(config)
+        # Every point of a sweep transforms the same signal: one reference.
+        if config.n <= DIRECT_ORACLE_MAX_N:
+            reference, oracle_name = direct_dft(signal), "direct"
+        else:
+            reference, oracle_name = classical_fft(signal), "fft"
         for n_q in config.nq_values:
-            report.points.append(_dft_point(config, signal, n_q))
+            report.points.append(_dft_point(config, signal, n_q, reference, oracle_name))
     else:
         oracle = _search_oracle(config)
         for n_q in config.nq_values:
@@ -424,7 +422,7 @@ def emit_outputs(report: ExperimentReport, config: RunConfig) -> list[str]:
 
 def run_verification() -> list[tuple[str, bool, str]]:
     """Fast end-to-end invariant checks; each entry is (name, ok, detail)."""
-    from .core import build_qft_circuit, circuit_matrix, gate_matrix
+    from .core import build_qft_circuit, circuit_matrix
     from .readout import BlockVector, build_schedule, execute_schedule, rebuild_phases, rescale_to_dft
 
     checks: list[tuple[str, bool, str]] = []
@@ -446,7 +444,7 @@ def run_verification() -> list[tuple[str, bool, str]]:
     from .core import ControlledPhase, Hadamard, PhaseShift, Swap
     udev = 0.0
     for gate in (Hadamard(0), PhaseShift(0, 0.7), ControlledPhase(0, 1, 1.1), Swap(0, 1)):
-        m = gate_matrix(gate)
+        m = gate.matrix()
         udev = max(udev, float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))))
     check("gate set is unitary", udev < 1e-12, f"max dev {udev:.2e}")
 

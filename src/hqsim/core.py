@@ -7,9 +7,18 @@ Conventions, fixed once and used everywhere:
   ``Q - 1 - q`` of ``j``.
 * The transform circuit built here sends ``|j>`` to
   ``(1/sqrt(N)) * sum_k exp(+2*pi*i*k*j/N) |k>`` — note the plus sign.
+* Each gate class (:class:`Hadamard`, :class:`PhaseShift`,
+  :class:`ControlledPhase`, :class:`Swap`) carries everything about itself:
+  the qubits it acts on (``qubits``), its dense unitary (``matrix()``), a
+  copy re-targeted by a qubit offset (``shifted()``) and its in-place kernel
+  on a register tensor (``apply()``).  Two-qubit matrices list the first
+  qubit as the more significant one.
+* Circuits run in place on an ``(L, 2, ..., 2)`` tensor whose leading axis
+  is a batch of registers; single states are a batch of one.
 * Measurement effects are sparse unit vectors on one subsystem; joint
   probabilities are squared overlaps, computed exactly or estimated from a
-  seeded binomial draw.
+  seeded binomial draw.  They are the per-entry reference that the batched
+  readout in :mod:`hqsim.readout` is tested against.
 """
 
 from __future__ import annotations
@@ -35,13 +44,11 @@ __all__ = [
     "apply_circuit",
     "apply_circuit_batch",
     "build_qft_circuit",
-    "shift_gates",
     "apply_controlled_circuit",
     "circuit_matrix",
     "project_data_register",
     "effect_probability",
     "sample_effect",
-    "gate_matrix",
 ]
 
 MAX_QUBITS = 24
@@ -58,11 +65,37 @@ class ResourceLimitError(ValueError):
 class Hadamard:
     target: int
 
+    @property
+    def qubits(self) -> tuple[int, ...]:
+        return (self.target,)
+
+    def matrix(self) -> np.ndarray:
+        return np.array([[1, 1], [1, -1]], dtype=complex) * _INV_SQRT2
+
+    def shifted(self, offset: int) -> "Hadamard":
+        return Hadamard(self.target + offset)
+
+    def apply(self, tensor: np.ndarray, axis_of) -> None:
+        _apply_1q_axis(tensor, axis_of(self.target), self.matrix())
+
 
 @dataclass(frozen=True)
 class PhaseShift:
     target: int
     angle: float
+
+    @property
+    def qubits(self) -> tuple[int, ...]:
+        return (self.target,)
+
+    def matrix(self) -> np.ndarray:
+        return np.array([[1, 0], [0, cmath.exp(1j * self.angle)]], dtype=complex)
+
+    def shifted(self, offset: int) -> "PhaseShift":
+        return PhaseShift(self.target + offset, self.angle)
+
+    def apply(self, tensor: np.ndarray, axis_of) -> None:
+        _apply_phase(tensor, [axis_of(self.target)], self.angle)
 
 
 @dataclass(frozen=True)
@@ -71,44 +104,44 @@ class ControlledPhase:
     target: int
     angle: float
 
+    @property
+    def qubits(self) -> tuple[int, ...]:
+        return (self.control, self.target)
+
+    def matrix(self) -> np.ndarray:
+        m = np.eye(4, dtype=complex)
+        m[3, 3] = cmath.exp(1j * self.angle)
+        return m
+
+    def shifted(self, offset: int) -> "ControlledPhase":
+        return ControlledPhase(self.control + offset, self.target + offset, self.angle)
+
+    def apply(self, tensor: np.ndarray, axis_of) -> None:
+        _apply_phase(tensor, [axis_of(self.control), axis_of(self.target)], self.angle)
+
 
 @dataclass(frozen=True)
 class Swap:
     a: int
     b: int
 
+    @property
+    def qubits(self) -> tuple[int, ...]:
+        return (self.a, self.b)
 
-GateOp = Hadamard | PhaseShift | ControlledPhase | Swap
-
-
-def _gate_qubits(gate: GateOp) -> tuple[int, ...]:
-    if isinstance(gate, Hadamard):
-        return (gate.target,)
-    if isinstance(gate, PhaseShift):
-        return (gate.target,)
-    if isinstance(gate, ControlledPhase):
-        return (gate.control, gate.target)
-    if isinstance(gate, Swap):
-        return (gate.a, gate.b)
-    raise TypeError(f"unknown gate {gate!r}")
-
-
-def gate_matrix(gate: GateOp) -> np.ndarray:
-    """Dense 2x2 or 4x4 unitary the gate denotes (two-qubit order: first
-    listed qubit is the more significant)."""
-    if isinstance(gate, Hadamard):
-        return np.array([[1, 1], [1, -1]], dtype=complex) * _INV_SQRT2
-    if isinstance(gate, PhaseShift):
-        return np.array([[1, 0], [0, cmath.exp(1j * gate.angle)]], dtype=complex)
-    if isinstance(gate, ControlledPhase):
-        m = np.eye(4, dtype=complex)
-        m[3, 3] = cmath.exp(1j * gate.angle)
-        return m
-    if isinstance(gate, Swap):
+    def matrix(self) -> np.ndarray:
         m = np.eye(4, dtype=complex)
         m[[1, 2]] = m[[2, 1]]
         return m
-    raise TypeError(f"unknown gate {gate!r}")
+
+    def shifted(self, offset: int) -> "Swap":
+        return Swap(self.a + offset, self.b + offset)
+
+    def apply(self, tensor: np.ndarray, axis_of) -> None:
+        _apply_swap(tensor, axis_of(self.a), axis_of(self.b))
+
+
+GateOp = Hadamard | PhaseShift | ControlledPhase | Swap
 
 
 @dataclass(eq=False)
@@ -193,23 +226,6 @@ def _apply_swap(tensor: np.ndarray, ax_a: int, ax_b: int) -> None:
     tensor[tuple(i10)] = tmp
 
 
-def _apply_gate_tensor(tensor: np.ndarray, gate: GateOp, axis_of) -> None:
-    if isinstance(gate, Hadamard):
-        _apply_1q_axis(tensor, axis_of(gate.target), gate_matrix(gate))
-    elif isinstance(gate, PhaseShift):
-        _apply_phase(tensor, [axis_of(gate.target)], gate.angle)
-    elif isinstance(gate, ControlledPhase):
-        if gate.control == gate.target:
-            raise ValueError("control and target must differ")
-        _apply_phase(tensor, [axis_of(gate.control), axis_of(gate.target)], gate.angle)
-    elif isinstance(gate, Swap):
-        if gate.a == gate.b:
-            raise ValueError("swap qubits must differ")
-        _apply_swap(tensor, axis_of(gate.a), axis_of(gate.b))
-    else:
-        raise TypeError(f"unknown gate {gate!r}")
-
-
 def apply_circuit_batch(rows: np.ndarray, circuit, control: int | None = None) -> None:
     """Apply a gate sequence, in place, to every row of an ``(L, 2**Q)``
     C-contiguous complex array; each row is one ``Q``-qubit register.
@@ -227,7 +243,9 @@ def apply_circuit_batch(rows: np.ndarray, circuit, control: int | None = None) -
     if control is not None:
         _check_qubit(control, num_qubits)
     for gate in circuit:
-        for q in _gate_qubits(gate):
+        if len(set(gate.qubits)) != len(gate.qubits):
+            raise ValueError(f"gate {gate!r} acts twice on one qubit")
+        for q in gate.qubits:
             _check_qubit(q, num_qubits)
             if q == control:
                 raise ValueError(f"gate {gate!r} touches the control qubit {control}")
@@ -246,7 +264,7 @@ def apply_circuit_batch(rows: np.ndarray, circuit, control: int | None = None) -
             return q if q > control else q + 1
 
     for gate in circuit:
-        _apply_gate_tensor(view, gate, axis_of)
+        gate.apply(view, axis_of)
 
 
 def _apply_to_state(state: StateVector, circuit, control: int | None = None) -> StateVector:
@@ -282,23 +300,6 @@ def build_qft_circuit(n_q: int) -> list[GateOp]:
     for i in range(n_q // 2):
         gates.append(Swap(i, n_q - 1 - i))
     return gates
-
-
-def shift_gates(circuit, offset: int) -> list[GateOp]:
-    """Re-target a circuit by adding ``offset`` to every qubit index."""
-    out: list[GateOp] = []
-    for gate in circuit:
-        if isinstance(gate, Hadamard):
-            out.append(Hadamard(gate.target + offset))
-        elif isinstance(gate, PhaseShift):
-            out.append(PhaseShift(gate.target + offset, gate.angle))
-        elif isinstance(gate, ControlledPhase):
-            out.append(ControlledPhase(gate.control + offset, gate.target + offset, gate.angle))
-        elif isinstance(gate, Swap):
-            out.append(Swap(gate.a + offset, gate.b + offset))
-        else:
-            raise TypeError(f"unknown gate {gate!r}")
-    return out
 
 
 def apply_controlled_circuit(state: StateVector, control: int, circuit) -> StateVector:

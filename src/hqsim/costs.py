@@ -35,8 +35,9 @@ __all__ = [
 class CostLedger:
     """Integer counters for one run or one unit of work.
 
-    Ledgers are accumulated per work unit (leaf, sublist) and merged at
-    joins; they are never shared between concurrent units.
+    A run charges one ledger; ledgers kept apart for separate units are
+    summed with :func:`merge_ledgers`.  A ledger is never shared between
+    concurrent units.
     """
 
     quantum_gate_units: int = 0

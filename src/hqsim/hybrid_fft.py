@@ -105,21 +105,30 @@ class FftPlan:
             raise ValueError("sampled mode needs shots >= 1")
 
 
-_DFT_MATRIX_CACHE: dict[int, np.ndarray] = {}
-
-
-def _dft_matrix(N: int) -> np.ndarray:
-    m = _DFT_MATRIX_CACHE.get(N)
-    if m is None:
-        k = np.arange(N)
-        m = np.exp(2j * np.pi * np.outer(k, k) / N)
-        _DFT_MATRIX_CACHE[N] = m
-    return m
+# Elements of the phase matrix that direct_dft holds at once.
+_DIRECT_BLOCK_ELEMENTS = 2**16
 
 
 def direct_dft(signal: RealSignal) -> SpectrumVector:
-    """O(N**2) reference transform straight from the definition."""
-    return SpectrumVector(_dft_matrix(signal.size) @ signal.values.astype(complex))
+    """O(N**2) reference transform straight from the definition.
+
+    The phase index ``k*j mod N`` is reduced in integers and looks up one
+    table of the N roots of unity, so no phase is a large float product.
+    Rows are taken in blocks, so temporaries stay within
+    ``_DIRECT_BLOCK_ELEMENTS`` elements per block.  The root table is built
+    here, not shared with the butterflies this reference checks.
+    """
+    N = signal.size
+    roots = np.exp(2j * np.pi * np.arange(N) / N)
+    j = np.arange(N)
+    x = signal.values.astype(complex)
+    out = np.empty(N, dtype=complex)
+    rows = max(1, _DIRECT_BLOCK_ELEMENTS // N)
+    for start in range(0, N, rows):
+        k = np.arange(start, min(start + rows, N))
+        # N is a power of two, so the mask reduces k*j modulo N.
+        out[start:start + k.size] = roots[np.outer(k, j) & (N - 1)] @ x
+    return SpectrumVector(out)
 
 
 def _leaf_rows(signal: RealSignal, n_q: int) -> np.ndarray:

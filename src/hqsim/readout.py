@@ -24,12 +24,16 @@ When the classical reference ``a`` is too small to separate the two sign
 hypotheses, that single coefficient is computed classically instead and the
 fallback is charged to the ledger.
 
-The node stage is batched: :func:`evaluate_nodes` takes every block of a run
-as one ``(L, 2**n_q)`` array, runs the circuit on an ``(L, 2, ..., 2)``
-tensor and evaluates the schedule with index arithmetic over its fixed
-layout, so no effect objects are built per entry.  :func:`execute_schedule`
-and :func:`rebuild_phases` are batch-of-one wrappers round the same code
-that keep the ``(projector, role)``-keyed record.
+The layout above is defined once, by :func:`build_schedule`: a
+:class:`ReadoutSchedule` holds it as arrays, one row per projector (the
+basis indices and weights it reads, the coefficient part it yields and its
+reference ancilla phase).  The node stage is batched: :func:`evaluate_nodes`
+takes every block of a run as one ``(L, 2**n_q)`` array, runs the circuit on
+an ``(L, 2, ..., 2)`` tensor and reads every projector of every block
+through the schedule's arrays, so no effect objects are built per entry.
+:func:`execute_schedule` and :func:`rebuild_phases` are batch-of-one
+wrappers round the same code that keep the ``(projector, role)``-keyed
+record.
 """
 
 from __future__ import annotations
@@ -39,19 +43,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    Hadamard,
-    MeasurementEffect,
-    StateVector,
-    apply_circuit_batch,
-    build_qft_circuit,
-    shift_gates,
-)
+from .core import Hadamard, StateVector, apply_circuit_batch, build_qft_circuit
 from .costs import CostLedger
 
 __all__ = [
     "BlockVector",
-    "ScheduleEntry",
     "ReadoutSchedule",
     "ReadoutRecord",
     "SpectrumEstimate",
@@ -96,21 +92,31 @@ class BlockVector:
 
 
 @dataclass(frozen=True, eq=False)
-class ScheduleEntry:
-    projector_index: int
-    data_projector: MeasurementEffect
-    ancilla_phase: float
-    role: str
-    target: str
-
-
-@dataclass(frozen=True, eq=False)
 class ReadoutSchedule:
-    """Ordered projection/measurement plan: two entries per data projector."""
+    """The readout layout, one row per data projector in measurement order:
+    index 0, index N/2, then the plus and minus projector of each pair
+    ``(k, N-k)`` for ``k = 1 .. N/2-1``.  Each projector has two entries, a
+    magnitude and a reference one.
+
+    Projector ``p`` is ``scales[p] * (|i> + signs[p] * |j>)`` with
+    ``(i, j) = indices[p]``: a self-conjugate projector repeats its index
+    with sign 0, a pair projector has sign +1 or -1 and scale 1/sqrt(2).  It
+    yields the real part (``imaginary[p]`` False) or the imaginary part of
+    coefficient ``i``, and its reference entry measures the ancilla on
+    ``(|0> + e^{i*ancilla_phase[p]}|1>)/sqrt(2)``.
+    """
 
     n_q: int
-    projectors: tuple[MeasurementEffect, ...]
-    entries: tuple[ScheduleEntry, ...]
+    indices: np.ndarray
+    signs: np.ndarray
+    scales: np.ndarray
+    imaginary: np.ndarray
+    ancilla_phase: np.ndarray
+
+    @property
+    def coefficient(self) -> np.ndarray:
+        """The transform coefficient each projector yields a part of."""
+        return self.indices[:, 0]
 
 
 @dataclass(eq=False)
@@ -156,20 +162,24 @@ def build_schedule(n_q: int) -> ReadoutSchedule:
     if n_q < 1:
         raise ValueError(f"n_q must be >= 1, got {n_q}")
     N = 2**n_q
-    specs: list[tuple[MeasurementEffect, float, str]] = [
-        (MeasurementEffect.basis(n_q, 0), 0.0, "k0"),
-        (MeasurementEffect.basis(n_q, N // 2), 0.0, f"k{N // 2}"),
-    ]
-    for k in range(1, N // 2):
-        plus = MeasurementEffect.superposition(n_q, [(k, _INV_SQRT2), (N - k, _INV_SQRT2)])
-        minus = MeasurementEffect.superposition(n_q, [(k, _INV_SQRT2), (N - k, -_INV_SQRT2)])
-        specs.append((plus, 0.0, f"k{k}_re"))
-        specs.append((minus, math.pi / 2, f"k{k}_im"))
-    entries = []
-    for pi, (projector, phase, target) in enumerate(specs):
-        entries.append(ScheduleEntry(pi, projector, phase, ROLE_MAGNITUDE, target))
-        entries.append(ScheduleEntry(pi, projector, phase, ROLE_REFERENCE, target))
-    return ReadoutSchedule(n_q, tuple(s[0] for s in specs), tuple(entries))
+    p = np.arange(N)
+    # Projectors 0 and 1 read the self-conjugate indices 0 and N/2; from
+    # projector 2 on, projector p reads the pair (k, N-k) with k = p // 2,
+    # with a plus sign for even p and a minus sign for odd p.
+    self_conjugate = p < 2
+    first = np.where(self_conjugate, p * (N // 2), p // 2)
+    signs = np.where(self_conjugate, 0.0, 1.0 - 2.0 * (p % 2))
+    imaginary = signs < 0
+    return ReadoutSchedule(
+        n_q=n_q,
+        indices=np.stack([first, np.where(self_conjugate, first, N - first)], axis=1),
+        signs=signs,
+        scales=np.where(self_conjugate, 1.0, _INV_SQRT2),
+        imaginary=imaginary,
+        # The minus projectors' residual carries i*sqrt(2) times the
+        # imaginary part, so their reference ancilla is rotated by pi/2.
+        ancilla_phase=np.where(imaginary, math.pi / 2, 0.0),
+    )
 
 
 def _check_mode(mode: str, shots: int) -> int:
@@ -205,39 +215,32 @@ def _encode(blocks: np.ndarray, norms: np.ndarray, ledger: CostLedger | None) ->
     return blocks / norms[:, None]
 
 
-def _projector_order(first, half, plus, minus) -> np.ndarray:
-    """Lay per-projector values out in build_schedule's order: index 0,
-    index N/2, then the plus and minus projector of each pair (k, N-k)."""
-    out = np.empty(first.shape + (2 * plus.shape[-1] + 2,), dtype=np.result_type(first, plus))
-    out[..., 0] = first
-    out[..., 1] = half
-    out[..., 2::2] = plus
-    out[..., 3::2] = minus
+def _project(schedule: ReadoutSchedule, rows: np.ndarray) -> np.ndarray:
+    """Overlap of every row with every data projector, ``(..., N)`` in
+    projector order.  The weights multiply before the sum, as in
+    :func:`hqsim.core.project_data_register`."""
+    # take keeps the result C-contiguous; fancy indexing would put the
+    # projector axis outermost and slow every later step.
+    first, second = schedule.indices.T
+    weight = schedule.scales * schedule.signs
+    return schedule.scales * rows.take(first, axis=-1) + weight * rows.take(second, axis=-1)
+
+
+def _by_coefficient(schedule: ReadoutSchedule, values: np.ndarray) -> np.ndarray:
+    """``(L, N/2+1)`` complex rows over coefficients ``0 .. N/2`` from
+    ``(L, N)`` per-projector values: each projector's value goes to the real
+    or imaginary part of the coefficient it yields."""
+    out = np.zeros((len(values), 2 ** (schedule.n_q - 1) + 1), dtype=complex)
+    # Viewed as floats, coefficient k's real part is column 2k, its
+    # imaginary part column 2k + 1.
+    out.view(float)[:, 2 * schedule.coefficient + schedule.imaginary] = values
     return out
 
 
-def _pairs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Columns ``k`` and ``N-k`` of every row for ``k = 1 .. N/2-1``."""
-    N = rows.shape[-1]
-    return rows[..., 1:N // 2], rows[..., N - 1:N // 2:-1]
-
-
-def _hermitian(first, half, pairs) -> np.ndarray:
-    """Rows with index 0 and N/2 set to ``first`` and ``half``, indices
-    ``k = 1 .. N/2-1`` to ``pairs`` and ``N-k`` to their conjugates."""
-    h = pairs.shape[1] + 1
-    out = np.empty((len(pairs), 2 * h), dtype=pairs.dtype)
-    out[:, 0] = first
-    out[:, h] = half
-    out[:, 1:h] = pairs
-    out[:, :h:-1] = np.conj(pairs)
-    return out
-
-
-def _coefficient_index(N: int) -> np.ndarray:
-    """The transform coefficient each projector reads."""
-    k = np.arange(1, N // 2)
-    return _projector_order(np.array(0), np.array(N // 2), k, k)
+def _hermitian(half: np.ndarray) -> np.ndarray:
+    """Full rows from coefficients ``0 .. N/2`` of real signals: coefficient
+    ``N-k`` is the conjugate of ``k``."""
+    return np.concatenate([half, np.conj(half[:, -2:0:-1])], axis=1)
 
 
 def _square(values: np.ndarray) -> np.ndarray:
@@ -248,7 +251,7 @@ def _square(values: np.ndarray) -> np.ndarray:
 
 
 def _measure(
-    x: np.ndarray, shots: int, seeds, ledger: CostLedger | None
+    schedule: ReadoutSchedule, x: np.ndarray, shots: int, seeds, ledger: CostLedger | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Joint probabilities of every normalized row: the magnitude and the
     reference entry of each projector, two ``(L, N)`` arrays in projector
@@ -261,29 +264,26 @@ def _measure(
     generator.
     """
     L, N = x.shape
-    n_q = N.bit_length() - 1
+    n_q = schedule.n_q
     rows = np.zeros((L, 2 * N), dtype=complex)
     rows[:, :N] = x  # ancilla |0> branch; the ancilla is qubit 0
     apply_circuit_batch(rows, [Hadamard(0)])
-    apply_circuit_batch(rows, shift_gates(build_qft_circuit(n_q), 1), control=0)
+    apply_circuit_batch(rows, [gate.shifted(1) for gate in build_qft_circuit(n_q)], control=0)
     if ledger is not None:
         ledger.quantum_gate_units += L * (n_q * (n_q + 1) // 2 + n_q // 2)
         ledger.measurement_units += L * 2 * N
 
     # Ancilla residual (r0, r1) of each data projector.
-    psi = rows.reshape(L, 2, N)
-    up, down = (_INV_SQRT2 * v for v in _pairs(psi))
-    residual = _projector_order(psi[..., 0], psi[..., N // 2], up + down, up - down)
+    residual = _project(schedule, rows.reshape(L, 2, N))
     r0, r1 = residual[:, 0], residual[:, 1]
-    # conj of the reference ancilla's |1> coefficient e^{i*phi}/sqrt(2), with
-    # phi = pi/2 on the minus projectors.
-    weight = np.full(N, np.conj(complex(1.0, 0.0) * _INV_SQRT2))
-    weight[3::2] = np.conj(complex(math.cos(math.pi / 2), math.sin(math.pi / 2)) * _INV_SQRT2)
-    # <ref| r> = r0/sqrt(2) + weight*r1, in real arithmetic in the order of
-    # the scalar complex product (numpy's vectorized one may fuse
-    # multiply-adds), so exact values equal core.effect_probability's.
-    ref_re = _INV_SQRT2 * r0.real + (weight.real * r1.real - weight.imag * r1.imag)
-    ref_im = _INV_SQRT2 * r0.imag + (weight.real * r1.imag + weight.imag * r1.real)
+    # conj of the reference ancilla's |1> coefficient e^{i*phi}/sqrt(2).
+    w_re = np.cos(schedule.ancilla_phase) * _INV_SQRT2
+    w_im = -np.sin(schedule.ancilla_phase) * _INV_SQRT2
+    # <ref| r> = r0/sqrt(2) + w*r1, in real arithmetic in the order of the
+    # scalar complex product that core.effect_probability computes (numpy's
+    # vectorized one may fuse multiply-adds).
+    ref_re = _INV_SQRT2 * r0.real + (w_re * r1.real - w_im * r1.imag)
+    ref_im = _INV_SQRT2 * r0.imag + (w_re * r1.imag + w_im * r1.real)
     magnitude = _square(np.hypot(r1.real, r1.imag))
     reference = _square(np.hypot(ref_re, ref_im))
     if not shots:
@@ -308,6 +308,7 @@ def _classical_coefficient(normalized: np.ndarray, k: int) -> complex:
 
 
 def _rebuild(
+    schedule: ReadoutSchedule,
     x: np.ndarray,
     magnitude: np.ndarray,
     reference: np.ndarray,
@@ -322,12 +323,14 @@ def _rebuild(
     projectors resolved by the classical fallback.  ``|a| < eps_ref`` is a
     fallback unless ``|b|`` is below ``eps_ref`` too.
     """
-    L, N = x.shape
-    x_k, x_nk = _pairs(x)
-    a = _projector_order(x[:, 0], x[:, N // 2], (x_k + x_nk) * _INV_SQRT2, (x_k - x_nk) * _INV_SQRT2)
+    N = x.shape[1]
+    # The classical reference a = (x_i + sign * x_j) * scale: the sum comes
+    # before the weight, as in the scalar rebuild this replaced.
+    first, second = schedule.indices.T
+    a = (x.take(first, axis=1) + schedule.signs * x.take(second, axis=1)) * schedule.scales
     mag = np.maximum(magnitude, 0.0)
     b_abs = np.sqrt(2.0 * mag)
-    pair = np.arange(N) >= 2
+    pair = schedule.signs != 0
     # Nearest hypothesis (a + s|b|)**2 / 4 to the reference picks the sign.
     plus = _square(a + b_abs) / 4.0
     minus = _square(a - b_abs) / 4.0
@@ -335,28 +338,26 @@ def _rebuild(
     values = sign * np.where(pair, b_abs * _INV_SQRT2, b_abs)
 
     fallback = (np.abs(a) < eps_ref) & (b_abs >= eps_ref)
-    index = _coefficient_index(N)
     for row, p in zip(*np.nonzero(fallback)):
-        c = _classical_coefficient(x[row], int(index[p]))
-        values[row, p] = c.imag if p >= 3 and p % 2 else c.real
+        c = _classical_coefficient(x[row], int(schedule.coefficient[p]))
+        values[row, p] = c.imag if schedule.imaginary[p] else c.real
     fallbacks = int(np.count_nonzero(fallback))
     if ledger is not None:
         ledger.fallback_ops += fallbacks * N
         ledger.classical_fallbacks += fallbacks
 
-    pairs = np.empty((L, N // 2 - 1), dtype=complex)
-    pairs.real, pairs.imag = values[:, 2::2], values[:, 3::2]
-    coefficients = _hermitian(values[:, 0], values[:, 1], pairs)
+    coefficients = _hermitian(_by_coefficient(schedule, values))
     if not shots:
         return coefficients, None, fallback
 
     # The part value is |b| on self-conjugate projectors and |b|/sqrt(2) on
-    # pair projectors; a fallback value carries no shot noise.
+    # pair projectors; a fallback value carries no shot noise.  A
+    # coefficient's variance sums those of its real and imaginary parts.
     spread = np.maximum(1.0 - mag, 0.0) / shots
     variance = np.where(pair, spread / 4.0, spread / 2.0)
     variance[fallback] = 0.0
-    variances = _hermitian(variance[:, 0], variance[:, 1], variance[:, 2::2] + variance[:, 3::2])
-    return coefficients, np.sqrt(variances), fallback
+    parts = _by_coefficient(schedule, variance)
+    return coefficients, np.sqrt(_hermitian(parts.real + parts.imag)), fallback
 
 
 def evaluate_nodes(
@@ -381,9 +382,12 @@ def evaluate_nodes(
     norms = _row_norms(blocks)
     live = norms != 0.0
     x = _encode(blocks[live], norms[live], ledger)
+    schedule = build_schedule(N.bit_length() - 1)
     live_seeds = [seed for seed, keep in zip(seeds, live) if keep] if shots else None
-    magnitude, reference = _measure(x, shots, live_seeds, ledger)
-    coefficients, stderr, _ = _rebuild(x, magnitude, reference, shots, _default_eps(shots), ledger)
+    magnitude, reference = _measure(schedule, x, shots, live_seeds, ledger)
+    coefficients, stderr, _ = _rebuild(
+        schedule, x, magnitude, reference, shots, _default_eps(shots), ledger
+    )
     if ledger is not None:
         ledger.node_accesses += len(x)
     scale = norms[live, None] * math.sqrt(N)
@@ -410,7 +414,8 @@ def execute_schedule(
     ancilla tensor block state, applies the ancilla Hadamard and the
     controlled transform, then evaluates each (projector, role) joint
     probability, exactly or as a seeded binomial estimate in sampled mode.
-    The entries follow the fixed layout of :func:`build_schedule`.
+    Projector ``p`` of ``schedule`` fills the keys ``(p, "magnitude")`` and
+    ``(p, "reference")``.
     """
     if block.n_q != schedule.n_q:
         raise ValueError(
@@ -418,7 +423,7 @@ def execute_schedule(
         )
     shots = _check_mode(mode, shots)
     x = _encode(block.values[None, :], np.array([block.norm]), ledger)
-    magnitude, reference = _measure(x, shots, [seed], ledger)
+    magnitude, reference = _measure(schedule, x, shots, [seed], ledger)
     measurements = {}
     for pi, (m, r) in enumerate(zip(magnitude[0].tolist(), reference[0].tolist())):
         measurements[(pi, ROLE_MAGNITUDE)] = m
@@ -442,28 +447,27 @@ def rebuild_phases(
     charging ``2**n_q`` classical ops to the fallback counter.
     """
     schedule = record.schedule
-    n_q = schedule.n_q
-    N = 2**n_q
-    if block.n_q != n_q:
+    N = 2**schedule.n_q
+    if block.n_q != schedule.n_q:
         raise ValueError("record and block sizes differ")
-    for entry in schedule.entries:
-        if (entry.projector_index, entry.role) not in record.measurements:
-            raise ValueError(
-                f"record is missing entry {(entry.projector_index, entry.role)}"
-            )
     shots = record.shots if record.mode == "sampled" else 0
     if eps_ref is None:
         eps_ref = _default_eps(shots)
 
     m = record.measurements
-    magnitude = np.array([[m[(pi, ROLE_MAGNITUDE)] for pi in range(N)]], dtype=float)
-    reference = np.array([[m[(pi, ROLE_REFERENCE)] for pi in range(N)]], dtype=float)
+    try:
+        magnitude = np.array([[m[(pi, ROLE_MAGNITUDE)] for pi in range(N)]], dtype=float)
+        reference = np.array([[m[(pi, ROLE_REFERENCE)] for pi in range(N)]], dtype=float)
+    except KeyError as exc:
+        raise ValueError(f"record is missing entry {exc.args[0]}") from None
     x = block.values[None, :] / block.norm
-    coefficients, stderr, fallback = _rebuild(x, magnitude, reference, shots, eps_ref, ledger)
+    coefficients, stderr, fallback = _rebuild(
+        schedule, x, magnitude, reference, shots, eps_ref, ledger
+    )
     return SpectrumEstimate(
         coefficients=coefficients[0],
         scale=block.norm * math.sqrt(N),
-        ambiguous=frozenset(_coefficient_index(N)[fallback[0]].tolist()),
+        ambiguous=frozenset(schedule.coefficient[fallback[0]].tolist()),
         classical_fallbacks=int(np.count_nonzero(fallback)),
         stderr=None if stderr is None else stderr[0],
     )

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .costs import CostLedger, merge_ledgers
+from .costs import CostLedger
 
 __all__ = [
     "SearchOracle",
@@ -190,10 +190,8 @@ def search_node(
     sublist: int,
     oracle: SearchOracle,
     mode: str = "exact",
-    shots: int = 1,
     seed: int = 0,
     ledger: CostLedger | None = None,
-    max_rounds: int | None = None,
     exclude_solutions: frozenset = frozenset(),
     skip_candidates: frozenset = frozenset(),
     solution_mask: np.ndarray | None = None,
@@ -206,13 +204,12 @@ def search_node(
     an orchestrator hand in the local oracle mask it has already built.
     Each round runs a planned number of amplification steps, measures, and
     verifies the candidate classically; the node stops on success or after
-    ``max_rounds`` (default n_q + 1) rounds.
+    n_q + 1 rounds.
     """
     if mode not in ("exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     base = partition.base(sublist)
     size = partition.sublist_size
-    rounds = (partition.n_q + 1) if max_rounds is None else max_rounds
 
     def is_solution(g: int) -> bool:
         return g not in exclude_solutions and oracle.membership(g)
@@ -232,7 +229,7 @@ def search_node(
     tested: list[int] = []
     round_iterations: list[int] = []
     guess = 1
-    for round_no in range(1, rounds + 1):
+    for round_no in range(1, partition.n_q + 2):
         skip = skip_candidates.union(tested) if mode == "exact" else frozenset()
         if mode == "exact" and len(skip) >= size:
             break  # nothing measurable remains; do not charge a round
@@ -283,7 +280,6 @@ def partition_search(
     oracle: SearchOracle,
     n_q: int,
     mode: str = "exact",
-    shots: int = 1,
     master_seed: int = 0,
     n_precision: int = 64,
 ) -> tuple[set[int], CostLedger]:
@@ -297,10 +293,9 @@ def partition_search(
     retry/repeat/sweep counters.
     """
     partition = SublistPartition(oracle.n, n_q)
-    ledgers = []
+    ledger = CostLedger()
     found: set[int] = set()
     for r in range(partition.num_sublists):
-        led = CostLedger()
         base = partition.base(r)
         size = partition.sublist_size
         base_mask = (
@@ -322,24 +317,23 @@ def partition_search(
                 r,
                 oracle,
                 mode=mode,
-                shots=shots,
                 seed=_node_seed(master_seed, r, call),
-                ledger=led,
+                ledger=ledger,
                 exclude_solutions=frozenset(base + i for i in found_local),
                 skip_candidates=frozenset(found_local | known_non),
                 solution_mask=mask,
             )
             total_t = outcome.iterations_used
             if call == 0:
-                led.node_accesses += 1
+                ledger.node_accesses += 1
                 if outcome.verified:
                     headline = outcome.round_iterations[outcome.successful_round - 1]
                 else:
                     headline = outcome.round_iterations[0] if outcome.round_iterations else 0
-                led.retry_queries += total_t - headline
+                ledger.retry_queries += total_t - headline
             else:
-                led.repeat_node_accesses += 1
-                led.retry_queries += total_t
+                ledger.repeat_node_accesses += 1
+                ledger.retry_queries += total_t
             known_non.update(t for t in outcome.tested if t not in found_local)
             if not outcome.verified:
                 break
@@ -349,14 +343,12 @@ def partition_search(
         for local in range(size):
             if local in found_local or local in known_non:
                 continue
-            led.sweep_queries += 1
+            ledger.sweep_queries += 1
             if oracle.membership(base + local):
                 found_local.add(local)
             else:
                 known_non.add(local)
         found.update(base + i for i in found_local)
-        ledgers.append(led)
-    merged = merge_ledgers(ledgers)
-    merged.classical_bits = 2**oracle.n * n_precision
-    merged.qubit_count = n_q + 1
-    return found, merged
+    ledger.classical_bits = 2**oracle.n * n_precision
+    ledger.qubit_count = n_q + 1
+    return found, ledger

@@ -20,11 +20,9 @@ from hqsim.core import (
     build_qft_circuit,
     circuit_matrix,
     effect_probability,
-    gate_matrix,
     new_basis_state,
     project_data_register,
     sample_effect,
-    shift_gates,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -109,8 +107,23 @@ def test_apply_gate_invalid_index():
     [Hadamard(0), PhaseShift(0, 0.37), ControlledPhase(0, 1, 2.2), Swap(0, 1)],
 )
 def test_gate_matrices_unitary(gate):
-    m = gate_matrix(gate)
+    m = gate.matrix()
     assert np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) < 1e-12
+    # The in-place kernel applies the same matrix.
+    assert np.max(np.abs(circuit_matrix([gate], len(gate.qubits)) - m)) < 1e-15
+
+
+def test_gates_shift_their_qubits():
+    circuit = [Hadamard(0), PhaseShift(1, 0.3), ControlledPhase(2, 0, 1.1), Swap(0, 2)]
+    assert [gate.shifted(2) for gate in circuit] == [
+        Hadamard(2), PhaseShift(3, 0.3), ControlledPhase(4, 2, 1.1), Swap(2, 4)
+    ]
+
+
+@pytest.mark.parametrize("gate", [ControlledPhase(1, 1, 0.5), Swap(0, 0)])
+def test_two_qubit_gates_need_distinct_qubits(gate):
+    with pytest.raises(ValueError):
+        apply_gate(new_basis_state(2, 0), gate)
 
 
 @settings(max_examples=40, deadline=None)
@@ -180,7 +193,7 @@ def test_qft_rejects_nonpositive_size():
 def test_controlled_circuit_control_off():
     # Ancilla |0> (x) |10>: joint index 2 on 3 qubits.
     state = new_basis_state(3, 2)
-    out = apply_controlled_circuit(state, 0, shift_gates(build_qft_circuit(2), 1))
+    out = apply_controlled_circuit(state, 0, [g.shifted(1) for g in build_qft_circuit(2)])
     assert np.allclose(out.amplitudes, state.amplitudes, atol=1e-15)
 
 
@@ -189,7 +202,7 @@ def test_controlled_circuit_plus_ancilla():
     joint[0] = INV_SQRT2  # |0>|00>
     joint[4] = INV_SQRT2  # |1>|00>
     state = StateVector(3, joint)
-    out = apply_controlled_circuit(state, 0, shift_gates(build_qft_circuit(2), 1))
+    out = apply_controlled_circuit(state, 0, [g.shifted(1) for g in build_qft_circuit(2)])
     expected = np.concatenate([[1, 0, 0, 0], [0.5, 0.5, 0.5, 0.5]]) * INV_SQRT2
     assert np.max(np.abs(out.amplitudes - expected)) < 1e-12
 
@@ -197,7 +210,7 @@ def test_controlled_circuit_plus_ancilla():
 @pytest.mark.parametrize("j", range(4))
 def test_controlled_circuit_control_on(j):
     state = new_basis_state(3, 4 + j)  # |1> (x) |j>
-    out = apply_controlled_circuit(state, 0, shift_gates(build_qft_circuit(2), 1))
+    out = apply_controlled_circuit(state, 0, [g.shifted(1) for g in build_qft_circuit(2)])
     expected = np.zeros(8, dtype=complex)
     expected[4:] = qft_reference_matrix(2)[:, j]
     assert np.max(np.abs(out.amplitudes - expected)) < 1e-12

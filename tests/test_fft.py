@@ -43,6 +43,15 @@ def test_direct_dft_sign_convention_against_stdlib():
         assert np.max(np.abs(got - want)) < 1e-9
 
 
+@pytest.mark.parametrize("n", [12, 13])
+def test_direct_dft_is_more_accurate_than_the_checked_transform(n):
+    # The reference must beat the 1e-9 bound it checks by a wide margin; a
+    # float phase 2*pi*k*j/N loses about 1e-10 at these sizes.
+    values = np.random.default_rng(1).uniform(-1.0, 1.0, 2**n)
+    got = direct_dft(RealSignal.from_values(values)).values
+    assert np.max(np.abs(got - np.fft.ifft(values) * 2**n)) < 1e-12
+
+
 def test_classical_fft_agrees_with_direct():
     signal = RealSignal.from_values([1, 2, 3, 4])
     assert np.allclose(classical_fft(signal).values, direct_dft(signal).values, atol=1e-12)

@@ -11,7 +11,6 @@ from hqsim.core import (
     apply_gate,
     build_qft_circuit,
     effect_probability,
-    shift_gates,
 )
 from hqsim.costs import CostLedger
 from hqsim.readout import (
@@ -38,6 +37,17 @@ def direct_coefficients(block):
     """Amplitude-level oracle: transform of the normalized block."""
     N = block.size
     return dft_matrix(N) @ (block.values / block.norm) / math.sqrt(N)
+
+
+def projector_effects(schedule):
+    """The schedule's data projectors as per-entry effect objects."""
+    effects = []
+    for (i, j), sign, scale in zip(
+        schedule.indices.tolist(), schedule.signs.tolist(), schedule.scales.tolist()
+    ):
+        terms = [(i, scale)] + ([(j, sign * scale)] if sign else [])
+        effects.append(MeasurementEffect.superposition(schedule.n_q, terms))
+    return effects
 
 
 def readout_pipeline(values, **kwargs):
@@ -75,29 +85,30 @@ def test_block_norm_invariant():
 
 def test_schedule_n2_projectors_in_order():
     schedule = build_schedule(2)
-    assert len(schedule.projectors) == 4
-    assert len(schedule.entries) == 8
-    p0, p2, plus, minus = schedule.projectors
+    p0, p2, plus, minus = projector_effects(schedule)
     assert p0.terms == ((0, 1.0 + 0j),)
     assert p2.terms == ((2, 1.0 + 0j),)
     assert [i for i, _ in plus.terms] == [1, 3]
     assert np.allclose([c for _, c in plus.terms], [INV_SQRT2, INV_SQRT2])
     assert np.allclose([c for _, c in minus.terms], [INV_SQRT2, -INV_SQRT2])
+    assert schedule.coefficient.tolist() == [0, 2, 1, 1]
+    assert schedule.imaginary.tolist() == [False, False, False, True]
     # Reference phases: 0 except pi/2 on the minus projector.
-    phases = [e.ancilla_phase for e in schedule.entries if e.role == ROLE_REFERENCE]
-    assert phases == [0.0, 0.0, 0.0, math.pi / 2]
+    assert schedule.ancilla_phase.tolist() == [0.0, 0.0, 0.0, math.pi / 2]
+    assert len(readout_pipeline([1, 2, 3, 4])[1].measurements) == 8
 
 
 def test_schedule_n1_has_two_self_conjugate_projectors():
     schedule = build_schedule(1)
-    assert len(schedule.projectors) == 2
-    assert len(schedule.entries) == 4
+    assert schedule.indices.tolist() == [[0, 0], [1, 1]]
+    assert schedule.signs.tolist() == [0.0, 0.0]
+    assert len(readout_pipeline([1, 2])[1].measurements) == 4
 
 
 def test_schedule_n3_counts():
     schedule = build_schedule(3)
-    assert len(schedule.projectors) == 8
-    assert len(schedule.entries) == 16
+    assert len(schedule.indices) == 8
+    assert len(readout_pipeline(np.arange(1.0, 9.0))[1].measurements) == 16
 
 
 @pytest.mark.parametrize("n_q", [1, 2, 3, 4])
@@ -105,11 +116,16 @@ def test_schedule_projectors_orthonormal(n_q):
     schedule = build_schedule(n_q)
     N = 2**n_q
     dense = np.zeros((N, N), dtype=complex)
-    for i, proj in enumerate(schedule.projectors):
+    for i, proj in enumerate(projector_effects(schedule)):
         for idx, coeff in proj.terms:
             dense[i, idx] = coeff
     gram = dense @ dense.conj().T
     assert np.max(np.abs(gram - np.eye(N))) < 1e-12
+    # Every coefficient 0 .. N/2 is read once for its real part, and every
+    # one strictly between them once more for its imaginary part.
+    parts = sorted(zip(schedule.coefficient.tolist(), schedule.imaginary.tolist()))
+    want = [(k, False) for k in range(N // 2 + 1)] + [(k, True) for k in range(1, N // 2)]
+    assert parts == sorted(want)
 
 
 def test_schedule_rejects_bad_size():
@@ -195,23 +211,21 @@ def test_batched_probabilities_match_per_entry_effects(n_q):
             np.tile([1.0, 1.0, 2.0, 1.0, 1.0, -1.0, 1.0, 1.0], N)[:N], np.eye(N)[N - 1]]
     blocks = [BlockVector.from_values(v) for v in rows if np.any(v)]
     normalized = np.array([block.values / block.norm for block in blocks])
-    magnitude, reference = _measure(normalized, 0, None, None)
     schedule = build_schedule(n_q)
-    circuit = shift_gates(build_qft_circuit(n_q), 1)
+    magnitude, reference = _measure(schedule, normalized, 0, None, None)
+    circuit = [gate.shifted(1) for gate in build_qft_circuit(n_q)]
     for row, block in enumerate(blocks):
         joint = np.concatenate([prepare_block_state(block).amplitudes, np.zeros(N)])
         state = apply_gate(StateVector(n_q + 1, joint), Hadamard(0))
         state = apply_controlled_circuit(state, 0, circuit)
-        for entry in schedule.entries:
-            if entry.role == ROLE_MAGNITUDE:
-                ancilla = MeasurementEffect.basis(1, 1)
-                got = magnitude[row, entry.projector_index]
-            else:
-                phase = complex(math.cos(entry.ancilla_phase), math.sin(entry.ancilla_phase))
-                ancilla = MeasurementEffect.superposition(1, [(0, INV_SQRT2), (1, phase * INV_SQRT2)])
-                got = reference[row, entry.projector_index]
-            want = effect_probability(state, entry.data_projector, ancilla)
-            assert abs(got - want) <= 1e-15
+        for p, projector in enumerate(projector_effects(schedule)):
+            want = effect_probability(state, projector, MeasurementEffect.basis(1, 1))
+            assert abs(magnitude[row, p] - want) <= 1e-15
+            phi = schedule.ancilla_phase[p]
+            phase = complex(math.cos(phi), math.sin(phi))
+            ancilla = MeasurementEffect.superposition(1, [(0, INV_SQRT2), (1, phase * INV_SQRT2)])
+            want = effect_probability(state, projector, ancilla)
+            assert abs(reference[row, p] - want) <= 1e-15
 
 
 # --- phase rebuilding -------------------------------------------------------

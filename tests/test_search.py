@@ -276,7 +276,7 @@ def test_partition_search_is_deterministic():
 
 def test_partition_search_sampled_mode_still_exact_set():
     oracle = SearchOracle.random(5, 7, seed=6)
-    found, _ = partition_search(oracle, 2, mode="sampled", shots=1, master_seed=4)
+    found, _ = partition_search(oracle, 2, mode="sampled", master_seed=4)
     assert found == set(oracle.solutions)
 
 
