@@ -1,0 +1,128 @@
+"""The package's invariants, one function each, and their tolerances.
+
+``hqsim verify`` runs these functions on small grids, the test suite on
+larger ones.  Each takes the cases to check and returns the worst deviation
+over them, which passes when it is at most its tolerance below, or the list
+of failing cases, which passes when empty.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .core import build_qft_circuit, circuit_matrix
+from .costs import predict_dft_cost, predict_search_cost
+from .hybrid_fft import FftPlan, RealSignal, direct_dft, hybrid_dft
+from .readout import BlockVector, build_schedule, execute_schedule, rebuild_phases, rescale_to_dft
+from .search import SearchOracle, grover_step, partition_search
+
+CIRCUIT_TOLERANCE = 1e-10
+UNITARITY_TOLERANCE = 1e-12
+TRANSFORM_TOLERANCE = 1e-9
+AMPLIFICATION_TOLERANCE = 1e-10
+
+
+def circuit_deviation(node_sizes) -> float:
+    """Worst entry deviation of the ``n_q``-qubit transform circuit's matrix
+    from ``exp(+2*pi*i*j*k/N) / sqrt(N)``, over the given ``n_q``."""
+    worst = 0.0
+    for n_q in node_sizes:
+        k = np.arange(2**n_q)
+        want = np.exp(2j * np.pi * np.outer(k, k) / 2**n_q) / math.sqrt(2**n_q)
+        got = circuit_matrix(build_qft_circuit(n_q), n_q)
+        worst = max(worst, float(np.max(np.abs(got - want))))
+    return worst
+
+
+def unitarity_deviation(gates) -> float:
+    """Worst entry deviation of ``M^dagger M`` from the identity over the
+    given gates' matrices."""
+    worst = 0.0
+    for gate in gates:
+        m = gate.matrix()
+        worst = max(worst, float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))))
+    return worst
+
+
+def round_trip_deviation(blocks) -> float:
+    """Worst coefficient deviation of one node's exact readout, sign rebuild
+    and rescale from the direct transform, over real blocks of ``2**n_q``
+    values, ``n_q >= 1``."""
+    worst = 0.0
+    for values in blocks:
+        block = BlockVector.from_values(values)
+        record = execute_schedule(block, build_schedule(block.n_q))
+        got = rescale_to_dft(rebuild_phases(record, block))
+        want = direct_dft(RealSignal.from_values(block.values)).values
+        worst = max(worst, float(np.max(np.abs(got - want))))
+    return worst
+
+
+def transform_deviation(signals) -> float:
+    """Worst coefficient deviation of the exact hybrid transform from the
+    direct transform, over the given signals and every ``0 <= n_q <= n``."""
+    worst = 0.0
+    for signal in signals:
+        want = direct_dft(signal).values
+        for n_q in range(signal.n + 1):
+            got, _ = hybrid_dft(signal, FftPlan(n=signal.n, n_q=n_q))
+            worst = max(worst, float(np.max(np.abs(got.values - want))))
+    return worst
+
+
+def amplification_deviation(sizes, iterations: int) -> float:
+    """Worst deviation of the solution probability after ``t`` steps from
+    the uniform state from ``sin**2((2t+1)*theta)``, ``sin(theta)**2 = m/N``
+    (Boyer, Brassard, Hoyer and Tapp, quant-ph/9605034), over every ``N`` in
+    ``sizes``, ``0 <= m <= N`` and ``t = 1 .. iterations``."""
+    worst = 0.0
+    for n_total in sizes:
+        for m in range(n_total + 1):
+            mask = np.arange(n_total) < m
+            theta = math.asin(math.sqrt(m / n_total))
+            amps = np.full(n_total, 1.0 / math.sqrt(n_total), dtype=complex)
+            for t in range(1, iterations + 1):
+                amps = grover_step(amps, mask)
+                got = float(np.sum(np.abs(amps[mask]) ** 2)) if m else 0.0
+                worst = max(worst, abs(got - math.sin((2 * t + 1) * theta) ** 2))
+    return worst
+
+
+def search_misses(oracles) -> list[tuple[int, int, list[int]]]:
+    """Exact partitioned searches, at every ``0 <= n_q <= n`` of each
+    set-backed oracle, that miss the solution set: ``(n, n_q, indices
+    found or missed in error)`` per failing run."""
+    misses = []
+    for oracle in oracles:
+        truth = set(oracle.solutions)
+        for n_q in range(oracle.n + 1):
+            found, _ = partition_search(oracle, n_q)
+            if found != truth:
+                misses.append((oracle.n, n_q, sorted(found ^ truth)))
+    return misses
+
+
+def counter_mismatches(cases) -> list[tuple[str, int, int, str, int, int]]:
+    """Ledger counters that differ from the forecast term of the same name.
+
+    Each case is ``(problem, n_q)``: a ``RealSignal`` runs the exact hybrid
+    transform against :func:`predict_dft_cost`, a one-solution
+    ``SearchOracle`` the exact partitioned search against
+    :func:`predict_search_cost`.  Returns ``(algorithm, n, n_q, term,
+    measured, forecast)`` per differing counter.
+    """
+    mismatches = []
+    for problem, n_q in cases:
+        if isinstance(problem, SearchOracle):
+            _, ledger = partition_search(problem, n_q)
+            forecast = predict_search_cost(problem.n, n_q)
+        else:
+            _, ledger = hybrid_dft(problem, FftPlan(n=problem.n, n_q=n_q))
+            forecast = predict_dft_cost(problem.n, n_q)
+        for term, want in forecast.terms.items():
+            got = getattr(ledger, term, None)
+            if got is not None and got != want:
+                mismatches.append((forecast.algorithm, problem.n, n_q, term, got, want))
+    return mismatches

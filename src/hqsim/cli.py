@@ -14,13 +14,13 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .charts import ChartSeries, render_sweep_chart
+from .core import ControlledPhase, Hadamard, PhaseShift, Swap
 from .costs import predict_dft_cost, predict_search_cost
 from .hybrid_fft import FftPlan, RealSignal, classical_fft, direct_dft, hybrid_dft
 from .search import SearchOracle, partition_search
@@ -77,7 +77,6 @@ class RunConfig:
 class ExperimentReport:
     config: RunConfig
     points: list[dict] = field(default_factory=list)
-    checks: list[tuple[str, bool, str]] = field(default_factory=list)
 
 
 def _parse_nq(text: str, allow_range: bool) -> tuple[int, ...]:
@@ -299,9 +298,6 @@ def _search_point(config: RunConfig, oracle: SearchOracle, n_q: int) -> dict:
 def run_experiment(config: RunConfig) -> ExperimentReport:
     """Execute every sweep point; deterministic for a fixed config."""
     report = ExperimentReport(config=config)
-    if config.command == "verify":
-        report.checks = run_verification()
-        return report
     if config.command.startswith("dft"):
         signal = _dft_signal(config)
         # Every point of a sweep transforms the same signal: one reference.
@@ -355,46 +351,34 @@ def report_json(report: ExperimentReport) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-_DFT_CURVES = (
-    ("state_prep_units", "#4a90d9", "prep"),
-    ("quantum_gate_units", "#d98a2b", "qft"),
-    ("classical_ops", "#3aa655", "classical"),
-)
+# Chart curves per pipeline: (column, color, label, kinds drawn).
+_CURVES = {
+    "dft": (
+        ("state_prep_units", "#4a90d9", "prep", ("forecast", "measured")),
+        ("quantum_gate_units", "#d98a2b", "qft", ("forecast", "measured")),
+        ("classical_ops", "#3aa655", "classical", ("forecast", "measured")),
+    ),
+    "search": (
+        ("headline_quantum_queries", "#4a90d9", "headline", ("forecast", "measured")),
+        ("total_queries", "#d98a2b", "total", ("forecast",)),
+    ),
+}
 
 
 def report_svg(report: ExperimentReport) -> str:
-    series = []
-    if report.config.command.startswith("dft"):
-        for key, color, label in _DFT_CURVES:
-            series.append(ChartSeries(
-                f"forecast {label}",
-                [(p["n_q"], p[f"forecast_{key}"]) for p in report.points],
-                color, kind="forecast", series_id=f"forecast-{label}",
-            ))
-            series.append(ChartSeries(
-                f"measured {label}",
-                [(p["n_q"], p[key]) for p in report.points],
-                color, kind="measured", series_id=f"measured-{label}",
-            ))
-        title = f"hybrid transform cost, n={report.config.n}"
-    else:
-        series.append(ChartSeries(
-            "forecast headline",
-            [(p["n_q"], p["forecast_headline_quantum_queries"]) for p in report.points],
-            "#4a90d9", kind="forecast", series_id="forecast-headline",
-        ))
-        series.append(ChartSeries(
-            "measured headline",
-            [(p["n_q"], p["headline_quantum_queries"]) for p in report.points],
-            "#4a90d9", kind="measured", series_id="measured-headline",
-        ))
-        series.append(ChartSeries(
-            "forecast total",
-            [(p["n_q"], p["forecast_total_queries"]) for p in report.points],
-            "#d98a2b", kind="forecast", series_id="forecast-total",
-        ))
-        title = f"partitioned search cost, n={report.config.n}"
-    return render_sweep_chart(series, title)
+    dft = report.config.command.startswith("dft")
+    series = [
+        ChartSeries(
+            f"{kind} {label}",
+            [(p["n_q"], p[f"forecast_{column}" if kind == "forecast" else column])
+             for p in report.points],
+            color, kind=kind,
+        )
+        for column, color, label, kinds in _CURVES["dft" if dft else "search"]
+        for kind in kinds
+    ]
+    title = "hybrid transform cost" if dft else "partitioned search cost"
+    return render_sweep_chart(series, f"{title}, n={report.config.n}")
 
 
 def emit_outputs(report: ExperimentReport, config: RunConfig) -> list[str]:
@@ -421,112 +405,50 @@ def emit_outputs(report: ExperimentReport, config: RunConfig) -> list[str]:
 # --- invariant suite -------------------------------------------------------
 
 def run_verification() -> list[tuple[str, bool, str]]:
-    """Fast end-to-end invariant checks; each entry is (name, ok, detail)."""
-    from .core import build_qft_circuit, circuit_matrix
-    from .readout import BlockVector, build_schedule, execute_schedule, rebuild_phases, rescale_to_dft
+    """Fast end-to-end invariant checks; each entry is (name, ok, detail).
 
-    checks: list[tuple[str, bool, str]] = []
+    Each check but the last runs a :mod:`hqsim.checks` function on a small
+    grid; the acceptance suite runs the same functions on larger ones.
+    """
+    from . import checks  # kept off the start-up path of the other commands
 
-    def check(name: str, ok: bool, detail: str = "") -> None:
-        checks.append((name, bool(ok), detail))
-
-    # Transform circuit equals the direct root matrix.
-    worst = 0.0
-    for n_q in (1, 2, 3, 4):
-        N = 2**n_q
-        k = np.arange(N)
-        direct = np.exp(2j * np.pi * np.outer(k, k) / N) / math.sqrt(N)
-        got = circuit_matrix(build_qft_circuit(n_q), n_q)
-        worst = max(worst, float(np.max(np.abs(got - direct))))
-    check("transform circuit matches root matrix (n_q<=4)", worst < 1e-10, f"max dev {worst:.2e}")
-
-    # Gate unitarity.
-    from .core import ControlledPhase, Hadamard, PhaseShift, Swap
-    udev = 0.0
-    for gate in (Hadamard(0), PhaseShift(0, 0.7), ControlledPhase(0, 1, 1.1), Swap(0, 1)):
-        m = gate.matrix()
-        udev = max(udev, float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))))
-    check("gate set is unitary", udev < 1e-12, f"max dev {udev:.2e}")
-
-    # Round-trip exactness on random blocks.
     rng = np.random.default_rng(11)
-    worst = 0.0
-    for n_q in (1, 2, 3):
-        schedule = build_schedule(n_q)
-        for _ in range(5):
-            block = BlockVector.from_values(rng.choice([-2.0, -1.0, 1.0, 2.0], 2**n_q))
-            record = execute_schedule(block, schedule)
-            est = rebuild_phases(record, block)
-            got = rescale_to_dft(est)
-            want = direct_dft(RealSignal.from_values(block.values)).values
-            worst = max(worst, float(np.max(np.abs(got - want))))
-    check("node readout round-trip is exact", worst < 1e-9, f"max dev {worst:.2e}")
-
-    # Hybrid output is node-size independent.
-    worst = 0.0
-    rng = np.random.default_rng(12)
-    signal = RealSignal.from_values(rng.uniform(-1, 1, 2**6))
-    want = direct_dft(signal).values
-    for n_q in range(0, 7):
-        got, _ = hybrid_dft(signal, FftPlan(n=6, n_q=n_q))
-        worst = max(worst, float(np.max(np.abs(got.values - want))))
-    check("hybrid transform matches direct reference (n=6)", worst < 1e-9, f"max dev {worst:.2e}")
-
-    # Amplification law.
-    from .search import SearchGeometry, _grover_step  # type: ignore[attr-defined]
-    worst = 0.0
-    for m in range(0, 17):
-        mask = np.zeros(16, dtype=bool)
-        mask[:m] = True
-        amps = np.full(16, 0.25, dtype=complex)
-        theta = SearchGeometry.from_counts(16, m).theta
-        for t in range(1, 6):
-            amps = _grover_step(amps, mask)
-            got = float(np.sum(np.abs(amps[mask]) ** 2)) if m else 0.0
-            want = math.sin((2 * t + 1) * theta) ** 2
-            worst = max(worst, abs(got - want))
-    check("amplification law (N=16)", worst < 1e-10, f"max dev {worst:.2e}")
-
-    # Partition search completeness on random oracles.
-    ok = True
+    blocks = [rng.choice([-2.0, -1.0, 1.0, 2.0], 2**n_q) for n_q in (1, 2, 3) for _ in range(5)]
+    signal = RealSignal.from_values(np.random.default_rng(12).uniform(-1, 1, 2**6))
     rng = np.random.default_rng(13)
-    for trial in range(10):
+    oracles = []
+    for _ in range(10):
         n = int(rng.integers(1, 7))
         m = int(rng.integers(0, 2**n + 1))
-        oracle = SearchOracle.random(n, m, int(rng.integers(0, 2**31)))
-        for n_q in range(0, n + 1):
-            found, _ = partition_search(oracle, n_q)
-            if found != set(oracle.solutions):
-                ok = False
-    check("partition search returns the exact solution set", ok)
+        oracles.append(SearchOracle.random(n, m, int(rng.integers(0, 2**31))))
+    gates = (Hadamard(0), PhaseShift(0, 0.7), ControlledPhase(0, 1, 1.1), Swap(0, 1))
 
-    # Counter equality against forecasts.
-    signal = RealSignal.from_values(np.arange(1.0, 17.0))
-    _, ledger = hybrid_dft(signal, FftPlan(n=4, n_q=2))
-    f = predict_dft_cost(4, 2).terms
-    ok = (
-        ledger.state_prep_units == f["state_prep_units"] == 64
-        and ledger.quantum_gate_units == f["quantum_gate_units"] == 16
-        and ledger.classical_ops == f["classical_ops"] == 32
-    )
-    check("transform counters equal forecast (n=4, n_q=2)", ok, ledger.to_json())
-    oracle = SearchOracle.from_solutions(6, [5])
-    _, sled = partition_search(oracle, 2, master_seed=3)
-    sf = predict_search_cost(6, 2).terms
-    ok = (
-        sled.node_accesses == sf["node_accesses"]
-        and sled.headline_quantum_queries == sf["headline_quantum_queries"]
-    )
-    check("search counters equal forecast (n=6, n_q=2)", ok, sled.to_json())
-
-    # Determinism.
+    # A deviation with its tolerance, or a list of failing cases with None.
+    table = [
+        ("transform circuit matches root matrix (n_q<=4)",
+         checks.circuit_deviation((1, 2, 3, 4)), checks.CIRCUIT_TOLERANCE),
+        ("gate set is unitary", checks.unitarity_deviation(gates), checks.UNITARITY_TOLERANCE),
+        ("node readout round-trip is exact",
+         checks.round_trip_deviation(blocks), checks.TRANSFORM_TOLERANCE),
+        ("hybrid transform matches direct reference (n=6)",
+         checks.transform_deviation([signal]), checks.TRANSFORM_TOLERANCE),
+        ("amplification law (N=16)",
+         checks.amplification_deviation((16,), 5), checks.AMPLIFICATION_TOLERANCE),
+        ("partition search returns the exact solution set", checks.search_misses(oracles), None),
+        ("transform counters equal forecast (n=4, n_q=2)",
+         checks.counter_mismatches([(RealSignal.from_values(np.arange(1.0, 17.0)), 2)]), None),
+        ("search counters equal forecast (n=6, n_q=2)",
+         checks.counter_mismatches([(SearchOracle.from_solutions(6, [5]), 2)]), None),
+    ]
+    results = [
+        (name, not value, f"failing cases {value}") if tolerance is None
+        else (name, value <= tolerance, f"max dev {value:.2e}")
+        for name, value, tolerance in table
+    ]
     cfg = RunConfig(command="dft-run", n=5, nq_values=(2,), master_seed=9)
-    rep1 = run_experiment(cfg)
-    rep2 = run_experiment(cfg)
-    check("identical configs give identical reports",
-          report_csv(rep1) == report_csv(rep2) and report_json(rep1) == report_json(rep2))
-
-    return checks
+    rep1, rep2 = run_experiment(cfg), run_experiment(cfg)
+    same = report_csv(rep1) == report_csv(rep2) and report_json(rep1) == report_json(rep2)
+    return results + [("identical configs give identical reports", same, "")]
 
 
 def main(argv=None) -> int:
@@ -536,6 +458,14 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
+    if config.command == "verify":
+        results = run_verification()
+        for name, ok, detail in results:
+            print(f"PASS  {name}" if ok else f"FAIL  {name}  {detail}".rstrip())
+        passed = sum(ok for _, ok, _ in results)
+        print(f"{passed}/{len(results)} checks passed")
+        return EXIT_OK if passed == len(results) else EXIT_VERIFY
+
     try:
         report = run_experiment(config)
     except UsageError as exc:
@@ -544,16 +474,6 @@ def main(argv=None) -> int:
     except InputFileError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_IO
-
-    if config.command == "verify":
-        failures = 0
-        for name, ok, detail in report.checks:
-            tag = "PASS" if ok else "FAIL"
-            suffix = f"  {detail}" if detail and not ok else ""
-            print(f"{tag}  {name}{suffix}")
-            failures += 0 if ok else 1
-        print(f"{len(report.checks) - failures}/{len(report.checks)} checks passed")
-        return EXIT_OK if failures == 0 else EXIT_VERIFY
 
     try:
         written = emit_outputs(report, config)

@@ -169,12 +169,6 @@ class StateVector:
             if abs(norm_sq - 1.0) > 1e-9:
                 raise ValueError(f"state norm**2 = {norm_sq}, expected 1")
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
 
 def new_basis_state(num_qubits: int, index: int, max_qubits: int = MAX_QUBITS) -> StateVector:
     """Computational basis state ``|index>`` on ``num_qubits`` qubits."""

@@ -53,7 +53,6 @@ class CostLedger:
     sweep_queries: int = 0
     fallback_ops: int = 0
     classical_fallbacks: int = 0
-    decimation_ops: int = 0
     # Resource footprint (set once per run, not accumulated per work unit).
     classical_bits: int = 0
     qubit_count: int = 0

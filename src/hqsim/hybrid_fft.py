@@ -94,7 +94,6 @@ class FftPlan:
     shots: int = 0
     master_seed: int = 0
     n_precision: int = 64
-    charge_decimation: bool = False
 
     def __post_init__(self) -> None:
         if not 0 <= self.n_q <= self.n:
@@ -230,8 +229,6 @@ def hybrid_dft(signal: RealSignal, plan: FftPlan) -> tuple[SpectrumVector, CostL
         spec = leaves.astype(complex)
         stderr = np.zeros(leaves.shape) if sampled else None
     else:
-        if plan.charge_decimation:
-            ledger.decimation_ops += (plan.n - plan.n_q) * 2**plan.n
         seeds = [_leaf_seed(plan.master_seed, i) for i in range(len(leaves))] if sampled else None
         spec, stderr = evaluate_nodes(leaves, plan.mode, plan.shots, seeds, ledger)
     spectrum = _combine_levels(spec, stderr, ledger)

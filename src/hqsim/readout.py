@@ -374,11 +374,14 @@ def evaluate_nodes(
     normalizations.  Returns the ``(L, 2**n_q)`` unnormalized transforms and,
     in sampled mode, their standard errors (None in exact mode).  All-zero
     rows never touch the node: their transform is zero.  ``seeds`` holds one
-    seed per row and is only read in sampled mode.  Charges every node
-    counter as rows times unit, plus each fallback.
+    seed per row; sampled mode raises ``ValueError`` without exactly that
+    many, and exact mode ignores it.  Charges every node counter as rows
+    times unit, plus each fallback.
     """
     shots = _check_mode(mode, shots)
     L, N = blocks.shape
+    if shots and (seeds is None or len(seeds) != L):
+        raise ValueError(f"sampled mode needs one seed per row, {L} rows")
     norms = _row_norms(blocks)
     live = norms != 0.0
     x = _encode(blocks[live], norms[live], ledger)

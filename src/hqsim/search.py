@@ -28,9 +28,8 @@ from .costs import CostLedger
 __all__ = [
     "SearchOracle",
     "SublistPartition",
-    "SearchGeometry",
     "GroverOutcome",
-    "grover_operator_apply",
+    "grover_step",
     "plan_iterations",
     "search_node",
     "partition_search",
@@ -89,30 +88,6 @@ class SublistPartition:
 
 
 @dataclass(frozen=True)
-class SearchGeometry:
-    """Rotation-angle view of a state: projections on the uniform
-    superpositions of non-solutions and solutions."""
-
-    theta: float
-    alpha_proj: float
-    beta_proj: float
-
-    @classmethod
-    def from_counts(cls, n_total: int, n_solutions: int) -> "SearchGeometry":
-        theta = math.asin(math.sqrt(n_solutions / n_total))
-        return cls(theta, math.cos(theta), math.sin(theta))
-
-    @classmethod
-    def of_state(cls, amplitudes: np.ndarray, solution_mask: np.ndarray) -> "SearchGeometry":
-        m = int(solution_mask.sum())
-        n = amplitudes.size
-        beta = abs(amplitudes[solution_mask].sum()) / math.sqrt(m) if m else 0.0
-        alpha = abs(amplitudes[~solution_mask].sum()) / math.sqrt(n - m) if n > m else 0.0
-        theta = math.asin(min(math.sqrt(m / n), 1.0))
-        return cls(theta, float(alpha), float(beta))
-
-
-@dataclass(frozen=True)
 class GroverOutcome:
     """What one node call produced, including per-round bookkeeping."""
 
@@ -135,29 +110,12 @@ def _solution_mask(base: int, size: int, membership, excluded) -> np.ndarray:
     return mask
 
 
-def _grover_step(amps: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def grover_step(amps: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """One amplification step on a sublist's amplitudes: the oracle flips
+    the sign of the ``mask`` entries, then every amplitude is inverted about
+    the mean.  Returns a new array; charges nothing."""
     flipped = np.where(mask, -amps, amps)
     return 2.0 * flipped.mean() - flipped
-
-
-def grover_operator_apply(state, local_oracle, ledger: CostLedger | None = None):
-    """One amplification step: oracle sign flip, then inversion about the
-    mean.  ``local_oracle`` is a boolean mask over local indices or a
-    predicate on them.  Charges one quantum oracle query."""
-    from .core import StateVector
-
-    if callable(local_oracle):
-        mask = np.fromiter(
-            (bool(local_oracle(i)) for i in range(state.amplitudes.size)),
-            dtype=bool,
-            count=state.amplitudes.size,
-        )
-    else:
-        mask = np.asarray(local_oracle, dtype=bool)
-    amps = _grover_step(state.amplitudes, mask)
-    if ledger is not None:
-        ledger.quantum_oracle_queries += 1
-    return StateVector(state.num_qubits, amps, state.unnormalized)
 
 
 def plan_iterations(n_total: int, m_assumed: int) -> int:
@@ -236,7 +194,7 @@ def search_node(
         t = plan_iterations(size, min(guess, size))
         amps = np.full(size, 1.0 / math.sqrt(size), dtype=complex)
         for _ in range(t):
-            amps = _grover_step(amps, solution_mask)
+            amps = grover_step(amps, solution_mask)
         if ledger is not None:
             ledger.quantum_oracle_queries += t
             ledger.measurement_units += 1

@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
+import hqsim.checks
 from hqsim.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
+    EXIT_VERIFY,
     InputFileError,
     UsageError,
     main,
@@ -228,6 +230,14 @@ def test_main_write_failure_code(tmp_path):
 
 def test_main_verify_passes():
     assert main(["verify"]) == EXIT_OK
+
+
+def test_main_verify_reports_a_failing_check(monkeypatch, capsys):
+    monkeypatch.setattr(hqsim.checks, "transform_deviation", lambda signals: 0.5)
+    assert main(["verify"]) == EXIT_VERIFY
+    out = capsys.readouterr().out
+    assert "FAIL  hybrid transform matches direct reference (n=6)  max dev 5.00e-01\n" in out
+    assert "8/9 checks passed\n" in out
 
 
 def test_main_run_ok(capsys):

@@ -12,6 +12,7 @@ from hqsim.core import (
     build_qft_circuit,
     effect_probability,
 )
+from hqsim.checks import TRANSFORM_TOLERANCE, round_trip_deviation
 from hqsim.costs import CostLedger
 from hqsim.readout import (
     ROLE_MAGNITUDE,
@@ -19,6 +20,7 @@ from hqsim.readout import (
     BlockVector,
     _measure,
     build_schedule,
+    evaluate_nodes,
     execute_schedule,
     prepare_block_state,
     rebuild_phases,
@@ -201,6 +203,15 @@ def test_sampled_mode_requires_shots():
         execute_schedule(block, build_schedule(2), mode="sampled", shots=0)
 
 
+def test_sampled_nodes_need_one_seed_per_row():
+    blocks = np.random.default_rng(61).normal(size=(3, 4))
+    for seeds in (None, [1], [1, 2, 3, 4]):
+        with pytest.raises(ValueError, match="one seed per row"):
+            evaluate_nodes(blocks, "sampled", 100, seeds)
+    values, stderr = evaluate_nodes(blocks, "sampled", 100, [1, 2, 3])
+    assert values.shape == stderr.shape == (3, 4)
+
+
 @pytest.mark.parametrize("n_q", [1, 2, 3, 4, 5])
 def test_batched_probabilities_match_per_entry_effects(n_q):
     # The batch reads the schedule's fixed layout with index arithmetic; the
@@ -296,14 +307,8 @@ def test_rescale_examples():
 @pytest.mark.parametrize("n_q", [1, 2, 3, 4])
 def test_round_trip_exact_on_integer_blocks(n_q):
     rng = np.random.default_rng(100 + n_q)
-    schedule = build_schedule(n_q)
-    for _ in range(50):
-        values = rng.choice([-2.0, -1.0, 1.0, 2.0], size=2**n_q)
-        block = BlockVector.from_values(values)
-        record = execute_schedule(block, schedule)
-        got = rescale_to_dft(rebuild_phases(record, block))
-        want = dft_matrix(2**n_q) @ values.astype(complex)
-        assert np.max(np.abs(got - want)) < 1e-9
+    blocks = [rng.choice([-2.0, -1.0, 1.0, 2.0], size=2**n_q) for _ in range(50)]
+    assert round_trip_deviation(blocks) <= TRANSFORM_TOLERANCE
 
 
 def test_parseval_after_rescale():
