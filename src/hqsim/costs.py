@@ -16,7 +16,6 @@ forecasts.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -75,9 +74,6 @@ class CostLedger:
 
     def as_dict(self) -> dict[str, int]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True)
 
     @classmethod
     def field_names(cls) -> tuple[str, ...]:

@@ -13,12 +13,18 @@ same outcome distribution as an empty one, no measurement policy can
 certify emptiness; after a node gives up, the orchestrator classically
 sweeps whatever indices remain unknown so the returned set is always exact.
 Sweep and retry costs are charged to their own counters.
+
+The simulation reads the oracle once per index, as a bool mask, and runs
+every sublist of a block in lockstep: one ``(rows, 2**n_q)`` amplitude
+array per round, since a round's iteration count depends only on its
+number.  A single sublist is a batch of one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -38,7 +44,12 @@ __all__ = [
 
 @dataclass(eq=False)
 class SearchOracle:
-    """Membership predicate over ``[0, 2**n)`` with known solution count."""
+    """Membership predicate over ``[0, 2**n)`` with known solution count.
+
+    When ``solutions`` is given it must hold exactly the indices that
+    ``membership`` accepts, and stay fixed; :meth:`mask` reads it instead
+    of the predicate.
+    """
 
     n: int
     membership: Callable[[int], bool]
@@ -60,6 +71,25 @@ class SearchOracle:
         rng = np.random.default_rng(seed)
         picks = rng.choice(2**n, size=count, replace=False)
         return cls.from_solutions(n, picks.tolist())
+
+    def mask(self, lo: int, hi: int) -> np.ndarray:
+        """Membership of the indices ``lo .. hi-1`` as a bool array.  A
+        set-backed oracle fills it from ``solutions``; a predicate-only one
+        calls ``membership`` once per index."""
+        if self.solutions is None:
+            return np.fromiter(
+                (bool(self.membership(g)) for g in range(lo, hi)), dtype=bool, count=hi - lo
+            )
+        sols = self._sorted_solutions
+        first, last = np.searchsorted(sols, (lo, hi))
+        out = np.zeros(hi - lo, dtype=bool)
+        out[sols[first:last] - lo] = True
+        return out
+
+    @cached_property
+    def _sorted_solutions(self) -> np.ndarray:
+        # Sorted once, so that each block's mask costs only its own share.
+        return np.sort(np.fromiter(self.solutions, dtype=np.int64, count=len(self.solutions)))
 
 
 @dataclass(frozen=True)
@@ -95,27 +125,18 @@ class GroverOutcome:
     measured_index: int | None
     verified: bool
     iterations_used: int
-    retries_used: int
     round_iterations: tuple[int, ...]
     successful_round: int | None
     tested: tuple[int, ...] = field(default=())
 
 
-def _solution_mask(base: int, size: int, membership, excluded) -> np.ndarray:
-    mask = np.zeros(size, dtype=bool)
-    for local in range(size):
-        g = base + local
-        if g not in excluded and membership(g):
-            mask[local] = True
-    return mask
-
-
 def grover_step(amps: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """One amplification step on a sublist's amplitudes: the oracle flips
+    """One amplification step on the last axis of ``amps``: the oracle flips
     the sign of the ``mask`` entries, then every amplitude is inverted about
-    the mean.  Returns a new array; charges nothing."""
+    its row's mean.  A 2-D array is a batch of sublists, each row equal bit
+    for bit to the row stepped alone.  Returns a new array; charges nothing."""
     flipped = np.where(mask, -amps, amps)
-    return 2.0 * flipped.mean() - flipped
+    return 2.0 * flipped.mean(axis=-1, keepdims=True) - flipped
 
 
 def plan_iterations(n_total: int, m_assumed: int) -> int:
@@ -133,14 +154,70 @@ def plan_iterations(n_total: int, m_assumed: int) -> int:
     return best_t
 
 
-def _measure(probs: np.ndarray, mode: str, skip, rng) -> int:
-    if mode == "exact":
-        masked = probs.copy()
-        if skip:
-            masked[list(skip)] = -1.0
-        return int(np.argmax(masked))
-    total = probs.sum()
-    return int(rng.choice(probs.size, p=probs / total))
+def _round_plan(size: int) -> tuple[int, ...]:
+    """Iteration counts of a node's ``n_q + 1`` rounds: round k plans for an
+    assumed solution count of ``2**(k-1)``."""
+    return tuple(plan_iterations(size, min(2**k, size)) for k in range(size.bit_length()))
+
+
+def _node_calls(mask, settled, iterations, mode, rngs, ledger):
+    """One node call on every row of a batch of sublists, in lockstep.
+
+    ``mask`` is each row's oracle mask (solutions already found cleared);
+    ``settled`` marks the local indices known already, which exact mode
+    never measures.  Every row of round k runs ``iterations[k-1]`` steps
+    (see :func:`_round_plan`), so a round is one ``(rows, size)`` amplitude
+    array.  A row stops once its candidate verifies, after ``n_q + 1``
+    rounds, or in exact mode when nothing measurable remains (that round is
+    not charged).  Each failed candidate is marked in ``settled``.  Sampled
+    mode draws row i's candidates from ``rngs[i]``.
+
+    Returns ``(verified, rounds, candidates)``: per row, whether it verified
+    and how many rounds it ran, and the candidate measured in each round
+    (-1 where none).
+    """
+    if mode not in ("exact", "sampled"):
+        raise ValueError(f"unknown mode {mode!r}")
+    rows, size = mask.shape
+    verified = np.zeros(rows, dtype=bool)
+    rounds = np.zeros(rows, dtype=np.int64)
+    candidates = np.full((rows, len(iterations)), -1, dtype=np.int64)
+    if size == 1:
+        # Degenerate one-element node: a single classical test.
+        ledger.classical_oracle_queries += rows
+        verified[:] = mask[:, 0]
+        rounds[:] = 1
+        candidates[:, 0] = 0
+        settled[~verified, 0] = True
+        return verified, rounds, candidates
+    for k, t in enumerate(iterations):
+        live = ~verified
+        if mode == "exact":
+            live &= ~settled.all(axis=1)
+        idx = np.flatnonzero(live)
+        if idx.size == 0:
+            break
+        row_mask = mask[idx]
+        amps = np.full((idx.size, size), 1.0 / math.sqrt(size), dtype=complex)
+        for _ in range(t):
+            amps = grover_step(amps, row_mask)
+        probs = np.abs(amps) ** 2
+        if mode == "exact":
+            probs[settled[idx]] = -1.0
+            local = np.argmax(probs, axis=1)
+        else:
+            local = np.array(
+                [rngs[i].choice(size, p=p / p.sum()) for i, p in zip(idx, probs)], dtype=np.int64
+            )
+        ledger.quantum_oracle_queries += idx.size * t
+        ledger.measurement_units += idx.size
+        ledger.classical_oracle_queries += idx.size
+        candidates[idx, k] = local
+        rounds[idx] = k + 1
+        ok = row_mask[np.arange(idx.size), local]
+        verified[idx[ok]] = True
+        settled[idx[~ok], local[~ok]] = True
+    return verified, rounds, candidates
 
 
 def search_node(
@@ -152,86 +229,54 @@ def search_node(
     ledger: CostLedger | None = None,
     exclude_solutions: frozenset = frozenset(),
     skip_candidates: frozenset = frozenset(),
-    solution_mask: np.ndarray | None = None,
 ) -> GroverOutcome:
-    """Search one sublist with doubling assumed-count retries.
+    """Search one sublist with doubling assumed-count retries: the node
+    call of :func:`partition_search` on a batch of one.
 
     ``exclude_solutions`` (global indices) are treated as non-solutions by
     the node's oracle; ``skip_candidates`` (local indices) are classically
-    known already and never measured in exact mode.  ``solution_mask`` lets
-    an orchestrator hand in the local oracle mask it has already built.
-    Each round runs a planned number of amplification steps, measures, and
-    verifies the candidate classically; the node stops on success or after
-    n_q + 1 rounds.
+    known already and never measured in exact mode.  Each round runs a
+    planned number of amplification steps, measures, and verifies the
+    candidate classically; the node stops on success or after n_q + 1
+    rounds.
     """
-    if mode not in ("exact", "sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
     base = partition.base(sublist)
     size = partition.sublist_size
-
-    def is_solution(g: int) -> bool:
-        return g not in exclude_solutions and oracle.membership(g)
-
-    if partition.n_q == 0:
-        # Degenerate one-element node: a single classical test.
-        if ledger is not None:
-            ledger.classical_oracle_queries += 1
-        ok = is_solution(base)
-        return GroverOutcome(
-            sublist, base, ok, 0, 0, (0,), 1 if ok else None, tested=(0,) if not ok else ()
-        )
-
-    if solution_mask is None:
-        solution_mask = _solution_mask(base, size, oracle.membership, exclude_solutions)
-    rng = np.random.default_rng(seed) if mode == "sampled" else None
-    tested: list[int] = []
-    round_iterations: list[int] = []
-    guess = 1
-    for round_no in range(1, partition.n_q + 2):
-        skip = skip_candidates.union(tested) if mode == "exact" else frozenset()
-        if mode == "exact" and len(skip) >= size:
-            break  # nothing measurable remains; do not charge a round
-        t = plan_iterations(size, min(guess, size))
-        amps = np.full(size, 1.0 / math.sqrt(size), dtype=complex)
-        for _ in range(t):
-            amps = grover_step(amps, solution_mask)
-        if ledger is not None:
-            ledger.quantum_oracle_queries += t
-            ledger.measurement_units += 1
-        round_iterations.append(t)
-        local = _measure(np.abs(amps) ** 2, mode, skip, rng)
-        if ledger is not None:
-            ledger.classical_oracle_queries += 1
-        candidate = base + local
-        if is_solution(candidate):
-            return GroverOutcome(
-                sublist,
-                candidate,
-                True,
-                sum(round_iterations),
-                round_no - 1,
-                tuple(round_iterations),
-                round_no,
-                tested=tuple(tested),
-            )
-        if local not in tested:
-            tested.append(local)
-        guess *= 2
-    last = (base + tested[-1]) if tested else None
+    mask = oracle.mask(base, base + size)
+    mask[[g - base for g in exclude_solutions if base <= g < base + size]] = False
+    settled = np.zeros(size, dtype=bool)
+    settled[list(skip_candidates)] = True
+    rngs = [np.random.default_rng(seed)] if mode == "sampled" else None
+    iterations = _round_plan(size)
+    verified, rounds, candidates = _node_calls(
+        mask[None], settled[None], iterations, mode, rngs,
+        ledger if ledger is not None else CostLedger(),
+    )
+    ok, used = bool(verified[0]), int(rounds[0])
+    picks = candidates[0, :used].tolist()
+    tested = tuple(dict.fromkeys(picks[:-1] if ok else picks))
+    if ok:
+        measured = base + picks[-1]
+    else:
+        measured = base + tested[-1] if tested else None
     return GroverOutcome(
         sublist,
-        last,
-        False,
-        sum(round_iterations),
-        max(len(round_iterations) - 1, 0),
-        tuple(round_iterations),
-        None,
-        tested=tuple(tested),
+        measured,
+        ok,
+        sum(iterations[:used]),
+        iterations[:used],
+        used if ok else None,
+        tested=tested,
     )
 
 
 def _node_seed(master_seed: int, sublist: int, call: int) -> int:
     return int(np.random.SeedSequence([master_seed, sublist, call]).generate_state(1)[0])
+
+
+# Sublists are searched in blocks of at most this many indices, which bounds
+# the batch arrays' memory whatever n is.
+BLOCK_INDICES = 2**12
 
 
 def partition_search(
@@ -249,64 +294,56 @@ def partition_search(
     a node access, and only its first-round (or winning-round) iterations
     count toward the headline query total; everything else lands in the
     retry/repeat/sweep counters.
+
+    Calls run in waves over a block of sublists: call 0 on every sublist,
+    call c on those whose call c-1 verified and that still hold unknown
+    indices.  The oracle is read once per index, as a mask.
     """
     partition = SublistPartition(oracle.n, n_q)
+    size = partition.sublist_size
+    per_block = max(BLOCK_INDICES // size, 1)
+    iterations = _round_plan(size)
+    spent_after = np.cumsum((0,) + iterations)  # iterations of the first r rounds
     ledger = CostLedger()
     found: set[int] = set()
-    for r in range(partition.num_sublists):
-        base = partition.base(r)
-        size = partition.sublist_size
-        base_mask = (
-            _solution_mask(base, size, oracle.membership, frozenset())
-            if n_q > 0
-            else None
-        )
-        found_local: set[int] = set()
-        known_non: set[int] = set()
+    for first in range(0, partition.num_sublists, per_block):
+        rows = min(per_block, partition.num_sublists - first)
+        lo = partition.base(first)
+        solution = oracle.mask(lo, lo + rows * size).reshape(rows, size)
+        hit = np.zeros_like(solution)  # verified by a node call
+        settled = np.zeros_like(solution)  # found, or known to be no solution
+        active = np.arange(rows)
         call = 0
-        while len(found_local) + len(known_non) < size:
-            mask = None
-            if base_mask is not None:
-                mask = base_mask.copy()
-                if found_local:
-                    mask[list(found_local)] = False
-            outcome = search_node(
-                partition,
-                r,
-                oracle,
-                mode=mode,
-                seed=_node_seed(master_seed, r, call),
-                ledger=ledger,
-                exclude_solutions=frozenset(base + i for i in found_local),
-                skip_candidates=frozenset(found_local | known_non),
-                solution_mask=mask,
+        while active.size:
+            rngs = None
+            if mode == "sampled":
+                rngs = [
+                    np.random.default_rng(_node_seed(master_seed, first + int(a), call))
+                    for a in active
+                ]
+            known = settled[active]
+            verified, rounds, candidates = _node_calls(
+                solution[active] & ~hit[active], known, iterations, mode, rngs, ledger
             )
-            total_t = outcome.iterations_used
+            settled[active] = known
+            spent = spent_after[rounds]
             if call == 0:
-                ledger.node_accesses += 1
-                if outcome.verified:
-                    headline = outcome.round_iterations[outcome.successful_round - 1]
-                else:
-                    headline = outcome.round_iterations[0] if outcome.round_iterations else 0
-                ledger.retry_queries += total_t - headline
+                ledger.node_accesses += int(active.size)
+                headline = np.take(iterations, np.where(verified, rounds - 1, 0))
+                ledger.retry_queries += int(np.sum(spent - headline))
             else:
-                ledger.repeat_node_accesses += 1
-                ledger.retry_queries += total_t
-            known_non.update(t for t in outcome.tested if t not in found_local)
-            if not outcome.verified:
-                break
-            found_local.add(outcome.measured_index - base)
+                ledger.repeat_node_accesses += int(active.size)
+                ledger.retry_queries += int(np.sum(spent))
+            winners = active[verified]
+            picks = candidates[verified, rounds[verified] - 1]
+            hit[winners, picks] = True
+            settled[winners, picks] = True
+            active = winners[~settled[winners].all(axis=1)]
             call += 1
-        # Residual sweep: certify whatever the node could not settle.
-        for local in range(size):
-            if local in found_local or local in known_non:
-                continue
-            ledger.sweep_queries += 1
-            if oracle.membership(base + local):
-                found_local.add(local)
-            else:
-                known_non.add(local)
-        found.update(base + i for i in found_local)
+        # Residual sweep: certify whatever the node calls could not settle.
+        ledger.sweep_queries += int(np.count_nonzero(~settled))
+        block_found = hit | (solution & ~settled)
+        found.update((lo + np.flatnonzero(block_found)).tolist())
     ledger.classical_bits = 2**oracle.n * n_precision
     ledger.qubit_count = n_q + 1
     return found, ledger

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import hqsim.checks
+import hqsim.cli
 from hqsim.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -19,6 +20,7 @@ from hqsim.cli import (
     report_svg,
     run_experiment,
 )
+from hqsim.core import MAX_QUBITS
 
 
 def test_parse_dft_run():
@@ -228,6 +230,27 @@ def test_main_write_failure_code(tmp_path):
     assert code == EXIT_IO
 
 
+@pytest.mark.parametrize("argv", [
+    ["dft-run", "--n", "40", "--nq", "4"],
+    ["dft-sweep", "--n", str(MAX_QUBITS + 1), "--nq", "0..2"],
+    ["search-run", "--n", "30", "--nq", "2", "--random-solutions", "1"],
+    ["search-sweep", "--n", str(MAX_QUBITS + 1), "--nq", "0..2", "--solutions", "1"],
+], ids=lambda argv: argv[0])
+def test_main_refuses_sizes_above_the_qubit_limit(argv, monkeypatch, capsys):
+    def run_experiment(config):
+        raise AssertionError("an oversized run must be refused before it starts")
+
+    monkeypatch.setattr(hqsim.cli, "run_experiment", run_experiment)
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"--n {argv[2]} exceeds the simulator's limit of {MAX_QUBITS}" in err
+
+
+def test_parse_accepts_the_qubit_limit():
+    cfg = parse_args(["search-run", "--n", str(MAX_QUBITS), "--nq", "4", "--solutions", "1"])
+    assert cfg.n == MAX_QUBITS
+
+
 def test_main_verify_passes():
     assert main(["verify"]) == EXIT_OK
 
@@ -237,6 +260,20 @@ def test_main_verify_reports_a_failing_check(monkeypatch, capsys):
     assert main(["verify"]) == EXIT_VERIFY
     out = capsys.readouterr().out
     assert "FAIL  hybrid transform matches direct reference (n=6)  max dev 5.00e-01\n" in out
+    assert "8/9 checks passed\n" in out
+
+
+def test_main_verify_shortens_a_failing_case_list(monkeypatch, capsys):
+    cases = [(8, k % 9, list(range(k, k + 40))) for k in range(50)]
+    monkeypatch.setattr(hqsim.checks, "search_misses", lambda oracles: cases)
+    assert main(["verify"]) == EXIT_VERIFY
+    out = capsys.readouterr().out
+    (line,) = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert line.startswith(
+        "FAIL  partition search returns the exact solution set  50 failing cases, first 3: "
+        "[(8, 0, [0, 1, 2, 3, 4, 5, ...]), "
+    )
+    assert len(line) < 250
     assert "8/9 checks passed\n" in out
 
 

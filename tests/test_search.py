@@ -1,13 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hqsim.checks import AMPLIFICATION_TOLERANCE, amplification_deviation, search_misses
 from hqsim.costs import CostLedger
 from hqsim.search import (
     SearchOracle,
     SublistPartition,
+    _node_seed,
     grover_step,
     partition_search,
     plan_iterations,
@@ -57,6 +61,17 @@ def test_operator_preserves_norm():
 @pytest.mark.parametrize("n_total", [2, 4, 8, 16])
 def test_success_probability_law(n_total):
     assert amplification_deviation((n_total,), 10) <= AMPLIFICATION_TOLERANCE
+
+
+def test_batched_step_rows_equal_single_rows():
+    rng = np.random.default_rng(2)
+    amps = rng.normal(size=(5, 16)) + 1j * rng.normal(size=(5, 16))
+    mask = rng.random((5, 16)) < 0.3
+    batch, rows = amps, [amps[i] for i in range(5)]
+    for _ in range(4):
+        batch = grover_step(batch, mask)
+        rows = [grover_step(row, mask[i]) for i, row in enumerate(rows)]
+        assert all(np.array_equal(batch[i], row) for i, row in enumerate(rows))
 
 
 def test_geometry_invariant_along_the_rotation():
@@ -261,6 +276,148 @@ def test_partition_search_sampled_mode_still_exact_set():
     oracle = SearchOracle.random(5, 7, seed=6)
     found, _ = partition_search(oracle, 2, mode="sampled", master_seed=4)
     assert found == set(oracle.solutions)
+
+
+def reference_search(oracle, n_q, mode, master_seed):
+    """The per-sublist orchestration: one batch-of-one ``search_node`` call
+    at a time, the residual sweep through ``membership``."""
+    partition = SublistPartition(oracle.n, n_q)
+    size = partition.sublist_size
+    ledger = CostLedger()
+    found = set()
+    for r in range(partition.num_sublists):
+        base = partition.base(r)
+        found_local, known_non = set(), set()
+        call = 0
+        while len(found_local) + len(known_non) < size:
+            outcome = search_node(
+                partition, r, oracle, mode=mode, seed=_node_seed(master_seed, r, call),
+                ledger=ledger,
+                exclude_solutions=frozenset(base + i for i in found_local),
+                skip_candidates=frozenset(found_local | known_non),
+            )
+            if call == 0:
+                ledger.node_accesses += 1
+                won = outcome.successful_round if outcome.verified else 1
+                headline = outcome.round_iterations[won - 1]
+                ledger.retry_queries += outcome.iterations_used - headline
+            else:
+                ledger.repeat_node_accesses += 1
+                ledger.retry_queries += outcome.iterations_used
+            known_non.update(t for t in outcome.tested if t not in found_local)
+            if not outcome.verified:
+                break
+            found_local.add(outcome.measured_index - base)
+            call += 1
+        for local in range(size):
+            if local not in found_local and local not in known_non:
+                ledger.sweep_queries += 1
+                if oracle.membership(base + local):
+                    found_local.add(local)
+        found.update(base + i for i in found_local)
+    ledger.classical_bits = 2**oracle.n * 64
+    ledger.qubit_count = n_q + 1
+    return found, ledger
+
+
+@st.composite
+def sublist_oracles(draw):
+    """An oracle whose sublists are each empty, single, half-full, full or
+    random, set-backed or predicate-only, with a node size for it."""
+    n = draw(st.integers(1, 8))
+    n_q = draw(st.integers(0, n))
+    size = 2**n_q
+    solutions = set()
+    for r in range(2 ** (n - n_q)):
+        base = r * size
+        fill = draw(st.sampled_from(["empty", "single", "half", "full", "random"]))
+        if fill == "single":
+            solutions.add(base + draw(st.integers(0, size - 1)))
+        elif fill == "half":
+            solutions.update(range(base, base + size, 2))
+        elif fill == "full":
+            solutions.update(range(base, base + size))
+        elif fill == "random":
+            seed = draw(st.integers(0, 2**32 - 1))
+            picks = np.random.default_rng(seed).random(size) < 0.5
+            solutions.update(base + int(i) for i in np.flatnonzero(picks))
+    sols = frozenset(solutions)
+    if draw(st.booleans()):
+        oracle = SearchOracle.from_solutions(n, sols)
+    else:
+        oracle = SearchOracle(n, sols.__contains__, len(sols), None)
+    return oracle, n_q
+
+
+@settings(max_examples=150, deadline=None)
+@given(sublist_oracles(), st.sampled_from(["exact", "sampled"]), st.integers(0, 2**32 - 1))
+def test_batched_search_equals_per_sublist_calls(case, mode, master_seed):
+    oracle, n_q = case
+    found, ledger = partition_search(oracle, n_q, mode=mode, master_seed=master_seed)
+    want_found, want_ledger = reference_search(oracle, n_q, mode, master_seed)
+    assert found == want_found
+    assert ledger.as_dict() == want_ledger.as_dict()
+
+
+# Ledgers of hand-picked runs, recorded from the per-sublist implementation.
+PINNED_LEDGERS = [
+    (SearchOracle.from_solutions(8, [3, 77, 200, 201]), 3, "exact", 0,
+     dict(quantum_oracle_queries=104, classical_oracle_queries=132, measurement_units=132,
+          node_accesses=32, retry_queries=40, repeat_node_accesses=4, sweep_queries=124,
+          classical_bits=16384, qubit_count=4)),
+    (SearchOracle(6, lambda g: g % 3 == 0, 22, None), 2, "exact", 0,
+     dict(quantum_oracle_queries=38, classical_oracle_queries=64, measurement_units=64,
+          node_accesses=16, retry_queries=22, repeat_node_accesses=22,
+          classical_bits=4096, qubit_count=3)),
+    (SearchOracle.from_solutions(6, list(range(8)) + [40, 44, 45, 46, 47]), 3, "exact", 0,
+     dict(quantum_oracle_queries=45, classical_oracle_queries=40, measurement_units=40,
+          node_accesses=8, retry_queries=29, repeat_node_accesses=11, sweep_queries=24,
+          classical_bits=4096, qubit_count=4)),
+    (SearchOracle.random(7, 20, seed=3), 3, "sampled", 5,
+     dict(quantum_oracle_queries=91, classical_oracle_queries=87, measurement_units=87,
+          node_accesses=16, retry_queries=62, repeat_node_accesses=20, sweep_queries=61,
+          classical_bits=8192, qubit_count=4)),
+]
+
+
+@pytest.mark.parametrize(
+    "oracle, n_q, mode, seed, counters", PINNED_LEDGERS,
+    ids=["set-backed", "predicate", "full-sublist", "sampled"],
+)
+def test_partition_search_pinned_ledgers(oracle, n_q, mode, seed, counters):
+    found, ledger = partition_search(oracle, n_q, mode=mode, master_seed=seed)
+    assert found == {i for i in range(2**oracle.n) if oracle.membership(i)}
+    assert ledger.as_dict() == CostLedger(**counters).as_dict()
+
+
+def counting(oracle):
+    calls = []
+
+    def membership(g):
+        calls.append(g)
+        return oracle.membership(g)
+
+    return dataclasses.replace(oracle, membership=membership), calls
+
+
+def test_search_reads_the_oracle_once_per_index():
+    predicate = SearchOracle(8, lambda g: g % 5 == 1, 51, None)
+    oracle, calls = counting(predicate)
+    found, _ = partition_search(oracle, 3)
+    assert sorted(calls) == list(range(256))
+    assert found == {g for g in range(256) if g % 5 == 1}
+    # A set-backed oracle's mask is read from its solutions alone.
+    oracle, calls = counting(SearchOracle.from_solutions(8, [7, 9, 200]))
+    assert partition_search(oracle, 3)[0] == {7, 9, 200}
+    assert calls == []
+
+
+def test_oracle_mask_is_membership():
+    oracle = SearchOracle.random(6, 23, seed=4)
+    predicate = SearchOracle(6, oracle.membership, 23, None)
+    want = [oracle.membership(g) for g in range(10, 50)]
+    assert oracle.mask(10, 50).tolist() == want
+    assert predicate.mask(10, 50).tolist() == want
 
 
 # --- oracles and partitions --------------------------------------------------
