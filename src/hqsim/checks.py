@@ -16,7 +16,7 @@ from .core import build_qft_circuit, circuit_matrix
 from .costs import predict_dft_cost, predict_search_cost
 from .hybrid_fft import FftPlan, RealSignal, direct_dft, hybrid_dft
 from .readout import BlockVector, build_schedule, execute_schedule, rebuild_phases, rescale_to_dft
-from .search import SearchOracle, grover_step, partition_search
+from .search import SearchOracle, class_orders, grover_step, partition_search, plan_iterations
 
 CIRCUIT_TOLERANCE = 1e-10
 UNITARITY_TOLERANCE = 1e-12
@@ -88,6 +88,34 @@ def amplification_deviation(sizes, iterations: int) -> float:
                 got = float(np.sum(np.abs(amps[mask]) ** 2)) if m else 0.0
                 worst = max(worst, abs(got - math.sin((2 * t + 1) * theta) ** 2))
     return worst
+
+
+def class_order_mismatches(sizes) -> list[tuple[int, int, int, int, float]]:
+    """Cases where the integer class order exact search measures by
+    (:func:`~hqsim.search.class_orders`) disagrees with the sign of
+    ``|a_sol|**2 - |a_non|**2`` from ``grover_step``'s float amplitudes,
+    although that float gap exceeds ``AMPLIFICATION_TOLERANCE``: ``(N, m, t,
+    order, float gap)`` per case, over every ``N`` in ``sizes``, ``0 < m <
+    N`` and ``t`` up to the node's largest planned count.  At ``m = 0`` or
+    ``m = N`` one class is empty, so there is no order to compare."""
+    mismatches = []
+    for n_total in sizes:
+        if n_total < 2:
+            continue
+        steps = range(plan_iterations(n_total, 1) + 1)
+        counts = np.arange(1, n_total)
+        # Row m-1 holds m solutions, on its first m entries.
+        mask = np.arange(n_total) < counts[:, None]
+        orders = [class_orders(n_total, int(m), steps) for m in counts]
+        amps = np.full(mask.shape, 1.0 / math.sqrt(n_total), dtype=complex)
+        for t in steps:
+            if t:
+                amps = grover_step(amps, mask)
+            gaps = np.abs(amps[:, 0]) ** 2 - np.abs(amps[:, -1]) ** 2
+            for m, order, gap in zip(counts.tolist(), orders, gaps.tolist()):
+                if abs(gap) > AMPLIFICATION_TOLERANCE and order[t] != (1 if gap > 0 else -1):
+                    mismatches.append((n_total, m, t, order[t], gap))
+    return mismatches
 
 
 def search_misses(oracles) -> list[tuple[int, int, list[int]]]:

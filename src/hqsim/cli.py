@@ -439,6 +439,8 @@ def run_verification() -> list[tuple[str, bool, str]]:
          checks.transform_deviation([signal]), checks.TRANSFORM_TOLERANCE),
         ("amplification law (N=16)",
          checks.amplification_deviation((16,), 5), checks.AMPLIFICATION_TOLERANCE),
+        ("exact search's class order matches the amplification law (N<=32)",
+         checks.class_order_mismatches((2, 4, 8, 16, 32)), None),
         ("partition search returns the exact solution set", checks.search_misses(oracles), None),
         ("transform counters equal forecast (n=4, n_q=2)",
          checks.counter_mismatches([(RealSignal.from_values(np.arange(1.0, 17.0)), 2)]), None),

@@ -19,6 +19,7 @@ operation, the level-by-level form of the Cooley-Tukey recursion (Van Loan,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -166,6 +167,15 @@ def _combine_level(spec, stderr, roots, ledger):
     return spec, stderr
 
 
+@lru_cache(maxsize=1)
+def _final_roots(size: int) -> np.ndarray:
+    """``TwiddleTable.for_size(size).roots``, read-only, kept for the last
+    size asked for only, so repeated transforms of one size build it once."""
+    roots = TwiddleTable.for_size(size).roots
+    roots.flags.writeable = False
+    return roots
+
+
 def _combine_levels(spec, stderr, ledger):
     """Combine the rows of ``spec`` level by level into one spectrum.
 
@@ -173,7 +183,7 @@ def _combine_levels(spec, stderr, ledger):
     the strides are powers of two, so they equal
     ``TwiddleTable.for_size(2 * h).roots`` bit for bit.
     """
-    roots = TwiddleTable.for_size(spec.size).roots
+    roots = _final_roots(spec.size)
     while spec.shape[0] > 1:
         spec, stderr = _combine_level(spec, stderr, roots[::spec.shape[0] // 2], ledger)
     return SpectrumVector(spec[0], None if stderr is None else stderr[0])

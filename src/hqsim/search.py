@@ -6,18 +6,28 @@ one sublist: sign-flip oracle followed by inversion about the mean, with
 the iteration count planned for an assumed solution count that doubles on
 every failed classical verification (the unknown-count retry policy).
 
-Exact-mode measurement takes the most probable index among the candidates
-not yet classically ruled out, which keeps the whole procedure
-deterministic.  Since a sublist holding exactly half solutions produces the
-same outcome distribution as an empty one, no measurement policy can
-certify emptiness; after a node gives up, the orchestrator classically
-sweeps whatever indices remain unknown so the returned set is always exact.
+A node's amplitudes only ever take two values, one on the unfound
+solutions and one elsewhere (the rotation analysis of Grover,
+quant-ph/9605043, and of Boyer, Brassard, Hoyer and Tapp,
+quant-ph/9605034), so a round is decided per row from its solution count
+alone and no amplitude array is built.  Exact mode measures the lowest
+index not yet classically ruled out in the class with the larger
+probability; that order is computed in integers, so where the two
+probabilities tie exactly, or the winning class has no such index left,
+the rule is simply the lowest index not ruled out.  This keeps the whole
+procedure deterministic.  Sampled mode draws from the closed-form law:
+``sin**2((2t+1)*theta) / m`` on each unfound solution and
+``cos**2((2t+1)*theta) / (N-m)`` elsewhere, ``sin(theta)**2 = m/N``.
+
+Since a sublist holding exactly half solutions produces the same outcome
+distribution as an empty one, no measurement policy can certify
+emptiness; after a node gives up, the orchestrator classically sweeps
+whatever indices remain unknown so the returned set is always exact.
 Sweep and retry costs are charged to their own counters.
 
 The simulation reads the oracle once per index, as a bool mask, and runs
-every sublist of a block in lockstep: one ``(rows, 2**n_q)`` amplitude
-array per round, since a round's iteration count depends only on its
-number.  A single sublist is a batch of one.
+every sublist of a block in lockstep, since a round's iteration count
+depends only on its number.  A single sublist is a batch of one.
 """
 
 from __future__ import annotations
@@ -37,6 +47,7 @@ __all__ = [
     "GroverOutcome",
     "grover_step",
     "plan_iterations",
+    "class_orders",
     "search_node",
     "partition_search",
 ]
@@ -134,7 +145,10 @@ def grover_step(amps: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """One amplification step on the last axis of ``amps``: the oracle flips
     the sign of the ``mask`` entries, then every amplitude is inverted about
     its row's mean.  A 2-D array is a batch of sublists, each row equal bit
-    for bit to the row stepped alone.  Returns a new array; charges nothing."""
+    for bit to the row stepped alone.  Returns a new array; charges nothing.
+
+    This is the float law that the checks and tests hold the search path
+    to; the search path itself decides rounds by :func:`class_orders`."""
     flipped = np.where(mask, -amps, amps)
     return 2.0 * flipped.mean(axis=-1, keepdims=True) - flipped
 
@@ -154,23 +168,69 @@ def plan_iterations(n_total: int, m_assumed: int) -> int:
     return best_t
 
 
-def _round_plan(size: int) -> tuple[int, ...]:
-    """Iteration counts of a node's ``n_q + 1`` rounds: round k plans for an
-    assumed solution count of ``2**(k-1)``."""
-    return tuple(plan_iterations(size, min(2**k, size)) for k in range(size.bit_length()))
+def class_orders(n_total: int, m: int, steps) -> tuple[int, ...]:
+    """Exact ``sign(|a_sol|**2 - |a_non|**2)`` after each step count in
+    ``steps``, for ``n_total`` entries with ``m`` solutions started uniform.
+
+    Scaled by ``sqrt(N) * N**t``, the two amplitudes are the integers
+    ``s' = 2(-m*s + (N-m)*u) + N*s`` and ``u' = 2(-m*s + (N-m)*u) - N*u``
+    from ``s = u = 1``, so the order, ties included, involves no rounding.
+    """
+    s = u = 1
+    signs = [0]
+    for _ in range(max(steps, default=0)):
+        twice_mean = 2 * ((n_total - m) * u - m * s)
+        s, u = twice_mean + n_total * s, twice_mean - n_total * u
+        signs.append((abs(s) > abs(u)) - (abs(s) < abs(u)))
+    return tuple(signs[t] for t in steps)
 
 
-def _node_calls(mask, settled, iterations, mode, rngs, ledger):
+class _NodePlan:
+    """One run's plan for a node of ``size`` entries: the iteration counts of
+    its ``n_q + 1`` rounds (round k plans for an assumed solution count of
+    ``2**(k-1)``), and the exact class order of every round per
+    unfound-solution count, filled only for the counts that occur."""
+
+    def __init__(self, size: int) -> None:
+        self.size = size
+        self.iterations = tuple(
+            plan_iterations(size, min(2**k, size)) for k in range(size.bit_length())
+        )
+        self._orders: dict[int, tuple[int, ...]] = {}
+
+    def orders(self, counts: np.ndarray) -> np.ndarray:
+        """``(rows, rounds)`` int8 class orders of rows holding ``counts``
+        unfound solutions (see :func:`class_orders`)."""
+        distinct = np.flatnonzero(np.bincount(counts)).tolist()
+        for m in distinct:
+            if m not in self._orders:
+                self._orders[m] = class_orders(self.size, m, self.iterations)
+        table = np.array([self._orders[m] for m in distinct], dtype=np.int8)
+        return table[np.searchsorted(distinct, counts)]
+
+
+def _exact_picks(mask: np.ndarray, settled: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Exact-mode candidate of each row: its lowest unsettled index in the
+    class that ``order`` ranks higher (+1 the unfound solutions, -1 the
+    rest), or its lowest unsettled index overall where the classes tie (0)
+    or the higher one has none."""
+    losing = (mask != (order > 0)[:, None]) & (order != 0)[:, None]
+    key = losing.view(np.int8) + 2 * settled.view(np.int8)
+    return np.argmin(key, axis=1)
+
+
+def _node_calls(mask, settled, plan, mode, rngs, ledger):
     """One node call on every row of a batch of sublists, in lockstep.
 
     ``mask`` is each row's oracle mask (solutions already found cleared);
     ``settled`` marks the local indices known already, which exact mode
-    never measures.  Every row of round k runs ``iterations[k-1]`` steps
-    (see :func:`_round_plan`), so a round is one ``(rows, size)`` amplitude
-    array.  A row stops once its candidate verifies, after ``n_q + 1``
-    rounds, or in exact mode when nothing measurable remains (that round is
-    not charged).  Each failed candidate is marked in ``settled``.  Sampled
-    mode draws row i's candidates from ``rngs[i]``.
+    never measures.  Round k of every row runs ``plan.iterations[k-1]``
+    steps and depends only on the row's count of unfound solutions (see the
+    module docstring): exact mode picks by :func:`_exact_picks`, sampled
+    mode draws row i's candidate from ``rngs[i]``.  A row stops once its
+    candidate verifies, after ``n_q + 1`` rounds, or in exact mode when
+    nothing measurable remains (that round is not charged).  Each failed
+    candidate is marked in ``settled``.
 
     Returns ``(verified, rounds, candidates)``: per row, whether it verified
     and how many rounds it ran, and the candidate measured in each round
@@ -181,7 +241,7 @@ def _node_calls(mask, settled, iterations, mode, rngs, ledger):
     rows, size = mask.shape
     verified = np.zeros(rows, dtype=bool)
     rounds = np.zeros(rows, dtype=np.int64)
-    candidates = np.full((rows, len(iterations)), -1, dtype=np.int64)
+    candidates = np.full((rows, len(plan.iterations)), -1, dtype=np.int64)
     if size == 1:
         # Degenerate one-element node: a single classical test.
         ledger.classical_oracle_queries += rows
@@ -190,7 +250,12 @@ def _node_calls(mask, settled, iterations, mode, rngs, ledger):
         candidates[:, 0] = 0
         settled[~verified, 0] = True
         return verified, rounds, candidates
-    for k, t in enumerate(iterations):
+    counts = np.count_nonzero(mask, axis=1)
+    if mode == "exact":
+        orders = plan.orders(counts)
+    else:
+        theta = np.arcsin(np.sqrt(counts / size))
+    for k, t in enumerate(plan.iterations):
         live = ~verified
         if mode == "exact":
             live &= ~settled.all(axis=1)
@@ -198,14 +263,13 @@ def _node_calls(mask, settled, iterations, mode, rngs, ledger):
         if idx.size == 0:
             break
         row_mask = mask[idx]
-        amps = np.full((idx.size, size), 1.0 / math.sqrt(size), dtype=complex)
-        for _ in range(t):
-            amps = grover_step(amps, row_mask)
-        probs = np.abs(amps) ** 2
         if mode == "exact":
-            probs[settled[idx]] = -1.0
-            local = np.argmax(probs, axis=1)
+            local = _exact_picks(row_mask, settled[idx], orders[idx, k])
         else:
+            angle = (2 * t + 1) * theta[idx]
+            on_solution = np.sin(angle) ** 2 / np.maximum(counts[idx], 1)
+            elsewhere = np.cos(angle) ** 2 / np.maximum(size - counts[idx], 1)
+            probs = np.where(row_mask, on_solution[:, None], elsewhere[:, None])
             local = np.array(
                 [rngs[i].choice(size, p=p / p.sum()) for i, p in zip(idx, probs)], dtype=np.int64
             )
@@ -247,9 +311,10 @@ def search_node(
     settled = np.zeros(size, dtype=bool)
     settled[list(skip_candidates)] = True
     rngs = [np.random.default_rng(seed)] if mode == "sampled" else None
-    iterations = _round_plan(size)
+    plan = _NodePlan(size)
+    iterations = plan.iterations
     verified, rounds, candidates = _node_calls(
-        mask[None], settled[None], iterations, mode, rngs,
+        mask[None], settled[None], plan, mode, rngs,
         ledger if ledger is not None else CostLedger(),
     )
     ok, used = bool(verified[0]), int(rounds[0])
@@ -302,7 +367,8 @@ def partition_search(
     partition = SublistPartition(oracle.n, n_q)
     size = partition.sublist_size
     per_block = max(BLOCK_INDICES // size, 1)
-    iterations = _round_plan(size)
+    plan = _NodePlan(size)
+    iterations = plan.iterations
     spent_after = np.cumsum((0,) + iterations)  # iterations of the first r rounds
     ledger = CostLedger()
     found: set[int] = set()
@@ -323,7 +389,7 @@ def partition_search(
                 ]
             known = settled[active]
             verified, rounds, candidates = _node_calls(
-                solution[active] & ~hit[active], known, iterations, mode, rngs, ledger
+                solution[active] & ~hit[active], known, plan, mode, rngs, ledger
             )
             settled[active] = known
             spent = spent_after[rounds]

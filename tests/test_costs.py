@@ -50,6 +50,12 @@ def test_merge_sums_counters_and_maxes_qubits():
     assert merged.qubit_count == 5
 
 
+def test_field_names_are_the_dict_keys_in_order():
+    # The benchmark parses the CLI's CSV columns by these names.
+    led = CostLedger(classical_ops=3, qubit_count=4)
+    assert CostLedger.field_names() == tuple(led.as_dict())
+
+
 def test_headline_property():
     led = CostLedger(quantum_oracle_queries=10, retry_queries=4)
     assert led.headline_quantum_queries == 6

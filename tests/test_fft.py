@@ -13,6 +13,7 @@ from hqsim.hybrid_fft import (
     RealSignal,
     SpectrumVector,
     TwiddleTable,
+    _final_roots,
     butterfly_combine,
     classical_fft,
     decimate_leaves,
@@ -111,6 +112,18 @@ def test_twiddle_table_invariants():
         table = TwiddleTable.for_size(N)
         assert np.max(np.abs(np.abs(table.roots) - 1.0)) < 1e-12
         assert np.max(np.abs(table.roots**N - 1.0)) < 1e-9
+
+
+def test_final_root_table_is_built_once_and_read_only():
+    signal = RealSignal.from_values(np.random.default_rng(8).uniform(-1, 1, 2**7))
+    first = hybrid_dft(signal, FftPlan(n=7, n_q=2))[0].values
+    roots = _final_roots(2**7)
+    assert roots is _final_roots(2**7)
+    assert not roots.flags.writeable
+    assert np.array_equal(roots, TwiddleTable.for_size(2**7).roots)
+    # Another size in between replaces the cached table; spectra do not move.
+    classical_fft(RealSignal.from_values(np.ones(2**5)))
+    assert np.array_equal(hybrid_dft(signal, FftPlan(n=7, n_q=2))[0].values, first)
 
 
 def test_butterfly_frozen_example():

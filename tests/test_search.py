@@ -6,12 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hqsim.checks import AMPLIFICATION_TOLERANCE, amplification_deviation, search_misses
+from hqsim.checks import (
+    AMPLIFICATION_TOLERANCE,
+    amplification_deviation,
+    class_order_mismatches,
+    search_misses,
+)
 from hqsim.costs import CostLedger
 from hqsim.search import (
     SearchOracle,
     SublistPartition,
+    _exact_picks,
+    _NodePlan,
     _node_seed,
+    class_orders,
     grover_step,
     partition_search,
     plan_iterations,
@@ -121,6 +129,119 @@ def test_plan_iterations_matches_first_peak():
             # Within the window the planner's pick is maximal.
             best = max(math.sin((2 * tt + 1) * theta) ** 2 for tt in range(window + 1))
             assert math.sin((2 * t + 1) * theta) ** 2 >= best - 1e-12
+
+
+# --- exact measurement from the two-value law --------------------------------
+
+def exact_round_picks(mask, settled, k):
+    """The exact-mode candidates of round ``k`` for rows of one node size."""
+    plan = _NodePlan(mask.shape[1])
+    order = plan.orders(np.count_nonzero(mask, axis=1))[:, k]
+    return _exact_picks(mask, settled, order)
+
+
+def float_round_picks(mask, settled, t):
+    """Independent reference: ``t`` float ``grover_step``s from the uniform
+    state, settled entries set to -1, then ``argmax``; also each row's float
+    gap ``|a_sol|**2 - |a_non|**2`` (None where a class is empty)."""
+    amps = np.full(mask.shape, 1.0 / math.sqrt(mask.shape[1]), dtype=complex)
+    for _ in range(t):
+        amps = grover_step(amps, mask)
+    probs = np.abs(amps) ** 2
+    gaps = [
+        float(p[m].max() - p[~m].max()) if m.any() and not m.all() else None
+        for p, m in zip(probs, mask)
+    ]
+    probs[settled] = -1.0
+    return np.argmax(probs, axis=1), gaps
+
+
+def test_class_orders_examples():
+    # N = 4, m = 1: one step finds the solution; m = N/2 ties forever.
+    assert class_orders(4, 1, (0, 1)) == (0, 1)
+    assert class_orders(8, 4, (0, 1, 2, 3)) == (0, 0, 0, 0)
+    assert class_orders(16, 4, (2,)) == (0,)
+    assert class_orders(16, 3, ()) == ()
+
+
+def test_class_order_agrees_with_the_float_law():
+    assert class_order_mismatches([2**k for k in range(11)]) == []
+
+
+@st.composite
+def node_rows(draw):
+    """Rows of one node size, each with a random solution mask and a random
+    settled set that leaves at least one index free."""
+    size = 2 ** draw(st.integers(1, 8))
+    rows = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = rng.random(rows)[:, None]
+    mask = rng.random((rows, size)) < density
+    settled = rng.random((rows, size)) < rng.random(rows)[:, None]
+    settled[np.arange(rows), rng.integers(0, size, rows)] = False
+    return mask, settled
+
+
+@settings(max_examples=300, deadline=None)
+@given(node_rows())
+def test_exact_picks_equal_the_float_stepped_reference(case):
+    mask, settled = case
+    for k, t in enumerate(_NodePlan(mask.shape[1]).iterations):
+        got = exact_round_picks(mask, settled, k)
+        want, gaps = float_round_picks(mask, settled, t)
+        for i, gap in enumerate(gaps):
+            if gap is None or abs(gap) > AMPLIFICATION_TOLERANCE:
+                assert got[i] == want[i], (mask.shape[1], int(mask[i].sum()), t, gap)
+
+
+@pytest.mark.parametrize("fill", [False, True], ids=["m=0", "m=N"])
+def test_tie_rule_single_class_takes_the_lowest_free_index(fill):
+    size = 16
+    mask = np.full((1, size), fill)
+    settled = np.zeros((1, size), dtype=bool)
+    settled[0, [0, 1, 3]] = True
+    for k in range(len(_NodePlan(size).iterations)):
+        assert exact_round_picks(mask, settled, k).tolist() == [2]
+
+
+@pytest.mark.parametrize("winner", [1, -1], ids=["solutions-win", "rest-wins"])
+def test_tie_rule_winning_class_without_free_index(winner):
+    # Settle every index of the class the order ranks higher: the candidate
+    # is the lowest free index, which lies in the other class.
+    size = 16
+    iterations = _NodePlan(size).iterations
+    m, k = next(
+        (m, k) for m in range(1, size) for k, order in enumerate(class_orders(size, m, iterations))
+        if order == winner
+    )
+    mask = np.zeros((1, size), dtype=bool)
+    mask[0, 5:5 + m] = True
+    settled = mask.copy() if winner == 1 else ~mask
+    settled[0, np.flatnonzero(~settled[0])[:1]] = True  # the lowest free one, too
+    want = np.flatnonzero(~settled[0])[0]
+    assert exact_round_picks(mask, settled, k).tolist() == [want]
+
+
+@pytest.mark.parametrize("half", [True, False], ids=["m=N/2", "m!=N/2"])
+def test_tie_rule_exact_nonzero_tie_takes_the_lowest_free_index(half):
+    # Scan the integer table for a planned round with both classes present
+    # and their probabilities exactly equal.  A half-full node ties at every
+    # round; other ties come and go with t.
+    size, m, k = next(
+        (size, m, k)
+        for size in (4, 8, 16, 32, 64) for m in range(1, size) if (2 * m == size) == half
+        for k, order in enumerate(class_orders(size, m, _NodePlan(size).iterations))
+        if order == 0 and _NodePlan(size).iterations[k] > 0
+    )
+    t = _NodePlan(size).iterations[k]
+    for first_solution in (0, 1):
+        # The lowest free index is a solution, then a non-solution.
+        mask = np.zeros((1, size), dtype=bool)
+        mask[0, first_solution:first_solution + m] = True
+        settled = np.zeros_like(mask)
+        assert exact_round_picks(mask, settled, k).tolist() == [0]
+        _, gaps = float_round_picks(mask, settled, t)
+        assert abs(gaps[0]) <= AMPLIFICATION_TOLERANCE
 
 
 # --- single-node search ------------------------------------------------------
