@@ -12,8 +12,8 @@ quant-ph/9605043, and of Boyer, Brassard, Hoyer and Tapp,
 quant-ph/9605034), so a round is decided per row from its solution count
 alone and no amplitude array is built.  Exact mode measures the lowest
 index not yet classically ruled out in the class with the larger
-probability; that order is computed in integers, so where the two
-probabilities tie exactly, or the winning class has no such index left,
+probability; that order is exact (see :class:`_NodePlan`), so where the
+two probabilities tie exactly, or the winning class has no such index left,
 the rule is simply the lowest index not ruled out.  This keeps the whole
 procedure deterministic.  Sampled mode draws from the closed-form law:
 ``sin**2((2t+1)*theta) / m`` on each unfound solution and
@@ -25,9 +25,17 @@ emptiness; after a node gives up, the orchestrator classically sweeps
 whatever indices remain unknown so the returned set is always exact.
 Sweep and retry costs are charged to their own counters.
 
-The simulation reads the oracle once per index, as a bool mask, and runs
-every sublist of a block in lockstep, since a round's iteration count
-depends only on its number.  A single sublist is a batch of one.
+The simulation reads the oracle once per index, as a bool mask.  Every
+exact pick takes the lowest free index of its class, so the indices a
+sublist has settled are always its first ``i`` solutions and its first
+``j`` non-solutions, and its whole run of node calls is a walk over those
+two counts.  Positions enter only at an exact tie with both classes free,
+where the walk compares the ``i``-th solution with the ``j``-th
+non-solution.  A run therefore walks each solution count once, memoised in
+its plan, and charges that walk to every sublist holding as many solutions;
+a sublist whose walk meets such a tie is walked on its own positions.
+Sampled mode runs the sublists of a block in lockstep, one call wave at a
+time, since a round's iteration count depends only on its number.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -148,7 +157,8 @@ def grover_step(amps: np.ndarray, mask: np.ndarray) -> np.ndarray:
     for bit to the row stepped alone.  Returns a new array; charges nothing.
 
     This is the float law that the checks and tests hold the search path
-    to; the search path itself decides rounds by :func:`class_orders`."""
+    to; the search path itself decides rounds by the order of
+    :func:`class_orders`."""
     flipped = np.where(mask, -amps, amps)
     return 2.0 * flipped.mean(axis=-1, keepdims=True) - flipped
 
@@ -185,94 +195,161 @@ def class_orders(n_total: int, m: int, steps) -> tuple[int, ...]:
     return tuple(signs[t] for t in steps)
 
 
+# A factor of the class-order sign closer than this to 0 is not trusted to
+# float arithmetic; see _class_order_table.
+_ORDER_GUARD = 1e-9
+
+
+def _class_order_table(n_total: int, counts: np.ndarray, steps) -> np.ndarray:
+    """:func:`class_orders` of every solution count in ``counts``, as one
+    int8 ``(counts, steps)`` array computed in floats where they are exact.
+
+    For ``0 < m < N`` the order is ``sign(sin(2t*theta) * sin((2t+2)*theta))``,
+    ``sin(theta)**2 = m/N``: ``|a_sol|**2 - |a_non|**2`` is that product over
+    ``N * sin(theta)**2 * cos(theta)**2``.  ``theta = atan2(sqrt(m),
+    sqrt(N-m))`` is within a few ulp of exact, so each factor ``sin(k*theta)``
+    is off by at most about ``k * pi * 2**-52``: under 5e-12 for every
+    planned ``t`` up to ``n_q = 24`` (``k <= 2t + 2 <= 6434``).  A factor
+    whose float value is at least ``_ORDER_GUARD`` away from 0 thus has the
+    exact sign.  Rows with a smaller factor at some ``t > 0`` (exact ties
+    among them), and the rows ``m = 0`` and ``m = N``, are taken from
+    :func:`class_orders` instead.  ``t = 0`` is a tie.
+    """
+    t = np.asarray(steps)
+    theta = np.arctan2(np.sqrt(counts), np.sqrt(n_total - counts))[:, None]
+    low, high = np.sin(2 * t * theta), np.sin((2 * t + 2) * theta)
+    table = (np.sign(low) * np.sign(high)).astype(np.int8)
+    near_zero = (np.minimum(abs(low), abs(high)) < _ORDER_GUARD) & (t > 0)
+    exact = near_zero.any(axis=1) | (counts == 0) | (counts == n_total)
+    for r in np.flatnonzero(exact).tolist():
+        table[r] = class_orders(n_total, int(counts[r]), steps)
+    return table
+
+
 class _NodePlan:
     """One run's plan for a node of ``size`` entries: the iteration counts of
     its ``n_q + 1`` rounds (round k plans for an assumed solution count of
-    ``2**(k-1)``), and the exact class order of every round per
-    unfound-solution count, filled only for the counts that occur."""
+    ``2**(k-1)``), the exact class order of every round per unfound-solution
+    count, and the memoised walk of every solution count that occurs."""
 
     def __init__(self, size: int) -> None:
         self.size = size
         self.iterations = tuple(
             plan_iterations(size, min(2**k, size)) for k in range(size.bit_length())
         )
-        self._orders: dict[int, tuple[int, ...]] = {}
+        self.spent_after = tuple(accumulate(self.iterations, initial=0))  # first r rounds
+        self._orders = np.zeros((0, len(self.iterations)), dtype=np.int8)
+        self._walks: dict[int, tuple[int, ...] | None] = {}
 
-    def orders(self, counts: np.ndarray) -> np.ndarray:
-        """``(rows, rounds)`` int8 class orders of rows holding ``counts``
-        unfound solutions (see :func:`class_orders`)."""
-        distinct = np.flatnonzero(np.bincount(counts)).tolist()
-        for m in distinct:
-            if m not in self._orders:
-                self._orders[m] = class_orders(self.size, m, self.iterations)
-        table = np.array([self._orders[m] for m in distinct], dtype=np.int8)
-        return table[np.searchsorted(distinct, counts)]
+    def orders(self, m: int) -> list[int]:
+        """Class order of every round at ``m`` unfound solutions; the table
+        grows to ``m`` in one array expression on first need."""
+        if m >= len(self._orders):
+            counts = np.arange(len(self._orders), m + 1)
+            rows = _class_order_table(self.size, counts, self.iterations)
+            self._orders = np.concatenate((self._orders, rows))
+        return self._orders[m].tolist()
 
-
-def _exact_picks(mask: np.ndarray, settled: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Exact-mode candidate of each row: its lowest unsettled index in the
-    class that ``order`` ranks higher (+1 the unfound solutions, -1 the
-    rest), or its lowest unsettled index overall where the classes tie (0)
-    or the higher one has none."""
-    losing = (mask != (order > 0)[:, None]) & (order != 0)[:, None]
-    key = losing.view(np.int8) + 2 * settled.view(np.int8)
-    return np.argmin(key, axis=1)
+    def walk(self, m: int) -> tuple[int, ...] | None:
+        """:func:`_walk` of a sublist with ``m`` solutions, memoised; None
+        where it meets a tie, so the sublist's positions decide."""
+        if m not in self._walks:
+            self._walks[m] = _walk(self, m, self.size - m)
+        return self._walks[m]
 
 
-def _node_calls(mask, settled, plan, mode, rngs, ledger):
-    """One node call on every row of a batch of sublists, in lockstep.
+def _exact_call(orders, i, j, sols, nons, first_solution):
+    """One exact-mode node call on a sublist of ``sols`` solutions and
+    ``nons`` non-solutions, whose first ``i`` and ``j`` (in index order) are
+    settled.  Round k measures the lowest free index of the class that
+    ``orders[k]`` ranks higher (+1 the unfound solutions, -1 the rest), and
+    the lowest free index overall where that class has none free or the
+    classes tie (0).  On a tie with both classes free,
+    ``first_solution(i, j)`` tells whether the i-th solution lies below the
+    j-th non-solution.  The call stops once it measures a solution, after
+    its last round, or when nothing is left free (that round is not
+    charged).
 
-    ``mask`` is each row's oracle mask (solutions already found cleared);
-    ``settled`` marks the local indices known already, which exact mode
-    never measures.  Round k of every row runs ``plan.iterations[k-1]``
-    steps and depends only on the row's count of unfound solutions (see the
-    module docstring): exact mode picks by :func:`_exact_picks`, sampled
-    mode draws row i's candidate from ``rngs[i]``.  A row stops once its
-    candidate verifies, after ``n_q + 1`` rounds, or in exact mode when
-    nothing measurable remains (that round is not charged).  Each failed
-    candidate is marked in ``settled``.
+    Returns ``(verified, rounds charged, j)``, or None where a tie needs
+    ``first_solution`` and it is None.
+    """
+    for k, order in enumerate(orders):
+        if j == nons:
+            return (True, k + 1, j) if i < sols else (False, k, j)
+        if i < sols:
+            if order > 0:
+                return True, k + 1, j
+            if order == 0:
+                if first_solution is None:
+                    return None
+                if first_solution(i, j):
+                    return True, k + 1, j
+        j += 1
+    return False, len(orders), j
+
+
+def _walk(plan, sols, nons, first_solution=None):
+    """Exact-mode node calls on one sublist until a call fails or nothing is
+    left unsettled; each call's verified solution leaves the node's oracle.
+
+    Returns the sublist's charges ``(quantum queries, rounds, repeat node
+    accesses, retry queries, sweep queries)``; every round is one
+    measurement and one classical query.  Only the first call's winning (or,
+    failing, first) round is headline, the rest is retry.  Returns None
+    where a tie needs ``first_solution`` and it is None.
+    """
+    i = j = quantum = rounds = calls = headline = 0
+    while True:
+        call = _exact_call(plan.orders(sols - i), i, j, sols, nons, first_solution)
+        if call is None:
+            return None
+        verified, used, j = call
+        quantum += plan.spent_after[used]
+        rounds += used
+        if calls == 0:
+            headline = plan.iterations[used - 1 if verified else 0]
+        calls += 1
+        if not verified:
+            break
+        i += 1
+        if i == sols and j == nons:
+            break
+    return quantum, rounds, calls - 1, quantum - headline, (sols - i) + (nons - j)
+
+
+def _node_calls(mask, settled, plan, rngs, ledger):
+    """One sampled-mode node call on every row of a batch of sublists, in
+    lockstep.
+
+    ``mask`` is each row's oracle mask (solutions already found cleared).
+    Round k of every row runs ``plan.iterations[k]`` steps and draws row i's
+    candidate from ``rngs[i]`` under the closed-form law of the row's count
+    of unfound solutions (see the module docstring).  A row stops once its
+    candidate verifies, or after ``n_q + 1`` rounds.  Each failed candidate
+    is marked in ``settled``.
 
     Returns ``(verified, rounds, candidates)``: per row, whether it verified
     and how many rounds it ran, and the candidate measured in each round
     (-1 where none).
     """
-    if mode not in ("exact", "sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
     rows, size = mask.shape
     verified = np.zeros(rows, dtype=bool)
     rounds = np.zeros(rows, dtype=np.int64)
     candidates = np.full((rows, len(plan.iterations)), -1, dtype=np.int64)
-    if size == 1:
-        # Degenerate one-element node: a single classical test.
-        ledger.classical_oracle_queries += rows
-        verified[:] = mask[:, 0]
-        rounds[:] = 1
-        candidates[:, 0] = 0
-        settled[~verified, 0] = True
-        return verified, rounds, candidates
     counts = np.count_nonzero(mask, axis=1)
-    if mode == "exact":
-        orders = plan.orders(counts)
-    else:
-        theta = np.arcsin(np.sqrt(counts / size))
+    theta = np.arcsin(np.sqrt(counts / size))
     for k, t in enumerate(plan.iterations):
-        live = ~verified
-        if mode == "exact":
-            live &= ~settled.all(axis=1)
-        idx = np.flatnonzero(live)
+        idx = np.flatnonzero(~verified)
         if idx.size == 0:
             break
         row_mask = mask[idx]
-        if mode == "exact":
-            local = _exact_picks(row_mask, settled[idx], orders[idx, k])
-        else:
-            angle = (2 * t + 1) * theta[idx]
-            on_solution = np.sin(angle) ** 2 / np.maximum(counts[idx], 1)
-            elsewhere = np.cos(angle) ** 2 / np.maximum(size - counts[idx], 1)
-            probs = np.where(row_mask, on_solution[:, None], elsewhere[:, None])
-            local = np.array(
-                [rngs[i].choice(size, p=p / p.sum()) for i, p in zip(idx, probs)], dtype=np.int64
-            )
+        angle = (2 * t + 1) * theta[idx]
+        on_solution = np.sin(angle) ** 2 / np.maximum(counts[idx], 1)
+        elsewhere = np.cos(angle) ** 2 / np.maximum(size - counts[idx], 1)
+        probs = np.where(row_mask, on_solution[:, None], elsewhere[:, None])
+        local = np.array(
+            [rngs[i].choice(size, p=p / p.sum()) for i, p in zip(idx, probs)], dtype=np.int64
+        )
         ledger.quantum_oracle_queries += idx.size * t
         ledger.measurement_units += idx.size
         ledger.classical_oracle_queries += idx.size
@@ -282,6 +359,11 @@ def _node_calls(mask, settled, plan, mode, rngs, ledger):
         verified[idx[ok]] = True
         settled[idx[~ok], local[~ok]] = True
     return verified, rounds, candidates
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in ("exact", "sampled"):
+        raise ValueError(f"unknown mode {mode!r}")
 
 
 def search_node(
@@ -294,8 +376,8 @@ def search_node(
     exclude_solutions: frozenset = frozenset(),
     skip_candidates: frozenset = frozenset(),
 ) -> GroverOutcome:
-    """Search one sublist with doubling assumed-count retries: the node
-    call of :func:`partition_search` on a batch of one.
+    """Search one sublist with doubling assumed-count retries: one node call
+    of :func:`partition_search`, on a single sublist.
 
     ``exclude_solutions`` (global indices) are treated as non-solutions by
     the node's oracle; ``skip_candidates`` (local indices) are classically
@@ -304,21 +386,37 @@ def search_node(
     candidate classically; the node stops on success or after n_q + 1
     rounds.
     """
+    _check_mode(mode)
     base = partition.base(sublist)
     size = partition.sublist_size
     mask = oracle.mask(base, base + size)
     mask[[g - base for g in exclude_solutions if base <= g < base + size]] = False
     settled = np.zeros(size, dtype=bool)
     settled[list(skip_candidates)] = True
-    rngs = [np.random.default_rng(seed)] if mode == "sampled" else None
+    ledger = ledger if ledger is not None else CostLedger()
     plan = _NodePlan(size)
-    iterations = plan.iterations
-    verified, rounds, candidates = _node_calls(
-        mask[None], settled[None], plan, mode, rngs,
-        ledger if ledger is not None else CostLedger(),
-    )
-    ok, used = bool(verified[0]), int(rounds[0])
-    picks = candidates[0, :used].tolist()
+    if size == 1:
+        # Degenerate one-element node: a single classical test.
+        ledger.classical_oracle_queries += 1
+        ok, picks = bool(mask[0]), [0]
+    elif mode == "exact":
+        sol = np.flatnonzero(mask & ~settled).tolist()
+        non = np.flatnonzero(~mask & ~settled).tolist()
+        ok, used, j = _exact_call(
+            plan.orders(int(np.count_nonzero(mask))), 0, 0, len(sol), len(non),
+            lambda i, j: sol[i] < non[j],
+        )
+        ledger.quantum_oracle_queries += plan.spent_after[used]
+        ledger.measurement_units += used
+        ledger.classical_oracle_queries += used
+        picks = non[:j] + (sol[:1] if ok else [])
+    else:
+        verified, rounds, candidates = _node_calls(
+            mask[None], settled[None], plan, [np.random.default_rng(seed)], ledger
+        )
+        ok = bool(verified[0])
+        picks = candidates[0, : rounds[0]].tolist()
+    used = len(picks)
     tested = tuple(dict.fromkeys(picks[:-1] if ok else picks))
     if ok:
         measured = base + picks[-1]
@@ -328,8 +426,8 @@ def search_node(
         sublist,
         measured,
         ok,
-        sum(iterations[:used]),
-        iterations[:used],
+        plan.spent_after[used],
+        plan.iterations[:used],
         used if ok else None,
         tested=tested,
     )
@@ -340,7 +438,7 @@ def _node_seed(master_seed: int, sublist: int, call: int) -> int:
 
 
 # Sublists are searched in blocks of at most this many indices, which bounds
-# the batch arrays' memory whatever n is.
+# the mask's memory whatever n is.
 BLOCK_INDICES = 2**12
 
 
@@ -360,56 +458,92 @@ def partition_search(
     count toward the headline query total; everything else lands in the
     retry/repeat/sweep counters.
 
-    Calls run in waves over a block of sublists: call 0 on every sublist,
-    call c on those whose call c-1 verified and that still hold unknown
-    indices.  The oracle is read once per index, as a mask.
+    The oracle is read once per index, as a mask, one block of sublists at
+    a time.  Exact mode charges each sublist its solution count's memoised
+    walk, or walks it on its own positions where that walk meets a tie;
+    sampled mode runs call waves over the block.
     """
+    _check_mode(mode)
     partition = SublistPartition(oracle.n, n_q)
     size = partition.sublist_size
     per_block = max(BLOCK_INDICES // size, 1)
     plan = _NodePlan(size)
-    iterations = plan.iterations
-    spent_after = np.cumsum((0,) + iterations)  # iterations of the first r rounds
     ledger = CostLedger()
+    charges = [0] * 5  # exact mode: the sums of _walk's charges
     found: set[int] = set()
     for first in range(0, partition.num_sublists, per_block):
         rows = min(per_block, partition.num_sublists - first)
         lo = partition.base(first)
         solution = oracle.mask(lo, lo + rows * size).reshape(rows, size)
-        hit = np.zeros_like(solution)  # verified by a node call
-        settled = np.zeros_like(solution)  # found, or known to be no solution
-        active = np.arange(rows)
-        call = 0
-        while active.size:
-            rngs = None
-            if mode == "sampled":
-                rngs = [
-                    np.random.default_rng(_node_seed(master_seed, first + int(a), call))
-                    for a in active
-                ]
-            known = settled[active]
-            verified, rounds, candidates = _node_calls(
-                solution[active] & ~hit[active], known, plan, mode, rngs, ledger
-            )
-            settled[active] = known
-            spent = spent_after[rounds]
-            if call == 0:
-                ledger.node_accesses += int(active.size)
-                headline = np.take(iterations, np.where(verified, rounds - 1, 0))
-                ledger.retry_queries += int(np.sum(spent - headline))
-            else:
-                ledger.repeat_node_accesses += int(active.size)
-                ledger.retry_queries += int(np.sum(spent))
-            winners = active[verified]
-            picks = candidates[verified, rounds[verified] - 1]
-            hit[winners, picks] = True
-            settled[winners, picks] = True
-            active = winners[~settled[winners].all(axis=1)]
-            call += 1
-        # Residual sweep: certify whatever the node calls could not settle.
-        ledger.sweep_queries += int(np.count_nonzero(~settled))
-        block_found = hit | (solution & ~settled)
-        found.update((lo + np.flatnonzero(block_found)).tolist())
+        # Node calls and the sweep together certify every solution.
+        positions = np.flatnonzero(solution)
+        found.update((lo + positions).tolist())
+        if size == 1:
+            # Degenerate one-element nodes: a single classical test each.
+            ledger.classical_oracle_queries += rows
+        elif mode == "exact":
+            counts = np.bincount(positions >> n_q, minlength=rows)
+            hist = np.bincount(counts)
+            # Largest count first: its walk fills the plan's order table at once.
+            for m in np.flatnonzero(hist)[::-1].tolist():
+                walk = plan.walk(m)
+                if walk is not None:
+                    charges = [c + int(hist[m]) * w for c, w in zip(charges, walk)]
+                    continue
+                # Each of these rows holds m solutions: their positions, row by row.
+                tied = solution[counts == m]
+                sols = np.nonzero(tied)[1].reshape(len(tied), m).tolist()
+                nons = np.nonzero(~tied)[1].reshape(len(tied), size - m).tolist()
+                for sol, non in zip(sols, nons):
+                    walk = _walk(plan, m, size - m, lambda i, j, s=sol, u=non: s[i] < u[j])
+                    charges = [c + w for c, w in zip(charges, walk)]
+        else:
+            _sampled_block(solution, first, master_seed, plan, ledger)
+    quantum, rounds, repeats, retry, sweep = charges
+    ledger.quantum_oracle_queries += quantum
+    ledger.measurement_units += rounds
+    ledger.classical_oracle_queries += rounds
+    ledger.repeat_node_accesses += repeats
+    ledger.retry_queries += retry
+    ledger.sweep_queries += sweep
+    ledger.node_accesses = partition.num_sublists
     ledger.classical_bits = 2**oracle.n * n_precision
     ledger.qubit_count = n_q + 1
     return found, ledger
+
+
+def _sampled_block(solution, first, master_seed, plan, ledger) -> None:
+    """Sampled-mode node calls over one block of sublists, then its sweep.
+
+    Calls run in waves: call 0 on every sublist, call c on those whose call
+    c-1 verified and that still hold unknown indices.  Sublist ``first + r``
+    draws call c from the seed ``_node_seed(master_seed, first + r, c)``.
+    """
+    hit = np.zeros_like(solution)  # verified by a node call
+    settled = np.zeros_like(solution)  # found, or known to be no solution
+    active = np.arange(solution.shape[0])
+    call = 0
+    while active.size:
+        rngs = [
+            np.random.default_rng(_node_seed(master_seed, first + int(a), call)) for a in active
+        ]
+        known = settled[active]
+        verified, rounds, candidates = _node_calls(
+            solution[active] & ~hit[active], known, plan, rngs, ledger
+        )
+        settled[active] = known
+        spent = np.take(plan.spent_after, rounds)
+        if call == 0:
+            headline = np.take(plan.iterations, np.where(verified, rounds - 1, 0))
+            ledger.retry_queries += int(np.sum(spent - headline))
+        else:
+            ledger.repeat_node_accesses += int(active.size)
+            ledger.retry_queries += int(np.sum(spent))
+        winners = active[verified]
+        picks = candidates[verified, rounds[verified] - 1]
+        hit[winners, picks] = True
+        settled[winners, picks] = True
+        active = winners[~settled[winners].all(axis=1)]
+        call += 1
+    # Residual sweep: certify whatever the node calls could not settle.
+    ledger.sweep_queries += int(np.count_nonzero(~settled))

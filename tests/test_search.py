@@ -14,9 +14,11 @@ from hqsim.checks import (
 )
 from hqsim.costs import CostLedger
 from hqsim.search import (
+    GroverOutcome,
     SearchOracle,
     SublistPartition,
-    _exact_picks,
+    _class_order_table,
+    _exact_call,
     _NodePlan,
     _node_seed,
     class_orders,
@@ -133,11 +135,35 @@ def test_plan_iterations_matches_first_peak():
 
 # --- exact measurement from the two-value law --------------------------------
 
+def reference_picks(mask, settled, order):
+    """The array pick rule, the reference for the search path's walk: each
+    row's lowest unsettled index in the class that ``order`` ranks higher
+    (+1 the unfound solutions, -1 the rest), or its lowest unsettled index
+    overall where the classes tie (0) or the higher one has none."""
+    losing = (mask != (order > 0)[:, None]) & (order != 0)[:, None]
+    key = losing.view(np.int8) + 2 * settled.view(np.int8)
+    return np.argmin(key, axis=1)
+
+
 def exact_round_picks(mask, settled, k):
-    """The exact-mode candidates of round ``k`` for rows of one node size."""
-    plan = _NodePlan(mask.shape[1])
-    order = plan.orders(np.count_nonzero(mask, axis=1))[:, k]
-    return _exact_picks(mask, settled, order)
+    """The array rule's exact-mode candidates of round ``k`` for rows of one
+    node size."""
+    size = mask.shape[1]
+    iterations = _NodePlan(size).iterations
+    order = np.array([class_orders(size, int(m), iterations)[k] for m in mask.sum(axis=1)])
+    return reference_picks(mask, settled, order)
+
+
+def walk_pick(mask, settled, order):
+    """The candidate of one exact-mode round of class order ``order`` on one
+    sublist, as the search path's walk picks it."""
+    sol = np.flatnonzero(mask & ~settled).tolist()
+    non = np.flatnonzero(~mask & ~settled).tolist()
+    verified, rounds, _ = _exact_call(
+        (order,), 0, 0, len(sol), len(non), lambda i, j: sol[i] < non[j]
+    )
+    assert rounds == 1
+    return sol[0] if verified else non[0]
 
 
 def float_round_picks(mask, settled, t):
@@ -168,6 +194,20 @@ def test_class_order_agrees_with_the_float_law():
     assert class_order_mismatches([2**k for k in range(11)]) == []
 
 
+@pytest.mark.parametrize("size", [2**k for k in range(1, 11)])
+def test_class_order_table_equals_the_integer_orders(size):
+    # Every count and every step count up to the node's largest planned one.
+    steps = range(plan_iterations(size, 1) + 1)
+    table = _class_order_table(size, np.arange(size + 1), steps)
+    assert [tuple(row) for row in table.tolist()] == [
+        class_orders(size, m, steps) for m in range(size + 1)
+    ]
+    plan = _NodePlan(size)
+    assert [plan.orders(m) for m in range(size, -1, -1)] == [
+        list(class_orders(size, m, plan.iterations)) for m in range(size, -1, -1)
+    ]
+
+
 @st.composite
 def node_rows(draw):
     """Rows of one node size, each with a random solution mask and a random
@@ -186,22 +226,25 @@ def node_rows(draw):
 @given(node_rows())
 def test_exact_picks_equal_the_float_stepped_reference(case):
     mask, settled = case
-    for k, t in enumerate(_NodePlan(mask.shape[1]).iterations):
+    size = mask.shape[1]
+    for k, t in enumerate(_NodePlan(size).iterations):
         got = exact_round_picks(mask, settled, k)
         want, gaps = float_round_picks(mask, settled, t)
         for i, gap in enumerate(gaps):
+            order = class_orders(size, int(mask[i].sum()), (t,))[0]
+            assert walk_pick(mask[i], settled[i], order) == got[i]
             if gap is None or abs(gap) > AMPLIFICATION_TOLERANCE:
-                assert got[i] == want[i], (mask.shape[1], int(mask[i].sum()), t, gap)
+                assert got[i] == want[i], (size, int(mask[i].sum()), t, gap)
 
 
 @pytest.mark.parametrize("fill", [False, True], ids=["m=0", "m=N"])
 def test_tie_rule_single_class_takes_the_lowest_free_index(fill):
     size = 16
-    mask = np.full((1, size), fill)
-    settled = np.zeros((1, size), dtype=bool)
-    settled[0, [0, 1, 3]] = True
-    for k in range(len(_NodePlan(size).iterations)):
-        assert exact_round_picks(mask, settled, k).tolist() == [2]
+    mask = np.full(size, fill)
+    settled = np.zeros(size, dtype=bool)
+    settled[[0, 1, 3]] = True
+    for order in class_orders(size, int(mask.sum()), _NodePlan(size).iterations):
+        assert walk_pick(mask, settled, order) == 2
 
 
 @pytest.mark.parametrize("winner", [1, -1], ids=["solutions-win", "rest-wins"])
@@ -210,16 +253,15 @@ def test_tie_rule_winning_class_without_free_index(winner):
     # is the lowest free index, which lies in the other class.
     size = 16
     iterations = _NodePlan(size).iterations
-    m, k = next(
-        (m, k) for m in range(1, size) for k, order in enumerate(class_orders(size, m, iterations))
-        if order == winner
+    m = next(
+        m for m in range(1, size) if winner in class_orders(size, m, iterations)
     )
-    mask = np.zeros((1, size), dtype=bool)
-    mask[0, 5:5 + m] = True
+    mask = np.zeros(size, dtype=bool)
+    mask[5:5 + m] = True
     settled = mask.copy() if winner == 1 else ~mask
-    settled[0, np.flatnonzero(~settled[0])[:1]] = True  # the lowest free one, too
-    want = np.flatnonzero(~settled[0])[0]
-    assert exact_round_picks(mask, settled, k).tolist() == [want]
+    settled[np.flatnonzero(~settled)[:1]] = True  # the lowest free one, too
+    want = np.flatnonzero(~settled)[0]
+    assert walk_pick(mask, settled, winner) == want
 
 
 @pytest.mark.parametrize("half", [True, False], ids=["m=N/2", "m!=N/2"])
@@ -236,11 +278,11 @@ def test_tie_rule_exact_nonzero_tie_takes_the_lowest_free_index(half):
     t = _NodePlan(size).iterations[k]
     for first_solution in (0, 1):
         # The lowest free index is a solution, then a non-solution.
-        mask = np.zeros((1, size), dtype=bool)
-        mask[0, first_solution:first_solution + m] = True
+        mask = np.zeros(size, dtype=bool)
+        mask[first_solution:first_solution + m] = True
         settled = np.zeros_like(mask)
-        assert exact_round_picks(mask, settled, k).tolist() == [0]
-        _, gaps = float_round_picks(mask, settled, t)
+        assert walk_pick(mask, settled, 0) == 0
+        _, gaps = float_round_picks(mask[None], settled[None], t)
         assert abs(gaps[0]) <= AMPLIFICATION_TOLERANCE
 
 
@@ -399,9 +441,45 @@ def test_partition_search_sampled_mode_still_exact_set():
     assert found == set(oracle.solutions)
 
 
+def reference_exact_node(partition, sublist, oracle, ledger, found, known_non):
+    """An exact-mode node call on one sublist by the array pick rule, round
+    by round: the per-sublist reference for the search path's walk.
+    ``found`` (local solutions, cleared from the node's oracle) and
+    ``known_non`` (local non-solutions) are settled and never measured."""
+    base, size = partition.base(sublist), partition.sublist_size
+    mask = np.array([oracle.membership(base + i) and i not in found for i in range(size)])
+    settled = np.zeros(size, dtype=bool)
+    settled[list(found | known_non)] = True
+    iterations = _NodePlan(size).iterations
+    picks = []
+    if size == 1:
+        ledger.classical_oracle_queries += 1
+        picks.append(0)
+    else:
+        for t, order in zip(iterations, class_orders(size, int(mask.sum()), iterations)):
+            if settled.all():
+                break
+            local = int(reference_picks(mask[None], settled[None], np.array([order]))[0])
+            ledger.quantum_oracle_queries += t
+            ledger.measurement_units += 1
+            ledger.classical_oracle_queries += 1
+            picks.append(local)
+            if mask[local]:
+                break
+            settled[local] = True
+    verified = bool(picks) and bool(mask[picks[-1]])
+    used = len(picks)
+    return GroverOutcome(
+        sublist, base + picks[-1] if picks else None, verified, sum(iterations[:used]),
+        iterations[:used], used if verified else None,
+        tested=tuple(picks[:-1] if verified else picks),
+    )
+
+
 def reference_search(oracle, n_q, mode, master_seed):
-    """The per-sublist orchestration: one batch-of-one ``search_node`` call
-    at a time, the residual sweep through ``membership``."""
+    """The per-sublist orchestration: one node call at a time, the residual
+    sweep through ``membership``.  Exact mode calls
+    :func:`reference_exact_node`, sampled mode ``search_node``."""
     partition = SublistPartition(oracle.n, n_q)
     size = partition.sublist_size
     ledger = CostLedger()
@@ -411,12 +489,15 @@ def reference_search(oracle, n_q, mode, master_seed):
         found_local, known_non = set(), set()
         call = 0
         while len(found_local) + len(known_non) < size:
-            outcome = search_node(
-                partition, r, oracle, mode=mode, seed=_node_seed(master_seed, r, call),
-                ledger=ledger,
-                exclude_solutions=frozenset(base + i for i in found_local),
-                skip_candidates=frozenset(found_local | known_non),
-            )
+            if mode == "exact":
+                outcome = reference_exact_node(partition, r, oracle, ledger, found_local, known_non)
+            else:
+                outcome = search_node(
+                    partition, r, oracle, mode=mode, seed=_node_seed(master_seed, r, call),
+                    ledger=ledger,
+                    exclude_solutions=frozenset(base + i for i in found_local),
+                    skip_candidates=frozenset(found_local | known_non),
+                )
             if call == 0:
                 ledger.node_accesses += 1
                 won = outcome.successful_round if outcome.verified else 1
@@ -443,15 +524,19 @@ def reference_search(oracle, n_q, mode, master_seed):
 
 @st.composite
 def sublist_oracles(draw):
-    """An oracle whose sublists are each empty, single, half-full, full or
-    random, set-backed or predicate-only, with a node size for it."""
+    """An oracle whose sublists are each empty, single, half-full, full,
+    random, or a random placement of a quarter or three quarters solutions,
+    set-backed or predicate-only, with a node size for it.  The last two
+    meet the counts N/4, N/2 and 3N/4, whose exact walks consult ties."""
     n = draw(st.integers(1, 8))
     n_q = draw(st.integers(0, n))
     size = 2**n_q
     solutions = set()
     for r in range(2 ** (n - n_q)):
         base = r * size
-        fill = draw(st.sampled_from(["empty", "single", "half", "full", "random"]))
+        fill = draw(st.sampled_from(
+            ["empty", "single", "half", "full", "random", "quarter", "three-quarter"]
+        ))
         if fill == "single":
             solutions.add(base + draw(st.integers(0, size - 1)))
         elif fill == "half":
@@ -462,6 +547,11 @@ def sublist_oracles(draw):
             seed = draw(st.integers(0, 2**32 - 1))
             picks = np.random.default_rng(seed).random(size) < 0.5
             solutions.update(base + int(i) for i in np.flatnonzero(picks))
+        elif fill in ("quarter", "three-quarter"):
+            count = size // 4 if fill == "quarter" else 3 * size // 4
+            seed = draw(st.integers(0, 2**32 - 1))
+            picks = np.random.default_rng(seed).choice(size, size=count, replace=False)
+            solutions.update(base + int(i) for i in picks)
     sols = frozenset(solutions)
     if draw(st.booleans()):
         oracle = SearchOracle.from_solutions(n, sols)
@@ -478,6 +568,48 @@ def test_batched_search_equals_per_sublist_calls(case, mode, master_seed):
     want_found, want_ledger = reference_search(oracle, n_q, mode, master_seed)
     assert found == want_found
     assert ledger.as_dict() == want_ledger.as_dict()
+
+
+def test_tie_walks_read_positions():
+    # At n = n_q = 2, M = 2 = N/2 ties at every round: where the two
+    # solutions sit decides the ledger, so it cannot come from a walk
+    # memoised by M, in one run or across runs.
+    low = SearchOracle.from_solutions(2, [0, 1])
+    high = SearchOracle.from_solutions(2, [2, 3])
+    ledgers = [partition_search(oracle, 2)[1] for oracle in (low, high)]
+    assert [(ledger.repeat_node_accesses, ledger.quantum_oracle_queries)
+            for ledger in ledgers] == [(2, 3), (1, 2)]
+    both = SearchOracle.from_solutions(3, [0, 1, 6, 7])
+    for oracle, n_q in ((low, 2), (high, 2), (both, 2)):
+        got = partition_search(oracle, n_q)[1]
+        assert got.as_dict() == reference_search(oracle, n_q, "exact", 0)[1].as_dict()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_tie_free_counts_give_placement_independent_ledgers(n):
+    # A count whose walk meets no tie charges the same ledger wherever its
+    # solutions sit, and the array reference agrees for every layout tried:
+    # all of them at n <= 3, twelve random ones per count at n = 4.
+    size = 2**n
+    plan = _NodePlan(size)
+    tie_free = [m for m in range(size + 1) if plan.walk(m) is not None]
+    assert 0 in tie_free and 1 in tie_free and size // 2 not in tie_free
+    rng = np.random.default_rng(n)
+    layouts = {m: [] for m in tie_free}
+    if n <= 3:
+        for bits in range(2**size):
+            members = [i for i in range(size) if bits >> i & 1]
+            if len(members) in layouts:
+                layouts[len(members)].append(members)
+    else:
+        for m in tie_free:
+            layouts[m] = [rng.choice(size, size=m, replace=False) for _ in range(12)]
+    for m, members in layouts.items():
+        want = partition_search(SearchOracle.from_solutions(n, members[0]), n)[1].as_dict()
+        for layout in members:
+            oracle = SearchOracle.from_solutions(n, layout)
+            assert partition_search(oracle, n)[1].as_dict() == want
+            assert reference_search(oracle, n, "exact", 0)[1].as_dict() == want, (m, layout)
 
 
 # Ledgers of hand-picked runs, recorded from the per-sublist implementation.
