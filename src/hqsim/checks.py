@@ -22,6 +22,10 @@ CIRCUIT_TOLERANCE = 1e-10
 UNITARITY_TOLERANCE = 1e-12
 TRANSFORM_TOLERANCE = 1e-9
 AMPLIFICATION_TOLERANCE = 1e-10
+# Empirical RMSE over reported stderr in sampled mode: over all coefficients
+# together, and the most any one coefficient may be under-reported.
+STDERR_RATIO_BAND = (0.75, 1.3)
+STDERR_COEFFICIENT_LIMIT = 2.5
 
 
 def circuit_deviation(node_sizes) -> float:
@@ -70,6 +74,38 @@ def transform_deviation(signals) -> float:
             got, _ = hybrid_dft(signal, FftPlan(n=signal.n, n_q=n_q))
             worst = max(worst, float(np.max(np.abs(got.values - want))))
     return worst
+
+
+def stderr_miscalibrations(cases, seeds) -> list[tuple[int, int, int, float, float]]:
+    """Sampled hybrid transforms whose reported ``stderr`` misstates their
+    error.
+
+    Each case is ``(signal, n_q, shots)``, run once per master seed in
+    ``seeds``.  The empirical RMSE against the direct transform over the
+    reported RMS ``stderr`` must lie in ``STDERR_RATIO_BAND`` over all
+    coefficients together and be at most ``STDERR_COEFFICIENT_LIMIT`` for
+    each coefficient alone; a coefficient reported exact must be within
+    ``TRANSFORM_TOLERANCE``.  Returns ``(n, n_q, shots, overall ratio, worst
+    coefficient ratio)`` per failing case.
+    """
+    failing = []
+    for signal, n_q, shots in cases:
+        want = direct_dft(signal).values
+        sq_error = np.zeros(signal.size)
+        variance = np.zeros(signal.size)
+        for seed in seeds:
+            plan = FftPlan(n=signal.n, n_q=n_q, mode="sampled", shots=shots, master_seed=seed)
+            got, _ = hybrid_dft(signal, plan)
+            sq_error += np.abs(got.values - want) ** 2
+            variance += got.stderr**2
+        overall = math.sqrt(sq_error.sum() / variance.sum())
+        erred = sq_error > len(seeds) * TRANSFORM_TOLERANCE**2
+        with np.errstate(divide="ignore"):
+            worst = float(np.sqrt(np.max(sq_error[erred] / variance[erred], initial=0.0)))
+        low, high = STDERR_RATIO_BAND
+        if not low <= overall <= high or worst > STDERR_COEFFICIENT_LIMIT:
+            failing.append((signal.n, n_q, shots, overall, worst))
+    return failing
 
 
 def amplification_deviation(sizes, iterations: int) -> float:

@@ -427,6 +427,11 @@ def run_verification() -> list[tuple[str, bool, str]]:
         m = int(rng.integers(0, 2**n + 1))
         oracles.append(SearchOracle.random(n, m, int(rng.integers(0, 2**31))))
     gates = (Hadamard(0), PhaseShift(0, 0.7), ControlledPhase(0, 1, 1.1), Swap(0, 1))
+    rng = np.random.default_rng(14)
+    sampled_cases = [
+        (RealSignal.from_values(rng.uniform(-1, 1, 2**n)), n_q, shots)
+        for n, n_q, shots in ((4, 4, 256), (5, 3, 1024))
+    ]
 
     # A deviation with its tolerance, or a list of failing cases with None.
     table = [
@@ -442,6 +447,8 @@ def run_verification() -> list[tuple[str, bool, str]]:
         ("exact search's class order matches the amplification law (N<=32)",
          checks.class_order_mismatches((2, 4, 8, 16, 32)), None),
         ("partition search returns the exact solution set", checks.search_misses(oracles), None),
+        ("sampled stderr matches the empirical error (n<=5)",
+         checks.stderr_miscalibrations(sampled_cases, range(400)), None),
         ("transform counters equal forecast (n=4, n_q=2)",
          checks.counter_mismatches([(RealSignal.from_values(np.arange(1.0, 17.0)), 2)]), None),
         ("search counters equal forecast (n=6, n_q=2)",

@@ -250,6 +250,21 @@ def _square(values: np.ndarray) -> np.ndarray:
     return np.float_power(values, 2.0)
 
 
+# Chebyshev fit of erfc with fractional error below 1.2e-7 for every
+# argument (Press et al., Numerical Recipes, 2nd ed., section 6.2), in
+# increasing powers of t = 1 / (1 + x/2).
+_ERFC_FIT = (
+    -1.26551223, 1.00002368, 0.37409196, 0.09678418, -0.18628806,
+    0.27886807, -1.13520398, 1.48851587, -0.82215223, 0.17087277,
+)
+
+
+def _erfc(x: np.ndarray) -> np.ndarray:
+    """Complementary error function of nonnegative ``x``, elementwise."""
+    t = 1.0 / (1.0 + 0.5 * x)
+    return t * np.exp(np.polynomial.polynomial.polyval(t, _ERFC_FIT) - x * x)
+
+
 def _measure(
     schedule: ReadoutSchedule, x: np.ndarray, shots: int, seeds, ledger: CostLedger | None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -259,9 +274,9 @@ def _measure(
 
     Every row gets the ancilla Hadamard and the controlled transform in one
     batch.  ``shots = 0`` gives exact values.  Otherwise each entry is a
-    seeded binomial estimate: row ``i`` draws its 2N entry seeds in schedule
-    order from ``seeds[i]``, and each entry draws once from its own
-    generator.
+    binomial estimate: row ``i`` makes one generator from ``seeds[i]`` and
+    draws one binomial per entry from it, over its 2N entries in schedule
+    order, so a row's estimates depend on its own seed only.
     """
     L, N = x.shape
     n_q = schedule.n_q
@@ -293,9 +308,7 @@ def _measure(
     probabilities = np.clip(np.stack([magnitude, reference], axis=-1).reshape(L, 2 * N), 0.0, 1.0)
     counts = np.empty((L, 2 * N))
     for i, seed in enumerate(seeds):
-        entry_seeds = np.random.default_rng(seed).integers(0, 2**63, size=2 * N)
-        for j, (entry_seed, p) in enumerate(zip(entry_seeds.tolist(), probabilities[i].tolist())):
-            counts[i, j] = np.random.default_rng(entry_seed).binomial(shots, p)
+        counts[i] = np.random.default_rng(seed).binomial(shots, probabilities[i])
     estimates = counts / shots
     return estimates[:, 0::2], estimates[:, 1::2]
 
@@ -355,6 +368,16 @@ def _rebuild(
     # coefficient's variance sums those of its real and imaginary parts.
     spread = np.maximum(1.0 - mag, 0.0) / shots
     variance = np.where(pair, spread / 4.0, spread / 2.0)
+    # The sign test picks the wrong hypothesis, an error of twice the part
+    # value, when the reference falls on the wrong side of the hypotheses'
+    # midpoint (a**2 + |b|**2) / 4 = a**2/4 + m/2, half their gap away.  Both
+    # the reference and m carry shot noise, each at least one count's worth
+    # so that an entry read as 0 or 1 claims no certainty.
+    floor = 1.0 / shots
+    noise = np.maximum(reference * (1.0 - reference), floor)
+    noise += np.maximum(mag * (1.0 - mag), floor) / 4.0
+    flip = 0.5 * _erfc(np.abs(plus - minus) / 2.0 / np.sqrt(2.0 * noise / shots))
+    variance += flip * (2.0 * values) ** 2
     variance[fallback] = 0.0
     parts = _by_coefficient(schedule, variance)
     return coefficients, np.sqrt(_hermitian(parts.real + parts.imag)), fallback

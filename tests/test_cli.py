@@ -260,7 +260,7 @@ def test_main_verify_reports_a_failing_check(monkeypatch, capsys):
     assert main(["verify"]) == EXIT_VERIFY
     out = capsys.readouterr().out
     assert "FAIL  hybrid transform matches direct reference (n=6)  max dev 5.00e-01\n" in out
-    assert "9/10 checks passed\n" in out
+    assert "10/11 checks passed\n" in out
 
 
 def test_main_verify_shortens_a_failing_case_list(monkeypatch, capsys):
@@ -274,7 +274,7 @@ def test_main_verify_shortens_a_failing_case_list(monkeypatch, capsys):
         "[(8, 0, [0, 1, 2, 3, 4, 5, ...]), "
     )
     assert len(line) < 250
-    assert "9/10 checks passed\n" in out
+    assert "10/11 checks passed\n" in out
 
 
 def test_main_run_ok(capsys):

@@ -205,11 +205,54 @@ def test_sampled_mode_requires_shots():
 
 def test_sampled_nodes_need_one_seed_per_row():
     blocks = np.random.default_rng(61).normal(size=(3, 4))
-    for seeds in (None, [1], [1, 2, 3, 4]):
+    blocks[1] = 0.0
+    # Seeds only for the live rows are refused too: a row's seed never
+    # depends on which other rows are zero.
+    for seeds in (None, [1], [1, 3], [1, 2, 3, 4]):
         with pytest.raises(ValueError, match="one seed per row"):
             evaluate_nodes(blocks, "sampled", 100, seeds)
     values, stderr = evaluate_nodes(blocks, "sampled", 100, [1, 2, 3])
     assert values.shape == stderr.shape == (3, 4)
+
+
+def test_sampled_entries_are_one_binomial_draw_each_from_the_row_seed():
+    block = BlockVector.from_values([3.0, 2.0, -2.0, -1.0, 0.5, 1.0, 0.0, 4.0])
+    schedule = build_schedule(3)
+    keys = [(p, role) for p in range(8) for role in (ROLE_MAGNITUDE, ROLE_REFERENCE)]
+    exact = execute_schedule(block, schedule).measurements
+    sampled = execute_schedule(block, schedule, mode="sampled", shots=1000, seed=21).measurements
+    p = np.clip([exact[key] for key in keys], 0.0, 1.0)
+    want = np.random.default_rng(21).binomial(1000, p) / 1000
+    assert [sampled[key] for key in keys] == want.tolist()
+
+
+def test_sampled_nodes_depend_only_on_their_own_seed():
+    blocks = np.random.default_rng(62).normal(size=(5, 8))
+    blocks[2] = 0.0
+    seeds = [11, 12, 13, 14, 15]
+    values, stderr = evaluate_nodes(blocks, "sampled", 500, seeds)
+    for i, seed in enumerate(seeds):
+        alone, alone_stderr = evaluate_nodes(blocks[i : i + 1], "sampled", 500, [seed])
+        assert np.array_equal(alone[0], values[i])
+        assert np.array_equal(alone_stderr[0], stderr[i])
+    reversed_values, reversed_stderr = evaluate_nodes(blocks[::-1], "sampled", 500, seeds[::-1])
+    assert np.array_equal(reversed_values[::-1], values)
+    assert np.array_equal(reversed_stderr[::-1], stderr)
+
+
+def test_sampled_nodes_make_one_generator_per_live_row(monkeypatch):
+    real_rng = np.random.default_rng
+    made = []
+
+    def counting_rng(seed=None):
+        made.append(seed)
+        return real_rng(seed)
+
+    blocks = real_rng(63).normal(size=(4, 16))
+    blocks[1] = 0.0
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    evaluate_nodes(blocks, "sampled", 200, [5, 6, 7, 8])
+    assert made == [5, 7, 8]
 
 
 @pytest.mark.parametrize("n_q", [1, 2, 3, 4, 5])
