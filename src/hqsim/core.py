@@ -17,10 +17,11 @@ Conventions, fixed once and used everywhere:
   is a batch of registers; single states are a batch of one.
 * Measurement effects are sparse unit vectors on one subsystem; joint
   probabilities are squared overlaps, computed exactly or estimated from a
-  seeded binomial draw.  They are the per-entry reference for the exact
-  probabilities of the batched readout in :mod:`hqsim.readout`.  They do not
-  reproduce its sampled draws: :func:`sample_effect` makes a generator per
-  entry, while the readout draws all entries of a node from one generator.
+  seeded binomial draw.  They are the per-entry reference, within 1e-15 and
+  not bit for bit, for the batched readout's exact probabilities in
+  :mod:`hqsim.readout`.  They do not reproduce its sampled draws:
+  :func:`sample_effect` makes a generator per entry, while the readout
+  draws all entries of a node from one generator.
 """
 
 from __future__ import annotations

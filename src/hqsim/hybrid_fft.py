@@ -155,10 +155,14 @@ def decimate_leaves(signal: RealSignal, n_q: int) -> list[BlockVector]:
 def _combine_level(spec, stderr, roots, ledger):
     """One radix-2 level over the row pairs ``(spec[2i], spec[2i+1])``:
     ``y_k = even[k % h] + roots[k] * odd[k % h]``; one classical op per
-    output coefficient."""
+    output coefficient.  ``roots[k + h] = -roots[k]``, so each pair takes one
+    product ``roots[k] * odd[k]`` and yields ``even[k]`` plus and minus it."""
     pairs, h = spec.shape[0] // 2, spec.shape[1]
-    twiddles = roots.reshape(2, h)
-    spec = (spec[0::2, None, :] + twiddles * spec[1::2, None, :]).reshape(pairs, 2 * h)
+    product = spec[1::2] * roots[:h]
+    out = np.empty((pairs, 2, h), dtype=complex)
+    np.add(spec[0::2], product, out=out[:, 0])
+    np.subtract(spec[0::2], product, out=out[:, 1])
+    spec = out.reshape(pairs, 2 * h)
     if stderr is not None:
         half = np.sqrt(stderr[0::2] ** 2 + stderr[1::2] ** 2)
         stderr = np.concatenate([half, half], axis=1)

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Hadamard, StateVector, apply_circuit_batch, build_qft_circuit
+from .core import StateVector, apply_circuit_batch, build_qft_circuit
 from .costs import CostLedger
 
 __all__ = [
@@ -243,13 +243,6 @@ def _hermitian(half: np.ndarray) -> np.ndarray:
     return np.concatenate([half, np.conj(half[:, -2:0:-1])], axis=1)
 
 
-def _square(values: np.ndarray) -> np.ndarray:
-    # Python's float ``x ** 2`` calls libm pow, which can round differently
-    # from ``x * x``.  float_power calls pow too, so these squares equal the
-    # scalar ``abs(amp) ** 2`` of core.effect_probability.
-    return np.float_power(values, 2.0)
-
-
 # Chebyshev fit of erfc with fractional error below 1.2e-7 for every
 # argument (Press et al., Numerical Recipes, 2nd ed., section 6.2), in
 # increasing powers of t = 1 / (1 + x/2).
@@ -280,9 +273,9 @@ def _measure(
     """
     L, N = x.shape
     n_q = schedule.n_q
-    rows = np.zeros((L, 2 * N), dtype=complex)
-    rows[:, :N] = x  # ancilla |0> branch; the ancilla is qubit 0
-    apply_circuit_batch(rows, [Hadamard(0)])
+    # The ancilla is qubit 0, so its branches are the two halves of a row;
+    # its Hadamard on |0> leaves x/sqrt(2) in both.
+    rows = np.tile(x * _INV_SQRT2 + 0j, 2)
     apply_circuit_batch(rows, [gate.shifted(1) for gate in build_qft_circuit(n_q)], control=0)
     if ledger is not None:
         ledger.quantum_gate_units += L * (n_q * (n_q + 1) // 2 + n_q // 2)
@@ -291,16 +284,10 @@ def _measure(
     # Ancilla residual (r0, r1) of each data projector.
     residual = _project(schedule, rows.reshape(L, 2, N))
     r0, r1 = residual[:, 0], residual[:, 1]
-    # conj of the reference ancilla's |1> coefficient e^{i*phi}/sqrt(2).
-    w_re = np.cos(schedule.ancilla_phase) * _INV_SQRT2
-    w_im = -np.sin(schedule.ancilla_phase) * _INV_SQRT2
-    # <ref| r> = r0/sqrt(2) + w*r1, in real arithmetic in the order of the
-    # scalar complex product that core.effect_probability computes (numpy's
-    # vectorized one may fuse multiply-adds).
-    ref_re = _INV_SQRT2 * r0.real + (w_re * r1.real - w_im * r1.imag)
-    ref_im = _INV_SQRT2 * r0.imag + (w_re * r1.imag + w_im * r1.real)
-    magnitude = _square(np.hypot(r1.real, r1.imag))
-    reference = _square(np.hypot(ref_re, ref_im))
+    # <ref| r> = r0/sqrt(2) + w*r1, w the conjugate of e^{i*phi}/sqrt(2).
+    ref = _INV_SQRT2 * r0 + np.exp(-1j * schedule.ancilla_phase) * _INV_SQRT2 * r1
+    magnitude = r1.real * r1.real + r1.imag * r1.imag
+    reference = ref.real * ref.real + ref.imag * ref.imag
     if not shots:
         return magnitude, reference
 
@@ -313,11 +300,17 @@ def _measure(
     return estimates[:, 0::2], estimates[:, 1::2]
 
 
-def _classical_coefficient(normalized: np.ndarray, k: int) -> complex:
-    """One amplitude-level coefficient computed classically, 2**n_q ops."""
-    N = normalized.size
-    phases = np.exp(2j * np.pi * k * np.arange(N) / N)
-    return complex(np.sum(normalized * phases) / math.sqrt(N))
+def _classical_coefficients(x: np.ndarray, rows: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Amplitude-level coefficient ``k[i]`` of row ``x[rows[i]]``, computed
+    classically with 2**n_q ops; at most 2**16 phases are held at once."""
+    N = x.shape[1]
+    out = np.empty(len(k), dtype=complex)
+    step = max(1, 2**16 // N)
+    for start in range(0, len(k), step):
+        chunk = slice(start, start + step)
+        phases = np.exp(2j * np.pi * k[chunk, None] * np.arange(N) / N)
+        out[chunk] = np.sum(x[rows[chunk]] * phases, axis=1) / math.sqrt(N)
+    return out
 
 
 def _rebuild(
@@ -345,16 +338,16 @@ def _rebuild(
     b_abs = np.sqrt(2.0 * mag)
     pair = schedule.signs != 0
     # Nearest hypothesis (a + s|b|)**2 / 4 to the reference picks the sign.
-    plus = _square(a + b_abs) / 4.0
-    minus = _square(a - b_abs) / 4.0
+    plus = np.square(a + b_abs) / 4.0
+    minus = np.square(a - b_abs) / 4.0
     sign = np.where(np.abs(reference - plus) <= np.abs(reference - minus), 1.0, -1.0)
     values = sign * np.where(pair, b_abs * _INV_SQRT2, b_abs)
 
     fallback = (np.abs(a) < eps_ref) & (b_abs >= eps_ref)
-    for row, p in zip(*np.nonzero(fallback)):
-        c = _classical_coefficient(x[row], int(schedule.coefficient[p]))
-        values[row, p] = c.imag if schedule.imaginary[p] else c.real
-    fallbacks = int(np.count_nonzero(fallback))
+    rows, p = np.nonzero(fallback)
+    c = _classical_coefficients(x, rows, schedule.coefficient[p])
+    values[rows, p] = np.where(schedule.imaginary[p], c.imag, c.real)
+    fallbacks = len(rows)
     if ledger is not None:
         ledger.fallback_ops += fallbacks * N
         ledger.classical_fallbacks += fallbacks

@@ -19,6 +19,7 @@ from hqsim.hybrid_fft import (
     RealSignal,
     SpectrumVector,
     TwiddleTable,
+    _combine_levels,
     _final_roots,
     butterfly_combine,
     classical_fft,
@@ -175,6 +176,41 @@ def test_butterfly_recombination_equals_direct(n, seed):
     values = rng.normal(size=2**n)
     signal = RealSignal.from_values(values)
     assert np.max(np.abs(classical_fft(signal).values - direct_dft(signal).values)) < 1e-9
+
+
+def two_product_level(spec, stderr, roots):
+    """Reference radix-2 level, one product per output coefficient:
+    ``y_k = even[k % h] + roots[k] * odd[k % h]``."""
+    pairs, h = spec.shape[0] // 2, spec.shape[1]
+    spec = (spec[0::2, None, :] + roots.reshape(2, h) * spec[1::2, None, :]).reshape(pairs, 2 * h)
+    if stderr is not None:
+        half = np.sqrt(stderr[0::2] ** 2 + stderr[1::2] ** 2)
+        stderr = np.concatenate([half, half], axis=1)
+    return spec, stderr
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 7), st.integers(0, 5), st.booleans(), st.integers(0, 2**31 - 1))
+def test_one_product_levels_equal_two_product_reference(levels, log_width, with_stderr, seed):
+    # roots[k + h] = -roots[k] only up to rounding, so the spectra agree
+    # within a bound relative to the row norm; stderr and the charge match
+    # exactly.
+    rows, width = 2**levels, 2**log_width
+    rng = np.random.default_rng(seed)
+    spec = rng.normal(size=(rows, width)) + 1j * rng.normal(size=(rows, width))
+    stderr = rng.uniform(0.0, 1.0, (rows, width)) if with_stderr else None
+    ledger = CostLedger()
+    got = _combine_levels(spec, stderr, ledger)
+    want, want_stderr = spec, stderr
+    roots = TwiddleTable.for_size(rows * width).roots
+    while want.shape[0] > 1:
+        want, want_stderr = two_product_level(want, want_stderr, roots[::want.shape[0] // 2])
+    assert np.max(np.abs(got.values - want[0])) <= 1e-15 * np.linalg.norm(want[0])
+    if with_stderr:
+        assert np.array_equal(got.stderr, want_stderr[0])
+    else:
+        assert got.stderr is None
+    assert ledger.classical_ops == levels * rows * width
 
 
 # --- the hybrid pipeline ----------------------------------------------------

@@ -18,7 +18,10 @@ from hqsim.readout import (
     ROLE_MAGNITUDE,
     ROLE_REFERENCE,
     BlockVector,
+    _classical_coefficients,
+    _default_eps,
     _measure,
+    _rebuild,
     build_schedule,
     evaluate_nodes,
     execute_schedule,
@@ -255,7 +258,7 @@ def test_sampled_nodes_make_one_generator_per_live_row(monkeypatch):
     assert made == [5, 7, 8]
 
 
-@pytest.mark.parametrize("n_q", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n_q", [1, 2, 3, 4, 5, 8])
 def test_batched_probabilities_match_per_entry_effects(n_q):
     # The batch reads the schedule's fixed layout with index arithmetic; the
     # per-entry reference projects one effect object at a time.
@@ -336,6 +339,52 @@ def test_ambiguous_reference_falls_back_to_classical():
     got = rescale_to_dft(estimate)
     want = dft_matrix(8) @ block.values.astype(complex)
     assert np.max(np.abs(got - want)) < 1e-9
+
+
+def classical_coefficient(normalized, k):
+    """Per-fallback reference: one amplitude-level coefficient computed
+    classically, one phase vector and one sum per call."""
+    N = normalized.size
+    phases = np.exp(2j * np.pi * k * np.arange(N) / N)
+    return complex(np.sum(normalized * phases) / math.sqrt(N))
+
+
+@pytest.mark.parametrize("n_q, count", [(2, 20000), (5, 500), (15, 5), (17, 3)])
+def test_batched_fallbacks_match_per_fallback_reference(n_q, count):
+    # A chunk holds at most 2**16 phase entries: several chunks at n_q = 2,
+    # two fallbacks a chunk at n_q = 15 and one at n_q = 17.
+    N = 2**n_q
+    rng = np.random.default_rng(70 + n_q)
+    x = rng.normal(size=(3, N))
+    rows = rng.integers(0, 3, size=count)
+    k = rng.integers(0, N // 2 + 1, size=count)
+    want = [classical_coefficient(x[row], kk) for row, kk in zip(rows.tolist(), k.tolist())]
+    assert np.array_equal(_classical_coefficients(x, rows, k), want)
+
+
+def test_rebuild_fallbacks_match_per_fallback_reference():
+    # At 64 shots the sign test needs |a| >= 3/8, so sampled rows take many
+    # fallbacks; each must equal the per-fallback reference bit for bit.
+    n_q, shots, L = 3, 64, 400
+    rng = np.random.default_rng(72)
+    blocks = rng.normal(size=(L, 2**n_q))
+    x = blocks / np.linalg.norm(blocks, axis=1)[:, None]
+    schedule = build_schedule(n_q)
+    magnitude, reference = _measure(schedule, x, shots, list(range(L)), None)
+    ledger = CostLedger()
+    coefficients, _, fallback = _rebuild(
+        schedule, x, magnitude, reference, shots, _default_eps(shots), ledger
+    )
+    rows, p = np.nonzero(fallback)
+    assert len(rows) > 500
+    assert ledger.classical_fallbacks == len(rows)
+    assert ledger.fallback_ops == len(rows) * 2**n_q
+    k = schedule.coefficient[p]
+    want = np.array([classical_coefficient(x[row], kk) for row, kk in zip(rows.tolist(), k.tolist())])
+    imaginary = schedule.imaginary[p]
+    got = coefficients[rows, k]
+    assert np.array_equal(np.where(imaginary, got.imag, got.real),
+                          np.where(imaginary, want.imag, want.real))
 
 
 def test_rescale_examples():
