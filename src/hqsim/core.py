@@ -13,8 +13,12 @@ Conventions, fixed once and used everywhere:
   copy re-targeted by a qubit offset (``shifted()``) and its in-place kernel
   on a register tensor (``apply()``).  Two-qubit matrices list the first
   qubit as the more significant one.
-* Circuits run in place on an ``(L, 2, ..., 2)`` tensor whose leading axis
-  is a batch of registers; single states are a batch of one.
+* Circuits run in place on a ``(2, ..., 2, L)`` tensor whose last axis is a
+  batch of registers, so each register is a column of a ``(2**Q, L)`` array
+  and every kernel's inner loop runs along the batch; single states are a
+  batch of one.  A :class:`Swap` moves no amplitude: it exchanges which
+  tensor axes hold its two qubits, and the circuit's final relabelling is
+  applied once, as one permuting copy.
 * Measurement effects are sparse unit vectors on one subsystem; joint
   probabilities are squared overlaps, computed exactly or estimated from a
   seeded binomial draw.  They are the per-entry reference, within 1e-15 and
@@ -78,8 +82,8 @@ class Hadamard:
     def shifted(self, offset: int) -> "Hadamard":
         return Hadamard(self.target + offset)
 
-    def apply(self, tensor: np.ndarray, axis_of) -> None:
-        _apply_1q_axis(tensor, axis_of(self.target), self.matrix())
+    def apply(self, tensor: np.ndarray, axes: dict[int, int]) -> None:
+        _apply_hadamard(tensor, axes[self.target])
 
 
 @dataclass(frozen=True)
@@ -97,8 +101,8 @@ class PhaseShift:
     def shifted(self, offset: int) -> "PhaseShift":
         return PhaseShift(self.target + offset, self.angle)
 
-    def apply(self, tensor: np.ndarray, axis_of) -> None:
-        _apply_phase(tensor, [axis_of(self.target)], self.angle)
+    def apply(self, tensor: np.ndarray, axes: dict[int, int]) -> None:
+        _apply_phase(tensor, [axes[self.target]], self.angle)
 
 
 @dataclass(frozen=True)
@@ -119,8 +123,8 @@ class ControlledPhase:
     def shifted(self, offset: int) -> "ControlledPhase":
         return ControlledPhase(self.control + offset, self.target + offset, self.angle)
 
-    def apply(self, tensor: np.ndarray, axis_of) -> None:
-        _apply_phase(tensor, [axis_of(self.control), axis_of(self.target)], self.angle)
+    def apply(self, tensor: np.ndarray, axes: dict[int, int]) -> None:
+        _apply_phase(tensor, [axes[self.control], axes[self.target]], self.angle)
 
 
 @dataclass(frozen=True)
@@ -140,8 +144,9 @@ class Swap:
     def shifted(self, offset: int) -> "Swap":
         return Swap(self.a + offset, self.b + offset)
 
-    def apply(self, tensor: np.ndarray, axis_of) -> None:
-        _apply_swap(tensor, axis_of(self.a), axis_of(self.b))
+    def apply(self, tensor: np.ndarray, axes: dict[int, int]) -> None:
+        # A relabelling: the two qubits trade the tensor axes that hold them.
+        axes[self.a], axes[self.b] = axes[self.b], axes[self.a]
 
 
 GateOp = Hadamard | PhaseShift | ControlledPhase | Swap
@@ -193,15 +198,14 @@ def _check_qubit(q: int, num_qubits: int) -> None:
         raise ValueError(f"qubit index {q} out of range for {num_qubits} qubits")
 
 
-def _apply_1q_axis(tensor: np.ndarray, axis: int, m: np.ndarray) -> None:
-    """Apply a 2x2 matrix along one tensor axis, in place."""
-    v0 = tensor.take(0, axis=axis)
-    v1 = tensor.take(1, axis=axis)
-    idx = [slice(None)] * tensor.ndim
-    idx[axis] = 0
-    tensor[tuple(idx)] = m[0, 0] * v0 + m[0, 1] * v1
-    idx[axis] = 1
-    tensor[tuple(idx)] = m[1, 0] * v0 + m[1, 1] * v1
+def _apply_hadamard(tensor: np.ndarray, axis: int) -> None:
+    """Write ``S*v0 + S*v1`` and ``S*v0 - S*v1``, ``S = 1/sqrt(2)``, into the
+    |0> and |1> halves of one axis, in place."""
+    v0, v1 = tensor.swapaxes(0, axis)  # writable views
+    s0 = v0 * _INV_SQRT2
+    v1 *= _INV_SQRT2
+    np.add(s0, v1, out=v0)
+    np.subtract(s0, v1, out=v1)
 
 
 def _apply_phase(tensor: np.ndarray, axes_at_one, angle: float) -> None:
@@ -212,31 +216,21 @@ def _apply_phase(tensor: np.ndarray, axes_at_one, angle: float) -> None:
     tensor[tuple(idx)] *= cmath.exp(1j * angle)
 
 
-def _apply_swap(tensor: np.ndarray, ax_a: int, ax_b: int) -> None:
-    """Exchange the |01> and |10> blocks of two axes, in place."""
-    i01 = [slice(None)] * tensor.ndim
-    i01[ax_a], i01[ax_b] = 0, 1
-    i10 = [slice(None)] * tensor.ndim
-    i10[ax_a], i10[ax_b] = 1, 0
-    tmp = tensor[tuple(i01)].copy()
-    tensor[tuple(i01)] = tensor[tuple(i10)]
-    tensor[tuple(i10)] = tmp
+def apply_circuit_batch(columns: np.ndarray, circuit, control: int | None = None) -> None:
+    """Apply a gate sequence, in place, to every column of a ``(2**Q, L)``
+    C-contiguous complex array; each column is one ``Q``-qubit register.
 
-
-def apply_circuit_batch(rows: np.ndarray, circuit, control: int | None = None) -> None:
-    """Apply a gate sequence, in place, to every row of an ``(L, 2**Q)``
-    C-contiguous complex array; each row is one ``Q``-qubit register.
-
-    The rows are viewed as an ``(L, 2, ..., 2)`` tensor whose leading axis is
-    the batch, so qubit ``q`` sits on axis ``q + 1``.  With ``control`` set,
-    every gate acts only on the branch where that qubit is |1>, and no gate
-    may touch it.
+    The columns are viewed as a ``(2, ..., 2, L)`` tensor whose last axis is
+    the batch, so qubit ``q`` sits on axis ``q``.  Swaps only relabel which
+    axis holds which qubit; once every gate has run, one permuting copy puts
+    the qubits back in order.  With ``control`` set, every gate acts only on
+    the branch where that qubit is |1>, and no gate may touch it.
     """
-    if rows.ndim != 2 or not rows.flags.c_contiguous or rows.dtype != complex:
-        raise ValueError("rows must be a C-contiguous (L, 2**Q) complex array")
-    num_qubits = rows.shape[1].bit_length() - 1
-    if rows.shape[1] != 2**num_qubits or num_qubits < 1:
-        raise ValueError(f"row length {rows.shape[1]} is not a power of two >= 2")
+    if columns.ndim != 2 or not columns.flags.c_contiguous or columns.dtype != complex:
+        raise ValueError("columns must be a C-contiguous (2**Q, L) complex array")
+    num_qubits = columns.shape[0].bit_length() - 1
+    if columns.shape[0] != 2**num_qubits or num_qubits < 1:
+        raise ValueError(f"column length {columns.shape[0]} is not a power of two >= 2")
     if control is not None:
         _check_qubit(control, num_qubits)
     for gate in circuit:
@@ -246,28 +240,23 @@ def apply_circuit_batch(rows: np.ndarray, circuit, control: int | None = None) -
             _check_qubit(q, num_qubits)
             if q == control:
                 raise ValueError(f"gate {gate!r} touches the control qubit {control}")
-    tensor = rows.reshape((rows.shape[0],) + (2,) * num_qubits)
-    if control is None:
-        view = tensor
-
-        def axis_of(q: int) -> int:
-            return q + 1
-    else:
-        idx = [slice(None)] * tensor.ndim
-        idx[control + 1] = 1
-        view = tensor[tuple(idx)]  # writable view of the control-on branch
-
-        def axis_of(q: int) -> int:
-            return q if q > control else q + 1
-
+    tensor = columns.reshape((2,) * num_qubits + (columns.shape[1],))
+    if control is not None:
+        tensor = tensor[(slice(None),) * control + (1,)]  # writable view
+    # The tensor axis that holds each qubit; a swap exchanges two entries.
+    qubits = [q for q in range(num_qubits) if q != control]
+    axes = {q: axis for axis, q in enumerate(qubits)}
     for gate in circuit:
-        gate.apply(view, axis_of)
+        gate.apply(tensor, axes)
+    order = [axes[q] for q in qubits]
+    if order != sorted(order):
+        tensor[...] = tensor.transpose(order + [len(order)]).copy()
 
 
 def _apply_to_state(state: StateVector, circuit, control: int | None = None) -> StateVector:
-    rows = state.amplitudes.copy()[None, :]
-    apply_circuit_batch(rows, circuit, control)
-    return StateVector(state.num_qubits, rows[0], state.unnormalized)
+    columns = state.amplitudes.copy()[:, None]
+    apply_circuit_batch(columns, circuit, control)
+    return StateVector(state.num_qubits, columns[:, 0], state.unnormalized)
 
 
 def apply_gate(state: StateVector, gate: GateOp) -> StateVector:

@@ -8,12 +8,16 @@ results are recombined through ``n - n_q`` classical butterfly levels.  With
 ``n_q = n`` it is a single node evaluation.  The sign convention is
 ``y_k = sum_j x_j exp(+2*pi*i*k*j/N)`` throughout.
 
-Every stage works on arrays: one bit-reversal permutation lays the leaves
-out as the rows of a matrix, the batched node stage
-(:func:`~hqsim.readout.evaluate_nodes`) evaluates all of them at once, and
-each butterfly level combines all even/odd row pairs in one array
-operation, the level-by-level form of the Cooley-Tukey recursion (Van Loan,
-*Computational Frameworks for the FFT*, SIAM 1992).
+Every stage works on arrays.  The signal reshaped to ``(2**n_q, R)`` holds
+the leaves as its columns in natural order: column ``c`` is the subsequence
+of samples congruent to ``c`` modulo ``R = 2**(n-n_q)``, so no permutation
+is needed.  The batched node stage (:func:`~hqsim.readout.evaluate_nodes`)
+transforms every column at once, and each butterfly level combines the
+contiguous halves of the columns, ``c`` with ``c + R/2``, into ``R/2``
+columns twice as long, in one array operation.  This is the Stockham
+(autosort) arrangement of the Cooley-Tukey levels (Van Loan, *Computational
+Frameworks for the FFT*, SIAM 1992): the batch stays innermost at every
+level and the output comes out in natural order.
 """
 
 from __future__ import annotations
@@ -114,32 +118,42 @@ def direct_dft(signal: RealSignal) -> SpectrumVector:
 
     The phase index ``k*j mod N`` is reduced in integers and looks up one
     table of the N roots of unity, so no phase is a large float product.
-    Rows are taken in blocks, so temporaries stay within
-    ``_DIRECT_BLOCK_ELEMENTS`` elements per block.  The root table is built
-    here, not shared with the butterflies this reference checks.
+    The signal is real, so only ``k <= N/2`` is summed and ``out[N-k]`` is
+    the conjugate of ``out[k]``.  Rows are taken in blocks, so temporaries
+    stay within ``_DIRECT_BLOCK_ELEMENTS`` elements per block.  The root
+    table is built here, not shared with the butterflies this reference
+    checks.
     """
     N = signal.size
     roots = np.exp(2j * np.pi * np.arange(N) / N)
     j = np.arange(N)
     x = signal.values.astype(complex)
     out = np.empty(N, dtype=complex)
+    half = N // 2 + 1
     rows = max(1, _DIRECT_BLOCK_ELEMENTS // N)
-    for start in range(0, N, rows):
-        k = np.arange(start, min(start + rows, N))
+    for start in range(0, half, rows):
+        k = np.arange(start, min(start + rows, half))
         # N is a power of two, so the mask reduces k*j modulo N.
         out[start:start + k.size] = roots[np.outer(k, j) & (N - 1)] @ x
+    out[half:] = np.conj(out[1:N - half + 1][::-1])
     return SpectrumVector(out)
 
 
-def _leaf_rows(signal: RealSignal, n_q: int) -> np.ndarray:
-    """The leaves of :func:`decimate_leaves` as the rows of one matrix,
-    picked by one bit-reversal permutation."""
+def _bit_reversal(count: int) -> np.ndarray:
+    """The bit-reversal permutation of ``range(count)``, a power of two."""
+    reversal = np.zeros(1, dtype=np.intp)
+    while reversal.size < count:
+        reversal = np.concatenate([2 * reversal, 2 * reversal + 1])
+    return reversal
+
+
+def _leaf_columns(signal: RealSignal, n_q: int) -> np.ndarray:
+    """The ``2**(n-n_q)`` leaves as the columns of one ``(2**n_q, R)`` view,
+    in natural order: column ``c`` is leaf ``bitrev(c)`` of
+    :func:`decimate_leaves`."""
     if not 0 <= n_q <= signal.n:
         raise ValueError(f"n_q={n_q} out of range for n={signal.n}")
-    reversal = np.zeros(1, dtype=np.intp)
-    for _ in range(signal.n - n_q):
-        reversal = np.concatenate([2 * reversal, 2 * reversal + 1])
-    return signal.values.reshape(2**n_q, reversal.size).T[reversal]
+    return signal.values.reshape(2**n_q, 2 ** (signal.n - n_q))
 
 
 def decimate_leaves(signal: RealSignal, n_q: int) -> list[BlockVector]:
@@ -149,25 +163,28 @@ def decimate_leaves(signal: RealSignal, n_q: int) -> list[BlockVector]:
     bit-reversed value of ``r`` modulo ``2**(n-n_q)``, in increasing order,
     so adjacent leaves are even/odd partners at every combine level.
     """
-    return [BlockVector.from_values(row) for row in _leaf_rows(signal, n_q)]
+    columns = _leaf_columns(signal, n_q)
+    return [BlockVector.from_values(columns[:, c]) for c in _bit_reversal(columns.shape[1])]
 
 
 def _combine_level(spec, stderr, roots, ledger):
-    """One radix-2 level over the row pairs ``(spec[2i], spec[2i+1])``:
-    ``y_k = even[k % h] + roots[k] * odd[k % h]``; one classical op per
-    output coefficient.  ``roots[k + h] = -roots[k]``, so each pair takes one
-    product ``roots[k] * odd[k]`` and yields ``even[k]`` plus and minus it."""
-    pairs, h = spec.shape[0] // 2, spec.shape[1]
-    product = spec[1::2] * roots[:h]
-    out = np.empty((pairs, 2, h), dtype=complex)
-    np.add(spec[0::2], product, out=out[:, 0])
-    np.subtract(spec[0::2], product, out=out[:, 1])
-    spec = out.reshape(pairs, 2 * h)
+    """One radix-2 level over the column pairs ``(spec[:, c], spec[:, c + R/2])``
+    of an ``(h, R)`` array: ``y_k = even[k % h] + roots[k] * odd[k % h]``;
+    one classical op per output coefficient.  ``roots[k + h] = -roots[k]``,
+    so each pair takes one product ``roots[k] * odd[k]`` and yields
+    ``even[k]`` plus and minus it, the two halves of a ``(2h, R/2)`` output."""
+    h, half = spec.shape[0], spec.shape[1] // 2
+    even, odd = spec[:, :half], spec[:, half:]
+    product = odd * roots[:h, None]
+    out = np.empty((2, h, half), dtype=complex)
+    np.add(even, product, out=out[0])
+    np.subtract(even, product, out=out[1])
+    spec = out.reshape(2 * h, half)
     if stderr is not None:
-        half = np.sqrt(stderr[0::2] ** 2 + stderr[1::2] ** 2)
-        stderr = np.concatenate([half, half], axis=1)
+        paired = np.sqrt(stderr[:, :half] ** 2 + stderr[:, half:] ** 2)
+        stderr = np.concatenate([paired, paired], axis=0)
     if ledger is not None:
-        ledger.classical_ops += pairs * 2 * h
+        ledger.classical_ops += half * 2 * h
     return spec, stderr
 
 
@@ -181,16 +198,17 @@ def _final_roots(size: int) -> np.ndarray:
 
 
 def _combine_levels(spec, stderr, ledger):
-    """Combine the rows of ``spec`` level by level into one spectrum.
+    """Combine the natural-order columns of ``spec`` level by level into one
+    spectrum.
 
     Each level's roots are a strided view of one table of the final size:
     the strides are powers of two, so they equal
     ``TwiddleTable.for_size(2 * h).roots`` bit for bit.
     """
     roots = _final_roots(spec.size)
-    while spec.shape[0] > 1:
-        spec, stderr = _combine_level(spec, stderr, roots[::spec.shape[0] // 2], ledger)
-    return SpectrumVector(spec[0], None if stderr is None else stderr[0])
+    while spec.shape[1] > 1:
+        spec, stderr = _combine_level(spec, stderr, roots[::spec.shape[1] // 2], ledger)
+    return SpectrumVector(spec[:, 0], None if stderr is None else stderr[:, 0])
 
 
 def butterfly_combine(
@@ -211,14 +229,16 @@ def butterfly_combine(
         raise ValueError(f"twiddle table of size {twiddles.size}, expected {N}")
     stderr = None
     if even.stderr is not None and odd.stderr is not None:
-        stderr = np.stack([even.stderr, odd.stderr])
-    values, stderr = _combine_level(np.stack([even.values, odd.values]), stderr, twiddles.roots, ledger)
-    return SpectrumVector(values[0], None if stderr is None else stderr[0])
+        stderr = np.stack([even.stderr, odd.stderr], axis=1)
+    values, stderr = _combine_level(
+        np.stack([even.values, odd.values], axis=1), stderr, twiddles.roots, ledger
+    )
+    return SpectrumVector(values[:, 0], None if stderr is None else stderr[:, 0])
 
 
 def classical_fft(signal: RealSignal, ledger: CostLedger | None = None) -> SpectrumVector:
     """Radix-2 decimation-in-time FFT; charges ``n * 2**n`` classical ops."""
-    return _combine_levels(_leaf_rows(signal, 0).astype(complex), None, ledger)
+    return _combine_levels(_leaf_columns(signal, 0).astype(complex), None, ledger)
 
 
 def _leaf_seed(master_seed: int, leaf_index: int) -> int:
@@ -237,13 +257,17 @@ def hybrid_dft(signal: RealSignal, plan: FftPlan) -> tuple[SpectrumVector, CostL
     if plan.n != signal.n:
         raise ValueError(f"plan built for n={plan.n}, signal has n={signal.n}")
     ledger = CostLedger()
-    leaves = _leaf_rows(signal, plan.n_q)
+    leaves = _leaf_columns(signal, plan.n_q)
     sampled = plan.mode == "sampled"
     if plan.n_q == 0:
         spec = leaves.astype(complex)
         stderr = np.zeros(leaves.shape) if sampled else None
     else:
-        seeds = [_leaf_seed(plan.master_seed, i) for i in range(len(leaves))] if sampled else None
+        seeds = None
+        if sampled:
+            # Column c is leaf bitrev(c), and a leaf's seed follows its index.
+            leaf_of_column = _bit_reversal(leaves.shape[1]).tolist()
+            seeds = [_leaf_seed(plan.master_seed, r) for r in leaf_of_column]
         spec, stderr = evaluate_nodes(leaves, plan.mode, plan.shots, seeds, ledger)
     spectrum = _combine_levels(spec, stderr, ledger)
     ledger.classical_bits = 2**plan.n * plan.n_precision

@@ -28,9 +28,12 @@ The layout above is defined once, by :func:`build_schedule`: a
 :class:`ReadoutSchedule` holds it as arrays, one row per projector (the
 basis indices and weights it reads, the coefficient part it yields and its
 reference ancilla phase).  The node stage is batched: :func:`evaluate_nodes`
-takes every block of a run as one ``(L, 2**n_q)`` array, runs the circuit on
-an ``(L, 2, ..., 2)`` tensor and reads every projector of every block
-through the schedule's arrays, so no effect objects are built per entry.
+takes every block of a run as a column of one ``(2**n_q, L)`` array, runs the
+circuit on a ``(2, ..., 2, L)`` tensor with the batch innermost and reads
+every projector of every block as a row of that array, through the
+schedule's arrays, so no effect objects are built per entry.  The ancilla's
+control-off branch is the encoded block itself, so only the control-on
+branch is simulated.
 :func:`execute_schedule` and :func:`rebuild_phases` are batch-of-one
 wrappers round the same code that keep the ``(projector, role)``-keyed
 record.
@@ -80,7 +83,7 @@ class BlockVector:
         vals = np.asarray(values, dtype=float)
         if vals.ndim != 1 or vals.size < 1 or vals.size & (vals.size - 1):
             raise ValueError(f"block length must be a power of two, got {vals.shape}")
-        return cls(vals, float(_row_norms(vals[None, :])[0]))
+        return cls(vals, float(_column_norms(vals[:, None])[0]))
 
     @property
     def n_q(self) -> int:
@@ -148,8 +151,8 @@ def prepare_block_state(block: BlockVector, ledger: CostLedger | None = None) ->
     Charges ``n_q**2 * 2**n_q`` state-prep units; a zero block cannot be
     normalized and must be short-circuited by the caller.
     """
-    normalized = _encode(block.values[None, :], np.array([block.norm]), ledger)
-    return StateVector(block.n_q, normalized[0])
+    normalized = _encode(block.values[:, None], np.array([block.norm]), ledger)
+    return StateVector(block.n_q, normalized[:, 0])
 
 
 def build_schedule(n_q: int) -> ReadoutSchedule:
@@ -196,51 +199,51 @@ def _default_eps(shots: int) -> float:
     return 3.0 / math.sqrt(shots) if shots else EPS_REF_EXACT
 
 
-def _row_norms(blocks: np.ndarray) -> np.ndarray:
-    """Euclidean norm of every row, one dot product per row."""
-    blocks = np.ascontiguousarray(blocks)
-    return np.sqrt(np.matmul(blocks[:, None, :], blocks[:, :, None])[:, 0, 0])
+def _column_norms(blocks: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every column, one dot product per column."""
+    rows = np.ascontiguousarray(blocks.T)
+    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
 
 
 def _encode(blocks: np.ndarray, norms: np.ndarray, ledger: CostLedger | None) -> np.ndarray:
-    """Normalized rows; charges ``n_q**2 * 2**n_q`` state-prep units per row."""
+    """Normalized columns; charges ``n_q**2 * 2**n_q`` state-prep units per
+    column."""
     if np.any(norms == 0.0):
         raise ValueError("zero block cannot be amplitude-encoded")
-    N = blocks.shape[1]
+    N, L = blocks.shape
     n_q = N.bit_length() - 1
     if n_q < 1:
         raise ValueError("block must span at least one qubit")
     if ledger is not None:
-        ledger.state_prep_units += len(blocks) * n_q**2 * N
-    return blocks / norms[:, None]
+        ledger.state_prep_units += L * n_q**2 * N
+    return blocks / norms
 
 
-def _project(schedule: ReadoutSchedule, rows: np.ndarray) -> np.ndarray:
-    """Overlap of every row with every data projector, ``(..., N)`` in
-    projector order.  The weights multiply before the sum, as in
-    :func:`hqsim.core.project_data_register`."""
-    # take keeps the result C-contiguous; fancy indexing would put the
-    # projector axis outermost and slow every later step.
+def _project(schedule: ReadoutSchedule, columns: np.ndarray) -> np.ndarray:
+    """Overlap of every column with every data projector, ``(N, L)`` with
+    one row per projector in projector order.  The weights multiply before
+    the sum, as in :func:`hqsim.core.project_data_register`."""
     first, second = schedule.indices.T
     weight = schedule.scales * schedule.signs
-    return schedule.scales * rows.take(first, axis=-1) + weight * rows.take(second, axis=-1)
+    return (schedule.scales[:, None] * columns.take(first, axis=0)
+            + weight[:, None] * columns.take(second, axis=0))
 
 
 def _by_coefficient(schedule: ReadoutSchedule, values: np.ndarray) -> np.ndarray:
-    """``(L, N/2+1)`` complex rows over coefficients ``0 .. N/2`` from
-    ``(L, N)`` per-projector values: each projector's value goes to the real
+    """``(N/2+1, L)`` complex columns over coefficients ``0 .. N/2`` from
+    ``(N, L)`` per-projector values: each projector's value goes to the real
     or imaginary part of the coefficient it yields."""
-    out = np.zeros((len(values), 2 ** (schedule.n_q - 1) + 1), dtype=complex)
-    # Viewed as floats, coefficient k's real part is column 2k, its
-    # imaginary part column 2k + 1.
-    out.view(float)[:, 2 * schedule.coefficient + schedule.imaginary] = values
+    out = np.zeros((2 ** (schedule.n_q - 1) + 1, values.shape[1]), dtype=complex)
+    imaginary = schedule.imaginary
+    out.real[schedule.coefficient[~imaginary]] = values[~imaginary]
+    out.imag[schedule.coefficient[imaginary]] = values[imaginary]
     return out
 
 
 def _hermitian(half: np.ndarray) -> np.ndarray:
-    """Full rows from coefficients ``0 .. N/2`` of real signals: coefficient
-    ``N-k`` is the conjugate of ``k``."""
-    return np.concatenate([half, np.conj(half[:, -2:0:-1])], axis=1)
+    """Full columns from coefficients ``0 .. N/2`` of real signals:
+    coefficient ``N-k`` is the conjugate of ``k``."""
+    return np.concatenate([half, np.conj(half[-2:0:-1])], axis=0)
 
 
 # Chebyshev fit of erfc with fractional error below 1.2e-7 for every
@@ -261,55 +264,61 @@ def _erfc(x: np.ndarray) -> np.ndarray:
 def _measure(
     schedule: ReadoutSchedule, x: np.ndarray, shots: int, seeds, ledger: CostLedger | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Joint probabilities of every normalized row: the magnitude and the
-    reference entry of each projector, two ``(L, N)`` arrays in projector
-    order.
+    """Joint probabilities of every normalized column of the C-contiguous
+    ``(N, L)`` array ``x``: the magnitude and the reference entry of each
+    projector, two ``(N, L)`` arrays with one row per projector.
 
-    Every row gets the ancilla Hadamard and the controlled transform in one
-    batch.  ``shots = 0`` gives exact values.  Otherwise each entry is a
-    binomial estimate: row ``i`` makes one generator from ``seeds[i]`` and
-    draws one binomial per entry from it, over its 2N entries in schedule
-    order, so a row's estimates depend on its own seed only.
+    The ancilla Hadamard on |0> leaves ``x/sqrt(2)`` in both ancilla
+    branches.  The control-off branch stays there and is projected as a
+    real array; the controlled transform runs on the control-on branch of
+    every column in one batch.  ``shots = 0`` gives exact values.  Otherwise
+    each entry is a binomial estimate: column ``i`` makes one generator from
+    ``seeds[i]`` and draws one binomial per entry from it, over its 2N
+    entries in schedule order, so a column's estimates depend on its own
+    seed only.
     """
-    L, N = x.shape
+    N, L = x.shape
     n_q = schedule.n_q
-    # The ancilla is qubit 0, so its branches are the two halves of a row;
-    # its Hadamard on |0> leaves x/sqrt(2) in both.
-    rows = np.tile(x * _INV_SQRT2 + 0j, 2)
-    apply_circuit_batch(rows, [gate.shifted(1) for gate in build_qft_circuit(n_q)], control=0)
+    off = x * _INV_SQRT2
+    on = off + 0j
+    apply_circuit_batch(on, build_qft_circuit(n_q))
     if ledger is not None:
         ledger.quantum_gate_units += L * (n_q * (n_q + 1) // 2 + n_q // 2)
         ledger.measurement_units += L * 2 * N
 
     # Ancilla residual (r0, r1) of each data projector.
-    residual = _project(schedule, rows.reshape(L, 2, N))
-    r0, r1 = residual[:, 0], residual[:, 1]
+    r0 = _project(schedule, off)
+    r1 = _project(schedule, on)
     # <ref| r> = r0/sqrt(2) + w*r1, w the conjugate of e^{i*phi}/sqrt(2).
-    ref = _INV_SQRT2 * r0 + np.exp(-1j * schedule.ancilla_phase) * _INV_SQRT2 * r1
+    w = np.exp(-1j * schedule.ancilla_phase) * _INV_SQRT2
+    ref = _INV_SQRT2 * r0 + w[:, None] * r1
     magnitude = r1.real * r1.real + r1.imag * r1.imag
     reference = ref.real * ref.real + ref.imag * ref.imag
     if not shots:
         return magnitude, reference
 
     # Schedule order interleaves each projector's magnitude and reference.
-    probabilities = np.clip(np.stack([magnitude, reference], axis=-1).reshape(L, 2 * N), 0.0, 1.0)
+    probabilities = np.stack([magnitude.T, reference.T], axis=-1).reshape(L, 2 * N)
+    probabilities = np.clip(probabilities, 0.0, 1.0)
     counts = np.empty((L, 2 * N))
     for i, seed in enumerate(seeds):
         counts[i] = np.random.default_rng(seed).binomial(shots, probabilities[i])
     estimates = counts / shots
-    return estimates[:, 0::2], estimates[:, 1::2]
+    return estimates[:, 0::2].T, estimates[:, 1::2].T
 
 
-def _classical_coefficients(x: np.ndarray, rows: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Amplitude-level coefficient ``k[i]`` of row ``x[rows[i]]``, computed
-    classically with 2**n_q ops; at most 2**16 phases are held at once."""
-    N = x.shape[1]
+def _classical_coefficients(x: np.ndarray, columns: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Amplitude-level coefficient ``k[i]`` of column ``x[:, columns[i]]``,
+    computed classically with 2**n_q ops; at most 2**16 phases are held at
+    once."""
+    N = x.shape[0]
     out = np.empty(len(k), dtype=complex)
     step = max(1, 2**16 // N)
     for start in range(0, len(k), step):
         chunk = slice(start, start + step)
         phases = np.exp(2j * np.pi * k[chunk, None] * np.arange(N) / N)
-        out[chunk] = np.sum(x[rows[chunk]] * phases, axis=1) / math.sqrt(N)
+        leaves = np.ascontiguousarray(x[:, columns[chunk]].T)
+        out[chunk] = np.sum(leaves * phases, axis=1) / math.sqrt(N)
     return out
 
 
@@ -322,21 +331,22 @@ def _rebuild(
     eps_ref: float,
     ledger: CostLedger | None,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """Signed amplitude-level coefficients of every row.
+    """Signed amplitude-level coefficients of every column of ``x``.
 
-    Returns the ``(L, N)`` coefficients, their standard errors when
-    ``shots`` is nonzero (sampled mode) or None, and the ``(L, N)`` mask of
-    projectors resolved by the classical fallback.  ``|a| < eps_ref`` is a
-    fallback unless ``|b|`` is below ``eps_ref`` too.
+    Returns the ``(N, L)`` coefficients, their standard errors when
+    ``shots`` is nonzero (sampled mode) or None, and the ``(N, L)`` mask of
+    projectors resolved by the classical fallback, one row per projector.
+    ``|a| < eps_ref`` is a fallback unless ``|b|`` is below ``eps_ref`` too.
     """
-    N = x.shape[1]
+    N = x.shape[0]
     # The classical reference a = (x_i + sign * x_j) * scale: the sum comes
     # before the weight, as in the scalar rebuild this replaced.
     first, second = schedule.indices.T
-    a = (x.take(first, axis=1) + schedule.signs * x.take(second, axis=1)) * schedule.scales
+    signs, scales = schedule.signs[:, None], schedule.scales[:, None]
+    a = (x.take(first, axis=0) + signs * x.take(second, axis=0)) * scales
     mag = np.maximum(magnitude, 0.0)
     b_abs = np.sqrt(2.0 * mag)
-    pair = schedule.signs != 0
+    pair = signs != 0
     # Nearest hypothesis (a + s|b|)**2 / 4 to the reference picks the sign.
     plus = np.square(a + b_abs) / 4.0
     minus = np.square(a - b_abs) / 4.0
@@ -344,10 +354,10 @@ def _rebuild(
     values = sign * np.where(pair, b_abs * _INV_SQRT2, b_abs)
 
     fallback = (np.abs(a) < eps_ref) & (b_abs >= eps_ref)
-    rows, p = np.nonzero(fallback)
-    c = _classical_coefficients(x, rows, schedule.coefficient[p])
-    values[rows, p] = np.where(schedule.imaginary[p], c.imag, c.real)
-    fallbacks = len(rows)
+    p, columns = np.nonzero(fallback)
+    c = _classical_coefficients(x, columns, schedule.coefficient[p])
+    values[p, columns] = np.where(schedule.imaginary[p], c.imag, c.real)
+    fallbacks = len(p)
     if ledger is not None:
         ledger.fallback_ops += fallbacks * N
         ledger.classical_fallbacks += fallbacks
@@ -383,24 +393,27 @@ def evaluate_nodes(
     seeds=None,
     ledger: CostLedger | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """The node stage for every row of an ``(L, 2**n_q)`` real block array.
+    """The node stage for every column of a ``(2**n_q, L)`` real block
+    array.
 
-    Encodes the nonzero rows, runs the readout circuit and schedule on all
-    of them as one batch, rebuilds their signs and undoes both
-    normalizations.  Returns the ``(L, 2**n_q)`` unnormalized transforms and,
-    in sampled mode, their standard errors (None in exact mode).  All-zero
-    rows never touch the node: their transform is zero.  ``seeds`` holds one
-    seed per row; sampled mode raises ``ValueError`` without exactly that
-    many, and exact mode ignores it.  Charges every node counter as rows
-    times unit, plus each fallback.
+    Encodes the nonzero columns, runs the readout circuit and schedule on
+    all of them as one batch, rebuilds their signs and undoes both
+    normalizations.  Returns the ``(2**n_q, L)`` unnormalized transforms,
+    one per column, and, in sampled mode, their standard errors (None in
+    exact mode).  All-zero columns never touch the node: their transform is
+    zero.  ``seeds`` holds one seed per column; sampled mode raises
+    ``ValueError`` without exactly that many, and exact mode ignores it.
+    Charges every node counter as columns times unit, plus each fallback.
     """
     shots = _check_mode(mode, shots)
-    L, N = blocks.shape
+    N, L = blocks.shape
     if shots and (seeds is None or len(seeds) != L):
-        raise ValueError(f"sampled mode needs one seed per row, {L} rows")
-    norms = _row_norms(blocks)
+        raise ValueError(f"sampled mode needs one seed per column, {L} columns")
+    norms = _column_norms(blocks)
     live = norms != 0.0
-    x = _encode(blocks[live], norms[live], ledger)
+    # compress returns the live columns C-contiguous, as the in-place circuit
+    # needs them; boolean indexing would return them F-ordered.
+    x = _encode(blocks.compress(live, axis=1), norms[live], ledger)
     schedule = build_schedule(N.bit_length() - 1)
     live_seeds = [seed for seed, keep in zip(seeds, live) if keep] if shots else None
     magnitude, reference = _measure(schedule, x, shots, live_seeds, ledger)
@@ -408,14 +421,14 @@ def evaluate_nodes(
         schedule, x, magnitude, reference, shots, _default_eps(shots), ledger
     )
     if ledger is not None:
-        ledger.node_accesses += len(x)
-    scale = norms[live, None] * math.sqrt(N)
-    values = np.zeros((L, N), dtype=complex)
-    values[live] = coefficients * scale
+        ledger.node_accesses += x.shape[1]
+    scale = norms[live] * math.sqrt(N)
+    values = np.zeros((N, L), dtype=complex)
+    values[:, live] = coefficients * scale
     if stderr is None:
         return values, None
-    errors = np.zeros((L, N))
-    errors[live] = stderr * scale
+    errors = np.zeros((N, L))
+    errors[:, live] = stderr * scale
     return values, errors
 
 
@@ -441,10 +454,10 @@ def execute_schedule(
             f"schedule built for n_q={schedule.n_q}, block has n_q={block.n_q}"
         )
     shots = _check_mode(mode, shots)
-    x = _encode(block.values[None, :], np.array([block.norm]), ledger)
+    x = _encode(block.values[:, None], np.array([block.norm]), ledger)
     magnitude, reference = _measure(schedule, x, shots, [seed], ledger)
     measurements = {}
-    for pi, (m, r) in enumerate(zip(magnitude[0].tolist(), reference[0].tolist())):
+    for pi, (m, r) in enumerate(zip(magnitude[:, 0].tolist(), reference[:, 0].tolist())):
         measurements[(pi, ROLE_MAGNITUDE)] = m
         measurements[(pi, ROLE_REFERENCE)] = r
     return ReadoutRecord(schedule, measurements, mode, shots, seed)
@@ -475,20 +488,20 @@ def rebuild_phases(
 
     m = record.measurements
     try:
-        magnitude = np.array([[m[(pi, ROLE_MAGNITUDE)] for pi in range(N)]], dtype=float)
-        reference = np.array([[m[(pi, ROLE_REFERENCE)] for pi in range(N)]], dtype=float)
+        magnitude = np.array([[m[(pi, ROLE_MAGNITUDE)]] for pi in range(N)], dtype=float)
+        reference = np.array([[m[(pi, ROLE_REFERENCE)]] for pi in range(N)], dtype=float)
     except KeyError as exc:
         raise ValueError(f"record is missing entry {exc.args[0]}") from None
-    x = block.values[None, :] / block.norm
+    x = block.values[:, None] / block.norm
     coefficients, stderr, fallback = _rebuild(
         schedule, x, magnitude, reference, shots, eps_ref, ledger
     )
     return SpectrumEstimate(
-        coefficients=coefficients[0],
+        coefficients=coefficients[:, 0],
         scale=block.norm * math.sqrt(N),
-        ambiguous=frozenset(schedule.coefficient[fallback[0]].tolist()),
+        ambiguous=frozenset(schedule.coefficient[fallback[:, 0]].tolist()),
         classical_fallbacks=int(np.count_nonzero(fallback)),
-        stderr=None if stderr is None else stderr[0],
+        stderr=None if stderr is None else stderr[:, 0],
     )
 
 

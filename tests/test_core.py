@@ -246,9 +246,10 @@ def test_batched_rows_match_single_states(control):
     rows = rng.normal(size=(5, 16)) + 1j * rng.normal(size=(5, 16))
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
     circuit = [Hadamard(3), PhaseShift(2, 0.4), ControlledPhase(3, 2, 1.3), Swap(2, 3)]
-    batch = rows.copy()
+    # The batch holds each register as a column.
+    batch = rows.T.copy()
     apply_circuit_batch(batch, circuit, control)
-    for row, got in zip(rows, batch):
+    for row, got in zip(rows, batch.T):
         state = StateVector(4, row)
         if control is None:
             want = apply_circuit(state, circuit)
@@ -257,12 +258,62 @@ def test_batched_rows_match_single_states(control):
         assert np.array_equal(got, want.amplitudes)
 
 
+def embedded_matrix(gate, num_qubits):
+    """Dense unitary of one gate on the full register, from its own matrix:
+    the entry between two basis states whose other qubits agree."""
+    dim = 2**num_qubits
+    qs = gate.qubits
+    m = gate.matrix()
+
+    def local(index):
+        bits = [(index >> (num_qubits - 1 - q)) & 1 for q in qs]
+        return sum(bit << (len(qs) - 1 - i) for i, bit in enumerate(bits))
+
+    rest = ~sum(1 << (num_qubits - 1 - q) for q in qs)
+    out = np.zeros((dim, dim), dtype=complex)
+    for i in range(dim):
+        for j in range(dim):
+            if i & rest == j & rest:
+                out[i, j] = m[local(i), local(j)]
+    return out
+
+
+@pytest.mark.parametrize("control", [None, 0, 2])
+def test_gates_after_swaps_match_dense_matrices(control):
+    # Swaps relabel tensor axes, so every later gate must find its qubit on
+    # the exchanged axis; the reference multiplies dense gate matrices.
+    circuit = [Swap(1, 3), Hadamard(1), ControlledPhase(1, 3, 0.9), Swap(3, 4),
+               PhaseShift(4, 0.4), Hadamard(3), Swap(1, 4), ControlledPhase(4, 1, 1.7)]
+    if control is None:
+        circuit = [Hadamard(2), Swap(0, 2)] + circuit + [Swap(2, 1), Hadamard(0)]
+    rng = np.random.default_rng(19)
+    amplitudes = rng.normal(size=32) + 1j * rng.normal(size=32)
+    amplitudes /= np.linalg.norm(amplitudes)
+    want = amplitudes.copy()
+    for gate in circuit:
+        unitary = embedded_matrix(gate, 5)
+        if control is not None:
+            on = np.array([(i >> (4 - control)) & 1 for i in range(32)], dtype=bool)
+            unitary = np.where(np.outer(on, on), unitary, np.eye(32))
+        want = unitary @ want
+    state = StateVector(5, amplitudes)
+    if control is None:
+        got = apply_circuit(state, circuit)
+    else:
+        got = apply_controlled_circuit(state, control, circuit)
+    assert np.max(np.abs(got.amplitudes - want)) < 1e-14
+
+
 def test_batched_rows_must_be_contiguous():
-    rows = np.zeros((4, 8), dtype=complex)
+    columns = np.zeros((8, 4), dtype=complex)
     with pytest.raises(ValueError):
-        apply_circuit_batch(rows[::2], [Hadamard(0)])
+        apply_circuit_batch(columns[:, ::2], [Hadamard(0)])
     with pytest.raises(ValueError):
-        apply_circuit_batch(rows[:, :6], [Hadamard(0)])
+        apply_circuit_batch(columns[:6], [Hadamard(0)])
+    # An F-ordered batch would be copied by the reshape into the gate
+    # tensor, and the in-place gates would change only the copy.
+    with pytest.raises(ValueError):
+        apply_circuit_batch(np.asfortranarray(columns), [Hadamard(0)])
 
 
 # --- projections and effects ------------------------------------------------

@@ -52,6 +52,18 @@ def test_direct_dft_sign_convention_against_stdlib():
         assert np.max(np.abs(got - want)) < 1e-9
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 10])
+def test_direct_dft_is_exactly_conjugate_symmetric(n):
+    # A real signal's coefficient N-k is the conjugate of coefficient k, bit
+    # for bit, for every k other than 0 and N/2.
+    N = 2**n
+    values = np.random.default_rng(n).normal(size=N)
+    got = direct_dft(RealSignal.from_values(values)).values
+    k = np.arange(1, (N + 1) // 2)
+    assert np.array_equal(got[N - k], np.conj(got[k]))
+    assert np.max(np.abs(got - np.fft.ifft(values) * N)) < 1e-12
+
+
 @pytest.mark.parametrize("n", [12, 13])
 def test_direct_dft_is_more_accurate_than_the_checked_transform(n):
     # The reference must beat the 1e-9 bound it checks by a wide margin; a
@@ -189,18 +201,29 @@ def two_product_level(spec, stderr, roots):
     return spec, stderr
 
 
+def bit_reversal(count):
+    """Bit-reversed order of ``range(count)``, a power of two."""
+    bits = count.bit_length() - 1
+    return np.array([int(format(i, f"0{bits}b")[::-1], 2) if bits else 0 for i in range(count)])
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 7), st.integers(0, 5), st.booleans(), st.integers(0, 2**31 - 1))
 def test_one_product_levels_equal_two_product_reference(levels, log_width, with_stderr, seed):
     # roots[k + h] = -roots[k] only up to rounding, so the spectra agree
     # within a bound relative to the row norm; stderr and the charge match
-    # exactly.
+    # exactly.  The reference pairs adjacent rows of leaves in bit-reversed
+    # order; the levels under test take the same leaves as columns in
+    # natural order, column c holding leaf bitrev(c).
     rows, width = 2**levels, 2**log_width
     rng = np.random.default_rng(seed)
     spec = rng.normal(size=(rows, width)) + 1j * rng.normal(size=(rows, width))
     stderr = rng.uniform(0.0, 1.0, (rows, width)) if with_stderr else None
     ledger = CostLedger()
-    got = _combine_levels(spec, stderr, ledger)
+    natural = bit_reversal(rows)
+    got = _combine_levels(
+        spec[natural].T.copy(), None if stderr is None else stderr[natural].T.copy(), ledger
+    )
     want, want_stderr = spec, stderr
     roots = TwiddleTable.for_size(rows * width).roots
     while want.shape[0] > 1:

@@ -207,15 +207,16 @@ def test_sampled_mode_requires_shots():
 
 
 def test_sampled_nodes_need_one_seed_per_row():
-    blocks = np.random.default_rng(61).normal(size=(3, 4))
-    blocks[1] = 0.0
-    # Seeds only for the live rows are refused too: a row's seed never
-    # depends on which other rows are zero.
+    # Each block is a column of the node stage's input.
+    blocks = np.random.default_rng(61).normal(size=(3, 4)).T.copy()
+    blocks[:, 1] = 0.0
+    # Seeds only for the live columns are refused too: a column's seed never
+    # depends on which other columns are zero.
     for seeds in (None, [1], [1, 3], [1, 2, 3, 4]):
-        with pytest.raises(ValueError, match="one seed per row"):
+        with pytest.raises(ValueError, match="one seed per column"):
             evaluate_nodes(blocks, "sampled", 100, seeds)
     values, stderr = evaluate_nodes(blocks, "sampled", 100, [1, 2, 3])
-    assert values.shape == stderr.shape == (3, 4)
+    assert values.shape == stderr.shape == (4, 3)
 
 
 def test_sampled_entries_are_one_binomial_draw_each_from_the_row_seed():
@@ -230,17 +231,43 @@ def test_sampled_entries_are_one_binomial_draw_each_from_the_row_seed():
 
 
 def test_sampled_nodes_depend_only_on_their_own_seed():
-    blocks = np.random.default_rng(62).normal(size=(5, 8))
-    blocks[2] = 0.0
+    blocks = np.random.default_rng(62).normal(size=(5, 8)).T.copy()
+    blocks[:, 2] = 0.0
     seeds = [11, 12, 13, 14, 15]
     values, stderr = evaluate_nodes(blocks, "sampled", 500, seeds)
     for i, seed in enumerate(seeds):
-        alone, alone_stderr = evaluate_nodes(blocks[i : i + 1], "sampled", 500, [seed])
-        assert np.array_equal(alone[0], values[i])
-        assert np.array_equal(alone_stderr[0], stderr[i])
-    reversed_values, reversed_stderr = evaluate_nodes(blocks[::-1], "sampled", 500, seeds[::-1])
-    assert np.array_equal(reversed_values[::-1], values)
-    assert np.array_equal(reversed_stderr[::-1], stderr)
+        alone, alone_stderr = evaluate_nodes(blocks[:, i : i + 1], "sampled", 500, [seed])
+        assert np.array_equal(alone[:, 0], values[:, i])
+        assert np.array_equal(alone_stderr[:, 0], stderr[:, i])
+    reversed_values, reversed_stderr = evaluate_nodes(blocks[:, ::-1], "sampled", 500, seeds[::-1])
+    assert np.array_equal(reversed_values[:, ::-1], values)
+    assert np.array_equal(reversed_stderr[:, ::-1], stderr)
+
+
+@pytest.mark.parametrize("n_q", [1, 2, 5])
+def test_zero_columns_leave_the_live_columns_unchanged(n_q):
+    # Zero columns at random positions are skipped; the live columns come out
+    # bit for bit as the batch of the live columns alone, passed here as the
+    # F-ordered array that boolean column indexing returns.
+    rng = np.random.default_rng(80 + n_q)
+    L = 37
+    blocks = rng.normal(size=(2**n_q, L))
+    zero = rng.random(L) < 0.4
+    blocks[:, zero] = 0.0
+    live = ~zero
+    assert blocks[:, live].flags.f_contiguous and not blocks[:, live].flags.c_contiguous
+    for mode, shots, seeds in (("exact", 0, None), ("sampled", 300, list(range(L)))):
+        ledger, alone_ledger = CostLedger(), CostLedger()
+        values, stderr = evaluate_nodes(blocks, mode, shots, seeds, ledger)
+        live_seeds = None if seeds is None else [s for s, keep in zip(seeds, live) if keep]
+        alone, alone_stderr = evaluate_nodes(blocks[:, live], mode, shots, live_seeds, alone_ledger)
+        assert np.array_equal(values[:, live], alone)
+        assert not np.any(values[:, zero])
+        if seeds is not None:
+            assert np.array_equal(stderr[:, live], alone_stderr)
+            assert not np.any(stderr[:, zero])
+        assert ledger == alone_ledger
+        assert ledger.node_accesses == np.count_nonzero(live)
 
 
 def test_sampled_nodes_make_one_generator_per_live_row(monkeypatch):
@@ -251,8 +278,8 @@ def test_sampled_nodes_make_one_generator_per_live_row(monkeypatch):
         made.append(seed)
         return real_rng(seed)
 
-    blocks = real_rng(63).normal(size=(4, 16))
-    blocks[1] = 0.0
+    blocks = real_rng(63).normal(size=(4, 16)).T.copy()
+    blocks[:, 1] = 0.0
     monkeypatch.setattr(np.random, "default_rng", counting_rng)
     evaluate_nodes(blocks, "sampled", 200, [5, 6, 7, 8])
     assert made == [5, 7, 8]
@@ -267,7 +294,7 @@ def test_batched_probabilities_match_per_entry_effects(n_q):
     rows = [rng.normal(size=N), rng.integers(-2, 3, size=N).astype(float),
             np.tile([1.0, 1.0, 2.0, 1.0, 1.0, -1.0, 1.0, 1.0], N)[:N], np.eye(N)[N - 1]]
     blocks = [BlockVector.from_values(v) for v in rows if np.any(v)]
-    normalized = np.array([block.values / block.norm for block in blocks])
+    normalized = np.array([block.values / block.norm for block in blocks]).T.copy()
     schedule = build_schedule(n_q)
     magnitude, reference = _measure(schedule, normalized, 0, None, None)
     circuit = [gate.shifted(1) for gate in build_qft_circuit(n_q)]
@@ -277,12 +304,12 @@ def test_batched_probabilities_match_per_entry_effects(n_q):
         state = apply_controlled_circuit(state, 0, circuit)
         for p, projector in enumerate(projector_effects(schedule)):
             want = effect_probability(state, projector, MeasurementEffect.basis(1, 1))
-            assert abs(magnitude[row, p] - want) <= 1e-15
+            assert abs(magnitude[p, row] - want) <= 1e-15
             phi = schedule.ancilla_phase[p]
             phase = complex(math.cos(phi), math.sin(phi))
             ancilla = MeasurementEffect.superposition(1, [(0, INV_SQRT2), (1, phase * INV_SQRT2)])
             want = effect_probability(state, projector, ancilla)
-            assert abs(reference[row, p] - want) <= 1e-15
+            assert abs(reference[p, row] - want) <= 1e-15
 
 
 # --- phase rebuilding -------------------------------------------------------
@@ -359,7 +386,7 @@ def test_batched_fallbacks_match_per_fallback_reference(n_q, count):
     rows = rng.integers(0, 3, size=count)
     k = rng.integers(0, N // 2 + 1, size=count)
     want = [classical_coefficient(x[row], kk) for row, kk in zip(rows.tolist(), k.tolist())]
-    assert np.array_equal(_classical_coefficients(x, rows, k), want)
+    assert np.array_equal(_classical_coefficients(x.T.copy(), rows, k), want)
 
 
 def test_rebuild_fallbacks_match_per_fallback_reference():
@@ -370,19 +397,20 @@ def test_rebuild_fallbacks_match_per_fallback_reference():
     blocks = rng.normal(size=(L, 2**n_q))
     x = blocks / np.linalg.norm(blocks, axis=1)[:, None]
     schedule = build_schedule(n_q)
-    magnitude, reference = _measure(schedule, x, shots, list(range(L)), None)
+    columns = x.T.copy()
+    magnitude, reference = _measure(schedule, columns, shots, list(range(L)), None)
     ledger = CostLedger()
     coefficients, _, fallback = _rebuild(
-        schedule, x, magnitude, reference, shots, _default_eps(shots), ledger
+        schedule, columns, magnitude, reference, shots, _default_eps(shots), ledger
     )
-    rows, p = np.nonzero(fallback)
+    p, rows = np.nonzero(fallback)
     assert len(rows) > 500
     assert ledger.classical_fallbacks == len(rows)
     assert ledger.fallback_ops == len(rows) * 2**n_q
     k = schedule.coefficient[p]
     want = np.array([classical_coefficient(x[row], kk) for row, kk in zip(rows.tolist(), k.tolist())])
     imaginary = schedule.imaginary[p]
-    got = coefficients[rows, k]
+    got = coefficients[k, rows]
     assert np.array_equal(np.where(imaginary, got.imag, got.real),
                           np.where(imaginary, want.imag, want.real))
 
