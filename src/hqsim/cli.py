@@ -6,7 +6,8 @@ master seed covers signal generation, oracle generation and every sampled
 draw), and identical configurations produce byte-identical CSV/JSON files.
 
 Exit codes: 0 success, 2 usage error (including ``--n`` above
-``core.MAX_QUBITS``), 3 verification failure, 4 I/O error.
+``core.MAX_QUBITS``, a negative ``--seed``, and ``--shots`` or
+``--n-precision`` above ``MAX_COUNT``), 3 verification failure, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -43,6 +44,10 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VERIFY = 3
 EXIT_IO = 4
+
+# Largest --shots and --n-precision: a shot count must fit the int64 draws,
+# and the bits per qubit must stay a finite float.
+MAX_COUNT = 2**63 - 1
 
 # Beyond this the O(N**2) reference is skipped and deviation is measured
 # against the fast classical transform instead.
@@ -109,10 +114,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--nq", type=str, required=True,
                        help="node register size" + (" or range a..b" if sweep else ""))
         p.add_argument("--mode", choices=("exact", "sampled"), default="exact")
-        p.add_argument("--shots", type=int, default=0)
-        p.add_argument("--seed", type=int, default=0, help="master seed")
+        p.add_argument("--shots", type=int, default=0,
+                       help="shots per entry in sampled mode, at most 2**63-1")
+        p.add_argument("--seed", type=int, default=0, help="master seed, at least 0")
         p.add_argument("--n-precision", type=int, default=64,
-                       help="bits per classical real")
+                       help="bits per classical real, at most 2**63-1")
         p.add_argument("--out-csv", type=str, default=None)
         p.add_argument("--out-json", type=str, default=None)
         if sweep:
@@ -154,10 +160,14 @@ def parse_args(argv) -> RunConfig:
         if not 0 <= nq <= ns.n:
             raise UsageError(f"--nq: n_q={nq} exceeds n={ns.n}" if nq > ns.n
                              else f"--nq: n_q={nq} is negative")
+    if ns.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {ns.seed}")
     if ns.mode == "sampled" and ns.shots < 1:
         raise UsageError("--shots must be >= 1 in sampled mode")
-    if ns.n_precision < 1:
-        raise UsageError(f"--n-precision must be >= 1, got {ns.n_precision}")
+    if ns.shots > MAX_COUNT:
+        raise UsageError(f"--shots {ns.shots} exceeds the limit of 2**63-1")
+    if not 1 <= ns.n_precision <= MAX_COUNT:
+        raise UsageError(f"--n-precision must be 1 .. 2**63-1, got {ns.n_precision}")
 
     cfg = RunConfig(
         command=ns.command,

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -155,13 +156,27 @@ def prepare_block_state(block: BlockVector, ledger: CostLedger | None = None) ->
     return StateVector(block.n_q, normalized[:, 0])
 
 
+# Schedules up to this n_q are built once and kept for the process, under
+# 350 KB in all.  A larger one costs little next to its own circuit, O(N)
+# against O(N * n_q**2), and keeping every size of a sweep would hold up to
+# twice the largest schedule for the rest of the run.
+_SHARED_SCHEDULE_MAX_NQ = 12
+
+
 def build_schedule(n_q: int) -> ReadoutSchedule:
     """Projection/measurement schedule for a ``2**n_q``-point readout.
 
     Exactly ``N`` pairwise orthogonal data projectors with two entries each:
     the self-conjugate indices 0 and N/2 plus a conjugate pair (+, -) per
-    index below N/2.
+    index below N/2.  Its arrays are read-only: a schedule of up to
+    ``_SHARED_SCHEDULE_MAX_NQ`` qubits is shared by every caller.
     """
+    if n_q <= _SHARED_SCHEDULE_MAX_NQ:
+        return _shared_schedule(n_q)
+    return _new_schedule(n_q)
+
+
+def _new_schedule(n_q: int) -> ReadoutSchedule:
     if n_q < 1:
         raise ValueError(f"n_q must be >= 1, got {n_q}")
     N = 2**n_q
@@ -173,8 +188,7 @@ def build_schedule(n_q: int) -> ReadoutSchedule:
     first = np.where(self_conjugate, p * (N // 2), p // 2)
     signs = np.where(self_conjugate, 0.0, 1.0 - 2.0 * (p % 2))
     imaginary = signs < 0
-    return ReadoutSchedule(
-        n_q=n_q,
+    arrays = dict(
         indices=np.stack([first, np.where(self_conjugate, first, N - first)], axis=1),
         signs=signs,
         scales=np.where(self_conjugate, 1.0, _INV_SQRT2),
@@ -183,6 +197,12 @@ def build_schedule(n_q: int) -> ReadoutSchedule:
         # imaginary part, so their reference ancilla is rotated by pi/2.
         ancilla_phase=np.where(imaginary, math.pi / 2, 0.0),
     )
+    for array in arrays.values():
+        array.flags.writeable = False
+    return ReadoutSchedule(n_q=n_q, **arrays)
+
+
+_shared_schedule = lru_cache(maxsize=None)(_new_schedule)
 
 
 def _check_mode(mode: str, shots: int) -> int:

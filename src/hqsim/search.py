@@ -31,9 +31,12 @@ sublist has settled are always its first ``i`` solutions and its first
 ``j`` non-solutions, and its whole run of node calls is a walk over those
 two counts.  Positions enter only at an exact tie with both classes free,
 where the walk compares the ``i``-th solution with the ``j``-th
-non-solution.  A run therefore walks each solution count once, memoised in
-its plan, and charges that walk to every sublist holding as many solutions;
-a sublist whose walk meets such a tie is walked on its own positions.
+non-solution.  So a node size's round iterations and the walk of each
+solution count are pure: one process-wide memo keyed by node size keeps
+them (see :class:`_NodePlan`), every run charges a count's memoised walk to
+each sublist holding that many solutions, and a sublist whose walk meets
+such a tie is walked on its own positions.  The memo holds at most one
+5-tuple per (node size, count) seen, at most ``size + 1`` per size.
 Sampled mode runs the sublists of a block in lockstep, one call wave at a
 time, since a round's iteration count depends only on its number.
 """
@@ -227,10 +230,13 @@ def _class_order_table(n_total: int, counts: np.ndarray, steps) -> np.ndarray:
 
 
 class _NodePlan:
-    """One run's plan for a node of ``size`` entries: the iteration counts of
+    """The pure plan of a node of ``size`` entries: the iteration counts of
     its ``n_q + 1`` rounds (round k plans for an assumed solution count of
-    ``2**(k-1)``), the exact class order of every round per unfound-solution
-    count, and the memoised walk of every solution count that occurs."""
+    ``2**(k-1)``) and the memoised walk of every solution count seen so far.
+    :func:`_node_plan` keeps one per size for the whole process, so a second
+    search at a size re-plans nothing and re-walks no count; the walks it
+    keeps are at most ``size + 1`` small tuples.  The class-order table a
+    walk reads is per call (:class:`_ClassOrders`) and is never kept here."""
 
     def __init__(self, size: int) -> None:
         self.size = size
@@ -238,24 +244,43 @@ class _NodePlan:
             plan_iterations(size, min(2**k, size)) for k in range(size.bit_length())
         )
         self.spent_after = tuple(accumulate(self.iterations, initial=0))  # first r rounds
-        self._orders = np.zeros((0, len(self.iterations)), dtype=np.int8)
         self._walks: dict[int, tuple[int, ...] | None] = {}
 
-    def orders(self, m: int) -> list[int]:
-        """Class order of every round at ``m`` unfound solutions; the table
-        grows to ``m`` in one array expression on first need."""
-        if m >= len(self._orders):
-            counts = np.arange(len(self._orders), m + 1)
-            rows = _class_order_table(self.size, counts, self.iterations)
-            self._orders = np.concatenate((self._orders, rows))
-        return self._orders[m].tolist()
-
-    def walk(self, m: int) -> tuple[int, ...] | None:
+    def walk(self, m: int, orders: _ClassOrders) -> tuple[int, ...] | None:
         """:func:`_walk` of a sublist with ``m`` solutions, memoised; None
-        where it meets a tie, so the sublist's positions decide."""
+        where it meets a tie, so the sublist's positions decide.  ``orders``
+        is read only where ``m`` has not been walked yet."""
         if m not in self._walks:
-            self._walks[m] = _walk(self, m, self.size - m)
+            self._walks[m] = _walk(self, orders, m, self.size - m)
         return self._walks[m]
+
+
+# Node size -> its plan, for the whole process; see _NodePlan.
+_PLANS: dict[int, _NodePlan] = {}
+
+
+def _node_plan(size: int) -> _NodePlan:
+    plan = _PLANS.get(size)
+    if plan is None:
+        plan = _PLANS[size] = _NodePlan(size)
+    return plan
+
+
+class _ClassOrders:
+    """One call's exact class order of every round of ``plan`` per
+    unfound-solution count.  The table grows to ``m`` in one array
+    expression on first need and goes with the call."""
+
+    def __init__(self, plan: _NodePlan) -> None:
+        self.plan = plan
+        self._table = np.zeros((0, len(plan.iterations)), dtype=np.int8)
+
+    def __call__(self, m: int) -> list[int]:
+        if m >= len(self._table):
+            counts = np.arange(len(self._table), m + 1)
+            rows = _class_order_table(self.plan.size, counts, self.plan.iterations)
+            self._table = np.concatenate((self._table, rows))
+        return self._table[m].tolist()
 
 
 def _exact_call(orders, i, j, sols, nons, first_solution):
@@ -288,9 +313,10 @@ def _exact_call(orders, i, j, sols, nons, first_solution):
     return False, len(orders), j
 
 
-def _walk(plan, sols, nons, first_solution=None):
+def _walk(plan, orders, sols, nons, first_solution=None):
     """Exact-mode node calls on one sublist until a call fails or nothing is
     left unsettled; each call's verified solution leaves the node's oracle.
+    ``orders`` gives each call's class orders, by unfound-solution count.
 
     Returns the sublist's charges ``(quantum queries, rounds, repeat node
     accesses, retry queries, sweep queries)``; every round is one
@@ -300,7 +326,7 @@ def _walk(plan, sols, nons, first_solution=None):
     """
     i = j = quantum = rounds = calls = headline = 0
     while True:
-        call = _exact_call(plan.orders(sols - i), i, j, sols, nons, first_solution)
+        call = _exact_call(orders(sols - i), i, j, sols, nons, first_solution)
         if call is None:
             return None
         verified, used, j = call
@@ -394,7 +420,7 @@ def search_node(
     settled = np.zeros(size, dtype=bool)
     settled[list(skip_candidates)] = True
     ledger = ledger if ledger is not None else CostLedger()
-    plan = _NodePlan(size)
+    plan = _node_plan(size)
     if size == 1:
         # Degenerate one-element node: a single classical test.
         ledger.classical_oracle_queries += 1
@@ -403,7 +429,7 @@ def search_node(
         sol = np.flatnonzero(mask & ~settled).tolist()
         non = np.flatnonzero(~mask & ~settled).tolist()
         ok, used, j = _exact_call(
-            plan.orders(int(np.count_nonzero(mask))), 0, 0, len(sol), len(non),
+            _ClassOrders(plan)(int(np.count_nonzero(mask))), 0, 0, len(sol), len(non),
             lambda i, j: sol[i] < non[j],
         )
         ledger.quantum_oracle_queries += plan.spent_after[used]
@@ -459,15 +485,16 @@ def partition_search(
     retry/repeat/sweep counters.
 
     The oracle is read once per index, as a mask, one block of sublists at
-    a time.  Exact mode charges each sublist its solution count's memoised
-    walk, or walks it on its own positions where that walk meets a tie;
-    sampled mode runs call waves over the block.
+    a time.  Exact mode charges each sublist its solution count's walk,
+    memoised for the process, or walks it on its own positions where that
+    walk meets a tie; sampled mode runs call waves over the block.
     """
     _check_mode(mode)
     partition = SublistPartition(oracle.n, n_q)
     size = partition.sublist_size
     per_block = max(BLOCK_INDICES // size, 1)
-    plan = _NodePlan(size)
+    plan = _node_plan(size)
+    orders = _ClassOrders(plan)
     ledger = CostLedger()
     charges = [0] * 5  # exact mode: the sums of _walk's charges
     found: set[int] = set()
@@ -484,9 +511,10 @@ def partition_search(
         elif mode == "exact":
             counts = np.bincount(positions >> n_q, minlength=rows)
             hist = np.bincount(counts)
-            # Largest count first: its walk fills the plan's order table at once.
+            # Largest count first: where its walk is not memoised yet, it
+            # fills the call's order table at once.
             for m in np.flatnonzero(hist)[::-1].tolist():
-                walk = plan.walk(m)
+                walk = plan.walk(m, orders)
                 if walk is not None:
                     charges = [c + int(hist[m]) * w for c, w in zip(charges, walk)]
                     continue
@@ -495,7 +523,9 @@ def partition_search(
                 sols = np.nonzero(tied)[1].reshape(len(tied), m).tolist()
                 nons = np.nonzero(~tied)[1].reshape(len(tied), size - m).tolist()
                 for sol, non in zip(sols, nons):
-                    walk = _walk(plan, m, size - m, lambda i, j, s=sol, u=non: s[i] < u[j])
+                    walk = _walk(
+                        plan, orders, m, size - m, lambda i, j, s=sol, u=non: s[i] < u[j]
+                    )
                     charges = [c + w for c, w in zip(charges, walk)]
         else:
             _sampled_block(solution, first, master_seed, plan, ledger)

@@ -230,6 +230,16 @@ def test_main_write_failure_code(tmp_path):
     assert code == EXIT_IO
 
 
+def refused_before_running(argv, monkeypatch, capsys):
+    """Exit code and stderr of ``main(argv)``, failing if the run starts."""
+    def run_experiment(config):
+        raise AssertionError("a refused run must not start")
+
+    monkeypatch.setattr(hqsim.cli, "run_experiment", run_experiment)
+    code = main(argv)
+    return code, capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["dft-run", "--n", "40", "--nq", "4"],
     ["dft-sweep", "--n", str(MAX_QUBITS + 1), "--nq", "0..2"],
@@ -237,13 +247,48 @@ def test_main_write_failure_code(tmp_path):
     ["search-sweep", "--n", str(MAX_QUBITS + 1), "--nq", "0..2", "--solutions", "1"],
 ], ids=lambda argv: argv[0])
 def test_main_refuses_sizes_above_the_qubit_limit(argv, monkeypatch, capsys):
-    def run_experiment(config):
-        raise AssertionError("an oversized run must be refused before it starts")
-
-    monkeypatch.setattr(hqsim.cli, "run_experiment", run_experiment)
-    assert main(argv) == EXIT_USAGE
-    err = capsys.readouterr().err
+    code, err = refused_before_running(argv, monkeypatch, capsys)
+    assert code == EXIT_USAGE
     assert f"--n {argv[2]} exceeds the simulator's limit of {MAX_QUBITS}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["dft-run", "--n", "4", "--nq", "2", "--seed", "-1"],
+    ["search-run", "--n", "4", "--nq", "2", "--random-solutions", "3", "--mode", "sampled",
+     "--shots", "1", "--seed", "-2"],
+], ids=lambda argv: argv[0])
+def test_main_refuses_a_negative_seed(argv, monkeypatch, capsys):
+    code, err = refused_before_running(argv, monkeypatch, capsys)
+    assert code == EXIT_USAGE
+    assert f"--seed must be >= 0, got {argv[-1]}" in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["dft-run", "--n", "3", "--nq", "1", "--mode", "sampled", "--shots", str(2**63)], "--shots"),
+    (["search-sweep", "--n", "3", "--nq", "0..1", "--solutions", "1", "--mode", "sampled",
+      "--shots", "10000000000000000000000"], "--shots"),
+    (["dft-sweep", "--n", "3", "--nq", "0..1", "--n-precision", str(2**63)], "--n-precision"),
+    (["search-run", "--n", "3", "--nq", "1", "--solutions", "1", "--n-precision",
+      str(10**400)], "--n-precision"),
+], ids=lambda value: value if isinstance(value, str) else value[0])
+def test_main_refuses_counts_above_the_int64_limit(argv, flag, monkeypatch, capsys):
+    code, err = refused_before_running(argv, monkeypatch, capsys)
+    assert code == EXIT_USAGE
+    assert flag in err and "2**63-1" in err
+
+
+@pytest.mark.parametrize("command", ["dft-run", "search-run"])
+def test_main_runs_at_the_int64_limit(command, tmp_path):
+    out = tmp_path / "out.json"
+    argv = [command, "--n", "3", "--nq", "1", "--mode", "sampled", "--shots", str(2**63 - 1),
+            "--n-precision", str(2**63 - 1), "--seed", "1", "--out-json", str(out)]
+    if command == "search-run":
+        argv += ["--solutions", "1,6"]
+    assert main(argv) == EXIT_OK
+    point = json.loads(out.read_text())["points"][0]
+    assert point["shots"] == 2**63 - 1
+    assert point["classical_bits"] == 8 * (2**63 - 1)
+    assert point["bits_per_qubit"] == 8 * (2**63 - 1) / 2
 
 
 def test_parse_accepts_the_qubit_limit():

@@ -17,6 +17,7 @@ from hqsim.costs import CostLedger
 from hqsim.readout import (
     ROLE_MAGNITUDE,
     ROLE_REFERENCE,
+    _SHARED_SCHEDULE_MAX_NQ,
     BlockVector,
     _classical_coefficients,
     _default_eps,
@@ -136,6 +137,17 @@ def test_schedule_projectors_orthonormal(n_q):
 def test_schedule_rejects_bad_size():
     with pytest.raises(ValueError):
         build_schedule(0)
+
+
+def test_schedules_are_read_only_and_shared_up_to_the_limit():
+    small, large = build_schedule(3), build_schedule(_SHARED_SCHEDULE_MAX_NQ + 1)
+    assert build_schedule(3) is small
+    assert build_schedule(_SHARED_SCHEDULE_MAX_NQ + 1) is not large
+    for schedule in (small, large):
+        for array in (schedule.indices, schedule.signs, schedule.scales,
+                      schedule.imaginary, schedule.ancilla_phase):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[1]
 
 
 # --- schedule execution -----------------------------------------------------

@@ -12,12 +12,14 @@ from hqsim.checks import (
     class_order_mismatches,
     search_misses,
 )
+from hqsim import search
 from hqsim.costs import CostLedger
 from hqsim.search import (
     GroverOutcome,
     SearchOracle,
     SublistPartition,
     _class_order_table,
+    _ClassOrders,
     _exact_call,
     _NodePlan,
     _node_seed,
@@ -203,7 +205,8 @@ def test_class_order_table_equals_the_integer_orders(size):
         class_orders(size, m, steps) for m in range(size + 1)
     ]
     plan = _NodePlan(size)
-    assert [plan.orders(m) for m in range(size, -1, -1)] == [
+    orders = _ClassOrders(plan)
+    assert [orders(m) for m in range(size, -1, -1)] == [
         list(class_orders(size, m, plan.iterations)) for m in range(size, -1, -1)
     ]
 
@@ -592,7 +595,7 @@ def test_tie_free_counts_give_placement_independent_ledgers(n):
     # all of them at n <= 3, twelve random ones per count at n = 4.
     size = 2**n
     plan = _NodePlan(size)
-    tie_free = [m for m in range(size + 1) if plan.walk(m) is not None]
+    tie_free = [m for m in range(size + 1) if plan.walk(m, _ClassOrders(plan)) is not None]
     assert 0 in tie_free and 1 in tie_free and size // 2 not in tie_free
     rng = np.random.default_rng(n)
     layouts = {m: [] for m in tie_free}
@@ -641,6 +644,85 @@ def test_partition_search_pinned_ledgers(oracle, n_q, mode, seed, counters):
     found, ledger = partition_search(oracle, n_q, mode=mode, master_seed=seed)
     assert found == {i for i in range(2**oracle.n) if oracle.membership(i)}
     assert ledger.as_dict() == CostLedger(**counters).as_dict()
+
+
+# --- the process-wide plan memo ----------------------------------------------
+
+@pytest.fixture
+def fresh_plans(monkeypatch):
+    """An empty plan memo for one test, so that a warm memo cannot hide a
+    patch of the plan internals, and a patched plan cannot outlive the
+    test."""
+    monkeypatch.setattr(search, "_PLANS", {})
+    return search._PLANS
+
+
+def counting_calls(monkeypatch, name):
+    calls = []
+    original = getattr(search, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(search, name, counted)
+    return calls
+
+
+def test_a_second_search_replans_and_rewalks_nothing(fresh_plans, monkeypatch):
+    planned = counting_calls(monkeypatch, "plan_iterations")
+    walked = counting_calls(monkeypatch, "_walk")
+    # Counts 0, 1 and 2 of the 8-entry node, one walk each; 2 meets a tie,
+    # so its one sublist is walked once more on its positions.
+    partition_search(SearchOracle.from_solutions(8, [3, 77, 200, 201]), 3)
+    assert (len(planned), len(walked)) == (4, 4)
+    second = SearchOracle.from_solutions(8, [5, 9, 140, 250])
+    partition_search(second, 3)
+    partition_search(second, 3, mode="sampled", master_seed=2)
+    search_node(SublistPartition(8, 3), 0, second)
+    assert (len(planned), len(walked)) == (4, 4)
+    assert list(fresh_plans) == [8]
+
+
+def test_tie_walks_are_not_memoised_by_position(fresh_plans, monkeypatch):
+    # M = N/2 meets a tie: its memo entry is None, and each run walks its
+    # sublists on their own positions again.
+    walked = counting_calls(monkeypatch, "_walk")
+    for _ in range(2):
+        partition_search(SearchOracle.from_solutions(3, [0, 1, 6, 7]), 2)
+    assert fresh_plans[4]._walks == {2: None}
+    assert len(walked) == 1 + 2 * 2
+
+
+def test_the_memo_keeps_no_class_order_table(fresh_plans):
+    oracle = SearchOracle.random(10, 300, seed=4)
+    partition_search(oracle, 5)
+    search_node(SublistPartition(10, 5), 3, oracle)
+    plan = fresh_plans[32]
+    assert set(vars(plan)) == {"size", "iterations", "spent_after", "_walks"}
+    assert all(isinstance(v, int) for v in plan.iterations + plan.spent_after)
+    assert all(
+        walk is None or all(isinstance(v, int) for v in walk) for walk in plan._walks.values()
+    )
+    assert 0 < len(plan._walks) <= plan.size + 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(
+    st.tuples(sublist_oracles(), st.sampled_from(["exact", "sampled"]), st.integers(0, 2**32 - 1)),
+    min_size=2, max_size=5,
+))
+def test_searches_on_a_warm_memo_equal_searches_on_a_cold_one(runs):
+    search._PLANS.clear()
+    warm = [
+        partition_search(oracle, n_q, mode=mode, master_seed=seed)
+        for (oracle, n_q), mode, seed in runs
+    ]
+    for ((oracle, n_q), mode, seed), (found, ledger) in zip(runs, warm):
+        search._PLANS.clear()
+        cold_found, cold_ledger = partition_search(oracle, n_q, mode=mode, master_seed=seed)
+        assert found == cold_found
+        assert ledger.as_dict() == cold_ledger.as_dict()
 
 
 def counting(oracle):
