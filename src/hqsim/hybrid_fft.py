@@ -27,6 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .core import check_mode, derive_seed
 from .costs import CostLedger
 from .readout import BlockVector, evaluate_nodes
 
@@ -103,10 +104,7 @@ class FftPlan:
     def __post_init__(self) -> None:
         if not 0 <= self.n_q <= self.n:
             raise ValueError(f"n_q={self.n_q} out of range for n={self.n}")
-        if self.mode not in ("exact", "sampled"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "sampled" and self.shots < 1:
-            raise ValueError("sampled mode needs shots >= 1")
+        check_mode(self.mode, self.shots)
 
 
 # Elements of the phase matrix that direct_dft holds at once.
@@ -241,10 +239,6 @@ def classical_fft(signal: RealSignal, ledger: CostLedger | None = None) -> Spect
     return _combine_levels(_leaf_columns(signal, 0).astype(complex), None, ledger)
 
 
-def _leaf_seed(master_seed: int, leaf_index: int) -> int:
-    return int(np.random.SeedSequence([master_seed, leaf_index]).generate_state(1)[0])
-
-
 def hybrid_dft(signal: RealSignal, plan: FftPlan) -> tuple[SpectrumVector, CostLedger]:
     """Run the transform with ``2**n_q``-point quantum leaves.
 
@@ -267,7 +261,7 @@ def hybrid_dft(signal: RealSignal, plan: FftPlan) -> tuple[SpectrumVector, CostL
         if sampled:
             # Column c is leaf bitrev(c), and a leaf's seed follows its index.
             leaf_of_column = _bit_reversal(leaves.shape[1]).tolist()
-            seeds = [_leaf_seed(plan.master_seed, r) for r in leaf_of_column]
+            seeds = [derive_seed(plan.master_seed, r) for r in leaf_of_column]
         spec, stderr = evaluate_nodes(leaves, plan.mode, plan.shots, seeds, ledger)
     spectrum = _combine_levels(spec, stderr, ledger)
     ledger.classical_bits = 2**plan.n * plan.n_precision

@@ -47,7 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import StateVector, apply_circuit_batch, build_qft_circuit
+from .core import StateVector, apply_circuit_batch, build_qft_circuit, check_mode
 from .costs import CostLedger
 
 __all__ = [
@@ -203,15 +203,6 @@ def _new_schedule(n_q: int) -> ReadoutSchedule:
 
 
 _shared_schedule = lru_cache(maxsize=None)(_new_schedule)
-
-
-def _check_mode(mode: str, shots: int) -> int:
-    """Validate a mode; returns the shot count, 0 in exact mode."""
-    if mode not in ("exact", "sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "sampled" and shots < 1:
-        raise ValueError("sampled mode needs shots >= 1")
-    return shots if mode == "sampled" else 0
 
 
 def _default_eps(shots: int) -> float:
@@ -425,7 +416,7 @@ def evaluate_nodes(
     ``ValueError`` without exactly that many, and exact mode ignores it.
     Charges every node counter as columns times unit, plus each fallback.
     """
-    shots = _check_mode(mode, shots)
+    shots = check_mode(mode, shots)
     N, L = blocks.shape
     if shots and (seeds is None or len(seeds) != L):
         raise ValueError(f"sampled mode needs one seed per column, {L} columns")
@@ -473,7 +464,7 @@ def execute_schedule(
         raise ValueError(
             f"schedule built for n_q={schedule.n_q}, block has n_q={block.n_q}"
         )
-    shots = _check_mode(mode, shots)
+    shots = check_mode(mode, shots)
     x = _encode(block.values[:, None], np.array([block.norm]), ledger)
     magnitude, reference = _measure(schedule, x, shots, [seed], ledger)
     measurements = {}

@@ -15,9 +15,11 @@ index not yet classically ruled out in the class with the larger
 probability; that order is exact (see :class:`_NodePlan`), so where the
 two probabilities tie exactly, or the winning class has no such index left,
 the rule is simply the lowest index not ruled out.  This keeps the whole
-procedure deterministic.  Sampled mode draws from the closed-form law:
-``sin**2((2t+1)*theta) / m`` on each unfound solution and
-``cos**2((2t+1)*theta) / (N-m)`` elsewhere, ``sin(theta)**2 = m/N``.
+procedure deterministic.  Sampled mode draws the class, the unfound
+solutions with probability ``sin**2((2t+1)*theta)``, ``sin(theta)**2 = m/N``,
+then a uniform rank in it.  The rest class ranks settled indices first, so a
+rest rank at or above the settled count rules out one new index: a sublist's
+state is its counts of solutions found and indices settled.
 
 Since a sublist holding exactly half solutions produces the same outcome
 distribution as an empty one, no measurement policy can certify
@@ -33,8 +35,8 @@ two counts.  Positions enter only at an exact tie with both classes free,
 where the walk compares the ``i``-th solution with the ``j``-th
 non-solution.  So a node size's round iterations and the walk of each
 solution count are pure: one process-wide memo keyed by node size keeps
-them (see :class:`_NodePlan`), every run charges a count's memoised walk to
-each sublist holding that many solutions, and a sublist whose walk meets
+them (see :class:`_NodePlan`), every run charges a count's memoised walk
+once, times the number of its sublists, and a sublist whose walk meets
 such a tie is walked on its own positions.  The memo holds at most one
 5-tuple per (node size, count) seen, at most ``size + 1`` per size.
 Sampled mode runs the sublists of a block in lockstep, one call wave at a
@@ -44,6 +46,7 @@ time, since a round's iteration count depends only on its number.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
@@ -51,6 +54,7 @@ from typing import Callable
 
 import numpy as np
 
+from .core import check_mode, derive_seed
 from .costs import CostLedger
 
 __all__ = [
@@ -343,53 +347,36 @@ def _walk(plan, orders, sols, nons, first_solution=None):
     return quantum, rounds, calls - 1, quantum - headline, (sols - i) + (nons - j)
 
 
-def _node_calls(mask, settled, plan, rngs, ledger):
+def _node_calls(unfound, settled, plan, seeds, ledger):
     """One sampled-mode node call on every row of a batch of sublists, in
-    lockstep.
+    lockstep, on counts alone: row i holds ``unfound[i]`` unfound solutions,
+    and ``settled[i]`` settled indices in the rest of its node.
 
-    ``mask`` is each row's oracle mask (solutions already found cleared).
-    Round k of every row runs ``plan.iterations[k]`` steps and draws row i's
-    candidate from ``rngs[i]`` under the closed-form law of the row's count
-    of unfound solutions (see the module docstring).  A row stops once its
-    candidate verifies, or after ``n_q + 1`` rounds.  Each failed candidate
-    is marked in ``settled``.
-
-    Returns ``(verified, rounds, candidates)``: per row, whether it verified
-    and how many rounds it ran, and the candidate measured in each round
-    (-1 where none).
+    Row i's generator, seeded ``seeds[i]``, draws two uniforms per round up
+    front, so its draws depend on its seed alone.  Round k runs
+    ``plan.iterations[k]`` steps; its first uniform picks the unfound class
+    with probability ``sin**2((2t+1)*theta)`` (always where the rest class is
+    empty), its second a uniform rank in the winning class.  A row stops
+    once it draws the unfound class, or after ``n_q + 1`` rounds.  A rest
+    rank at or above the row's settled count rules out one more index, added
+    to ``settled``.  Returns ``(verified, rounds, ranks)``: per row, whether
+    it verified, its rounds, and each round's rank (valid up to ``rounds``).
     """
-    rows, size = mask.shape
-    verified = np.zeros(rows, dtype=bool)
-    rounds = np.zeros(rows, dtype=np.int64)
-    candidates = np.full((rows, len(plan.iterations)), -1, dtype=np.int64)
-    counts = np.count_nonzero(mask, axis=1)
-    theta = np.arcsin(np.sqrt(counts / size))
-    for k, t in enumerate(plan.iterations):
-        idx = np.flatnonzero(~verified)
-        if idx.size == 0:
-            break
-        row_mask = mask[idx]
-        angle = (2 * t + 1) * theta[idx]
-        on_solution = np.sin(angle) ** 2 / np.maximum(counts[idx], 1)
-        elsewhere = np.cos(angle) ** 2 / np.maximum(size - counts[idx], 1)
-        probs = np.where(row_mask, on_solution[:, None], elsewhere[:, None])
-        local = np.array(
-            [rngs[i].choice(size, p=p / p.sum()) for i, p in zip(idx, probs)], dtype=np.int64
-        )
-        ledger.quantum_oracle_queries += idx.size * t
-        ledger.measurement_units += idx.size
-        ledger.classical_oracle_queries += idx.size
-        candidates[idx, k] = local
-        rounds[idx] = k + 1
-        ok = row_mask[np.arange(idx.size), local]
-        verified[idx[ok]] = True
-        settled[idx[~ok], local[~ok]] = True
-    return verified, rounds, candidates
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in ("exact", "sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
+    size, steps = plan.size, np.array(plan.iterations)
+    draws = np.array([np.random.default_rng(s).random((len(steps), 2)) for s in seeds])
+    theta = np.arcsin(np.sqrt(unfound / size))
+    won = draws[..., 0] < np.sin(np.multiply.outer(theta, 2 * steps + 1)) ** 2
+    won[unfound == size] = True  # exactly, whatever sin rounds to
+    verified = won.any(axis=1)
+    rounds = np.where(verified, won.argmax(axis=1) + 1, len(steps))
+    classes = np.where(won, unfound[:, None], (size - unfound)[:, None])
+    ranks = (draws[..., 1] * classes).astype(np.int64)
+    for k in range(rounds.max()):
+        settled += (k < rounds) & ~won[:, k] & (ranks[:, k] >= settled)
+    ledger.quantum_oracle_queries += int(np.take(plan.spent_after, rounds).sum())
+    ledger.measurement_units += int(rounds.sum())
+    ledger.classical_oracle_queries += int(rounds.sum())
+    return verified, rounds, ranks
 
 
 def search_node(
@@ -412,7 +399,7 @@ def search_node(
     candidate classically; the node stops on success or after n_q + 1
     rounds.
     """
-    _check_mode(mode)
+    check_mode(mode)
     base = partition.base(sublist)
     size = partition.sublist_size
     mask = oracle.mask(base, base + size)
@@ -437,11 +424,23 @@ def search_node(
         ledger.classical_oracle_queries += used
         picks = non[:j] + (sol[:1] if ok else [])
     else:
-        verified, rounds, candidates = _node_calls(
-            mask[None], settled[None], plan, [np.random.default_rng(seed)], ledger
+        # Ranks in index order: the unfound solutions; the rest, settled first.
+        sols = np.flatnonzero(mask).tolist()
+        known = np.flatnonzero(settled & ~mask).tolist()
+        free = np.flatnonzero(~settled & ~mask).tolist()
+        verified, rounds, ranks = _node_calls(
+            np.array([len(sols)]), np.array([len(known)]), plan, [seed], ledger
         )
         ok = bool(verified[0])
-        picks = candidates[0, : rounds[0]].tolist()
+        picks = []
+        for rank in ranks[0, : rounds[0] - ok].tolist():
+            if rank < len(known):
+                picks.append(known[rank])
+            else:
+                picks.append(free.pop(rank - len(known)))
+                insort(known, picks[-1])
+        if ok:
+            picks.append(sols[ranks[0, rounds[0] - 1]])
     used = len(picks)
     tested = tuple(dict.fromkeys(picks[:-1] if ok else picks))
     if ok:
@@ -457,10 +456,6 @@ def search_node(
         used if ok else None,
         tested=tested,
     )
-
-
-def _node_seed(master_seed: int, sublist: int, call: int) -> int:
-    return int(np.random.SeedSequence([master_seed, sublist, call]).generate_state(1)[0])
 
 
 # Sublists are searched in blocks of at most this many indices, which bounds
@@ -489,13 +484,14 @@ def partition_search(
     memoised for the process, or walks it on its own positions where that
     walk meets a tie; sampled mode runs call waves over the block.
     """
-    _check_mode(mode)
+    check_mode(mode)
     partition = SublistPartition(oracle.n, n_q)
     size = partition.sublist_size
     per_block = max(BLOCK_INDICES // size, 1)
     plan = _node_plan(size)
     orders = _ClassOrders(plan)
     ledger = CostLedger()
+    hist: dict[int, int] = {}  # exact mode: sublists per tie-free count
     charges = [0] * 5  # exact mode: the sums of _walk's charges
     found: set[int] = set()
     for first in range(0, partition.num_sublists, per_block):
@@ -505,18 +501,17 @@ def partition_search(
         # Node calls and the sweep together certify every solution.
         positions = np.flatnonzero(solution)
         found.update((lo + positions).tolist())
+        counts = np.bincount(positions >> n_q, minlength=rows)
         if size == 1:
             # Degenerate one-element nodes: a single classical test each.
             ledger.classical_oracle_queries += rows
         elif mode == "exact":
-            counts = np.bincount(positions >> n_q, minlength=rows)
-            hist = np.bincount(counts)
+            block = np.bincount(counts)
             # Largest count first: where its walk is not memoised yet, it
             # fills the call's order table at once.
-            for m in np.flatnonzero(hist)[::-1].tolist():
-                walk = plan.walk(m, orders)
-                if walk is not None:
-                    charges = [c + int(hist[m]) * w for c, w in zip(charges, walk)]
+            for m in np.flatnonzero(block)[::-1].tolist():
+                if plan.walk(m, orders) is not None:
+                    hist[m] = hist.get(m, 0) + int(block[m])  # charged after the loop
                     continue
                 # Each of these rows holds m solutions: their positions, row by row.
                 tied = solution[counts == m]
@@ -528,7 +523,9 @@ def partition_search(
                     )
                     charges = [c + w for c, w in zip(charges, walk)]
         else:
-            _sampled_block(solution, first, master_seed, plan, ledger)
+            _sampled_block(counts, first, master_seed, plan, ledger)
+    for m, sublists in hist.items():
+        charges = [c + sublists * w for c, w in zip(charges, plan.walk(m, orders))]
     quantum, rounds, repeats, retry, sweep = charges
     ledger.quantum_oracle_queries += quantum
     ledger.measurement_units += rounds
@@ -542,26 +539,22 @@ def partition_search(
     return found, ledger
 
 
-def _sampled_block(solution, first, master_seed, plan, ledger) -> None:
-    """Sampled-mode node calls over one block of sublists, then its sweep.
+def _sampled_block(counts, first, master_seed, plan, ledger) -> None:
+    """Sampled-mode node calls over one block of sublists, holding
+    ``counts`` solutions each, then its sweep.
 
     Calls run in waves: call 0 on every sublist, call c on those whose call
     c-1 verified and that still hold unknown indices.  Sublist ``first + r``
-    draws call c from the seed ``_node_seed(master_seed, first + r, c)``.
+    draws call c from the seed ``derive_seed(master_seed, first + r, c)``.
     """
-    hit = np.zeros_like(solution)  # verified by a node call
-    settled = np.zeros_like(solution)  # found, or known to be no solution
-    active = np.arange(solution.shape[0])
+    found = np.zeros_like(counts)
+    settled = np.zeros_like(counts)  # found solutions and ruled-out non-solutions
+    active = np.arange(len(counts))
     call = 0
     while active.size:
-        rngs = [
-            np.random.default_rng(_node_seed(master_seed, first + int(a), call)) for a in active
-        ]
-        known = settled[active]
-        verified, rounds, candidates = _node_calls(
-            solution[active] & ~hit[active], known, plan, rngs, ledger
-        )
-        settled[active] = known
+        seeds = [derive_seed(master_seed, first + a, call) for a in active.tolist()]
+        unfound, known = counts[active] - found[active], settled[active]
+        verified, rounds, _ = _node_calls(unfound, known, plan, seeds, ledger)
         spent = np.take(plan.spent_after, rounds)
         if call == 0:
             headline = np.take(plan.iterations, np.where(verified, rounds - 1, 0))
@@ -569,11 +562,9 @@ def _sampled_block(solution, first, master_seed, plan, ledger) -> None:
         else:
             ledger.repeat_node_accesses += int(active.size)
             ledger.retry_queries += int(np.sum(spent))
-        winners = active[verified]
-        picks = candidates[verified, rounds[verified] - 1]
-        hit[winners, picks] = True
-        settled[winners, picks] = True
-        active = winners[~settled[winners].all(axis=1)]
+        found[active] += verified
+        settled[active] = known + verified
+        active = active[verified & (settled[active] < plan.size)]
         call += 1
     # Residual sweep: certify whatever the node calls could not settle.
-    ledger.sweep_queries += int(np.count_nonzero(~settled))
+    ledger.sweep_queries += int(np.sum(plan.size - settled))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hqsim.checks import (
     search_misses,
 )
 from hqsim import search
+from hqsim.core import derive_seed
 from hqsim.costs import CostLedger
 from hqsim.search import (
     GroverOutcome,
@@ -22,7 +24,7 @@ from hqsim.search import (
     _ClassOrders,
     _exact_call,
     _NodePlan,
-    _node_seed,
+    _node_calls,
     class_orders,
     grover_step,
     partition_search,
@@ -370,6 +372,79 @@ def test_sampled_measurement_statistics_follow_the_law():
     assert good >= 36  # 90% of seeds; the bound itself is 10 sigma
 
 
+def chi_square_limit(df, z=5.0):
+    """Wilson-Hilferty upper quantile of a chi-square with ``df`` degrees of
+    freedom, ``z`` standard deviations out."""
+    h = 2.0 / (9.0 * df)
+    return df * (1.0 - h + z * math.sqrt(h)) ** 3
+
+
+@pytest.mark.parametrize(
+    "m, known", [(0, 5), (2, 4), (4, 12), (16, 0)],
+    ids=["m=0", "m=2", "settled-only-rest", "m=N"],
+)
+def test_node_calls_draw_the_class_then_a_uniform_rank(m, known):
+    # Rows of a 16-index node with m unfound solutions and `known` settled
+    # indices in the rest class, each from its own seed.  Round 0 picks the
+    # unfound class with probability sin**2((2t+1)*theta), then a uniform
+    # rank in the class it picked.
+    size, rows = 16, 4000
+    plan = _NodePlan(size)
+    settled = np.full(rows, known)
+    seeds = [derive_seed(9, m, r) for r in range(rows)]
+    verified, rounds, ranks = _node_calls(np.full(rows, m), settled, plan, seeds, CostLedger())
+    won = verified & (rounds == 1)
+    p = math.sin((2 * plan.iterations[0] + 1) * math.asin(math.sqrt(m / size))) ** 2
+    if m in (0, size):
+        assert won.all() if m == size else not won.any()
+    else:
+        assert abs(won.mean() - p) <= 5 * math.sqrt(p * (1 - p) / rows)
+    for drawn, class_size in ((ranks[won, 0], m), (ranks[~won, 0], size - m)):
+        if class_size == 0:
+            assert drawn.size == 0
+            continue
+        assert 0 <= drawn.min() and drawn.max() < class_size
+        expected = drawn.size / class_size
+        chi2 = float(((np.bincount(drawn, minlength=class_size) - expected) ** 2).sum() / expected)
+        assert chi2 <= chi_square_limit(class_size - 1), (class_size, chi2)
+    # Settled indices stay within the rest class; where all of it is
+    # settled, no rank rules out anything new.
+    assert (settled <= size - m).all()
+    if known == size - m:
+        assert (settled == known).all()
+
+
+# Sampled counters whose means must match the probability-row law.
+SAMPLED_COUNTERS = (
+    "quantum_oracle_queries", "classical_oracle_queries", "retry_queries",
+    "repeat_node_accesses", "sweep_queries",
+)
+# Over master seeds 10,000-15,999 (60 runs of 300 seeds across the three
+# cases below, 300 z-scores) the largest |mean gap / SE| was 3.23.
+MEANS_BAND_SE = 4.0
+
+
+@pytest.mark.parametrize(
+    "solutions", [[5], [0, 2, 4, 6], list(range(8))], ids=["m=1", "m=N/2", "full"]
+)
+def test_sampled_counter_means_follow_the_probability_row_law(solutions):
+    # One 8-index node over master seeds 0-299: the class-then-rank draw and
+    # the probability-row reference give counters with equal means, within
+    # MEANS_BAND_SE standard errors of their difference.
+    oracle = SearchOracle.from_solutions(3, solutions)
+    seeds = range(300)
+
+    def counters(run):
+        ledgers = [run(seed)[1].as_dict() for seed in seeds]
+        return np.array([[ledger[c] for c in SAMPLED_COUNTERS] for ledger in ledgers])
+
+    drawn = counters(lambda seed: partition_search(oracle, 3, "sampled", seed))
+    law = counters(lambda seed: reference_search(oracle, 3, "rows", seed))
+    gap = abs(drawn.mean(axis=0) - law.mean(axis=0))
+    se = np.sqrt((drawn.var(axis=0, ddof=1) + law.var(axis=0, ddof=1)) / len(seeds))
+    assert (gap <= MEANS_BAND_SE * se).all(), dict(zip(SAMPLED_COUNTERS, gap / se))
+
+
 # --- partitioned search ------------------------------------------------------
 
 def test_partition_search_single_solution():
@@ -442,6 +517,10 @@ def test_partition_search_sampled_mode_still_exact_set():
     oracle = SearchOracle.random(5, 7, seed=6)
     found, _ = partition_search(oracle, 2, mode="sampled", master_seed=4)
     assert found == set(oracle.solutions)
+    with pytest.raises(ValueError, match="unknown mode"):
+        partition_search(oracle, 2, mode="fuzzy")
+    with pytest.raises(ValueError, match="unknown mode"):
+        search_node(SublistPartition(5, 2), 0, oracle, mode="fuzzy")
 
 
 def reference_exact_node(partition, sublist, oracle, ledger, found, known_non):
@@ -479,10 +558,45 @@ def reference_exact_node(partition, sublist, oracle, ledger, found, known_non):
     )
 
 
+def probability_row_node(partition, sublist, oracle, ledger, found, known_non, seed):
+    """A sampled-mode node call on one sublist (of more than one index)
+    drawn index by index from a probability row: ``sin**2((2t+1)*theta)/m``
+    on each unfound solution, ``cos**2((2t+1)*theta)/(N-m)`` elsewhere,
+    settled indices included.  The law reference for the search path's
+    class-then-rank draw, equal to it in distribution, not bit for bit.
+    ``found`` are cleared from the node's oracle; ``known_non`` only shape
+    the caller's sweep."""
+    base, size = partition.base(sublist), partition.sublist_size
+    mask = np.array([oracle.membership(base + i) and i not in found for i in range(size)])
+    m = int(mask.sum())
+    theta = math.asin(math.sqrt(m / size))
+    rng = np.random.default_rng(seed)
+    iterations = _NodePlan(size).iterations
+    picks = []
+    for t in iterations:
+        on_solution = math.sin((2 * t + 1) * theta) ** 2 / max(m, 1)
+        elsewhere = math.cos((2 * t + 1) * theta) ** 2 / max(size - m, 1)
+        probs = np.where(mask, on_solution, elsewhere)
+        picks.append(int(rng.choice(size, p=probs / probs.sum())))
+        ledger.quantum_oracle_queries += t
+        ledger.measurement_units += 1
+        ledger.classical_oracle_queries += 1
+        if mask[picks[-1]]:
+            break
+    verified = bool(mask[picks[-1]])
+    used = len(picks)
+    return GroverOutcome(
+        sublist, base + picks[-1], verified, sum(iterations[:used]), iterations[:used],
+        used if verified else None, tested=tuple(picks[:-1] if verified else picks),
+    )
+
+
 def reference_search(oracle, n_q, mode, master_seed):
     """The per-sublist orchestration: one node call at a time, the residual
     sweep through ``membership``.  Exact mode calls
-    :func:`reference_exact_node`, sampled mode ``search_node``."""
+    :func:`reference_exact_node`, sampled mode ``search_node`` and mode
+    "rows" :func:`probability_row_node`, each sampled call seeded by its
+    (sublist, call)."""
     partition = SublistPartition(oracle.n, n_q)
     size = partition.sublist_size
     ledger = CostLedger()
@@ -492,11 +606,16 @@ def reference_search(oracle, n_q, mode, master_seed):
         found_local, known_non = set(), set()
         call = 0
         while len(found_local) + len(known_non) < size:
+            seed = derive_seed(master_seed, r, call)
             if mode == "exact":
                 outcome = reference_exact_node(partition, r, oracle, ledger, found_local, known_non)
+            elif mode == "rows":
+                outcome = probability_row_node(
+                    partition, r, oracle, ledger, found_local, known_non, seed
+                )
             else:
                 outcome = search_node(
-                    partition, r, oracle, mode=mode, seed=_node_seed(master_seed, r, call),
+                    partition, r, oracle, mode=mode, seed=seed,
                     ledger=ledger,
                     exclude_solutions=frozenset(base + i for i in found_local),
                     skip_candidates=frozenset(found_local | known_non),
@@ -573,6 +692,23 @@ def test_batched_search_equals_per_sublist_calls(case, mode, master_seed):
     assert ledger.as_dict() == want_ledger.as_dict()
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    sublist_oracles(), st.sampled_from(["exact", "sampled"]), st.integers(0, 2**32 - 1),
+    st.integers(0, 8),
+)
+def test_results_do_not_depend_on_the_block_size(case, mode, master_seed, log_block):
+    # Blocks of 2**log_block indices (one sublist at least) give the found
+    # set and ledger of a single block; exact mode's per-count charges add
+    # up across blocks.
+    oracle, n_q = case
+    found, ledger = partition_search(oracle, n_q, mode=mode, master_seed=master_seed)
+    with mock.patch.object(search, "BLOCK_INDICES", 2**log_block):
+        blocked = partition_search(oracle, n_q, mode=mode, master_seed=master_seed)
+    assert blocked[0] == found
+    assert blocked[1].as_dict() == ledger.as_dict()
+
+
 def test_tie_walks_read_positions():
     # At n = n_q = 2, M = 2 = N/2 ties at every round: where the two
     # solutions sit decides the ledger, so it cannot come from a walk
@@ -615,7 +751,8 @@ def test_tie_free_counts_give_placement_independent_ledgers(n):
             assert reference_search(oracle, n, "exact", 0)[1].as_dict() == want, (m, layout)
 
 
-# Ledgers of hand-picked runs, recorded from the per-sublist implementation.
+# Ledgers of hand-picked runs, recorded from the per-sublist implementation;
+# the sampled one re-recorded from the class-then-rank draw.
 PINNED_LEDGERS = [
     (SearchOracle.from_solutions(8, [3, 77, 200, 201]), 3, "exact", 0,
      dict(quantum_oracle_queries=104, classical_oracle_queries=132, measurement_units=132,
@@ -630,8 +767,8 @@ PINNED_LEDGERS = [
           node_accesses=8, retry_queries=29, repeat_node_accesses=11, sweep_queries=24,
           classical_bits=4096, qubit_count=4)),
     (SearchOracle.random(7, 20, seed=3), 3, "sampled", 5,
-     dict(quantum_oracle_queries=91, classical_oracle_queries=87, measurement_units=87,
-          node_accesses=16, retry_queries=62, repeat_node_accesses=20, sweep_queries=61,
+     dict(quantum_oracle_queries=94, classical_oracle_queries=90, measurement_units=90,
+          node_accesses=16, retry_queries=67, repeat_node_accesses=20, sweep_queries=58,
           classical_bits=8192, qubit_count=4)),
 ]
 
