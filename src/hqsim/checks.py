@@ -15,7 +15,7 @@ import numpy as np
 from .core import build_qft_circuit, circuit_matrix
 from .costs import predict_dft_cost, predict_search_cost
 from .hybrid_fft import FftPlan, RealSignal, direct_dft, hybrid_dft
-from .readout import BlockVector, build_schedule, execute_schedule, rebuild_phases, rescale_to_dft
+from .readout import evaluate_nodes
 from .search import SearchOracle, class_orders, grover_step, partition_search, plan_iterations
 
 CIRCUIT_TOLERANCE = 1e-10
@@ -53,14 +53,13 @@ def unitarity_deviation(gates) -> float:
 def round_trip_deviation(blocks) -> float:
     """Worst coefficient deviation of one node's exact readout, sign rebuild
     and rescale from the direct transform, over real blocks of ``2**n_q``
-    values, ``n_q >= 1``."""
+    values, ``n_q >= 1``, each run as a batch of one."""
     worst = 0.0
     for values in blocks:
-        block = BlockVector.from_values(values)
-        record = execute_schedule(block, build_schedule(block.n_q))
-        got = rescale_to_dft(rebuild_phases(record, block))
-        want = direct_dft(RealSignal.from_values(block.values)).values
-        worst = max(worst, float(np.max(np.abs(got - want))))
+        signal = RealSignal.from_values(values)
+        got, _ = evaluate_nodes(signal.values[:, None])
+        want = direct_dft(signal).values
+        worst = max(worst, float(np.max(np.abs(got[:, 0] - want))))
     return worst
 
 

@@ -396,8 +396,10 @@ def report_svg(report: ExperimentReport) -> str:
     return render_sweep_chart(series, f"{title}, n={report.config.n}")
 
 
-def emit_outputs(report: ExperimentReport, config: RunConfig) -> list[str]:
-    """Write the configured CSV/JSON/SVG files; returns the paths written."""
+def emit_outputs(report: ExperimentReport) -> list[str]:
+    """Write the CSV/JSON/SVG files that ``report.config`` names; returns the
+    paths written."""
+    config = report.config
     written = []
     try:
         if config.out_csv:
@@ -502,7 +504,7 @@ def main(argv=None) -> int:
         return EXIT_IO
 
     try:
-        written = emit_outputs(report, config)
+        written = emit_outputs(report)
     except InputFileError as exc:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_IO

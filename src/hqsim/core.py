@@ -38,7 +38,6 @@ import numpy as np
 
 __all__ = [
     "MAX_QUBITS",
-    "ResourceLimitError",
     "Hadamard",
     "PhaseShift",
     "ControlledPhase",
@@ -46,7 +45,6 @@ __all__ = [
     "GateOp",
     "StateVector",
     "MeasurementEffect",
-    "new_basis_state",
     "apply_gate",
     "apply_circuit",
     "apply_circuit_batch",
@@ -62,10 +60,6 @@ MAX_QUBITS = 24
 
 _NORM_TOL = 1e-12
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-
-class ResourceLimitError(ValueError):
-    """Requested register exceeds the configured qubit cap."""
 
 
 # Shared by the transform and the search; not re-exported by the package.
@@ -195,21 +189,6 @@ class StateVector:
                 raise ValueError(f"state norm**2 = {norm_sq}, expected 1")
 
 
-def new_basis_state(num_qubits: int, index: int, max_qubits: int = MAX_QUBITS) -> StateVector:
-    """Computational basis state ``|index>`` on ``num_qubits`` qubits."""
-    if num_qubits < 1:
-        raise ValueError(f"num_qubits must be >= 1, got {num_qubits}")
-    if num_qubits > max_qubits:
-        raise ResourceLimitError(
-            f"num_qubits={num_qubits} exceeds the cap of {max_qubits}"
-        )
-    if not 0 <= index < 2**num_qubits:
-        raise ValueError(f"index {index} out of range for {num_qubits} qubits")
-    amps = np.zeros(2**num_qubits, dtype=complex)
-    amps[index] = 1.0
-    return StateVector(num_qubits, amps)
-
-
 def _check_qubit(q: int, num_qubits: int) -> None:
     if not 0 <= q < num_qubits:
         raise ValueError(f"qubit index {q} out of range for {num_qubits} qubits")
@@ -315,11 +294,10 @@ def apply_controlled_circuit(state: StateVector, control: int, circuit) -> State
 
 
 def circuit_matrix(circuit, num_qubits: int) -> np.ndarray:
-    """Assemble the dense unitary of a circuit column by column."""
-    dim = 2**num_qubits
-    out = np.empty((dim, dim), dtype=complex)
-    for j in range(dim):
-        out[:, j] = apply_circuit(new_basis_state(num_qubits, j), circuit).amplitudes
+    """The dense unitary of a circuit: the circuit run once on the identity,
+    whose columns are the basis states."""
+    out = np.eye(2**num_qubits, dtype=complex)
+    apply_circuit_batch(out, circuit)
     return out
 
 

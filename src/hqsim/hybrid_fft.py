@@ -34,7 +34,6 @@ from .readout import BlockVector, evaluate_nodes
 __all__ = [
     "RealSignal",
     "SpectrumVector",
-    "TwiddleTable",
     "FftPlan",
     "direct_dft",
     "classical_fft",
@@ -74,20 +73,6 @@ class SpectrumVector:
     @property
     def size(self) -> int:
         return int(self.values.size)
-
-
-@dataclass(frozen=True, eq=False)
-class TwiddleTable:
-    """The ``N`` complex roots of unity ``exp(+2*pi*i*k/N)``."""
-
-    size: int
-    roots: np.ndarray
-
-    @classmethod
-    def for_size(cls, size: int) -> "TwiddleTable":
-        if size < 1 or size & (size - 1):
-            raise ValueError(f"twiddle size must be a power of two, got {size}")
-        return cls(size, np.exp(2j * np.pi * np.arange(size) / size))
 
 
 @dataclass(frozen=True)
@@ -188,9 +173,10 @@ def _combine_level(spec, stderr, roots, ledger):
 
 @lru_cache(maxsize=1)
 def _final_roots(size: int) -> np.ndarray:
-    """``TwiddleTable.for_size(size).roots``, read-only, kept for the last
-    size asked for only, so repeated transforms of one size build it once."""
-    roots = TwiddleTable.for_size(size).roots
+    """The ``size`` roots of unity ``exp(+2*pi*i*k/size)``, read-only, kept
+    for the last size asked for only, so repeated transforms of one size
+    build them once."""
+    roots = np.exp(2j * np.pi * np.arange(size) / size)
     roots.flags.writeable = False
     return roots
 
@@ -200,8 +186,8 @@ def _combine_levels(spec, stderr, ledger):
     spectrum.
 
     Each level's roots are a strided view of one table of the final size:
-    the strides are powers of two, so they equal
-    ``TwiddleTable.for_size(2 * h).roots`` bit for bit.
+    the strides are powers of two, so they equal ``_final_roots(2 * h)``
+    bit for bit.
     """
     roots = _final_roots(spec.size)
     while spec.shape[1] > 1:
@@ -212,24 +198,21 @@ def _combine_levels(spec, stderr, ledger):
 def butterfly_combine(
     even: SpectrumVector,
     odd: SpectrumVector,
-    twiddles: TwiddleTable,
     ledger: CostLedger | None = None,
 ) -> SpectrumVector:
-    """One radix-2 combine: ``y_k = even[k % h] + w**k * odd[k % h]``.
+    """One radix-2 combine: ``y_k = even[k % h] + w**k * odd[k % h]``, with
+    ``w = exp(+2*pi*i/(2h))``.
 
     Charges one classical op per output coefficient.
     """
     h = even.size
     if odd.size != h:
         raise ValueError(f"half sizes differ: {h} vs {odd.size}")
-    N = 2 * h
-    if twiddles.size != N:
-        raise ValueError(f"twiddle table of size {twiddles.size}, expected {N}")
     stderr = None
     if even.stderr is not None and odd.stderr is not None:
         stderr = np.stack([even.stderr, odd.stderr], axis=1)
     values, stderr = _combine_level(
-        np.stack([even.values, odd.values], axis=1), stderr, twiddles.roots, ledger
+        np.stack([even.values, odd.values], axis=1), stderr, _final_roots(2 * h), ledger
     )
     return SpectrumVector(values[:, 0], None if stderr is None else stderr[:, 0])
 

@@ -35,8 +35,8 @@ schedule's arrays, so no effect objects are built per entry.  The ancilla's
 control-off branch is the encoded block itself, so only the control-on
 branch is simulated.
 :func:`execute_schedule` and :func:`rebuild_phases` are batch-of-one
-wrappers round the same code that keep the ``(projector, role)``-keyed
-record.
+wrappers round the same code; their :class:`ReadoutRecord` holds a block's
+magnitude and reference entries as two arrays in projector order.
 """
 
 from __future__ import annotations
@@ -67,9 +67,6 @@ __all__ = [
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 EPS_REF_EXACT = 1e-9
-
-ROLE_MAGNITUDE = "magnitude"
-ROLE_REFERENCE = "reference"
 
 
 @dataclass(eq=False)
@@ -125,10 +122,13 @@ class ReadoutSchedule:
 
 @dataclass(eq=False)
 class ReadoutRecord:
-    """Measured joint probabilities keyed by (projector index, role)."""
+    """Measured joint probabilities of one block: ``magnitude[p]`` and
+    ``reference[p]`` are the two entries of projector ``p``, ``(N,)`` arrays
+    in projector order."""
 
     schedule: ReadoutSchedule
-    measurements: dict
+    magnitude: np.ndarray
+    reference: np.ndarray
     mode: str
     shots: int
     seed: int
@@ -289,12 +289,12 @@ def _measure(
     seed only.
     """
     N, L = x.shape
-    n_q = schedule.n_q
     off = x * _INV_SQRT2
     on = off + 0j
-    apply_circuit_batch(on, build_qft_circuit(n_q))
+    circuit = build_qft_circuit(schedule.n_q)
+    apply_circuit_batch(on, circuit)
     if ledger is not None:
-        ledger.quantum_gate_units += L * (n_q * (n_q + 1) // 2 + n_q // 2)
+        ledger.quantum_gate_units += L * len(circuit)
         ledger.measurement_units += L * 2 * N
 
     # Ancilla residual (r0, r1) of each data projector.
@@ -455,10 +455,10 @@ def execute_schedule(
 
     A batch of one through the node stage of :func:`evaluate_nodes`: builds
     ancilla tensor block state, applies the ancilla Hadamard and the
-    controlled transform, then evaluates each (projector, role) joint
-    probability, exactly or as a seeded binomial estimate in sampled mode.
-    Projector ``p`` of ``schedule`` fills the keys ``(p, "magnitude")`` and
-    ``(p, "reference")``.
+    controlled transform, then evaluates both joint probabilities of each
+    projector, exactly or as a seeded binomial estimate in sampled mode.
+    Projector ``p`` of ``schedule`` fills entry ``p`` of the record's
+    ``magnitude`` and ``reference`` arrays.
     """
     if block.n_q != schedule.n_q:
         raise ValueError(
@@ -467,11 +467,7 @@ def execute_schedule(
     shots = check_mode(mode, shots)
     x = _encode(block.values[:, None], np.array([block.norm]), ledger)
     magnitude, reference = _measure(schedule, x, shots, [seed], ledger)
-    measurements = {}
-    for pi, (m, r) in enumerate(zip(magnitude[:, 0].tolist(), reference[:, 0].tolist())):
-        measurements[(pi, ROLE_MAGNITUDE)] = m
-        measurements[(pi, ROLE_REFERENCE)] = r
-    return ReadoutRecord(schedule, measurements, mode, shots, seed)
+    return ReadoutRecord(schedule, magnitude[:, 0], reference[:, 0], mode, shots, seed)
 
 
 def rebuild_phases(
@@ -487,7 +483,8 @@ def rebuild_phases(
     sign comes from whichever hypothesis ``(a + s|b|)**2 / 4`` lies nearest
     the reference entry.  When ``|a| < eps_ref`` the hypotheses coincide;
     the coefficient is flagged ambiguous and evaluated classically instead,
-    charging ``2**n_q`` classical ops to the fallback counter.
+    charging ``2**n_q`` classical ops to the fallback counter.  Raises
+    ``ValueError`` unless the record holds ``2**n_q`` entries of each kind.
     """
     schedule = record.schedule
     N = 2**schedule.n_q
@@ -497,15 +494,13 @@ def rebuild_phases(
     if eps_ref is None:
         eps_ref = _default_eps(shots)
 
-    m = record.measurements
-    try:
-        magnitude = np.array([[m[(pi, ROLE_MAGNITUDE)]] for pi in range(N)], dtype=float)
-        reference = np.array([[m[(pi, ROLE_REFERENCE)]] for pi in range(N)], dtype=float)
-    except KeyError as exc:
-        raise ValueError(f"record is missing entry {exc.args[0]}") from None
+    magnitude = np.asarray(record.magnitude, dtype=float)
+    reference = np.asarray(record.reference, dtype=float)
+    if magnitude.shape != (N,) or reference.shape != (N,):
+        raise ValueError(f"record needs {N} magnitude and {N} reference entries")
     x = block.values[:, None] / block.norm
     coefficients, stderr, fallback = _rebuild(
-        schedule, x, magnitude, reference, shots, eps_ref, ledger
+        schedule, x, magnitude[:, None], reference[:, None], shots, eps_ref, ledger
     )
     return SpectrumEstimate(
         coefficients=coefficients[:, 0],

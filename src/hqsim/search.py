@@ -59,7 +59,6 @@ from .costs import CostLedger
 
 __all__ = [
     "SearchOracle",
-    "SublistPartition",
     "GroverOutcome",
     "grover_step",
     "plan_iterations",
@@ -119,29 +118,12 @@ class SearchOracle:
         return np.sort(np.fromiter(self.solutions, dtype=np.int64, count=len(self.solutions)))
 
 
-@dataclass(frozen=True)
-class SublistPartition:
-    """Contiguous sublists: sublist r covers [r * 2**n_q, (r+1) * 2**n_q)."""
-
-    n: int
-    n_q: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.n_q <= self.n:
-            raise ValueError(f"n_q={self.n_q} out of range for n={self.n}")
-
-    @property
-    def num_sublists(self) -> int:
-        return 2 ** (self.n - self.n_q)
-
-    @property
-    def sublist_size(self) -> int:
-        return 2**self.n_q
-
-    def base(self, r: int) -> int:
-        if not 0 <= r < self.num_sublists:
-            raise ValueError(f"sublist {r} out of range")
-        return r * self.sublist_size
+def _num_sublists(n: int, n_q: int) -> int:
+    """The ``2**(n-n_q)`` sublists of ``[0, 2**n)``; sublist ``r`` covers
+    ``[r * 2**n_q, (r+1) * 2**n_q)``.  Raises unless ``0 <= n_q <= n``."""
+    if not 0 <= n_q <= n:
+        raise ValueError(f"n_q={n_q} out of range for n={n}")
+    return 2 ** (n - n_q)
 
 
 @dataclass(frozen=True)
@@ -380,9 +362,9 @@ def _node_calls(unfound, settled, plan, seeds, ledger):
 
 
 def search_node(
-    partition: SublistPartition,
-    sublist: int,
     oracle: SearchOracle,
+    n_q: int,
+    sublist: int,
     mode: str = "exact",
     seed: int = 0,
     ledger: CostLedger | None = None,
@@ -390,7 +372,9 @@ def search_node(
     skip_candidates: frozenset = frozenset(),
 ) -> GroverOutcome:
     """Search one sublist with doubling assumed-count retries: one node call
-    of :func:`partition_search`, on a single sublist.
+    of :func:`partition_search`, on the ``2**n_q`` indices from
+    ``sublist * 2**n_q``.  Raises ``ValueError`` unless ``0 <= n_q <= n``
+    and ``0 <= sublist < 2**(n-n_q)``.
 
     ``exclude_solutions`` (global indices) are treated as non-solutions by
     the node's oracle; ``skip_candidates`` (local indices) are classically
@@ -400,8 +384,10 @@ def search_node(
     rounds.
     """
     check_mode(mode)
-    base = partition.base(sublist)
-    size = partition.sublist_size
+    if not 0 <= sublist < _num_sublists(oracle.n, n_q):
+        raise ValueError(f"sublist {sublist} out of range")
+    size = 2**n_q
+    base = sublist * size
     mask = oracle.mask(base, base + size)
     mask[[g - base for g in exclude_solutions if base <= g < base + size]] = False
     settled = np.zeros(size, dtype=bool)
@@ -485,8 +471,7 @@ def partition_search(
     walk meets a tie; sampled mode runs call waves over the block.
     """
     check_mode(mode)
-    partition = SublistPartition(oracle.n, n_q)
-    size = partition.sublist_size
+    size, num_sublists = 2**n_q, _num_sublists(oracle.n, n_q)
     per_block = max(BLOCK_INDICES // size, 1)
     plan = _node_plan(size)
     orders = _ClassOrders(plan)
@@ -494,9 +479,9 @@ def partition_search(
     hist: dict[int, int] = {}  # exact mode: sublists per tie-free count
     charges = [0] * 5  # exact mode: the sums of _walk's charges
     found: set[int] = set()
-    for first in range(0, partition.num_sublists, per_block):
-        rows = min(per_block, partition.num_sublists - first)
-        lo = partition.base(first)
+    for first in range(0, num_sublists, per_block):
+        rows = min(per_block, num_sublists - first)
+        lo = first * size
         solution = oracle.mask(lo, lo + rows * size).reshape(rows, size)
         # Node calls and the sweep together certify every solution.
         positions = np.flatnonzero(solution)
@@ -533,7 +518,7 @@ def partition_search(
     ledger.repeat_node_accesses += repeats
     ledger.retry_queries += retry
     ledger.sweep_queries += sweep
-    ledger.node_accesses = partition.num_sublists
+    ledger.node_accesses = num_sublists
     ledger.classical_bits = 2**oracle.n * n_precision
     ledger.qubit_count = n_q + 1
     return found, ledger

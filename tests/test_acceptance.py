@@ -31,8 +31,6 @@ from hqsim.core import ControlledPhase, Hadamard, PhaseShift, Swap
 from hqsim.costs import fit_scaling_exponent
 from hqsim.hybrid_fft import FftPlan, RealSignal, direct_dft, hybrid_dft
 from hqsim.readout import (
-    ROLE_MAGNITUDE,
-    ROLE_REFERENCE,
     BlockVector,
     build_schedule,
     execute_schedule,
@@ -96,17 +94,17 @@ def test_criterion_2_measurement_schedule_closed_forms():
             x = block.values / block.norm
             y = dft_matrix(4) @ x / 2.0
             y1a, y1b = y[1].real, y[1].imag
-            m = record.measurements
-            assert abs(m[(0, ROLE_MAGNITUDE)] - abs(y[0]) ** 2 / 2) <= 1e-12
-            assert abs(m[(1, ROLE_MAGNITUDE)] - abs(y[2]) ** 2 / 2) <= 1e-12
-            assert abs(m[(2, ROLE_MAGNITUDE)] - y1a**2) <= 1e-12
-            assert abs(m[(3, ROLE_MAGNITUDE)] - y1b**2) <= 1e-12
-            assert abs(m[(2, ROLE_REFERENCE)] - 0.5 * abs((x[1] + x[3]) / 2 + y1a) ** 2) <= 1e-12
-            assert abs(m[(3, ROLE_REFERENCE)] - 0.5 * abs((x[1] - x[3]) / 2 + y1b) ** 2) <= 1e-12
+            mag, ref = record.magnitude, record.reference
+            assert abs(mag[0] - abs(y[0]) ** 2 / 2) <= 1e-12
+            assert abs(mag[1] - abs(y[2]) ** 2 / 2) <= 1e-12
+            assert abs(mag[2] - y1a**2) <= 1e-12
+            assert abs(mag[3] - y1b**2) <= 1e-12
+            assert abs(ref[2] - 0.5 * abs((x[1] + x[3]) / 2 + y1a) ** 2) <= 1e-12
+            assert abs(ref[3] - 0.5 * abs((x[1] - x[3]) / 2 + y1b) ** 2) <= 1e-12
             # Self-conjugate references under the joint-probability
             # convention used throughout this package.
-            assert abs(m[(0, ROLE_REFERENCE)] - abs(x[0] + y[0]) ** 2 / 4) <= 1e-12
-            assert abs(m[(1, ROLE_REFERENCE)] - abs(x[2] + y[2]) ** 2 / 4) <= 1e-12
+            assert abs(ref[0] - abs(x[0] + y[0]) ** 2 / 4) <= 1e-12
+            assert abs(ref[1] - abs(x[2] + y[2]) ** 2 / 4) <= 1e-12
 
 
 def _references(x):

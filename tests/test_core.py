@@ -16,7 +16,6 @@ from hqsim.core import (
     Hadamard,
     MeasurementEffect,
     PhaseShift,
-    ResourceLimitError,
     StateVector,
     Swap,
     apply_circuit,
@@ -26,7 +25,6 @@ from hqsim.core import (
     build_qft_circuit,
     circuit_matrix,
     effect_probability,
-    new_basis_state,
     project_data_register,
     sample_effect,
 )
@@ -41,30 +39,12 @@ def qft_reference_matrix(n_q):
     return np.exp(2j * np.pi * np.outer(k, k) / N) / math.sqrt(N)
 
 
-# --- basis states -----------------------------------------------------------
-
-def test_basis_state_one_qubit():
-    state = new_basis_state(1, 0)
-    assert np.array_equal(state.amplitudes, [1, 0])
+def basis_state(num_qubits, index):
+    """The computational basis state ``|index>``."""
+    return StateVector(num_qubits, np.eye(2**num_qubits, dtype=complex)[index])
 
 
-def test_basis_state_index_three():
-    state = new_basis_state(2, 3)
-    assert np.array_equal(state.amplitudes, [0, 0, 0, 1])
-
-
-def test_basis_state_index_out_of_range():
-    with pytest.raises(ValueError):
-        new_basis_state(2, 4)
-
-
-def test_basis_state_cap():
-    with pytest.raises(ResourceLimitError):
-        new_basis_state(25, 0)
-    # The cap is configurable.
-    with pytest.raises(ResourceLimitError):
-        new_basis_state(5, 0, max_qubits=4)
-
+# --- state vectors ----------------------------------------------------------
 
 def test_statevector_rejects_wrong_length():
     with pytest.raises(ValueError):
@@ -80,24 +60,24 @@ def test_statevector_rejects_unnormalized_without_flag():
 # --- elementary gates -------------------------------------------------------
 
 def test_hadamard_on_zero():
-    state = apply_gate(new_basis_state(1, 0), Hadamard(0))
+    state = apply_gate(basis_state(1, 0), Hadamard(0))
     assert np.allclose(state.amplitudes, [INV_SQRT2, INV_SQRT2], atol=1e-15)
 
 
 def test_controlled_phase_on_11():
-    state = apply_gate(new_basis_state(2, 3), ControlledPhase(0, 1, math.pi / 2))
+    state = apply_gate(basis_state(2, 3), ControlledPhase(0, 1, math.pi / 2))
     assert abs(state.amplitudes[3] - 1j) < 1e-15
     assert np.allclose(state.amplitudes[:3], 0)
 
 
 def test_swap_01_to_10():
     # Qubit 0 is the most significant bit: |01> is index 1, |10> is index 2.
-    state = apply_gate(new_basis_state(2, 1), Swap(0, 1))
+    state = apply_gate(basis_state(2, 1), Swap(0, 1))
     assert np.allclose(state.amplitudes, [0, 0, 1, 0])
 
 
 def test_phase_shift_targets_one_component():
-    state = apply_gate(new_basis_state(2, 1), Hadamard(0))
+    state = apply_gate(basis_state(2, 1), Hadamard(0))
     shifted = apply_gate(state, PhaseShift(1, math.pi))
     # Qubit 1 is |1> in both branches, so both pick up the phase.
     assert np.allclose(shifted.amplitudes, -state.amplitudes)
@@ -105,7 +85,7 @@ def test_phase_shift_targets_one_component():
 
 def test_apply_gate_invalid_index():
     with pytest.raises(ValueError):
-        apply_gate(new_basis_state(2, 0), Hadamard(2))
+        apply_gate(basis_state(2, 0), Hadamard(2))
 
 
 @pytest.mark.parametrize(
@@ -129,7 +109,7 @@ def test_gates_shift_their_qubits():
 @pytest.mark.parametrize("gate", [ControlledPhase(1, 1, 0.5), Swap(0, 0)])
 def test_two_qubit_gates_need_distinct_qubits(gate):
     with pytest.raises(ValueError):
-        apply_gate(new_basis_state(2, 0), gate)
+        apply_gate(basis_state(2, 0), gate)
 
 
 @settings(max_examples=40, deadline=None)
@@ -146,7 +126,7 @@ def test_random_circuits_preserve_norm(data):
         gates.append(
             [Hadamard(q), PhaseShift(q, angle), ControlledPhase(q, q2, angle), Swap(q, q2)][kind]
         )
-    state = apply_circuit(new_basis_state(num_qubits, index), gates)
+    state = apply_circuit(basis_state(num_qubits, index), gates)
     assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
 
 
@@ -159,8 +139,17 @@ def test_qft_single_qubit_is_hadamard():
     assert np.allclose(m, np.array([[1, 1], [1, -1]]) * INV_SQRT2, atol=1e-15)
 
 
+@pytest.mark.parametrize("n_q", range(1, 7))
+def test_circuit_matrix_columns_equal_single_state_runs(n_q):
+    # One batched run on the identity equals a run per basis state, bit for bit.
+    circuit = build_qft_circuit(n_q)
+    m = circuit_matrix(circuit, n_q)
+    for j in range(2**n_q):
+        assert np.array_equal(m[:, j], apply_circuit(basis_state(n_q, j), circuit).amplitudes)
+
+
 def test_qft_two_qubits_on_00():
-    state = apply_circuit(new_basis_state(2, 0), build_qft_circuit(2))
+    state = apply_circuit(basis_state(2, 0), build_qft_circuit(2))
     assert np.allclose(state.amplitudes, [0.5, 0.5, 0.5, 0.5], atol=1e-15)
 
 
@@ -198,7 +187,7 @@ def test_qft_rejects_nonpositive_size():
 
 def test_controlled_circuit_control_off():
     # Ancilla |0> (x) |10>: joint index 2 on 3 qubits.
-    state = new_basis_state(3, 2)
+    state = basis_state(3, 2)
     out = apply_controlled_circuit(state, 0, [g.shifted(1) for g in build_qft_circuit(2)])
     assert np.allclose(out.amplitudes, state.amplitudes, atol=1e-15)
 
@@ -215,7 +204,7 @@ def test_controlled_circuit_plus_ancilla():
 
 @pytest.mark.parametrize("j", range(4))
 def test_controlled_circuit_control_on(j):
-    state = new_basis_state(3, 4 + j)  # |1> (x) |j>
+    state = basis_state(3, 4 + j)  # |1> (x) |j>
     out = apply_controlled_circuit(state, 0, [g.shifted(1) for g in build_qft_circuit(2)])
     expected = np.zeros(8, dtype=complex)
     expected[4:] = qft_reference_matrix(2)[:, j]
@@ -223,7 +212,7 @@ def test_controlled_circuit_control_on(j):
 
 
 def test_controlled_circuit_rejects_touching_control():
-    state = new_basis_state(3, 0)
+    state = basis_state(3, 0)
     with pytest.raises(ValueError):
         apply_controlled_circuit(state, 0, [Hadamard(0)])
     with pytest.raises(ValueError):
@@ -232,7 +221,7 @@ def test_controlled_circuit_rejects_touching_control():
 
 def test_controlled_circuit_with_interior_control():
     # Control on qubit 1 of three; gate on qubit 2 must shift axes correctly.
-    state = apply_gate(new_basis_state(3, 0b010), Hadamard(2))  # |01+>
+    state = apply_gate(basis_state(3, 0b010), Hadamard(2))  # |01+>
     out = apply_controlled_circuit(state, 1, [PhaseShift(2, math.pi)])
     expected = np.zeros(8, dtype=complex)
     expected[0b010] = INV_SQRT2
@@ -402,11 +391,11 @@ def test_projection_completeness_over_orthonormal_set():
 # --- shot sampling ----------------------------------------------------------
 
 def plus_state():
-    return apply_gate(new_basis_state(2, 0), Hadamard(0))
+    return apply_gate(basis_state(2, 0), Hadamard(0))
 
 
 def test_sample_effect_degenerate_zero():
-    state = new_basis_state(2, 0)
+    state = basis_state(2, 0)
     count, estimate = sample_effect(
         state, MeasurementEffect.basis(1, 1), MeasurementEffect.basis(1, 0), 500, 1
     )
@@ -414,7 +403,7 @@ def test_sample_effect_degenerate_zero():
 
 
 def test_sample_effect_degenerate_one():
-    state = new_basis_state(2, 0)
+    state = basis_state(2, 0)
     count, estimate = sample_effect(
         state, MeasurementEffect.basis(1, 0), MeasurementEffect.basis(1, 0), 500, 1
     )

@@ -18,7 +18,6 @@ from hqsim.hybrid_fft import (
     FftPlan,
     RealSignal,
     SpectrumVector,
-    TwiddleTable,
     _combine_levels,
     _final_roots,
     butterfly_combine,
@@ -128,9 +127,10 @@ def test_decimate_rejects_oversized_node():
 
 def test_twiddle_table_invariants():
     for N in (2, 4, 8, 64):
-        table = TwiddleTable.for_size(N)
-        assert np.max(np.abs(np.abs(table.roots) - 1.0)) < 1e-12
-        assert np.max(np.abs(table.roots**N - 1.0)) < 1e-9
+        roots = _final_roots(N)
+        assert roots.shape == (N,)
+        assert np.max(np.abs(np.abs(roots) - 1.0)) < 1e-12
+        assert np.max(np.abs(roots**N - 1.0)) < 1e-9
 
 
 def test_final_root_table_is_built_once_and_read_only():
@@ -139,7 +139,7 @@ def test_final_root_table_is_built_once_and_read_only():
     roots = _final_roots(2**7)
     assert roots is _final_roots(2**7)
     assert not roots.flags.writeable
-    assert np.array_equal(roots, TwiddleTable.for_size(2**7).roots)
+    assert np.array_equal(roots, np.exp(2j * np.pi * np.arange(2**7) / 2**7))
     # Another size in between replaces the cached table; spectra do not move.
     classical_fft(RealSignal.from_values(np.ones(2**5)))
     assert np.array_equal(hybrid_dft(signal, FftPlan(n=7, n_q=2))[0].values, first)
@@ -148,20 +148,20 @@ def test_final_root_table_is_built_once_and_read_only():
 def test_butterfly_frozen_example():
     even = SpectrumVector(np.array([4, -2], complex))
     odd = SpectrumVector(np.array([6, -2], complex))
-    got = butterfly_combine(even, odd, TwiddleTable.for_size(4))
+    got = butterfly_combine(even, odd)
     assert np.allclose(got.values, [10, -2 - 2j, -2, -2 + 2j], atol=1e-12)
 
 
 def test_butterfly_zero_odd_duplicates_even():
     even = SpectrumVector(np.array([3 + 1j, 7], complex))
     odd = SpectrumVector(np.zeros(2, complex))
-    got = butterfly_combine(even, odd, TwiddleTable.for_size(4))
+    got = butterfly_combine(even, odd)
     assert np.allclose(got.values, [3 + 1j, 7, 3 + 1j, 7])
 
 
 def test_butterfly_size_two():
     one = SpectrumVector(np.array([1.0 + 0j]))
-    got = butterfly_combine(one, one, TwiddleTable.for_size(2))
+    got = butterfly_combine(one, one)
     assert np.allclose(got.values, [2, 0])
 
 
@@ -170,14 +170,13 @@ def test_butterfly_length_mismatch():
         butterfly_combine(
             SpectrumVector(np.zeros(2, complex)),
             SpectrumVector(np.zeros(4, complex)),
-            TwiddleTable.for_size(4),
         )
 
 
 def test_butterfly_charges_per_output():
     ledger = CostLedger()
     even = SpectrumVector(np.zeros(8, complex))
-    butterfly_combine(even, even, TwiddleTable.for_size(16), ledger)
+    butterfly_combine(even, even, ledger)
     assert ledger.classical_ops == 16
 
 
@@ -225,7 +224,7 @@ def test_one_product_levels_equal_two_product_reference(levels, log_width, with_
         spec[natural].T.copy(), None if stderr is None else stderr[natural].T.copy(), ledger
     )
     want, want_stderr = spec, stderr
-    roots = TwiddleTable.for_size(rows * width).roots
+    roots = np.exp(2j * np.pi * np.arange(rows * width) / (rows * width))
     while want.shape[0] > 1:
         want, want_stderr = two_product_level(want, want_stderr, roots[::want.shape[0] // 2])
     assert np.max(np.abs(got.values - want[0])) <= 1e-15 * np.linalg.norm(want[0])

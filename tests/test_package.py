@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import hqsim
@@ -27,3 +28,12 @@ def test_benchmark_trace_targets_resolve():
     for module_name, func_name in tracer.TARGETS:
         module = importlib.import_module(f"hqsim.{module_name}")
         assert callable(getattr(module, func_name, None)), (module_name, func_name)
+
+
+def test_readme_python_examples_run():
+    # Every Python block of the README runs as written.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {"__name__": "readme_example"})

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from hqsim import readout
 from hqsim.core import (
     Hadamard,
     MeasurementEffect,
+    PhaseShift,
     StateVector,
     apply_controlled_circuit,
     apply_gate,
@@ -15,8 +17,6 @@ from hqsim.core import (
 from hqsim.checks import TRANSFORM_TOLERANCE, round_trip_deviation
 from hqsim.costs import CostLedger
 from hqsim.readout import (
-    ROLE_MAGNITUDE,
-    ROLE_REFERENCE,
     _SHARED_SCHEDULE_MAX_NQ,
     BlockVector,
     _classical_coefficients,
@@ -101,20 +101,23 @@ def test_schedule_n2_projectors_in_order():
     assert schedule.imaginary.tolist() == [False, False, False, True]
     # Reference phases: 0 except pi/2 on the minus projector.
     assert schedule.ancilla_phase.tolist() == [0.0, 0.0, 0.0, math.pi / 2]
-    assert len(readout_pipeline([1, 2, 3, 4])[1].measurements) == 8
+    record = readout_pipeline([1, 2, 3, 4])[1]
+    assert record.magnitude.shape == record.reference.shape == (4,)
 
 
 def test_schedule_n1_has_two_self_conjugate_projectors():
     schedule = build_schedule(1)
     assert schedule.indices.tolist() == [[0, 0], [1, 1]]
     assert schedule.signs.tolist() == [0.0, 0.0]
-    assert len(readout_pipeline([1, 2])[1].measurements) == 4
+    record = readout_pipeline([1, 2])[1]
+    assert record.magnitude.shape == record.reference.shape == (2,)
 
 
 def test_schedule_n3_counts():
     schedule = build_schedule(3)
     assert len(schedule.indices) == 8
-    assert len(readout_pipeline(np.arange(1.0, 9.0))[1].measurements) == 16
+    record = readout_pipeline(np.arange(1.0, 9.0))[1]
+    assert record.magnitude.shape == record.reference.shape == (8,)
 
 
 @pytest.mark.parametrize("n_q", [1, 2, 3, 4])
@@ -155,14 +158,14 @@ def test_schedules_are_read_only_and_shared_up_to_the_limit():
 def test_execute_delta_block_magnitudes():
     block, record = readout_pipeline([1, 0, 0, 0])
     # coefficient 0 is 1/2, so the joint magnitude probability is 1/8.
-    assert abs(record.measurements[(0, ROLE_MAGNITUDE)] - 0.125) < 1e-14
+    assert abs(record.magnitude[0] - 0.125) < 1e-14
     # The spectrum of a delta block is real: no imaginary-part mass.
-    assert abs(record.measurements[(3, ROLE_MAGNITUDE)]) < 1e-14
+    assert abs(record.magnitude[3]) < 1e-14
 
 
 def test_execute_alternating_block_imaginary_magnitude():
     block, record = readout_pipeline([1, -1, 0, 0])
-    assert abs(record.measurements[(3, ROLE_MAGNITUDE)] - 0.125) < 1e-14
+    assert abs(record.magnitude[3] - 0.125) < 1e-14
 
 
 def test_execute_charges_gate_and_measurement_units():
@@ -172,6 +175,19 @@ def test_execute_charges_gate_and_measurement_units():
     assert ledger.quantum_gate_units == 2 * 3 // 2 + 1  # 4
     assert ledger.measurement_units == 8
     assert ledger.state_prep_units == 16
+
+
+def test_gate_charge_counts_the_circuit_that_ran(monkeypatch):
+    # One more gate in the node circuit costs one more unit per live column.
+    blocks = np.random.default_rng(63).normal(size=(3, 8)).T.copy()
+    blocks[:, 1] = 0.0
+    before, after = CostLedger(), CostLedger()
+    evaluate_nodes(blocks, ledger=before)
+    monkeypatch.setattr(
+        readout, "build_qft_circuit", lambda n_q: build_qft_circuit(n_q) + [PhaseShift(0, 0.0)]
+    )
+    evaluate_nodes(blocks, ledger=after)
+    assert after.quantum_gate_units == before.quantum_gate_units + 2
 
 
 def test_execute_size_mismatch():
@@ -190,15 +206,15 @@ def test_exact_measurements_reproduce_closed_forms():
         x = block.values / block.norm
         y = direct_coefficients(block)
         y1a, y1b = y[1].real, y[1].imag
-        m = record.measurements
-        assert abs(m[(0, ROLE_MAGNITUDE)] - abs(y[0]) ** 2 / 2) < 1e-13
-        assert abs(m[(0, ROLE_REFERENCE)] - abs(x[0] + y[0]) ** 2 / 4) < 1e-13
-        assert abs(m[(1, ROLE_MAGNITUDE)] - abs(y[2]) ** 2 / 2) < 1e-13
-        assert abs(m[(1, ROLE_REFERENCE)] - abs(x[2] + y[2]) ** 2 / 4) < 1e-13
-        assert abs(m[(2, ROLE_MAGNITUDE)] - y1a**2) < 1e-13
-        assert abs(m[(2, ROLE_REFERENCE)] - 0.5 * abs((x[1] + x[3]) / 2 + y1a) ** 2) < 1e-13
-        assert abs(m[(3, ROLE_MAGNITUDE)] - y1b**2) < 1e-13
-        assert abs(m[(3, ROLE_REFERENCE)] - 0.5 * abs((x[1] - x[3]) / 2 + y1b) ** 2) < 1e-13
+        mag, ref = record.magnitude, record.reference
+        assert abs(mag[0] - abs(y[0]) ** 2 / 2) < 1e-13
+        assert abs(ref[0] - abs(x[0] + y[0]) ** 2 / 4) < 1e-13
+        assert abs(mag[1] - abs(y[2]) ** 2 / 2) < 1e-13
+        assert abs(ref[1] - abs(x[2] + y[2]) ** 2 / 4) < 1e-13
+        assert abs(mag[2] - y1a**2) < 1e-13
+        assert abs(ref[2] - 0.5 * abs((x[1] + x[3]) / 2 + y1a) ** 2) < 1e-13
+        assert abs(mag[3] - y1b**2) < 1e-13
+        assert abs(ref[3] - 0.5 * abs((x[1] - x[3]) / 2 + y1b) ** 2) < 1e-13
 
 
 def test_sampled_mode_is_seeded_and_bounded():
@@ -206,10 +222,11 @@ def test_sampled_mode_is_seeded_and_bounded():
     schedule = build_schedule(2)
     r1 = execute_schedule(block, schedule, mode="sampled", shots=2000, seed=5)
     r2 = execute_schedule(block, schedule, mode="sampled", shots=2000, seed=5)
-    assert r1.measurements == r2.measurements
-    assert all(0.0 <= v <= 1.0 for v in r1.measurements.values())
+    entries = [np.concatenate([r.magnitude, r.reference]) for r in (r1, r2)]
+    assert np.array_equal(*entries)
+    assert np.all((0.0 <= entries[0]) & (entries[0] <= 1.0))
     r3 = execute_schedule(block, schedule, mode="sampled", shots=2000, seed=6)
-    assert r3.measurements != r1.measurements
+    assert not np.array_equal(np.concatenate([r3.magnitude, r3.reference]), entries[0])
 
 
 def test_sampled_mode_requires_shots():
@@ -234,12 +251,12 @@ def test_sampled_nodes_need_one_seed_per_row():
 def test_sampled_entries_are_one_binomial_draw_each_from_the_row_seed():
     block = BlockVector.from_values([3.0, 2.0, -2.0, -1.0, 0.5, 1.0, 0.0, 4.0])
     schedule = build_schedule(3)
-    keys = [(p, role) for p in range(8) for role in (ROLE_MAGNITUDE, ROLE_REFERENCE)]
-    exact = execute_schedule(block, schedule).measurements
-    sampled = execute_schedule(block, schedule, mode="sampled", shots=1000, seed=21).measurements
-    p = np.clip([exact[key] for key in keys], 0.0, 1.0)
+    exact = execute_schedule(block, schedule)
+    sampled = execute_schedule(block, schedule, mode="sampled", shots=1000, seed=21)
+    # Schedule order: each projector's magnitude entry, then its reference.
+    p = np.clip(np.stack([exact.magnitude, exact.reference], axis=1).ravel(), 0.0, 1.0)
     want = np.random.default_rng(21).binomial(1000, p) / 1000
-    assert [sampled[key] for key in keys] == want.tolist()
+    assert np.stack([sampled.magnitude, sampled.reference], axis=1).ravel().tolist() == want.tolist()
 
 
 def test_sampled_nodes_depend_only_on_their_own_seed():
@@ -358,8 +375,12 @@ def test_rebuild_conjugate_assembly_is_exact():
 
 def test_rebuild_requires_complete_record():
     block, record = readout_pipeline([1, 2, 3, 4])
-    del record.measurements[(2, ROLE_REFERENCE)]
-    with pytest.raises(ValueError):
+    complete = record.reference
+    record.reference = complete[:3]
+    with pytest.raises(ValueError, match="4 reference entries"):
+        rebuild_phases(record, block)
+    record.reference, record.magnitude = complete, np.append(record.magnitude, 0.0)
+    with pytest.raises(ValueError, match="4 magnitude"):
         rebuild_phases(record, block)
 
 

@@ -19,7 +19,6 @@ from hqsim.costs import CostLedger
 from hqsim.search import (
     GroverOutcome,
     SearchOracle,
-    SublistPartition,
     _class_order_table,
     _ClassOrders,
     _exact_call,
@@ -295,9 +294,8 @@ def test_tie_rule_exact_nonzero_tie_takes_the_lowest_free_index(half):
 
 def test_node_finds_unique_solution_first_round():
     oracle = SearchOracle.from_solutions(4, [5])
-    partition = SublistPartition(4, 2)
     ledger = CostLedger()
-    out = search_node(partition, 1, oracle, ledger=ledger)
+    out = search_node(oracle, 2, 1, ledger=ledger)
     assert out.verified
     assert out.measured_index == 5
     assert out.successful_round == 1
@@ -308,8 +306,7 @@ def test_node_finds_unique_solution_first_round():
 
 def test_node_exhausts_on_empty_sublist():
     oracle = SearchOracle.from_solutions(4, [5])
-    partition = SublistPartition(4, 2)
-    out = search_node(partition, 0, oracle)
+    out = search_node(oracle, 2, 0)
     assert not out.verified
     assert out.successful_round is None
     assert len(out.round_iterations) == 3  # n_q + 1 rounds
@@ -318,10 +315,9 @@ def test_node_exhausts_on_empty_sublist():
 
 def test_node_degenerate_single_element():
     oracle = SearchOracle.from_solutions(3, [6])
-    partition = SublistPartition(3, 0)
     ledger = CostLedger()
-    hit = search_node(partition, 6, oracle, ledger=ledger)
-    miss = search_node(partition, 5, oracle, ledger=ledger)
+    hit = search_node(oracle, 0, 6, ledger=ledger)
+    miss = search_node(oracle, 0, 5, ledger=ledger)
     assert hit.verified and hit.measured_index == 6
     assert not miss.verified
     assert ledger.classical_oracle_queries == 2
@@ -330,9 +326,8 @@ def test_node_degenerate_single_element():
 
 def test_node_respects_exclusions():
     oracle = SearchOracle.from_solutions(4, [4, 5])
-    partition = SublistPartition(4, 2)
     out = search_node(
-        partition, 1, oracle,
+        oracle, 2, 1,
         exclude_solutions=frozenset({4}),
         skip_candidates=frozenset({0}),
     )
@@ -342,34 +337,34 @@ def test_node_respects_exclusions():
 
 def test_node_sampled_mode_seeded():
     oracle = SearchOracle.from_solutions(4, [5])
-    partition = SublistPartition(4, 2)
-    a = search_node(partition, 1, oracle, mode="sampled", seed=3)
-    b = search_node(partition, 1, oracle, mode="sampled", seed=3)
+    a = search_node(oracle, 2, 1, mode="sampled", seed=3)
+    b = search_node(oracle, 2, 1, mode="sampled", seed=3)
     assert (a.measured_index, a.verified, a.round_iterations) == (
         b.measured_index, b.verified, b.round_iterations)
 
 
 def test_sampled_measurement_statistics_follow_the_law():
-    # Frequency of drawing a solution after t planned iterations converges
-    # to the exact law within the binomial tolerance for most seeds.
-    n_total, m = 16, 2
-    mask = mask_of(n_total, {3, 9})
-    t = plan_iterations(n_total, m)
-    theta = math.asin(math.sqrt(m / n_total))
-    want = math.sin((2 * t + 1) * theta) ** 2
-    amps = uniform(16)
-    for _ in range(t):
-        amps = grover_step(amps, mask)
-    probs = np.abs(amps) ** 2
-    shots = 4000
-    good = 0
-    for seed in range(40):
-        rng = np.random.default_rng(seed)
-        draws = rng.choice(n_total, size=shots, p=probs / probs.sum())
-        freq = float(np.mean(mask[draws]))
-        if abs(freq - want) < 5.0 / math.sqrt(shots):
-            good += 1
-    assert good >= 36  # 90% of seeds; the bound itself is 10 sigma
+    # search_node's round-0 pick on a 16-index node with solutions {3, 9},
+    # over many seeds: a solution with probability sin**2((2t+1)*theta),
+    # each solution half of those times, and the other 14 indices uniform.
+    oracle = SearchOracle.from_solutions(4, [3, 9])
+    t = plan_iterations(16, 1)  # round 0 plans for one solution
+    p = math.sin((2 * t + 1) * math.asin(math.sqrt(2 / 16))) ** 2
+    seeds = 4000
+    picks = []
+    for seed in range(seeds):
+        out = search_node(oracle, 4, 0, mode="sampled", seed=seed)
+        assert out.round_iterations[0] == t
+        picks.append(out.measured_index if out.successful_round == 1 else out.tested[0])
+    picks = np.array(picks)
+    hits = (picks == 3) | (picks == 9)
+    assert abs(hits.mean() - p) <= 5 * math.sqrt(p * (1 - p) / seeds)
+    wins = int(hits.sum())
+    assert abs(int(np.sum(picks == 3)) - wins / 2) <= 5 * math.sqrt(wins / 4)
+    rest = np.delete(np.bincount(picks[~hits], minlength=16), [3, 9])
+    expected = rest.sum() / rest.size
+    chi2 = float(((rest - expected) ** 2).sum() / expected)
+    assert chi2 <= chi_square_limit(rest.size - 1), chi2
 
 
 def chi_square_limit(df, z=5.0):
@@ -520,15 +515,16 @@ def test_partition_search_sampled_mode_still_exact_set():
     with pytest.raises(ValueError, match="unknown mode"):
         partition_search(oracle, 2, mode="fuzzy")
     with pytest.raises(ValueError, match="unknown mode"):
-        search_node(SublistPartition(5, 2), 0, oracle, mode="fuzzy")
+        search_node(oracle, 2, 0, mode="fuzzy")
 
 
-def reference_exact_node(partition, sublist, oracle, ledger, found, known_non):
+def reference_exact_node(oracle, n_q, sublist, ledger, found, known_non):
     """An exact-mode node call on one sublist by the array pick rule, round
     by round: the per-sublist reference for the search path's walk.
     ``found`` (local solutions, cleared from the node's oracle) and
     ``known_non`` (local non-solutions) are settled and never measured."""
-    base, size = partition.base(sublist), partition.sublist_size
+    size = 2**n_q
+    base = sublist * size
     mask = np.array([oracle.membership(base + i) and i not in found for i in range(size)])
     settled = np.zeros(size, dtype=bool)
     settled[list(found | known_non)] = True
@@ -558,7 +554,7 @@ def reference_exact_node(partition, sublist, oracle, ledger, found, known_non):
     )
 
 
-def probability_row_node(partition, sublist, oracle, ledger, found, known_non, seed):
+def probability_row_node(oracle, n_q, sublist, ledger, found, known_non, seed):
     """A sampled-mode node call on one sublist (of more than one index)
     drawn index by index from a probability row: ``sin**2((2t+1)*theta)/m``
     on each unfound solution, ``cos**2((2t+1)*theta)/(N-m)`` elsewhere,
@@ -566,7 +562,8 @@ def probability_row_node(partition, sublist, oracle, ledger, found, known_non, s
     class-then-rank draw, equal to it in distribution, not bit for bit.
     ``found`` are cleared from the node's oracle; ``known_non`` only shape
     the caller's sweep."""
-    base, size = partition.base(sublist), partition.sublist_size
+    size = 2**n_q
+    base = sublist * size
     mask = np.array([oracle.membership(base + i) and i not in found for i in range(size)])
     m = int(mask.sum())
     theta = math.asin(math.sqrt(m / size))
@@ -597,25 +594,24 @@ def reference_search(oracle, n_q, mode, master_seed):
     :func:`reference_exact_node`, sampled mode ``search_node`` and mode
     "rows" :func:`probability_row_node`, each sampled call seeded by its
     (sublist, call)."""
-    partition = SublistPartition(oracle.n, n_q)
-    size = partition.sublist_size
+    size = 2**n_q
     ledger = CostLedger()
     found = set()
-    for r in range(partition.num_sublists):
-        base = partition.base(r)
+    for r in range(2 ** (oracle.n - n_q)):
+        base = r * size
         found_local, known_non = set(), set()
         call = 0
         while len(found_local) + len(known_non) < size:
             seed = derive_seed(master_seed, r, call)
             if mode == "exact":
-                outcome = reference_exact_node(partition, r, oracle, ledger, found_local, known_non)
+                outcome = reference_exact_node(oracle, n_q, r, ledger, found_local, known_non)
             elif mode == "rows":
                 outcome = probability_row_node(
-                    partition, r, oracle, ledger, found_local, known_non, seed
+                    oracle, n_q, r, ledger, found_local, known_non, seed
                 )
             else:
                 outcome = search_node(
-                    partition, r, oracle, mode=mode, seed=seed,
+                    oracle, n_q, r, mode=mode, seed=seed,
                     ledger=ledger,
                     exclude_solutions=frozenset(base + i for i in found_local),
                     skip_candidates=frozenset(found_local | known_non),
@@ -816,7 +812,7 @@ def test_a_second_search_replans_and_rewalks_nothing(fresh_plans, monkeypatch):
     second = SearchOracle.from_solutions(8, [5, 9, 140, 250])
     partition_search(second, 3)
     partition_search(second, 3, mode="sampled", master_seed=2)
-    search_node(SublistPartition(8, 3), 0, second)
+    search_node(second, 3, 0)
     assert (len(planned), len(walked)) == (4, 4)
     assert list(fresh_plans) == [8]
 
@@ -834,7 +830,7 @@ def test_tie_walks_are_not_memoised_by_position(fresh_plans, monkeypatch):
 def test_the_memo_keeps_no_class_order_table(fresh_plans):
     oracle = SearchOracle.random(10, 300, seed=4)
     partition_search(oracle, 5)
-    search_node(SublistPartition(10, 5), 3, oracle)
+    search_node(oracle, 5, 3)
     plan = fresh_plans[32]
     assert set(vars(plan)) == {"size", "iterations", "spent_after", "_walks"}
     assert all(isinstance(v, int) for v in plan.iterations + plan.spent_after)
@@ -910,12 +906,18 @@ def test_oracle_validation():
 
 
 def test_partition_geometry():
-    partition = SublistPartition(5, 3)
-    assert partition.num_sublists == 4
-    assert partition.sublist_size == 8
-    assert partition.base(2) == 16
-    with pytest.raises(ValueError):
-        partition.base(4)
-    with pytest.raises(ValueError):
-        SublistPartition(3, 4)
+    # Sublist r of 2**n_q indices covers [r * 2**n_q, (r+1) * 2**n_q).
+    oracle = SearchOracle.from_solutions(5, [19])
+    hit, miss = search_node(oracle, 3, 2), search_node(oracle, 3, 1)
+    assert hit.verified and hit.measured_index == 19
+    assert not miss.verified and 8 <= miss.measured_index < 16
+    assert partition_search(oracle, 3)[1].node_accesses == 4
+    for sublist in (-1, 4):
+        with pytest.raises(ValueError, match="sublist"):
+            search_node(oracle, 3, sublist)
+    for n_q in (-1, 6):
+        with pytest.raises(ValueError, match="out of range for n=5"):
+            search_node(oracle, n_q, 0)
+        with pytest.raises(ValueError, match="out of range for n=5"):
+            partition_search(oracle, n_q)
 
