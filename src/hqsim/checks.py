@@ -155,15 +155,19 @@ def class_order_mismatches(sizes) -> list[tuple[int, int, int, int, float]]:
 
 def search_misses(oracles) -> list[tuple[int, int, list[int]]]:
     """Exact partitioned searches, at every ``0 <= n_q <= n`` of each
-    set-backed oracle, that miss the solution set: ``(n, n_q, indices
-    found or missed in error)`` per failing run."""
+    set-backed oracle and of its predicate-only twin (the same
+    ``membership`` without ``solutions``), where either run misses the
+    solution set or the two charge different ledgers: ``(n, n_q, indices
+    found or missed in error by either run)`` per failing ``n_q``."""
     misses = []
     for oracle in oracles:
         truth = set(oracle.solutions)
+        twin = SearchOracle(oracle.n, oracle.membership, oracle.solution_count, None)
         for n_q in range(oracle.n + 1):
-            found, _ = partition_search(oracle, n_q)
-            if found != truth:
-                misses.append((oracle.n, n_q, sorted(found ^ truth)))
+            found, ledger = partition_search(oracle, n_q)
+            twin_found, twin_ledger = partition_search(twin, n_q)
+            if found != truth or twin_found != truth or ledger != twin_ledger:
+                misses.append((oracle.n, n_q, sorted((found ^ truth) | (twin_found ^ truth))))
     return misses
 
 

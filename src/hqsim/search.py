@@ -27,8 +27,9 @@ emptiness; after a node gives up, the orchestrator classically sweeps
 whatever indices remain unknown so the returned set is always exact.
 Sweep and retry costs are charged to their own counters.
 
-The simulation reads the oracle once per index, as a bool mask.  Every
-exact pick takes the lowest free index of its class, so the indices a
+The simulation reads the oracle once per index, as the sorted positions
+of its solutions, and a block's per-sublist solution counts come from them.
+Every exact pick takes the lowest free index of its class, so the indices a
 sublist has settled are always its first ``i`` solutions and its first
 ``j`` non-solutions, and its whole run of node calls is a walk over those
 two counts.  Positions enter only at an exact tie with both classes free,
@@ -73,8 +74,8 @@ class SearchOracle:
     """Membership predicate over ``[0, 2**n)`` with known solution count.
 
     When ``solutions`` is given it must hold exactly the indices that
-    ``membership`` accepts, and stay fixed; :meth:`mask` reads it instead
-    of the predicate.
+    ``membership`` accepts, and stay fixed; :meth:`positions` reads it
+    instead of the predicate.
     """
 
     n: int
@@ -98,24 +99,24 @@ class SearchOracle:
         picks = rng.choice(2**n, size=count, replace=False)
         return cls.from_solutions(n, picks.tolist())
 
-    def mask(self, lo: int, hi: int) -> np.ndarray:
-        """Membership of the indices ``lo .. hi-1`` as a bool array.  A
-        set-backed oracle fills it from ``solutions``; a predicate-only one
-        calls ``membership`` once per index."""
+    def positions(self, lo: int, hi: int) -> np.ndarray:
+        """The solutions among the indices ``lo .. hi-1``, sorted, as an int64
+        array.  A set-backed oracle slices its sorted ``solutions`` (a
+        read-only view); a predicate-only one calls ``membership`` once per
+        index, in order, and keeps the indices whose result is truthy."""
         if self.solutions is None:
-            return np.fromiter(
-                (bool(self.membership(g)) for g in range(lo, hi)), dtype=bool, count=hi - lo
-            )
+            return np.fromiter(filter(self.membership, range(lo, hi)), dtype=np.int64)
         sols = self._sorted_solutions
         first, last = np.searchsorted(sols, (lo, hi))
-        out = np.zeros(hi - lo, dtype=bool)
-        out[sols[first:last] - lo] = True
-        return out
+        return sols[first:last]
 
     @cached_property
     def _sorted_solutions(self) -> np.ndarray:
-        # Sorted once, so that each block's mask costs only its own share.
-        return np.sort(np.fromiter(self.solutions, dtype=np.int64, count=len(self.solutions)))
+        # Sorted once, so that each block's read costs only its own share;
+        # read-only, since positions() hands out views of it.
+        sols = np.sort(np.fromiter(self.solutions, dtype=np.int64, count=len(self.solutions)))
+        sols.flags.writeable = False
+        return sols
 
 
 def _num_sublists(n: int, n_q: int) -> int:
@@ -373,8 +374,9 @@ def search_node(
 ) -> GroverOutcome:
     """Search one sublist with doubling assumed-count retries: one node call
     of :func:`partition_search`, on the ``2**n_q`` indices from
-    ``sublist * 2**n_q``.  Raises ``ValueError`` unless ``0 <= n_q <= n``
-    and ``0 <= sublist < 2**(n-n_q)``.
+    ``sublist * 2**n_q``.  Raises ``ValueError`` unless ``0 <= n_q <= n``,
+    ``0 <= sublist < 2**(n-n_q)`` and every skip candidate is in
+    ``[0, 2**n_q)``.
 
     ``exclude_solutions`` (global indices) are treated as non-solutions by
     the node's oracle; ``skip_candidates`` (local indices) are classically
@@ -387,8 +389,11 @@ def search_node(
     if not 0 <= sublist < _num_sublists(oracle.n, n_q):
         raise ValueError(f"sublist {sublist} out of range")
     size = 2**n_q
+    if any(not 0 <= c < size for c in skip_candidates):
+        raise ValueError(f"skip_candidates must be local indices in [0, {size})")
     base = sublist * size
-    mask = oracle.mask(base, base + size)
+    mask = np.zeros(size, dtype=bool)
+    mask[oracle.positions(base, base + size) - base] = True
     mask[[g - base for g in exclude_solutions if base <= g < base + size]] = False
     settled = np.zeros(size, dtype=bool)
     settled[list(skip_candidates)] = True
@@ -445,7 +450,8 @@ def search_node(
 
 
 # Sublists are searched in blocks of at most this many indices, which bounds
-# the mask's memory whatever n is.
+# the memory of a block's per-sublist counts and of its tie-only mask
+# whatever n is.
 BLOCK_INDICES = 2**12
 
 
@@ -465,10 +471,12 @@ def partition_search(
     count toward the headline query total; everything else lands in the
     retry/repeat/sweep counters.
 
-    The oracle is read once per index, as a mask, one block of sublists at
-    a time.  Exact mode charges each sublist its solution count's walk,
-    memoised for the process, or walks it on its own positions where that
-    walk meets a tie; sampled mode runs call waves over the block.
+    The oracle is read once per index, as the sorted positions of its
+    solutions, one block of sublists at a time, and each sublist's solution
+    count is binned from them.  Exact mode charges each sublist its count's
+    walk, memoised for the process, or walks it on its own positions where
+    that walk meets a tie, the only case that builds a bool mask, of those
+    sublists alone; sampled mode runs call waves over the block's counts.
     """
     check_mode(mode)
     size, num_sublists = 2**n_q, _num_sublists(oracle.n, n_q)
@@ -482,11 +490,11 @@ def partition_search(
     for first in range(0, num_sublists, per_block):
         rows = min(per_block, num_sublists - first)
         lo = first * size
-        solution = oracle.mask(lo, lo + rows * size).reshape(rows, size)
+        hits = oracle.positions(lo, lo + rows * size)
         # Node calls and the sweep together certify every solution.
-        positions = np.flatnonzero(solution)
-        found.update((lo + positions).tolist())
-        counts = np.bincount(positions >> n_q, minlength=rows)
+        found.update(hits.tolist())
+        row = (hits - lo) >> n_q
+        counts = np.bincount(row, minlength=rows)
         if size == 1:
             # Degenerate one-element nodes: a single classical test each.
             ledger.classical_oracle_queries += rows
@@ -498,10 +506,13 @@ def partition_search(
                 if plan.walk(m, orders) is not None:
                     hist[m] = hist.get(m, 0) + int(block[m])  # charged after the loop
                     continue
-                # Each of these rows holds m solutions: their positions, row by row.
-                tied = solution[counts == m]
-                sols = np.nonzero(tied)[1].reshape(len(tied), m).tolist()
-                nons = np.nonzero(~tied)[1].reshape(len(tied), size - m).tolist()
+                # Each of these rows holds m solutions: their positions, row by
+                # row, and a mask of these rows alone for the non-solutions.
+                local = (hits[counts[row] == m] & (size - 1)).reshape(-1, m)
+                tied = np.zeros((len(local), size), dtype=bool)
+                np.put_along_axis(tied, local, True, axis=1)
+                sols = local.tolist()
+                nons = np.nonzero(~tied)[1].reshape(len(local), size - m).tolist()
                 for sol, non in zip(sols, nons):
                     walk = _walk(
                         plan, orders, m, size - m, lambda i, j, s=sol, u=non: s[i] < u[j]

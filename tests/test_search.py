@@ -335,6 +335,17 @@ def test_node_respects_exclusions():
     assert out.measured_index == 5
 
 
+def test_node_refuses_skip_candidates_out_of_range():
+    # Local indices: -1 would wrap to the last index and hide solution 3,
+    # 4 would overrun the node.
+    oracle = SearchOracle.from_solutions(4, [3])
+    assert search_node(oracle, 2, 0).measured_index == 3
+    for candidate in (-1, 4):
+        for mode in ("exact", "sampled"):
+            with pytest.raises(ValueError, match="skip_candidates"):
+                search_node(oracle, 2, 0, mode=mode, skip_candidates=frozenset({candidate}))
+
+
 def test_node_sampled_mode_seeded():
     oracle = SearchOracle.from_solutions(4, [5])
     a = search_node(oracle, 2, 1, mode="sampled", seed=3)
@@ -498,6 +509,21 @@ def test_partition_search_completeness_random_oracles():
         m = int(rng.integers(0, 2**n + 1))
         oracles.append(SearchOracle.random(n, m, int(rng.integers(0, 2**31))))
     assert search_misses(oracles) == []
+
+
+def test_search_misses_checks_the_predicate_only_twin(monkeypatch):
+    # A predicate-only read that drops each block's first solution is
+    # caught although the set-backed run is right.
+    read = SearchOracle.positions
+
+    def wrong(oracle, lo, hi):
+        hits = read(oracle, lo, hi)
+        return hits if oracle.solutions is not None else hits[1:]
+
+    monkeypatch.setattr(SearchOracle, "positions", wrong)
+    oracle = SearchOracle.from_solutions(4, [3, 9])
+    assert partition_search(oracle, 2)[0] == {3, 9}
+    assert search_misses([oracle]) == [(4, n_q, [3]) for n_q in range(5)]
 
 
 def test_partition_search_is_deterministic():
@@ -868,24 +894,55 @@ def counting(oracle):
     return dataclasses.replace(oracle, membership=membership), calls
 
 
-def test_search_reads_the_oracle_once_per_index():
+def test_search_reads_the_oracle_once_per_index(monkeypatch):
+    # Blocks of 64 indices: four blocks, each read in one forward pass.
+    monkeypatch.setattr(search, "BLOCK_INDICES", 64)
     predicate = SearchOracle(8, lambda g: g % 5 == 1, 51, None)
-    oracle, calls = counting(predicate)
-    found, _ = partition_search(oracle, 3)
-    assert sorted(calls) == list(range(256))
-    assert found == {g for g in range(256) if g % 5 == 1}
-    # A set-backed oracle's mask is read from its solutions alone.
-    oracle, calls = counting(SearchOracle.from_solutions(8, [7, 9, 200]))
-    assert partition_search(oracle, 3)[0] == {7, 9, 200}
-    assert calls == []
+    for mode in ("exact", "sampled"):
+        oracle, calls = counting(predicate)
+        found, _ = partition_search(oracle, 3, mode=mode)
+        assert calls == list(range(256))
+        assert found == {g for g in range(256) if g % 5 == 1}
+        # A set-backed oracle is read from its solutions alone.
+        oracle, calls = counting(SearchOracle.from_solutions(8, [7, 9, 200]))
+        assert partition_search(oracle, 3, mode=mode)[0] == {7, 9, 200}
+        assert calls == []
 
 
-def test_oracle_mask_is_membership():
-    oracle = SearchOracle.random(6, 23, seed=4)
-    predicate = SearchOracle(6, oracle.membership, 23, None)
-    want = [oracle.membership(g) for g in range(10, 50)]
-    assert oracle.mask(10, 50).tolist() == want
-    assert predicate.mask(10, 50).tolist() == want
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_oracle_positions_are_the_sorted_solutions(data):
+    n = data.draw(st.integers(0, 8))
+    solutions = data.draw(st.frozensets(st.integers(0, 2**n - 1)))
+    lo = data.draw(st.integers(0, 2**n))
+    hi = data.draw(st.integers(lo, 2**n))
+    oracle = SearchOracle.from_solutions(n, solutions)
+    predicate = SearchOracle(n, oracle.membership, len(solutions), None)
+    want = [g for g in range(lo, hi) if oracle.membership(g)]
+    for kind in (oracle, predicate):
+        got = kind.positions(lo, hi)
+        assert got.dtype == np.int64
+        assert got.tolist() == want
+        assert lo < hi or got.size == 0
+    assert not oracle.positions(lo, hi).flags.writeable
+
+
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+def test_membership_is_read_by_truthiness(mode):
+    # 0/1 ints and numpy bools select the same indices as Python bools.
+    solutions = SearchOracle.random(7, 45, seed=3).solutions
+    predicates = (
+        lambda g: g in solutions,
+        lambda g: int(g in solutions),
+        lambda g: np.bool_(g in solutions),
+    )
+    for n_q in (0, 2, 4, 7):
+        runs = [
+            partition_search(SearchOracle(7, p, 45, None), n_q, mode=mode, master_seed=8)
+            for p in predicates
+        ]
+        assert all(found == set(solutions) for found, _ in runs)
+        assert all(ledger.as_dict() == runs[0][1].as_dict() for _, ledger in runs)
 
 
 # --- oracles and partitions --------------------------------------------------
