@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import reprlib
 import sys
 from dataclasses import dataclass, field
@@ -209,7 +210,9 @@ def parse_args(argv) -> RunConfig:
 
 def read_signal_csv(path: str, pad: bool) -> np.ndarray:
     """One decimal real per line; length must be a power of two unless
-    ``pad`` asks for explicit zero-padding."""
+    ``pad`` asks for explicit zero-padding.  Every sample must be finite,
+    and so must the length times the squared norm, which bounds every
+    squared transform value."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -221,9 +224,12 @@ def read_signal_csv(path: str, pad: bool) -> np.ndarray:
         if not text:
             continue
         try:
-            values.append(float(text))
+            value = float(text)
         except ValueError as exc:
             raise InputFileError(f"{path}:{lineno}: not a real number: {text!r}") from exc
+        if not math.isfinite(value):
+            raise InputFileError(f"{path}:{lineno}: not a finite number: {text!r}")
+        values.append(value)
     if not values:
         raise InputFileError(f"{path}: no samples")
     size = len(values)
@@ -234,7 +240,12 @@ def read_signal_csv(path: str, pad: bool) -> np.ndarray:
             )
         target = 1 << size.bit_length()
         values.extend([0.0] * (target - size))
-    return np.asarray(values, dtype=float)
+    signal = np.asarray(values, dtype=float)
+    with np.errstate(over="ignore"):
+        energy = float(np.dot(signal, signal))
+    if not math.isfinite(signal.size * energy):
+        raise InputFileError(f"{path}: length times squared norm is not finite")
+    return signal
 
 
 def _dft_signal(config: RunConfig) -> RealSignal:

@@ -8,17 +8,20 @@ Conventions, fixed once and used everywhere:
 * The transform circuit built here sends ``|j>`` to
   ``(1/sqrt(N)) * sum_k exp(+2*pi*i*k*j/N) |k>`` — note the plus sign.
 * Each gate class (:class:`Hadamard`, :class:`PhaseShift`,
-  :class:`ControlledPhase`, :class:`Swap`) carries everything about itself:
-  the qubits it acts on (``qubits``), its dense unitary (``matrix()``), a
-  copy re-targeted by a qubit offset (``shifted()``) and its in-place kernel
-  on a register tensor (``apply()``).  Two-qubit matrices list the first
-  qubit as the more significant one.
+  :class:`ControlledPhase`, :class:`Swap`) carries the qubits it acts on
+  (``qubits``), its dense unitary (``matrix()``) and a copy re-targeted by a
+  qubit offset (``shifted()``).  Two-qubit matrices list the first qubit as
+  the more significant one.
 * Circuits run in place on a ``(2, ..., 2, L)`` tensor whose last axis is a
   batch of registers, so each register is a column of a ``(2**Q, L)`` array
-  and every kernel's inner loop runs along the batch; single states are a
-  batch of one.  A :class:`Swap` moves no amplitude: it exchanges which
-  tensor axes hold its two qubits, and the circuit's final relabelling is
-  applied once, as one permuting copy.
+  and every step's inner loop runs along the batch; single states are a
+  batch of one.  A gate list is validated and compiled once per register
+  size into a plan of steps: a Hadamard is an unnormalized butterfly, the
+  phase gates between two Hadamards are one multiply by a precomputed
+  diagonal, and a :class:`Swap` moves no amplitude: it exchanges which
+  tensor axes hold its two qubits.  The circuit's final relabelling and the
+  product of the Hadamards' 1/sqrt(2) factors are applied once, as one
+  permuting copy, or folded by the caller into what it reads.
 * Measurement effects are sparse unit vectors on one subsystem; joint
   probabilities are squared overlaps, computed exactly or estimated from a
   seeded binomial draw.  They are the per-entry reference, within 1e-15 and
@@ -33,6 +36,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,6 +61,12 @@ __all__ = [
 ]
 
 MAX_QUBITS = 24
+
+# Circuit plans and readout schedules up to this register size are built
+# once and kept for the process; larger ones are built per call, so a run
+# keeps nothing the size of its nodes.  A plan's diagonals hold about one
+# register state.  Shared with the readout; not re-exported by the package.
+SHARED_MAX_QUBITS = 12
 
 _NORM_TOL = 1e-12
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -93,9 +103,6 @@ class Hadamard:
     def shifted(self, offset: int) -> "Hadamard":
         return Hadamard(self.target + offset)
 
-    def apply(self, tensor: np.ndarray, axes: dict[int, int]) -> None:
-        _apply_hadamard(tensor, axes[self.target])
-
 
 @dataclass(frozen=True)
 class PhaseShift:
@@ -111,9 +118,6 @@ class PhaseShift:
 
     def shifted(self, offset: int) -> "PhaseShift":
         return PhaseShift(self.target + offset, self.angle)
-
-    def apply(self, tensor: np.ndarray, axes: dict[int, int]) -> None:
-        _apply_phase(tensor, [axes[self.target]], self.angle)
 
 
 @dataclass(frozen=True)
@@ -134,9 +138,6 @@ class ControlledPhase:
     def shifted(self, offset: int) -> "ControlledPhase":
         return ControlledPhase(self.control + offset, self.target + offset, self.angle)
 
-    def apply(self, tensor: np.ndarray, axes: dict[int, int]) -> None:
-        _apply_phase(tensor, [axes[self.control], axes[self.target]], self.angle)
-
 
 @dataclass(frozen=True)
 class Swap:
@@ -154,10 +155,6 @@ class Swap:
 
     def shifted(self, offset: int) -> "Swap":
         return Swap(self.a + offset, self.b + offset)
-
-    def apply(self, tensor: np.ndarray, axes: dict[int, int]) -> None:
-        # A relabelling: the two qubits trade the tensor axes that hold them.
-        axes[self.a], axes[self.b] = axes[self.b], axes[self.a]
 
 
 GateOp = Hadamard | PhaseShift | ControlledPhase | Swap
@@ -194,41 +191,37 @@ def _check_qubit(q: int, num_qubits: int) -> None:
         raise ValueError(f"qubit index {q} out of range for {num_qubits} qubits")
 
 
-def _apply_hadamard(tensor: np.ndarray, axis: int) -> None:
-    """Write ``S*v0 + S*v1`` and ``S*v0 - S*v1``, ``S = 1/sqrt(2)``, into the
-    |0> and |1> halves of one axis, in place."""
-    v0, v1 = tensor.swapaxes(0, axis)  # writable views
-    s0 = v0 * _INV_SQRT2
-    v1 *= _INV_SQRT2
-    np.add(s0, v1, out=v0)
-    np.subtract(s0, v1, out=v1)
+def _diagonal_step(run: list, ndim: int) -> tuple:
+    """The step of a run of phase gates, each given as (the tensor axes it
+    needs at |1>, its angle): the sum of their phases over the axes the run
+    touches, applied where the axes that every gate needs are |1>."""
+    common = set.intersection(*(axes for axes, _ in run))
+    kept = [axis for axis in range(ndim) if axis not in common]
+    touched = set().union(*(axes for axes, _ in run))
+    phase = np.zeros([2 if axis in touched else 1 for axis in kept] + [1])
+    for axes, angle in run:
+        phase[tuple(slice(1, None) if axis in axes else slice(None) for axis in kept)] += angle
+    at_one = tuple(1 if axis in common else slice(None) for axis in range(ndim))
+    return None, at_one, np.exp(1j * phase)
 
 
-def _apply_phase(tensor: np.ndarray, axes_at_one, angle: float) -> None:
-    """Multiply by exp(i*angle) where every listed axis is |1>, in place."""
-    idx = [slice(None)] * tensor.ndim
-    for ax in axes_at_one:
-        idx[ax] = 1
-    tensor[tuple(idx)] *= cmath.exp(1j * angle)
+def _compile(num_qubits: int, control: int | None, circuit: tuple) -> tuple:
+    """Validate a circuit and compile it into ``(steps, rows, scale)``.
 
-
-def apply_circuit_batch(columns: np.ndarray, circuit, control: int | None = None) -> None:
-    """Apply a gate sequence, in place, to every column of a ``(2**Q, L)``
-    C-contiguous complex array; each column is one ``Q``-qubit register.
-
-    The columns are viewed as a ``(2, ..., 2, L)`` tensor whose last axis is
-    the batch, so qubit ``q`` sits on axis ``q``.  Swaps only relabel which
-    axis holds which qubit; once every gate has run, one permuting copy puts
-    the qubits back in order.  With ``control`` set, every gate acts only on
-    the branch where that qubit is |1>, and no gate may touch it.
+    Each step is ``(at_zero, at_one, diagonal)``, indices of the gate tensor.
+    A Hadamard is a step without a diagonal: an unnormalized butterfly
+    between the |0> and |1> halves of its axis.  The phase gates between two
+    Hadamards are one step, which multiplies the slice where their common
+    qubits are |1> by a diagonal over the rest.  Swaps among them break no
+    run: a swap moves no amplitude, it exchanges which tensor axes hold its
+    two qubits.  Afterwards logical row ``r`` sits at row ``rows[r]``, short
+    of ``scale``, the product of the Hadamards' 1/sqrt(2) factors.
     """
-    if columns.ndim != 2 or not columns.flags.c_contiguous or columns.dtype != complex:
-        raise ValueError("columns must be a C-contiguous (2**Q, L) complex array")
-    num_qubits = columns.shape[0].bit_length() - 1
-    if columns.shape[0] != 2**num_qubits or num_qubits < 1:
-        raise ValueError(f"column length {columns.shape[0]} is not a power of two >= 2")
     if control is not None:
         _check_qubit(control, num_qubits)
+    qubits = [q for q in range(num_qubits) if q != control]
+    axes = {q: axis for axis, q in enumerate(qubits)}  # the axis holding each qubit
+    steps, run, hadamards = [], [], 0
     for gate in circuit:
         if len(set(gate.qubits)) != len(gate.qubits):
             raise ValueError(f"gate {gate!r} acts twice on one qubit")
@@ -236,17 +229,82 @@ def apply_circuit_batch(columns: np.ndarray, circuit, control: int | None = None
             _check_qubit(q, num_qubits)
             if q == control:
                 raise ValueError(f"gate {gate!r} touches the control qubit {control}")
+        if isinstance(gate, Swap):
+            axes[gate.a], axes[gate.b] = axes[gate.b], axes[gate.a]
+        elif isinstance(gate, Hadamard):
+            if run:
+                steps.append(_diagonal_step(run, len(qubits)))
+                run = []
+            head = (slice(None),) * axes[gate.target]
+            steps.append((head + (0,), head + (1,), None))
+            hadamards += 1
+        elif isinstance(gate, (PhaseShift, ControlledPhase)):
+            run.append(({axes[q] for q in gate.qubits}, gate.angle))
+        else:
+            raise TypeError(f"unknown gate {gate!r}")
+    if run:
+        steps.append(_diagonal_step(run, len(qubits)))
+    order = [axes[q] for q in qubits]
+    rows = np.arange(2 ** len(qubits)).reshape((2,) * len(qubits)).transpose(order).ravel()
+    rows.flags.writeable = False  # shared by every caller of a kept plan
+    return tuple(steps), rows, math.ldexp(_INV_SQRT2 if hadamards % 2 else 1.0, -(hadamards // 2))
+
+
+_shared_plan = lru_cache(maxsize=64)(_compile)
+
+
+# Shared with the readout; not re-exported by the package.
+def run_circuit(
+    columns: np.ndarray, circuit, control: int | None = None
+) -> tuple[np.ndarray, float]:
+    """Run a gate sequence, in place, on every column of a ``(2**Q, L)``
+    C-contiguous complex array, but for its final relabelling and its
+    normalization: returns ``(rows, scale)``, where logical row ``r`` of the
+    rows it ran on (all, or the control-on branch) now sits at row
+    ``rows[r]`` of them, short of the factor ``scale``.
+    """
+    if columns.ndim != 2 or not columns.flags.c_contiguous or columns.dtype != complex:
+        raise ValueError("columns must be a C-contiguous (2**Q, L) complex array")
+    num_qubits = columns.shape[0].bit_length() - 1
+    if columns.shape[0] != 2**num_qubits or num_qubits < 1:
+        raise ValueError(f"column length {columns.shape[0]} is not a power of two >= 2")
+    compile_plan = _shared_plan if num_qubits <= SHARED_MAX_QUBITS else _compile
+    steps, rows, scale = compile_plan(num_qubits, control, tuple(circuit))
     tensor = columns.reshape((2,) * num_qubits + (columns.shape[1],))
     if control is not None:
         tensor = tensor[(slice(None),) * control + (1,)]  # writable view
-    # The tensor axis that holds each qubit; a swap exchanges two entries.
-    qubits = [q for q in range(num_qubits) if q != control]
-    axes = {q: axis for axis, q in enumerate(qubits)}
-    for gate in circuit:
-        gate.apply(tensor, axes)
-    order = [axes[q] for q in qubits]
-    if order != sorted(order):
-        tensor[...] = tensor.transpose(order + [len(order)]).copy()
+    for at_zero, at_one, diagonal in steps:
+        v1 = tensor[at_one]  # writable views
+        if diagonal is None:
+            v0 = tensor[at_zero]
+            v0 += v1
+            v1 *= -2.0
+            v1 += v0
+        else:
+            v1 *= diagonal
+    return rows, scale
+
+
+def apply_circuit_batch(columns: np.ndarray, circuit, control: int | None = None) -> None:
+    """Apply a gate sequence, in place, to every column of a ``(2**Q, L)``
+    C-contiguous complex array; each column is one ``Q``-qubit register.
+
+    The columns are viewed as a ``(2, ..., 2, L)`` tensor whose last axis is
+    the batch, so qubit ``q`` sits on axis ``q``.  Once :func:`run_circuit`
+    has run the gates, one permuting copy puts the qubits back in order and
+    applies the normalization.  With ``control`` set, every gate acts only
+    on the branch where that qubit is |1>, and no gate may touch it.
+    """
+    rows, scale = run_circuit(columns, circuit, control)
+    # The rows the circuit ran on, as a writable (outer, inner, L) view.
+    if control is None:
+        branch = columns[None]
+    else:
+        branch = columns.reshape(2**control, 2, -1, columns.shape[1])[:, 1]
+    inner = branch.shape[1]
+    moved = branch[rows // inner, rows % inner]
+    moved *= scale
+    branch[...] = moved.reshape(branch.shape)
 
 
 def _apply_to_state(state: StateVector, circuit, control: int | None = None) -> StateVector:
@@ -270,9 +328,16 @@ def build_qft_circuit(n_q: int) -> list[GateOp]:
 
     The sequence is a Hadamard per qubit, a controlled phase per qubit pair
     (n_q*(n_q-1)/2 of them) and floor(n_q/2) final order-reversing swaps.
+    Gates are immutable: every call returns a new list of the gate objects
+    built on the first call for ``n_q``.
     """
     if n_q < 1:
         raise ValueError(f"n_q must be >= 1, got {n_q}")
+    return list(_qft_gates(n_q))
+
+
+@lru_cache(maxsize=MAX_QUBITS)
+def _qft_gates(n_q: int) -> tuple[GateOp, ...]:
     gates: list[GateOp] = []
     for i in range(n_q):
         gates.append(Hadamard(i))
@@ -281,7 +346,7 @@ def build_qft_circuit(n_q: int) -> list[GateOp]:
             gates.append(ControlledPhase(control=j, target=i, angle=angle))
     for i in range(n_q // 2):
         gates.append(Swap(i, n_q - 1 - i))
-    return gates
+    return tuple(gates)
 
 
 def apply_controlled_circuit(state: StateVector, control: int, circuit) -> StateVector:

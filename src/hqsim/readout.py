@@ -33,7 +33,9 @@ circuit on a ``(2, ..., 2, L)`` tensor with the batch innermost and reads
 every projector of every block as a row of that array, through the
 schedule's arrays, so no effect objects are built per entry.  The ancilla's
 control-off branch is the encoded block itself, so only the control-on
-branch is simulated.
+branch is simulated; its projections read through the circuit's final
+relabelling, with the circuit's normalization folded into the projector
+weights, so the node stage neither permutes nor rescales the state.
 :func:`execute_schedule` and :func:`rebuild_phases` are batch-of-one
 wrappers round the same code; their :class:`ReadoutRecord` holds a block's
 magnitude and reference entries as two arrays in projector order.
@@ -47,7 +49,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import StateVector, apply_circuit_batch, build_qft_circuit, check_mode
+from .core import (
+    SHARED_MAX_QUBITS,
+    StateVector,
+    build_qft_circuit,
+    check_mode,
+    run_circuit,
+)
 from .costs import CostLedger
 
 __all__ = [
@@ -156,22 +164,19 @@ def prepare_block_state(block: BlockVector, ledger: CostLedger | None = None) ->
     return StateVector(block.n_q, normalized[:, 0])
 
 
-# Schedules up to this n_q are built once and kept for the process, under
-# 350 KB in all.  A larger one costs little next to its own circuit, O(N)
-# against O(N * n_q**2), and keeping every size of a sweep would hold up to
-# twice the largest schedule for the rest of the run.
-_SHARED_SCHEDULE_MAX_NQ = 12
-
-
 def build_schedule(n_q: int) -> ReadoutSchedule:
     """Projection/measurement schedule for a ``2**n_q``-point readout.
 
     Exactly ``N`` pairwise orthogonal data projectors with two entries each:
     the self-conjugate indices 0 and N/2 plus a conjugate pair (+, -) per
     index below N/2.  Its arrays are read-only: a schedule of up to
-    ``_SHARED_SCHEDULE_MAX_NQ`` qubits is shared by every caller.
+    ``SHARED_MAX_QUBITS`` qubits is shared by every caller.
     """
-    if n_q <= _SHARED_SCHEDULE_MAX_NQ:
+    # The shared schedules take under 350 KB in all.  A larger one costs
+    # little next to its own circuit, O(N) against O(N * n_q**2), and keeping
+    # every size of a sweep would hold up to twice the largest schedule for
+    # the rest of the run.
+    if n_q <= SHARED_MAX_QUBITS:
         return _shared_schedule(n_q)
     return _new_schedule(n_q)
 
@@ -230,14 +235,26 @@ def _encode(blocks: np.ndarray, norms: np.ndarray, ledger: CostLedger | None) ->
     return blocks / norms
 
 
-def _project(schedule: ReadoutSchedule, columns: np.ndarray) -> np.ndarray:
-    """Overlap of every column with every data projector, ``(N, L)`` with
-    one row per projector in projector order.  The weights multiply before
-    the sum, as in :func:`hqsim.core.project_data_register`."""
+def _reference(schedule: ReadoutSchedule, x: np.ndarray) -> np.ndarray:
+    """The classical reference ``a = (x_i + sign * x_j) * scale`` of every
+    projector of every column of ``x``, ``(N, L)``: the sum comes before the
+    weight, as in the scalar rebuild this replaced."""
     first, second = schedule.indices.T
-    weight = schedule.scales * schedule.signs
-    return (schedule.scales[:, None] * columns.take(first, axis=0)
-            + weight[:, None] * columns.take(second, axis=0))
+    pair = x.take(first, axis=0) + schedule.signs[:, None] * x.take(second, axis=0)
+    return pair * schedule.scales[:, None]
+
+
+def _project(
+    schedule: ReadoutSchedule, columns: np.ndarray, rows: np.ndarray, factor: float
+) -> np.ndarray:
+    """Overlap of every column with every data projector, times ``factor``:
+    ``(N, L)`` with one row per projector in projector order.  Basis index
+    ``i`` is read from row ``rows[i]``.  The weights multiply before the
+    sum, as in :func:`hqsim.core.project_data_register`."""
+    first, second = rows[schedule.indices.T]
+    scales = schedule.scales * factor
+    return (scales[:, None] * columns.take(first, axis=0)
+            + (scales * schedule.signs)[:, None] * columns.take(second, axis=0))
 
 
 def _by_coefficient(schedule: ReadoutSchedule, values: np.ndarray) -> np.ndarray:
@@ -269,40 +286,49 @@ _ERFC_FIT = (
 def _erfc(x: np.ndarray) -> np.ndarray:
     """Complementary error function of nonnegative ``x``, elementwise."""
     t = 1.0 / (1.0 + 0.5 * x)
-    return t * np.exp(np.polynomial.polynomial.polyval(t, _ERFC_FIT) - x * x)
+    # Horner's rule in the order of numpy's polyval, highest power first.
+    fit = _ERFC_FIT[-1]
+    for c in _ERFC_FIT[-2::-1]:
+        fit = c + fit * t
+    return t * np.exp(fit - x * x)
 
 
 def _measure(
-    schedule: ReadoutSchedule, x: np.ndarray, shots: int, seeds, ledger: CostLedger | None
+    schedule: ReadoutSchedule,
+    x: np.ndarray,
+    a: np.ndarray,
+    shots: int,
+    seeds,
+    ledger: CostLedger | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Joint probabilities of every normalized column of the C-contiguous
-    ``(N, L)`` array ``x``: the magnitude and the reference entry of each
-    projector, two ``(N, L)`` arrays with one row per projector.
+    ``(N, L)`` array ``x``, whose classical references are ``a``: the
+    magnitude and the reference entry of each projector, two ``(N, L)``
+    arrays with one row per projector.
 
     The ancilla Hadamard on |0> leaves ``x/sqrt(2)`` in both ancilla
-    branches.  The control-off branch stays there and is projected as a
-    real array; the controlled transform runs on the control-on branch of
-    every column in one batch.  ``shots = 0`` gives exact values.  Otherwise
-    each entry is a binomial estimate: column ``i`` makes one generator from
-    ``seeds[i]`` and draws one binomial per entry from it, over its 2N
-    entries in schedule order, so a column's estimates depend on its own
-    seed only.
+    branches.  The control-off branch stays there, so its projections are
+    ``a/sqrt(2)``; the controlled transform runs on the control-on branch of
+    every column in one batch and is read through the circuit's final
+    relabelling, with its normalization folded into the projector weights.
+    ``shots = 0`` gives exact values.  Otherwise each entry is a binomial
+    estimate: column ``i`` makes one generator from ``seeds[i]`` and draws
+    one binomial per entry from it, over its 2N entries in schedule order,
+    so a column's estimates depend on its own seed only.
     """
     N, L = x.shape
-    off = x * _INV_SQRT2
-    on = off + 0j
+    on = x.astype(complex)
     circuit = build_qft_circuit(schedule.n_q)
-    apply_circuit_batch(on, circuit)
+    rows, scale = run_circuit(on, circuit)
     if ledger is not None:
         ledger.quantum_gate_units += L * len(circuit)
         ledger.measurement_units += L * 2 * N
 
-    # Ancilla residual (r0, r1) of each data projector.
-    r0 = _project(schedule, off)
-    r1 = _project(schedule, on)
+    # Ancilla residual (r0, r1) of each data projector, r0 = a/sqrt(2).
+    r1 = _project(schedule, on, rows, _INV_SQRT2 * scale)
     # <ref| r> = r0/sqrt(2) + w*r1, w the conjugate of e^{i*phi}/sqrt(2).
     w = np.exp(-1j * schedule.ancilla_phase) * _INV_SQRT2
-    ref = _INV_SQRT2 * r0 + w[:, None] * r1
+    ref = 0.5 * a + w[:, None] * r1
     magnitude = r1.real * r1.real + r1.imag * r1.imag
     reference = ref.real * ref.real + ref.imag * ref.imag
     if not shots:
@@ -336,13 +362,15 @@ def _classical_coefficients(x: np.ndarray, columns: np.ndarray, k: np.ndarray) -
 def _rebuild(
     schedule: ReadoutSchedule,
     x: np.ndarray,
+    a: np.ndarray,
     magnitude: np.ndarray,
     reference: np.ndarray,
     shots: int,
     eps_ref: float,
     ledger: CostLedger | None,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """Signed amplitude-level coefficients of every column of ``x``.
+    """Signed amplitude-level coefficients of every column of ``x``, whose
+    classical references are ``a``.
 
     Returns the ``(N, L)`` coefficients, their standard errors when
     ``shots`` is nonzero (sampled mode) or None, and the ``(N, L)`` mask of
@@ -350,14 +378,9 @@ def _rebuild(
     ``|a| < eps_ref`` is a fallback unless ``|b|`` is below ``eps_ref`` too.
     """
     N = x.shape[0]
-    # The classical reference a = (x_i + sign * x_j) * scale: the sum comes
-    # before the weight, as in the scalar rebuild this replaced.
-    first, second = schedule.indices.T
-    signs, scales = schedule.signs[:, None], schedule.scales[:, None]
-    a = (x.take(first, axis=0) + signs * x.take(second, axis=0)) * scales
     mag = np.maximum(magnitude, 0.0)
     b_abs = np.sqrt(2.0 * mag)
-    pair = signs != 0
+    pair = schedule.signs[:, None] != 0
     # Nearest hypothesis (a + s|b|)**2 / 4 to the reference picks the sign.
     plus = np.square(a + b_abs) / 4.0
     minus = np.square(a - b_abs) / 4.0
@@ -427,20 +450,27 @@ def evaluate_nodes(
     x = _encode(blocks.compress(live, axis=1), norms[live], ledger)
     schedule = build_schedule(N.bit_length() - 1)
     live_seeds = [seed for seed, keep in zip(seeds, live) if keep] if shots else None
-    magnitude, reference = _measure(schedule, x, shots, live_seeds, ledger)
+    a = _reference(schedule, x)
+    magnitude, reference = _measure(schedule, x, a, shots, live_seeds, ledger)
     coefficients, stderr, _ = _rebuild(
-        schedule, x, magnitude, reference, shots, _default_eps(shots), ledger
+        schedule, x, a, magnitude, reference, shots, _default_eps(shots), ledger
     )
     if ledger is not None:
         ledger.node_accesses += x.shape[1]
     scale = norms[live] * math.sqrt(N)
-    values = np.zeros((N, L), dtype=complex)
-    values[:, live] = coefficients * scale
-    if stderr is None:
-        return values, None
-    errors = np.zeros((N, L))
-    errors[:, live] = stderr * scale
-    return values, errors
+    values = _spread(coefficients * scale, live)
+    return values, None if stderr is None else _spread(stderr * scale, live)
+
+
+def _spread(columns: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """The ``(N, L)`` output from the columns of the live blocks, with zeros
+    for the others: one take from the columns behind a zero column."""
+    if live.all():
+        return columns
+    padded = np.concatenate([np.zeros((columns.shape[0], 1), columns.dtype), columns], axis=1)
+    # Output column j reads padded column 0 when its block is all zero, and
+    # 1 + its rank among the live columns otherwise.
+    return padded.take(np.cumsum(live) * live, axis=1)
 
 
 def execute_schedule(
@@ -466,7 +496,7 @@ def execute_schedule(
         )
     shots = check_mode(mode, shots)
     x = _encode(block.values[:, None], np.array([block.norm]), ledger)
-    magnitude, reference = _measure(schedule, x, shots, [seed], ledger)
+    magnitude, reference = _measure(schedule, x, _reference(schedule, x), shots, [seed], ledger)
     return ReadoutRecord(schedule, magnitude[:, 0], reference[:, 0], mode, shots, seed)
 
 
@@ -500,7 +530,8 @@ def rebuild_phases(
         raise ValueError(f"record needs {N} magnitude and {N} reference entries")
     x = block.values[:, None] / block.norm
     coefficients, stderr, fallback = _rebuild(
-        schedule, x, magnitude[:, None], reference[:, None], shots, eps_ref, ledger
+        schedule, x, _reference(schedule, x), magnitude[:, None], reference[:, None],
+        shots, eps_ref, ledger,
     )
     return SpectrumEstimate(
         coefficients=coefficients[:, 0],

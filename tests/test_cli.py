@@ -88,6 +88,22 @@ def test_read_signal_reports_bad_line(tmp_path):
         read_signal_csv(str(path), pad=False)
 
 
+@pytest.mark.parametrize("sample", ["nan", "inf", "-inf", "1e308"])
+def test_main_refuses_non_finite_input(tmp_path, capsys, sample):
+    # 1e308 is finite, but its square is not: the transform would overflow.
+    path = tmp_path / "sig.csv"
+    path.write_text(f"1.0\n{sample}\n0\n0\n")
+    code = main(["dft-run", "--n", "2", "--nq", "1", "--input", str(path)])
+    assert code == EXIT_IO
+    assert "finite" in capsys.readouterr().err
+
+
+def test_read_signal_accepts_a_large_finite_energy(tmp_path):
+    path = tmp_path / "sig.csv"
+    path.write_text("1e150\n-1e150\n0\n0\n")
+    assert np.array_equal(read_signal_csv(str(path), pad=False), [1e150, -1e150, 0.0, 0.0])
+
+
 def test_read_signal_length_must_be_power_of_two(tmp_path):
     path = tmp_path / "sig.csv"
     path.write_text("1\n2\n3\n")

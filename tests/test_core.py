@@ -293,6 +293,61 @@ def test_gates_after_swaps_match_dense_matrices(control):
     assert np.max(np.abs(got.amplitudes - want)) < 1e-14
 
 
+def dense_circuit(circuit, num_qubits, control=None):
+    """The product of the gates' embedded matrices, each acting only where
+    ``control`` is |1> when one is given."""
+    dim = 2**num_qubits
+    out = np.eye(dim, dtype=complex)
+    on = np.array([control is None or (i >> (num_qubits - 1 - control)) & 1 for i in range(dim)],
+                  dtype=bool)
+    for gate in circuit:
+        out = np.where(np.outer(on, on), embedded_matrix(gate, num_qubits), np.eye(dim)) @ out
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_fused_diagonal_runs_match_dense_matrices(data):
+    # Long runs of phase gates, whose qubits are shared by every gate of the
+    # run, by some or by none, between Hadamards and with swaps before,
+    # between and after them: each run is one precomputed diagonal.
+    num_qubits = data.draw(st.integers(2, 5))
+    control = data.draw(st.none() | st.integers(0, num_qubits - 1))
+    free = [q for q in range(num_qubits) if q != control]
+    qubit = st.sampled_from(free)
+    angle = st.floats(-math.pi, math.pi, allow_nan=False)
+
+    def swaps():
+        pairs = st.lists(qubit, min_size=2, max_size=2, unique=True)
+        count = data.draw(st.integers(0, 2)) if len(free) > 1 else 0
+        return [Swap(*data.draw(pairs)) for _ in range(count)]
+
+    circuit = swaps()
+    for _ in range(data.draw(st.integers(1, 3))):
+        shared = data.draw(qubit)
+        for _ in range(data.draw(st.integers(1, 10))):
+            others = [q for q in free if q != shared]
+            if not others or data.draw(st.booleans()):
+                q = data.draw(qubit)
+                gate = PhaseShift(q, data.draw(angle))
+            elif data.draw(st.booleans()):
+                other = data.draw(st.sampled_from(others))
+                pair = (shared, other) if data.draw(st.booleans()) else (other, shared)
+                gate = ControlledPhase(*pair, data.draw(angle))
+            else:
+                pair = data.draw(st.lists(qubit, min_size=2, max_size=2, unique=True))
+                gate = ControlledPhase(*pair, data.draw(angle))
+            circuit.append(gate)
+            circuit += swaps() if data.draw(st.booleans()) else []
+        circuit.append(Hadamard(data.draw(qubit)))
+        circuit += swaps()
+    if data.draw(st.booleans()):
+        circuit.pop()  # end on a run, not on a Hadamard
+    got = np.eye(2**num_qubits, dtype=complex)
+    apply_circuit_batch(got, circuit, control)
+    assert np.max(np.abs(got - dense_circuit(circuit, num_qubits, control))) < 1e-12
+
+
 def test_batched_rows_must_be_contiguous():
     columns = np.zeros((8, 4), dtype=complex)
     with pytest.raises(ValueError):

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from hqsim import readout
+from hqsim import core, readout
 from hqsim.core import (
+    SHARED_MAX_QUBITS,
     Hadamard,
     MeasurementEffect,
     PhaseShift,
@@ -17,12 +18,12 @@ from hqsim.core import (
 from hqsim.checks import TRANSFORM_TOLERANCE, round_trip_deviation
 from hqsim.costs import CostLedger
 from hqsim.readout import (
-    _SHARED_SCHEDULE_MAX_NQ,
     BlockVector,
     _classical_coefficients,
     _default_eps,
     _measure,
     _rebuild,
+    _reference,
     build_schedule,
     evaluate_nodes,
     execute_schedule,
@@ -143,9 +144,9 @@ def test_schedule_rejects_bad_size():
 
 
 def test_schedules_are_read_only_and_shared_up_to_the_limit():
-    small, large = build_schedule(3), build_schedule(_SHARED_SCHEDULE_MAX_NQ + 1)
+    small, large = build_schedule(3), build_schedule(SHARED_MAX_QUBITS + 1)
     assert build_schedule(3) is small
-    assert build_schedule(_SHARED_SCHEDULE_MAX_NQ + 1) is not large
+    assert build_schedule(SHARED_MAX_QUBITS + 1) is not large
     for schedule in (small, large):
         for array in (schedule.indices, schedule.signs, schedule.scales,
                       schedule.imaginary, schedule.ancilla_phase):
@@ -188,6 +189,45 @@ def test_gate_charge_counts_the_circuit_that_ran(monkeypatch):
     )
     evaluate_nodes(blocks, ledger=after)
     assert after.quantum_gate_units == before.quantum_gate_units + 2
+
+
+def test_node_circuit_is_compiled_once_per_size():
+    # The first run at a size may compile its circuit; later runs at that
+    # size, at any batch width, reuse the plan.  Its steps are one butterfly
+    # per Hadamard and one diagonal between each two.
+    blocks = np.random.default_rng(64).normal(size=(4, 32)).T.copy()
+    evaluate_nodes(blocks)
+    before = core._shared_plan.cache_info()
+    evaluate_nodes(blocks)
+    evaluate_nodes(blocks[:, :1].copy(), "sampled", 100, [3])
+    after = core._shared_plan.cache_info()
+    assert (after.misses, after.hits) == (before.misses, before.hits + 2)
+    steps, _, _ = core._shared_plan(5, None, tuple(build_qft_circuit(5)))
+    assert [diagonal is None for _, _, diagonal in steps] == [True, False] * 4 + [True]
+
+
+def test_nodes_above_the_shared_size_compile_per_call():
+    before = core._shared_plan.cache_info()
+    columns = np.zeros((2 ** (SHARED_MAX_QUBITS + 1), 1), dtype=complex)
+    columns[0] = 1.0
+    core.apply_circuit_batch(columns, build_qft_circuit(SHARED_MAX_QUBITS + 1))
+    assert core._shared_plan.cache_info() == before
+    assert np.allclose(columns[:, 0], 2 ** (-(SHARED_MAX_QUBITS + 1) / 2), atol=1e-15)
+
+
+def test_patched_node_circuit_is_compiled_and_run(monkeypatch):
+    # A different gate list at a size already compiled gets its own plan.
+    blocks = np.random.default_rng(65).normal(size=(3, 8)).T.copy()
+    values, _ = evaluate_nodes(blocks)
+    monkeypatch.setattr(
+        readout, "build_qft_circuit", lambda n_q: build_qft_circuit(n_q) + [PhaseShift(0, math.pi)]
+    )
+    flipped, _ = evaluate_nodes(blocks)
+    # The phase negates the rows from N/2 on: coefficient 0 stays, the
+    # self-conjugate coefficient N/2 changes sign and the pairs mix.
+    assert np.allclose(flipped[0], values[0], atol=1e-12)
+    assert np.allclose(flipped[4], -values[4], atol=1e-12)
+    assert not np.allclose(flipped, values)
 
 
 def test_execute_size_mismatch():
@@ -325,7 +365,9 @@ def test_batched_probabilities_match_per_entry_effects(n_q):
     blocks = [BlockVector.from_values(v) for v in rows if np.any(v)]
     normalized = np.array([block.values / block.norm for block in blocks]).T.copy()
     schedule = build_schedule(n_q)
-    magnitude, reference = _measure(schedule, normalized, 0, None, None)
+    magnitude, reference = _measure(
+        schedule, normalized, _reference(schedule, normalized), 0, None, None
+    )
     circuit = [gate.shifted(1) for gate in build_qft_circuit(n_q)]
     for row, block in enumerate(blocks):
         joint = np.concatenate([prepare_block_state(block).amplitudes, np.zeros(N)])
@@ -431,10 +473,11 @@ def test_rebuild_fallbacks_match_per_fallback_reference():
     x = blocks / np.linalg.norm(blocks, axis=1)[:, None]
     schedule = build_schedule(n_q)
     columns = x.T.copy()
-    magnitude, reference = _measure(schedule, columns, shots, list(range(L)), None)
+    a = _reference(schedule, columns)
+    magnitude, reference = _measure(schedule, columns, a, shots, list(range(L)), None)
     ledger = CostLedger()
     coefficients, _, fallback = _rebuild(
-        schedule, columns, magnitude, reference, shots, _default_eps(shots), ledger
+        schedule, columns, a, magnitude, reference, shots, _default_eps(shots), ledger
     )
     p, rows = np.nonzero(fallback)
     assert len(rows) > 500
@@ -497,6 +540,16 @@ def test_sign_robustness_with_solid_references():
         got = rescale_to_dft(estimate)
         want = dft_matrix(N) @ values.astype(complex)
         assert np.max(np.abs(got - want)) < 1e-9
+
+
+def test_erfc_fit_equals_numpy_polyval_bit_for_bit():
+    # The Horner loop replaced numpy.polynomial's polyval, which sampled runs
+    # imported for this one call; the stderr must not move by a bit.
+    x = np.concatenate([np.linspace(0.0, 12.0, 4001), [1e-300, 1e-12, 0.3, 27.0, 1e3]])
+    t = 1.0 / (1.0 + 0.5 * x)
+    want = t * np.exp(np.polynomial.polynomial.polyval(t, readout._ERFC_FIT) - x * x)
+    assert np.array_equal(readout._erfc(x), want)
+    assert np.allclose(readout._erfc(x[:50]), [math.erfc(v) for v in x[:50]], rtol=1.2e-7, atol=0)
 
 
 def test_sampled_rebuild_carries_stderr():
