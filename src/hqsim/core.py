@@ -202,7 +202,8 @@ def _diagonal_step(run: list, ndim: int) -> tuple:
     for axes, angle in run:
         phase[tuple(slice(1, None) if axis in axes else slice(None) for axis in kept)] += angle
     at_one = tuple(1 if axis in common else slice(None) for axis in range(ndim))
-    return None, at_one, np.exp(1j * phase)
+    diagonal = phase * 1j
+    return None, at_one, np.exp(diagonal, out=diagonal)
 
 
 def _compile(num_qubits: int, control: int | None, circuit: tuple) -> tuple:

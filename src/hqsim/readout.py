@@ -465,8 +465,6 @@ def evaluate_nodes(
 def _spread(columns: np.ndarray, live: np.ndarray) -> np.ndarray:
     """The ``(N, L)`` output from the columns of the live blocks, with zeros
     for the others: one take from the columns behind a zero column."""
-    if live.all():
-        return columns
     padded = np.concatenate([np.zeros((columns.shape[0], 1), columns.dtype), columns], axis=1)
     # Output column j reads padded column 0 when its block is all zero, and
     # 1 + its rank among the live columns otherwise.
