@@ -11,19 +11,19 @@ __all__ = ["ChartSeries", "render_sweep_chart"]
 class ChartSeries:
     """One line on the chart: (x, value) points, a label, and a style."""
 
-    def __init__(self, label, points, color, kind="forecast", series_id=None):
+    def __init__(self, label, points, color, kind="forecast"):
         self.label = label
         self.points = [(x, v) for x, v in points]
         self.color = color
         self.kind = kind  # "forecast" draws a line, "measured" draws markers
-        self.series_id = series_id or label.replace(" ", "-")
+        self.series_id = label.replace(" ", "-")
 
 
 def _log2_points(points):
     return [(x, math.log2(v)) for x, v in points if v > 0]
 
 
-def render_sweep_chart(series_list, title, x_label="n_q", y_label="log2(count)"):
+def render_sweep_chart(series_list, title):
     """Render measured points and forecast curves on one SVG chart."""
     margin_left, margin_right, margin_top, margin_bottom = 64, 24, 56, 56
     plot_w, plot_h = 560, 320
@@ -94,11 +94,11 @@ def render_sweep_chart(series_list, title, x_label="n_q", y_label="log2(count)")
     )
     out.append(
         f'  <text x="{margin_left + plot_w / 2}" y="{height - 12}" text-anchor="middle" '
-        f'font-size="12" fill="#666">{x_label}</text>'
+        f'font-size="12" fill="#666">n_q</text>'
     )
     out.append(
         f'  <text x="16" y="{margin_top + plot_h / 2}" text-anchor="middle" font-size="12" '
-        f'fill="#666" transform="rotate(-90, 16, {margin_top + plot_h / 2})">{y_label}</text>'
+        f'fill="#666" transform="rotate(-90, 16, {margin_top + plot_h / 2})">log2(count)</text>'
     )
 
     legend_x = margin_left + 8

@@ -9,9 +9,8 @@ Conventions, fixed once and used everywhere:
   ``(1/sqrt(N)) * sum_k exp(+2*pi*i*k*j/N) |k>`` — note the plus sign.
 * Each gate class (:class:`Hadamard`, :class:`PhaseShift`,
   :class:`ControlledPhase`, :class:`Swap`) carries the qubits it acts on
-  (``qubits``), its dense unitary (``matrix()``) and a copy re-targeted by a
-  qubit offset (``shifted()``).  Two-qubit matrices list the first qubit as
-  the more significant one.
+  (``qubits``) and its dense unitary (``matrix()``).  Two-qubit matrices
+  list the first qubit as the more significant one.
 * Circuits run in place on a ``(2, ..., 2, L)`` tensor whose last axis is a
   batch of registers, so each register is a column of a ``(2**Q, L)`` array
   and every step's inner loop runs along the batch; single states are a
@@ -50,12 +49,10 @@ __all__ = [
     "StateVector",
     "MeasurementEffect",
     "apply_gate",
-    "apply_circuit",
     "apply_circuit_batch",
     "build_qft_circuit",
     "apply_controlled_circuit",
     "circuit_matrix",
-    "project_data_register",
     "effect_probability",
     "sample_effect",
 ]
@@ -100,9 +97,6 @@ class Hadamard:
     def matrix(self) -> np.ndarray:
         return np.array([[1, 1], [1, -1]], dtype=complex) * _INV_SQRT2
 
-    def shifted(self, offset: int) -> "Hadamard":
-        return Hadamard(self.target + offset)
-
 
 @dataclass(frozen=True)
 class PhaseShift:
@@ -115,9 +109,6 @@ class PhaseShift:
 
     def matrix(self) -> np.ndarray:
         return np.array([[1, 0], [0, cmath.exp(1j * self.angle)]], dtype=complex)
-
-    def shifted(self, offset: int) -> "PhaseShift":
-        return PhaseShift(self.target + offset, self.angle)
 
 
 @dataclass(frozen=True)
@@ -135,9 +126,6 @@ class ControlledPhase:
         m[3, 3] = cmath.exp(1j * self.angle)
         return m
 
-    def shifted(self, offset: int) -> "ControlledPhase":
-        return ControlledPhase(self.control + offset, self.target + offset, self.angle)
-
 
 @dataclass(frozen=True)
 class Swap:
@@ -153,9 +141,6 @@ class Swap:
         m[[1, 2]] = m[[2, 1]]
         return m
 
-    def shifted(self, offset: int) -> "Swap":
-        return Swap(self.a + offset, self.b + offset)
-
 
 GateOp = Hadamard | PhaseShift | ControlledPhase | Swap
 
@@ -164,8 +149,7 @@ GateOp = Hadamard | PhaseShift | ControlledPhase | Swap
 class StateVector:
     """Dense complex amplitude vector of a quantum register.
 
-    ``unnormalized`` marks projection residuals, the only states allowed to
-    carry a norm other than one.
+    ``unnormalized`` marks a state allowed to carry a norm other than one.
     """
 
     num_qubits: int
@@ -319,11 +303,6 @@ def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
     return _apply_to_state(state, [gate])
 
 
-def apply_circuit(state: StateVector, circuit) -> StateVector:
-    """Apply a gate sequence left to right."""
-    return _apply_to_state(state, circuit)
-
-
 def build_qft_circuit(n_q: int) -> list[GateOp]:
     """Gate sequence for the n_q-qubit transform with the +i phase sign.
 
@@ -404,40 +383,32 @@ class MeasurementEffect:
         return complex(sum(np.conj(c) * component[i] for i, c in self.terms))
 
 
-def project_data_register(
-    state: StateVector, effect: MeasurementEffect
-) -> tuple[StateVector, float]:
-    """Project the data register (qubits 1..Q-1; qubit 0 is the ancilla).
-
-    Returns the unnormalized residual over the ancilla and its squared norm,
-    the probability of the projection outcome.
-    """
-    n_data = state.num_qubits - 1
-    if n_data < 1:
-        raise ValueError("state has no data register")
-    if effect.num_qubits != n_data:
-        raise ValueError(
-            f"effect spans {effect.num_qubits} qubits, data register has {n_data}"
-        )
-    blocks = state.amplitudes.reshape(2, 2**n_data)
-    residual = np.zeros(2, dtype=complex)
-    for index, coeff in effect.terms:
-        residual += np.conj(coeff) * blocks[:, index]
-    probability = float(np.sum(np.abs(residual) ** 2))
-    return StateVector(1, residual, unnormalized=True), probability
-
-
 def effect_probability(
     state: StateVector,
     data_effect: MeasurementEffect,
     ancilla_effect: MeasurementEffect,
 ) -> float:
     """Joint probability of a data projection together with an ancilla
-    outcome: ``|<ancilla| x <data| state>|**2``."""
+    outcome: ``|<ancilla| x <data| state>|**2``.
+
+    The data register is qubits 1..Q-1 and qubit 0 is the ancilla.
+    Projecting the data register on ``data_effect`` leaves an unnormalized
+    residual over the ancilla, which ``ancilla_effect`` then reads.
+    """
     if ancilla_effect.num_qubits != 1:
         raise ValueError("ancilla effect must span exactly one qubit")
-    residual, _ = project_data_register(state, data_effect)
-    amp = ancilla_effect.overlap_with(residual.amplitudes)
+    n_data = state.num_qubits - 1
+    if n_data < 1:
+        raise ValueError("state has no data register")
+    if data_effect.num_qubits != n_data:
+        raise ValueError(
+            f"effect spans {data_effect.num_qubits} qubits, data register has {n_data}"
+        )
+    blocks = state.amplitudes.reshape(2, 2**n_data)
+    residual = np.zeros(2, dtype=complex)
+    for index, coeff in data_effect.terms:
+        residual += np.conj(coeff) * blocks[:, index]
+    amp = ancilla_effect.overlap_with(residual)
     return float(abs(amp) ** 2)
 
 

@@ -36,7 +36,6 @@ __all__ = [
     "SpectrumVector",
     "FftPlan",
     "direct_dft",
-    "classical_fft",
     "decimate_leaves",
     "butterfly_combine",
     "hybrid_dft",
@@ -215,11 +214,6 @@ def butterfly_combine(
         np.stack([even.values, odd.values], axis=1), stderr, _final_roots(2 * h), ledger
     )
     return SpectrumVector(values[:, 0], None if stderr is None else stderr[:, 0])
-
-
-def classical_fft(signal: RealSignal, ledger: CostLedger | None = None) -> SpectrumVector:
-    """Radix-2 decimation-in-time FFT; charges ``n * 2**n`` classical ops."""
-    return _combine_levels(_leaf_columns(signal, 0).astype(complex), None, ledger)
 
 
 def hybrid_dft(signal: RealSignal, plan: FftPlan) -> tuple[SpectrumVector, CostLedger]:

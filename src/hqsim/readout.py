@@ -69,11 +69,12 @@ __all__ = [
     "execute_schedule",
     "rebuild_phases",
     "rescale_to_dft",
-    "EPS_REF_EXACT",
 ]
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
+# Exact mode's sign-test threshold: a classical reference ``|a|`` below it
+# does not separate the two sign hypotheses (see _rebuild).
 EPS_REF_EXACT = 1e-9
 
 
@@ -210,11 +211,6 @@ def _new_schedule(n_q: int) -> ReadoutSchedule:
 _shared_schedule = lru_cache(maxsize=None)(_new_schedule)
 
 
-def _default_eps(shots: int) -> float:
-    """Sign-test threshold: EPS_REF_EXACT, or three shot-noise deviations."""
-    return 3.0 / math.sqrt(shots) if shots else EPS_REF_EXACT
-
-
 def _column_norms(blocks: np.ndarray) -> np.ndarray:
     """Euclidean norm of every column, one dot product per column."""
     rows = np.ascontiguousarray(blocks.T)
@@ -250,7 +246,7 @@ def _project(
     """Overlap of every column with every data projector, times ``factor``:
     ``(N, L)`` with one row per projector in projector order.  Basis index
     ``i`` is read from row ``rows[i]``.  The weights multiply before the
-    sum, as in :func:`hqsim.core.project_data_register`."""
+    sum, as in :func:`hqsim.core.effect_probability`."""
     first, second = rows[schedule.indices.T]
     scales = schedule.scales * factor
     return (scales[:, None] * columns.take(first, axis=0)
@@ -366,7 +362,6 @@ def _rebuild(
     magnitude: np.ndarray,
     reference: np.ndarray,
     shots: int,
-    eps_ref: float,
     ledger: CostLedger | None,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """Signed amplitude-level coefficients of every column of ``x``, whose
@@ -375,7 +370,9 @@ def _rebuild(
     Returns the ``(N, L)`` coefficients, their standard errors when
     ``shots`` is nonzero (sampled mode) or None, and the ``(N, L)`` mask of
     projectors resolved by the classical fallback, one row per projector.
-    ``|a| < eps_ref`` is a fallback unless ``|b|`` is below ``eps_ref`` too.
+    ``|a| < eps`` is a fallback unless ``|b|`` is below ``eps`` too, where
+    ``eps`` is ``EPS_REF_EXACT`` in exact mode and three shot-noise
+    deviations, ``3 / sqrt(shots)``, in sampled mode.
     """
     N = x.shape[0]
     mag = np.maximum(magnitude, 0.0)
@@ -387,7 +384,8 @@ def _rebuild(
     sign = np.where(np.abs(reference - plus) <= np.abs(reference - minus), 1.0, -1.0)
     values = sign * np.where(pair, b_abs * _INV_SQRT2, b_abs)
 
-    fallback = (np.abs(a) < eps_ref) & (b_abs >= eps_ref)
+    eps = 3.0 / math.sqrt(shots) if shots else EPS_REF_EXACT
+    fallback = (np.abs(a) < eps) & (b_abs >= eps)
     p, columns = np.nonzero(fallback)
     c = _classical_coefficients(x, columns, schedule.coefficient[p])
     values[p, columns] = np.where(schedule.imaginary[p], c.imag, c.real)
@@ -452,9 +450,7 @@ def evaluate_nodes(
     live_seeds = [seed for seed, keep in zip(seeds, live) if keep] if shots else None
     a = _reference(schedule, x)
     magnitude, reference = _measure(schedule, x, a, shots, live_seeds, ledger)
-    coefficients, stderr, _ = _rebuild(
-        schedule, x, a, magnitude, reference, shots, _default_eps(shots), ledger
-    )
+    coefficients, stderr, _ = _rebuild(schedule, x, a, magnitude, reference, shots, ledger)
     if ledger is not None:
         ledger.node_accesses += x.shape[1]
     scale = norms[live] * math.sqrt(N)
@@ -502,25 +498,23 @@ def rebuild_phases(
     record: ReadoutRecord,
     block: BlockVector,
     ledger: CostLedger | None = None,
-    eps_ref: float | None = None,
 ) -> SpectrumEstimate:
     """Turn a readout record into signed complex coefficients.
 
     A batch of one through the sign rebuild of :func:`evaluate_nodes`.  For
     each projector the magnitude entry fixes ``|b| = sqrt(2*m)`` and the
     sign comes from whichever hypothesis ``(a + s|b|)**2 / 4`` lies nearest
-    the reference entry.  When ``|a| < eps_ref`` the hypotheses coincide;
-    the coefficient is flagged ambiguous and evaluated classically instead,
-    charging ``2**n_q`` classical ops to the fallback counter.  Raises
-    ``ValueError`` unless the record holds ``2**n_q`` entries of each kind.
+    the reference entry.  When ``|a|`` is below the sign-test threshold the
+    hypotheses coincide; the coefficient is flagged ambiguous and evaluated
+    classically instead, charging ``2**n_q`` classical ops to the fallback
+    counter.  Raises ``ValueError`` unless the record holds ``2**n_q``
+    entries of each kind.
     """
     schedule = record.schedule
     N = 2**schedule.n_q
     if block.n_q != schedule.n_q:
         raise ValueError("record and block sizes differ")
     shots = record.shots if record.mode == "sampled" else 0
-    if eps_ref is None:
-        eps_ref = _default_eps(shots)
 
     magnitude = np.asarray(record.magnitude, dtype=float)
     reference = np.asarray(record.reference, dtype=float)
@@ -529,7 +523,7 @@ def rebuild_phases(
     x = block.values[:, None] / block.norm
     coefficients, stderr, fallback = _rebuild(
         schedule, x, _reference(schedule, x), magnitude[:, None], reference[:, None],
-        shots, eps_ref, ledger,
+        shots, ledger,
     )
     return SpectrumEstimate(
         coefficients=coefficients[:, 0],

@@ -33,8 +33,9 @@ Every exact pick takes the lowest free index of its class, so the indices a
 sublist has settled are always its first ``i`` solutions and its first
 ``j`` non-solutions, and its whole run of node calls is a walk over those
 two counts.  Positions enter only at an exact tie with both classes free,
-where the walk compares the ``i``-th solution with the ``j``-th
-non-solution.  So a node size's round iterations and the walk of each
+where the ``i``-th solution lies below the ``j``-th non-solution exactly
+when ``s_i - i <= j``, ``s_i`` its position, since ``s_i - i`` non-solutions
+lie below it.  So a node size's round iterations and the walk of each
 solution count are pure: one process-wide memo keyed by node size keeps
 them (see :class:`_NodePlan`), every run charges a count's memoised walk
 once, times the number of its sublists, and a sublist whose walk meets
@@ -270,20 +271,20 @@ class _ClassOrders:
         return self._table[m].tolist()
 
 
-def _exact_call(orders, i, j, sols, nons, first_solution):
+def _exact_call(orders, i, j, sols, nons, below):
     """One exact-mode node call on a sublist of ``sols`` solutions and
     ``nons`` non-solutions, whose first ``i`` and ``j`` (in index order) are
     settled.  Round k measures the lowest free index of the class that
     ``orders[k]`` ranks higher (+1 the unfound solutions, -1 the rest), and
     the lowest free index overall where that class has none free or the
-    classes tie (0).  On a tie with both classes free,
-    ``first_solution(i, j)`` tells whether the i-th solution lies below the
-    j-th non-solution.  The call stops once it measures a solution, after
-    its last round, or when nothing is left free (that round is not
-    charged).
+    classes tie (0).  ``below[i]`` counts the non-solutions below the i-th
+    solution, so on a tie with both classes free the i-th solution lies
+    below the j-th non-solution exactly when ``below[i] <= j``.  The call
+    stops once it measures a solution, after its last round, or when nothing
+    is left free (that round is not charged).
 
     Returns ``(verified, rounds charged, j)``, or None where a tie needs
-    ``first_solution`` and it is None.
+    ``below`` and it is None.
     """
     for k, order in enumerate(orders):
         if j == nons:
@@ -292,28 +293,29 @@ def _exact_call(orders, i, j, sols, nons, first_solution):
             if order > 0:
                 return True, k + 1, j
             if order == 0:
-                if first_solution is None:
+                if below is None:
                     return None
-                if first_solution(i, j):
+                if below[i] <= j:
                     return True, k + 1, j
         j += 1
     return False, len(orders), j
 
 
-def _walk(plan, orders, sols, nons, first_solution=None):
+def _walk(plan, orders, sols, nons, below=None):
     """Exact-mode node calls on one sublist until a call fails or nothing is
     left unsettled; each call's verified solution leaves the node's oracle.
-    ``orders`` gives each call's class orders, by unfound-solution count.
+    ``orders`` gives each call's class orders, by unfound-solution count, and
+    ``below`` the non-solutions below each solution (see :func:`_exact_call`).
 
     Returns the sublist's charges ``(quantum queries, rounds, repeat node
     accesses, retry queries, sweep queries)``; every round is one
     measurement and one classical query.  Only the first call's winning (or,
     failing, first) round is headline, the rest is retry.  Returns None
-    where a tie needs ``first_solution`` and it is None.
+    where a tie needs ``below`` and it is None.
     """
     i = j = quantum = rounds = calls = headline = 0
     while True:
-        call = _exact_call(orders(sols - i), i, j, sols, nons, first_solution)
+        call = _exact_call(orders(sols - i), i, j, sols, nons, below)
         if call is None:
             return None
         verified, used, j = call
@@ -408,7 +410,7 @@ def search_node(
         non = np.flatnonzero(~mask & ~settled).tolist()
         ok, used, j = _exact_call(
             _ClassOrders(plan)(int(np.count_nonzero(mask))), 0, 0, len(sol), len(non),
-            lambda i, j: sol[i] < non[j],
+            np.searchsorted(non, sol).tolist(),
         )
         ledger.quantum_oracle_queries += plan.spent_after[used]
         ledger.measurement_units += used
@@ -450,8 +452,8 @@ def search_node(
 
 
 # Sublists are searched in blocks of at most this many indices, which bounds
-# the memory of a block's per-sublist counts and of its tie-only mask
-# whatever n is.
+# the memory of a block's solution positions and per-sublist counts whatever
+# n is.
 BLOCK_INDICES = 2**12
 
 
@@ -474,9 +476,9 @@ def partition_search(
     The oracle is read once per index, as the sorted positions of its
     solutions, one block of sublists at a time, and each sublist's solution
     count is binned from them.  Exact mode charges each sublist its count's
-    walk, memoised for the process, or walks it on its own positions where
-    that walk meets a tie, the only case that builds a bool mask, of those
-    sublists alone; sampled mode runs call waves over the block's counts.
+    walk, memoised for the process, or, where that walk meets a tie, walks
+    the sublist on its own solution positions; sampled mode runs call waves
+    over the block's counts.  Neither mode builds a per-index array.
     """
     check_mode(mode)
     size, num_sublists = 2**n_q, _num_sublists(oracle.n, n_q)
@@ -506,17 +508,11 @@ def partition_search(
                 if plan.walk(m, orders) is not None:
                     hist[m] = hist.get(m, 0) + int(block[m])  # charged after the loop
                     continue
-                # Each of these rows holds m solutions: their positions, row by
-                # row, and a mask of these rows alone for the non-solutions.
+                # Each of these rows holds m solutions, its i-th at local
+                # position s_i with s_i - i non-solutions below it.
                 local = (hits[counts[row] == m] & (size - 1)).reshape(-1, m)
-                tied = np.zeros((len(local), size), dtype=bool)
-                np.put_along_axis(tied, local, True, axis=1)
-                sols = local.tolist()
-                nons = np.nonzero(~tied)[1].reshape(len(local), size - m).tolist()
-                for sol, non in zip(sols, nons):
-                    walk = _walk(
-                        plan, orders, m, size - m, lambda i, j, s=sol, u=non: s[i] < u[j]
-                    )
+                for below in (local - np.arange(m)).tolist():
+                    walk = _walk(plan, orders, m, size - m, below)
                     charges = [c + w for c, w in zip(charges, walk)]
         else:
             _sampled_block(counts, first, master_seed, plan, ledger)

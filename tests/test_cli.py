@@ -5,6 +5,7 @@ import pytest
 
 import hqsim.checks
 import hqsim.cli
+import hqsim.hybrid_fft
 from hqsim.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -194,13 +195,30 @@ def test_json_round_trips():
 
 
 def test_large_runs_fall_back_to_fft_oracle(monkeypatch):
-    import hqsim.cli as cli_mod
+    monkeypatch.setattr(hqsim.cli, "DIRECT_ORACLE_MAX_N", 3)
+    cfg = parse_args(["dft-sweep", "--n", "4", "--nq", "0..4", "--seed", "1"])
+    for point in run_experiment(cfg).points:
+        assert point["deviation_oracle"] == "fft"
+        assert point["deviation"] < 1e-9
 
-    monkeypatch.setattr(cli_mod, "DIRECT_ORACLE_MAX_N", 3)
-    cfg = parse_args(["dft-run", "--n", "4", "--nq", "2", "--seed", "1"])
-    point = run_experiment(cfg).points[0]
+
+def test_fft_oracle_does_not_run_the_butterfly_levels(monkeypatch, tmp_path):
+    # A fault in the levels must show in the deviation: a reference that ran
+    # the same levels would carry the same fault and read 0.
+    monkeypatch.setattr(hqsim.cli, "DIRECT_ORACLE_MAX_N", 3)
+    level = hqsim.hybrid_fft._combine_level
+
+    def faulty_level(*args):
+        spec, stderr = level(*args)
+        spec[0] += 1.0
+        return spec, stderr
+
+    monkeypatch.setattr(hqsim.hybrid_fft, "_combine_level", faulty_level)
+    out = tmp_path / "run.json"
+    assert main(["dft-run", "--n", "4", "--nq", "0", "--out-json", str(out)]) == EXIT_OK
+    point = json.loads(out.read_text())["points"][0]
     assert point["deviation_oracle"] == "fft"
-    assert point["deviation"] < 1e-9
+    assert point["deviation"] >= 0.5
 
 
 def test_n_precision_flag_reaches_the_ledger():

@@ -18,16 +18,15 @@ from hqsim.core import (
     PhaseShift,
     StateVector,
     Swap,
-    apply_circuit,
     apply_circuit_batch,
     apply_controlled_circuit,
     apply_gate,
     build_qft_circuit,
     circuit_matrix,
     effect_probability,
-    project_data_register,
     sample_effect,
 )
+from reference import apply_circuit, probed_residual, residual_probes, shifted
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -78,9 +77,9 @@ def test_swap_01_to_10():
 
 def test_phase_shift_targets_one_component():
     state = apply_gate(basis_state(2, 1), Hadamard(0))
-    shifted = apply_gate(state, PhaseShift(1, math.pi))
+    phased = apply_gate(state, PhaseShift(1, math.pi))
     # Qubit 1 is |1> in both branches, so both pick up the phase.
-    assert np.allclose(shifted.amplitudes, -state.amplitudes)
+    assert np.allclose(phased.amplitudes, -state.amplitudes)
 
 
 def test_apply_gate_invalid_index():
@@ -97,13 +96,6 @@ def test_gate_matrices_unitary(gate):
     m = gate.matrix()
     # The in-place kernel applies the same matrix.
     assert np.max(np.abs(circuit_matrix([gate], len(gate.qubits)) - m)) < 1e-15
-
-
-def test_gates_shift_their_qubits():
-    circuit = [Hadamard(0), PhaseShift(1, 0.3), ControlledPhase(2, 0, 1.1), Swap(0, 2)]
-    assert [gate.shifted(2) for gate in circuit] == [
-        Hadamard(2), PhaseShift(3, 0.3), ControlledPhase(4, 2, 1.1), Swap(2, 4)
-    ]
 
 
 @pytest.mark.parametrize("gate", [ControlledPhase(1, 1, 0.5), Swap(0, 0)])
@@ -188,7 +180,7 @@ def test_qft_rejects_nonpositive_size():
 def test_controlled_circuit_control_off():
     # Ancilla |0> (x) |10>: joint index 2 on 3 qubits.
     state = basis_state(3, 2)
-    out = apply_controlled_circuit(state, 0, [g.shifted(1) for g in build_qft_circuit(2)])
+    out = apply_controlled_circuit(state, 0, [shifted(g, 1) for g in build_qft_circuit(2)])
     assert np.allclose(out.amplitudes, state.amplitudes, atol=1e-15)
 
 
@@ -197,7 +189,7 @@ def test_controlled_circuit_plus_ancilla():
     joint[0] = INV_SQRT2  # |0>|00>
     joint[4] = INV_SQRT2  # |1>|00>
     state = StateVector(3, joint)
-    out = apply_controlled_circuit(state, 0, [g.shifted(1) for g in build_qft_circuit(2)])
+    out = apply_controlled_circuit(state, 0, [shifted(g, 1) for g in build_qft_circuit(2)])
     expected = np.concatenate([[1, 0, 0, 0], [0.5, 0.5, 0.5, 0.5]]) * INV_SQRT2
     assert np.max(np.abs(out.amplitudes - expected)) < 1e-12
 
@@ -205,7 +197,7 @@ def test_controlled_circuit_plus_ancilla():
 @pytest.mark.parametrize("j", range(4))
 def test_controlled_circuit_control_on(j):
     state = basis_state(3, 4 + j)  # |1> (x) |j>
-    out = apply_controlled_circuit(state, 0, [g.shifted(1) for g in build_qft_circuit(2)])
+    out = apply_controlled_circuit(state, 0, [shifted(g, 1) for g in build_qft_circuit(2)])
     expected = np.zeros(8, dtype=complex)
     expected[4:] = qft_reference_matrix(2)[:, j]
     assert np.max(np.abs(out.amplitudes - expected)) < 1e-12
@@ -374,19 +366,21 @@ def random_branch_state(rng, n_data):
 
 
 def test_projection_single_basis_residual():
+    # The four ancilla probes fix the residual up to its global phase; the
+    # first two sum to the probability of the projection outcome.
     state, x, y = random_branch_state(np.random.default_rng(5), 2)
-    residual, prob = project_data_register(state, MeasurementEffect.basis(2, 0))
-    assert residual.unnormalized
-    assert np.allclose(residual.amplitudes, np.array([x[0], y[0]]) * INV_SQRT2, atol=1e-14)
-    assert abs(prob - (abs(x[0]) ** 2 + abs(y[0]) ** 2) / 2) < 1e-14
+    got = probed_residual(state, MeasurementEffect.basis(2, 0))
+    assert np.allclose(got, residual_probes(np.array([x[0], y[0]]) * INV_SQRT2),
+                       rtol=0, atol=1e-14)
+    assert abs(got[0] + got[1] - (abs(x[0]) ** 2 + abs(y[0]) ** 2) / 2) < 1e-14
 
 
 def test_projection_pair_residual():
     state, x, y = random_branch_state(np.random.default_rng(6), 2)
     effect = MeasurementEffect.superposition(2, [(1, INV_SQRT2), (3, INV_SQRT2)])
-    residual, _ = project_data_register(state, effect)
     expected = np.array([(x[1] + x[3]) / 2, (y[1] + y[3]) / 2])
-    assert np.allclose(residual.amplitudes, expected, atol=1e-14)
+    assert np.allclose(probed_residual(state, effect), residual_probes(expected),
+                       rtol=0, atol=1e-14)
 
 
 def test_projection_orthogonal_gives_zero_probability():
@@ -394,14 +388,22 @@ def test_projection_orthogonal_gives_zero_probability():
     joint[0] = INV_SQRT2
     joint[4] = INV_SQRT2
     state = StateVector(3, joint)  # data support on |00> only
-    _, prob = project_data_register(state, MeasurementEffect.basis(2, 3))
-    assert prob == 0.0
+    assert np.array_equal(probed_residual(state, MeasurementEffect.basis(2, 3)), np.zeros(4))
 
 
 def test_projection_dimension_mismatch():
     state, _, _ = random_branch_state(np.random.default_rng(7), 2)
-    with pytest.raises(ValueError):
-        project_data_register(state, MeasurementEffect.basis(3, 0))
+    with pytest.raises(ValueError, match="effect spans 3 qubits, data register has 2"):
+        effect_probability(state, MeasurementEffect.basis(3, 0), MeasurementEffect.basis(1, 0))
+    # A one-qubit state holds the ancilla alone.
+    with pytest.raises(ValueError, match="no data register"):
+        effect_probability(
+            StateVector(1, np.array([1.0, 0.0])),
+            MeasurementEffect.basis(0, 0),
+            MeasurementEffect.basis(1, 0),
+        )
+    with pytest.raises(ValueError, match="ancilla effect"):
+        effect_probability(state, MeasurementEffect.basis(2, 0), MeasurementEffect.basis(2, 0))
 
 
 def test_effect_requires_unit_norm():
@@ -439,7 +441,7 @@ def test_projection_completeness_over_orthonormal_set():
         MeasurementEffect.superposition(2, [(1, INV_SQRT2), (3, INV_SQRT2)]),
         MeasurementEffect.superposition(2, [(1, INV_SQRT2), (3, -INV_SQRT2)]),
     ]
-    total = sum(project_data_register(state, e)[1] for e in effects)
+    total = sum(probed_residual(state, e)[:2].sum() for e in effects)
     assert abs(total - 1.0) < 1e-10
 
 

@@ -21,11 +21,11 @@ from hqsim.hybrid_fft import (
     _combine_levels,
     _final_roots,
     butterfly_combine,
-    classical_fft,
     decimate_leaves,
     direct_dft,
     hybrid_dft,
 )
+from reference import classical_fft
 
 
 def test_direct_dft_delta():

@@ -20,7 +20,6 @@ from hqsim.costs import CostLedger
 from hqsim.readout import (
     BlockVector,
     _classical_coefficients,
-    _default_eps,
     _measure,
     _rebuild,
     _reference,
@@ -31,6 +30,7 @@ from hqsim.readout import (
     rebuild_phases,
     rescale_to_dft,
 )
+from reference import shifted
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -368,7 +368,7 @@ def test_batched_probabilities_match_per_entry_effects(n_q):
     magnitude, reference = _measure(
         schedule, normalized, _reference(schedule, normalized), 0, None, None
     )
-    circuit = [gate.shifted(1) for gate in build_qft_circuit(n_q)]
+    circuit = [shifted(gate, 1) for gate in build_qft_circuit(n_q)]
     for row, block in enumerate(blocks):
         joint = np.concatenate([prepare_block_state(block).amplitudes, np.zeros(N)])
         state = apply_gate(StateVector(n_q + 1, joint), Hadamard(0))
@@ -476,9 +476,7 @@ def test_rebuild_fallbacks_match_per_fallback_reference():
     a = _reference(schedule, columns)
     magnitude, reference = _measure(schedule, columns, a, shots, list(range(L)), None)
     ledger = CostLedger()
-    coefficients, _, fallback = _rebuild(
-        schedule, columns, a, magnitude, reference, shots, _default_eps(shots), ledger
-    )
+    coefficients, _, fallback = _rebuild(schedule, columns, a, magnitude, reference, shots, ledger)
     p, rows = np.nonzero(fallback)
     assert len(rows) > 500
     assert ledger.classical_fallbacks == len(rows)

@@ -163,7 +163,7 @@ def walk_pick(mask, settled, order):
     sol = np.flatnonzero(mask & ~settled).tolist()
     non = np.flatnonzero(~mask & ~settled).tolist()
     verified, rounds, _ = _exact_call(
-        (order,), 0, 0, len(sol), len(non), lambda i, j: sol[i] < non[j]
+        (order,), 0, 0, len(sol), len(non), np.searchsorted(non, sol).tolist()
     )
     assert rounds == 1
     return sol[0] if verified else non[0]
