@@ -42,10 +42,10 @@ def circuit_deviation(node_sizes) -> float:
 
 def unitarity_deviation(gates) -> float:
     """Worst entry deviation of ``M^dagger M`` from the identity over the
-    given gates' matrices."""
+    given gates' compiled actions, each on the qubits up to its highest."""
     worst = 0.0
     for gate in gates:
-        m = gate.matrix()
+        m = circuit_matrix([gate], max(gate.qubits) + 1)
         worst = max(worst, float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))))
     return worst
 

@@ -116,8 +116,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--nq", type=str, required=True,
                        help="node register size" + (" or range a..b" if sweep else ""))
         p.add_argument("--mode", choices=("exact", "sampled"), default="exact")
-        p.add_argument("--shots", type=int, default=0,
-                       help="shots per entry in sampled mode, at most 2**63-1")
         p.add_argument("--seed", type=int, default=0, help="master seed, at least 0")
         p.add_argument("--n-precision", type=int, default=64,
                        help="bits per classical real, at most 2**63-1")
@@ -129,6 +127,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, sweep in (("dft-run", False), ("dft-sweep", True)):
         p = sub.add_parser(name, help="hybrid transform " + ("sweep" if sweep else "run"))
         add_common(p, sweep)
+        p.add_argument("--shots", type=int, default=0,
+                       help="shots per entry in sampled mode, at most 2**63-1")
         p.add_argument("--input", type=str, default=None,
                        help="signal CSV, one real per line (default: seeded random)")
         p.add_argument("--pad", action="store_true",
@@ -164,10 +164,12 @@ def parse_args(argv) -> RunConfig:
                              else f"--nq: n_q={nq} is negative")
     if ns.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {ns.seed}")
-    if ns.mode == "sampled" and ns.shots < 1:
+    # Sampled search measures once per round, so its shots are 1.
+    shots = ns.shots if ns.command.startswith("dft") else 1
+    if ns.mode == "sampled" and shots < 1:
         raise UsageError("--shots must be >= 1 in sampled mode")
-    if ns.shots > MAX_COUNT:
-        raise UsageError(f"--shots {ns.shots} exceeds the limit of 2**63-1")
+    if shots > MAX_COUNT:
+        raise UsageError(f"--shots {shots} exceeds the limit of 2**63-1")
     if not 1 <= ns.n_precision <= MAX_COUNT:
         raise UsageError(f"--n-precision must be 1 .. 2**63-1, got {ns.n_precision}")
 
@@ -176,7 +178,7 @@ def parse_args(argv) -> RunConfig:
         n=ns.n,
         nq_values=nq_values,
         mode=ns.mode,
-        shots=ns.shots if ns.mode == "sampled" else 0,
+        shots=shots if ns.mode == "sampled" else 0,
         master_seed=ns.seed,
         n_precision=ns.n_precision,
         out_csv=ns.out_csv,

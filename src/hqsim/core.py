@@ -9,8 +9,8 @@ Conventions, fixed once and used everywhere:
   ``(1/sqrt(N)) * sum_k exp(+2*pi*i*k*j/N) |k>`` — note the plus sign.
 * Each gate class (:class:`Hadamard`, :class:`PhaseShift`,
   :class:`ControlledPhase`, :class:`Swap`) carries the qubits it acts on
-  (``qubits``) and its dense unitary (``matrix()``).  Two-qubit matrices
-  list the first qubit as the more significant one.
+  (``qubits``); its action is defined by the compiled step below, and
+  :func:`circuit_matrix` gives it as a dense unitary.
 * Circuits run in place on a ``(2, ..., 2, L)`` tensor whose last axis is a
   batch of registers, so each register is a column of a ``(2**Q, L)`` array
   and every step's inner loop runs along the batch; single states are a
@@ -32,7 +32,6 @@ Conventions, fixed once and used everywhere:
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -94,9 +93,6 @@ class Hadamard:
     def qubits(self) -> tuple[int, ...]:
         return (self.target,)
 
-    def matrix(self) -> np.ndarray:
-        return np.array([[1, 1], [1, -1]], dtype=complex) * _INV_SQRT2
-
 
 @dataclass(frozen=True)
 class PhaseShift:
@@ -106,9 +102,6 @@ class PhaseShift:
     @property
     def qubits(self) -> tuple[int, ...]:
         return (self.target,)
-
-    def matrix(self) -> np.ndarray:
-        return np.array([[1, 0], [0, cmath.exp(1j * self.angle)]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -121,11 +114,6 @@ class ControlledPhase:
     def qubits(self) -> tuple[int, ...]:
         return (self.control, self.target)
 
-    def matrix(self) -> np.ndarray:
-        m = np.eye(4, dtype=complex)
-        m[3, 3] = cmath.exp(1j * self.angle)
-        return m
-
 
 @dataclass(frozen=True)
 class Swap:
@@ -136,25 +124,16 @@ class Swap:
     def qubits(self) -> tuple[int, ...]:
         return (self.a, self.b)
 
-    def matrix(self) -> np.ndarray:
-        m = np.eye(4, dtype=complex)
-        m[[1, 2]] = m[[2, 1]]
-        return m
-
 
 GateOp = Hadamard | PhaseShift | ControlledPhase | Swap
 
 
 @dataclass(eq=False)
 class StateVector:
-    """Dense complex amplitude vector of a quantum register.
-
-    ``unnormalized`` marks a state allowed to carry a norm other than one.
-    """
+    """Dense complex amplitude vector of a quantum register, of norm one."""
 
     num_qubits: int
     amplitudes: np.ndarray
-    unnormalized: bool = False
 
     def __post_init__(self) -> None:
         if self.num_qubits < 1:
@@ -164,10 +143,9 @@ class StateVector:
             raise ValueError(
                 f"expected {2**self.num_qubits} amplitudes, got {self.amplitudes.shape}"
             )
-        if not self.unnormalized:
-            norm_sq = float(np.sum(np.abs(self.amplitudes) ** 2))
-            if abs(norm_sq - 1.0) > 1e-9:
-                raise ValueError(f"state norm**2 = {norm_sq}, expected 1")
+        norm_sq = float(np.sum(np.abs(self.amplitudes) ** 2))
+        if abs(norm_sq - 1.0) > 1e-9:
+            raise ValueError(f"state norm**2 = {norm_sq}, expected 1")
 
 
 def _check_qubit(q: int, num_qubits: int) -> None:
@@ -190,7 +168,7 @@ def _diagonal_step(run: list, ndim: int) -> tuple:
     return None, at_one, np.exp(diagonal, out=diagonal)
 
 
-def _compile(num_qubits: int, control: int | None, circuit: tuple) -> tuple:
+def _compile(num_qubits: int, circuit: tuple) -> tuple:
     """Validate a circuit and compile it into ``(steps, rows, scale)``.
 
     Each step is ``(at_zero, at_one, diagonal)``, indices of the gate tensor.
@@ -202,23 +180,18 @@ def _compile(num_qubits: int, control: int | None, circuit: tuple) -> tuple:
     two qubits.  Afterwards logical row ``r`` sits at row ``rows[r]``, short
     of ``scale``, the product of the Hadamards' 1/sqrt(2) factors.
     """
-    if control is not None:
-        _check_qubit(control, num_qubits)
-    qubits = [q for q in range(num_qubits) if q != control]
-    axes = {q: axis for axis, q in enumerate(qubits)}  # the axis holding each qubit
+    axes = list(range(num_qubits))  # the axis holding each qubit
     steps, run, hadamards = [], [], 0
     for gate in circuit:
         if len(set(gate.qubits)) != len(gate.qubits):
             raise ValueError(f"gate {gate!r} acts twice on one qubit")
         for q in gate.qubits:
             _check_qubit(q, num_qubits)
-            if q == control:
-                raise ValueError(f"gate {gate!r} touches the control qubit {control}")
         if isinstance(gate, Swap):
             axes[gate.a], axes[gate.b] = axes[gate.b], axes[gate.a]
         elif isinstance(gate, Hadamard):
             if run:
-                steps.append(_diagonal_step(run, len(qubits)))
+                steps.append(_diagonal_step(run, num_qubits))
                 run = []
             head = (slice(None),) * axes[gate.target]
             steps.append((head + (0,), head + (1,), None))
@@ -228,9 +201,8 @@ def _compile(num_qubits: int, control: int | None, circuit: tuple) -> tuple:
         else:
             raise TypeError(f"unknown gate {gate!r}")
     if run:
-        steps.append(_diagonal_step(run, len(qubits)))
-    order = [axes[q] for q in qubits]
-    rows = np.arange(2 ** len(qubits)).reshape((2,) * len(qubits)).transpose(order).ravel()
+        steps.append(_diagonal_step(run, num_qubits))
+    rows = np.arange(2**num_qubits).reshape((2,) * num_qubits).transpose(axes).ravel()
     rows.flags.writeable = False  # shared by every caller of a kept plan
     return tuple(steps), rows, math.ldexp(_INV_SQRT2 if hadamards % 2 else 1.0, -(hadamards // 2))
 
@@ -239,14 +211,11 @@ _shared_plan = lru_cache(maxsize=64)(_compile)
 
 
 # Shared with the readout; not re-exported by the package.
-def run_circuit(
-    columns: np.ndarray, circuit, control: int | None = None
-) -> tuple[np.ndarray, float]:
+def run_circuit(columns: np.ndarray, circuit) -> tuple[np.ndarray, float]:
     """Run a gate sequence, in place, on every column of a ``(2**Q, L)``
     C-contiguous complex array, but for its final relabelling and its
-    normalization: returns ``(rows, scale)``, where logical row ``r`` of the
-    rows it ran on (all, or the control-on branch) now sits at row
-    ``rows[r]`` of them, short of the factor ``scale``.
+    normalization: returns ``(rows, scale)``, where logical row ``r`` now
+    sits at row ``rows[r]``, short of the factor ``scale``.
     """
     if columns.ndim != 2 or not columns.flags.c_contiguous or columns.dtype != complex:
         raise ValueError("columns must be a C-contiguous (2**Q, L) complex array")
@@ -254,10 +223,8 @@ def run_circuit(
     if columns.shape[0] != 2**num_qubits or num_qubits < 1:
         raise ValueError(f"column length {columns.shape[0]} is not a power of two >= 2")
     compile_plan = _shared_plan if num_qubits <= SHARED_MAX_QUBITS else _compile
-    steps, rows, scale = compile_plan(num_qubits, control, tuple(circuit))
+    steps, rows, scale = compile_plan(num_qubits, tuple(circuit))
     tensor = columns.reshape((2,) * num_qubits + (columns.shape[1],))
-    if control is not None:
-        tensor = tensor[(slice(None),) * control + (1,)]  # writable view
     for at_zero, at_one, diagonal in steps:
         v1 = tensor[at_one]  # writable views
         if diagonal is None:
@@ -270,32 +237,23 @@ def run_circuit(
     return rows, scale
 
 
-def apply_circuit_batch(columns: np.ndarray, circuit, control: int | None = None) -> None:
+def apply_circuit_batch(columns: np.ndarray, circuit) -> None:
     """Apply a gate sequence, in place, to every column of a ``(2**Q, L)``
     C-contiguous complex array; each column is one ``Q``-qubit register.
 
     The columns are viewed as a ``(2, ..., 2, L)`` tensor whose last axis is
     the batch, so qubit ``q`` sits on axis ``q``.  Once :func:`run_circuit`
     has run the gates, one permuting copy puts the qubits back in order and
-    applies the normalization.  With ``control`` set, every gate acts only
-    on the branch where that qubit is |1>, and no gate may touch it.
+    applies the normalization.
     """
-    rows, scale = run_circuit(columns, circuit, control)
-    # The rows the circuit ran on, as a writable (outer, inner, L) view.
-    if control is None:
-        branch = columns[None]
-    else:
-        branch = columns.reshape(2**control, 2, -1, columns.shape[1])[:, 1]
-    inner = branch.shape[1]
-    moved = branch[rows // inner, rows % inner]
-    moved *= scale
-    branch[...] = moved.reshape(branch.shape)
+    rows, scale = run_circuit(columns, circuit)
+    columns[...] = columns[rows] * scale
 
 
-def _apply_to_state(state: StateVector, circuit, control: int | None = None) -> StateVector:
+def _apply_to_state(state: StateVector, circuit) -> StateVector:
     columns = state.amplitudes.copy()[:, None]
-    apply_circuit_batch(columns, circuit, control)
-    return StateVector(state.num_qubits, columns[:, 0], state.unnormalized)
+    apply_circuit_batch(columns, circuit)
+    return StateVector(state.num_qubits, columns[:, 0])
 
 
 def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
@@ -333,9 +291,18 @@ def apply_controlled_circuit(state: StateVector, control: int, circuit) -> State
     """Apply every gate of ``circuit`` conditioned on ``control`` being |1>.
 
     Gate indices refer to the full register; none may touch the control
-    qubit.
+    qubit.  Since no gate touches it, the circuit runs on the whole register
+    and the control-off half is then restored from the input.
     """
-    return _apply_to_state(state, circuit, control)
+    _check_qubit(control, state.num_qubits)
+    circuit = tuple(circuit)
+    for gate in circuit:
+        if control in gate.qubits:
+            raise ValueError(f"gate {gate!r} touches the control qubit {control}")
+    out = _apply_to_state(state, circuit)
+    halves = (2**control, 2, -1)  # axis 1 is the control qubit
+    out.amplitudes.reshape(halves)[:, 0] = state.amplitudes.reshape(halves)[:, 0]
+    return out
 
 
 def circuit_matrix(circuit, num_qubits: int) -> np.ndarray:

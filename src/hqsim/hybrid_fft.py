@@ -47,14 +47,17 @@ class RealSignal:
     """Real samples, length ``2**n``."""
 
     values: np.ndarray
-    n: int
 
     @classmethod
     def from_values(cls, values) -> "RealSignal":
         vals = np.asarray(values, dtype=float)
         if vals.ndim != 1 or vals.size < 1 or vals.size & (vals.size - 1):
             raise ValueError(f"signal length must be a power of two, got {vals.shape}")
-        return cls(vals, int(vals.size).bit_length() - 1)
+        return cls(vals)
+
+    @property
+    def n(self) -> int:
+        return self.size.bit_length() - 1
 
     @property
     def size(self) -> int:
@@ -229,17 +232,17 @@ def hybrid_dft(signal: RealSignal, plan: FftPlan) -> tuple[SpectrumVector, CostL
         raise ValueError(f"plan built for n={plan.n}, signal has n={signal.n}")
     ledger = CostLedger()
     leaves = _leaf_columns(signal, plan.n_q)
-    sampled = plan.mode == "sampled"
+    shots = check_mode(plan.mode, plan.shots)
     if plan.n_q == 0:
         spec = leaves.astype(complex)
-        stderr = np.zeros(leaves.shape) if sampled else None
+        stderr = np.zeros(leaves.shape) if shots else None
     else:
         seeds = None
-        if sampled:
+        if shots:
             # Column c is leaf bitrev(c), and a leaf's seed follows its index.
             leaf_of_column = _bit_reversal(leaves.shape[1]).tolist()
             seeds = [derive_seed(plan.master_seed, r) for r in leaf_of_column]
-        spec, stderr = evaluate_nodes(leaves, plan.mode, plan.shots, seeds, ledger)
+        spec, stderr = evaluate_nodes(leaves, shots, seeds, ledger)
     spectrum = _combine_levels(spec, stderr, ledger)
     ledger.classical_bits = 2**plan.n * plan.n_precision
     ledger.qubit_count = plan.n_q + 1

@@ -80,17 +80,21 @@ EPS_REF_EXACT = 1e-9
 
 @dataclass(eq=False)
 class BlockVector:
-    """Real vector of length ``2**n_q`` with its Euclidean norm recorded."""
+    """Real vector of length ``2**n_q``."""
 
     values: np.ndarray
-    norm: float
 
     @classmethod
     def from_values(cls, values) -> "BlockVector":
         vals = np.asarray(values, dtype=float)
         if vals.ndim != 1 or vals.size < 1 or vals.size & (vals.size - 1):
             raise ValueError(f"block length must be a power of two, got {vals.shape}")
-        return cls(vals, float(_column_norms(vals[:, None])[0]))
+        return cls(vals)
+
+    @property
+    def norm(self) -> float:
+        """The Euclidean norm of ``values``."""
+        return float(_column_norms(self.values[:, None])[0])
 
     @property
     def n_q(self) -> int:
@@ -133,12 +137,12 @@ class ReadoutSchedule:
 class ReadoutRecord:
     """Measured joint probabilities of one block: ``magnitude[p]`` and
     ``reference[p]`` are the two entries of projector ``p``, ``(N,)`` arrays
-    in projector order."""
+    in projector order, estimated from ``shots`` draws, or exact when
+    ``shots`` is 0."""
 
     schedule: ReadoutSchedule
     magnitude: np.ndarray
     reference: np.ndarray
-    mode: str
     shots: int
     seed: int
 
@@ -349,7 +353,8 @@ def _classical_coefficients(x: np.ndarray, columns: np.ndarray, k: np.ndarray) -
     step = max(1, 2**16 // N)
     for start in range(0, len(k), step):
         chunk = slice(start, start + step)
-        phases = np.exp(2j * np.pi * k[chunk, None] * np.arange(N) / N)
+        # N is a power of two, so the mask reduces k*j modulo N.
+        phases = np.exp(2j * np.pi * ((k[chunk, None] * np.arange(N)) & (N - 1)) / N)
         leaves = np.ascontiguousarray(x[:, columns[chunk]].T)
         out[chunk] = np.sum(leaves * phases, axis=1) / math.sqrt(N)
     return out
@@ -420,7 +425,6 @@ def _rebuild(
 
 def evaluate_nodes(
     blocks: np.ndarray,
-    mode: str = "exact",
     shots: int = 0,
     seeds=None,
     ledger: CostLedger | None = None,
@@ -430,14 +434,17 @@ def evaluate_nodes(
 
     Encodes the nonzero columns, runs the readout circuit and schedule on
     all of them as one batch, rebuilds their signs and undoes both
-    normalizations.  Returns the ``(2**n_q, L)`` unnormalized transforms,
-    one per column, and, in sampled mode, their standard errors (None in
-    exact mode).  All-zero columns never touch the node: their transform is
-    zero.  ``seeds`` holds one seed per column; sampled mode raises
-    ``ValueError`` without exactly that many, and exact mode ignores it.
-    Charges every node counter as columns times unit, plus each fallback.
+    normalizations, exactly when ``shots`` is 0 and from ``shots`` draws per
+    entry otherwise (sampled mode).  Returns the ``(2**n_q, L)``
+    unnormalized transforms, one per column, and, in sampled mode, their
+    standard errors (None in exact mode).  All-zero columns never touch the
+    node: their transform is zero.  ``seeds`` holds one seed per column;
+    sampled mode raises ``ValueError`` without exactly that many, and exact
+    mode ignores it.  Charges every node counter as columns times unit, plus
+    each fallback.
     """
-    shots = check_mode(mode, shots)
+    if shots < 0:
+        raise ValueError(f"shots must be >= 0, got {shots}")
     N, L = blocks.shape
     if shots and (seeds is None or len(seeds) != L):
         raise ValueError(f"sampled mode needs one seed per column, {L} columns")
@@ -491,7 +498,7 @@ def execute_schedule(
     shots = check_mode(mode, shots)
     x = _encode(block.values[:, None], np.array([block.norm]), ledger)
     magnitude, reference = _measure(schedule, x, _reference(schedule, x), shots, [seed], ledger)
-    return ReadoutRecord(schedule, magnitude[:, 0], reference[:, 0], mode, shots, seed)
+    return ReadoutRecord(schedule, magnitude[:, 0], reference[:, 0], shots, seed)
 
 
 def rebuild_phases(
@@ -514,7 +521,6 @@ def rebuild_phases(
     N = 2**schedule.n_q
     if block.n_q != schedule.n_q:
         raise ValueError("record and block sizes differ")
-    shots = record.shots if record.mode == "sampled" else 0
 
     magnitude = np.asarray(record.magnitude, dtype=float)
     reference = np.asarray(record.reference, dtype=float)
@@ -523,7 +529,7 @@ def rebuild_phases(
     x = block.values[:, None] / block.norm
     coefficients, stderr, fallback = _rebuild(
         schedule, x, _reference(schedule, x), magnitude[:, None], reference[:, None],
-        shots, ledger,
+        record.shots, ledger,
     )
     return SpectrumEstimate(
         coefficients=coefficients[:, 0],

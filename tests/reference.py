@@ -1,16 +1,45 @@
-"""Test-side stand-ins for what the package does not offer: a circuit run on
-one state, gates re-targeted by a qubit offset, the plain radix-2 transform,
-and a projection's ancilla residual read through joint probabilities."""
+"""Test-side stand-ins for what the package does not offer: each gate's
+dense matrix, a circuit run on one state, gates re-targeted by a qubit
+offset, the plain radix-2 transform, and a projection's ancilla residual
+read through joint probabilities."""
 
+import cmath
 import dataclasses
 import math
 
 import numpy as np
 
-from hqsim.core import MeasurementEffect, StateVector, apply_circuit_batch, effect_probability
+from hqsim.core import (
+    ControlledPhase,
+    Hadamard,
+    MeasurementEffect,
+    PhaseShift,
+    StateVector,
+    Swap,
+    apply_circuit_batch,
+    effect_probability,
+)
 from hqsim.hybrid_fft import _combine_levels
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+def gate_matrix(gate):
+    """The dense unitary of one gate on its own qubits, from the gate's
+    definition; a two-qubit matrix lists the first qubit as the more
+    significant one."""
+    if isinstance(gate, Hadamard):
+        return np.array([[1, 1], [1, -1]], dtype=complex) * INV_SQRT2
+    if isinstance(gate, PhaseShift):
+        return np.array([[1, 0], [0, cmath.exp(1j * gate.angle)]], dtype=complex)
+    m = np.eye(4, dtype=complex)
+    if isinstance(gate, ControlledPhase):
+        m[3, 3] = cmath.exp(1j * gate.angle)
+    elif isinstance(gate, Swap):
+        m[[1, 2]] = m[[2, 1]]
+    else:
+        raise TypeError(f"unknown gate {gate!r}")
+    return m
 
 
 def apply_circuit(state, circuit):
@@ -18,7 +47,7 @@ def apply_circuit(state, circuit):
     column through :func:`apply_circuit_batch`."""
     columns = state.amplitudes.copy()[:, None]
     apply_circuit_batch(columns, circuit)
-    return StateVector(state.num_qubits, columns[:, 0], state.unnormalized)
+    return StateVector(state.num_qubits, columns[:, 0])
 
 
 def shifted(gate, offset):

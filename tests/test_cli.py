@@ -57,6 +57,16 @@ def test_parse_rejects_sampled_without_shots():
         parse_args(["dft-run", "--n", "4", "--nq", "2", "--mode", "sampled"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["search-run", "--n", "4", "--nq", "2"],
+    ["search-sweep", "--n", "4", "--nq", "0..2"],
+], ids=lambda argv: argv[0])
+def test_search_commands_take_no_shots(argv):
+    with pytest.raises(SystemExit) as exc:
+        parse_args(argv + ["--solutions", "1", "--mode", "sampled", "--shots", "1"])
+    assert exc.value.code == EXIT_USAGE
+
+
 def test_parse_search_needs_solution_spec():
     with pytest.raises(UsageError, match="--solutions"):
         parse_args(["search-run", "--n", "4", "--nq", "2"])
@@ -289,7 +299,7 @@ def test_main_refuses_sizes_above_the_qubit_limit(argv, monkeypatch, capsys):
 @pytest.mark.parametrize("argv", [
     ["dft-run", "--n", "4", "--nq", "2", "--seed", "-1"],
     ["search-run", "--n", "4", "--nq", "2", "--random-solutions", "3", "--mode", "sampled",
-     "--shots", "1", "--seed", "-2"],
+     "--seed", "-2"],
 ], ids=lambda argv: argv[0])
 def test_main_refuses_a_negative_seed(argv, monkeypatch, capsys):
     code, err = refused_before_running(argv, monkeypatch, capsys)
@@ -299,7 +309,7 @@ def test_main_refuses_a_negative_seed(argv, monkeypatch, capsys):
 
 @pytest.mark.parametrize("argv, flag", [
     (["dft-run", "--n", "3", "--nq", "1", "--mode", "sampled", "--shots", str(2**63)], "--shots"),
-    (["search-sweep", "--n", "3", "--nq", "0..1", "--solutions", "1", "--mode", "sampled",
+    (["dft-sweep", "--n", "3", "--nq", "0..1", "--mode", "sampled",
       "--shots", "10000000000000000000000"], "--shots"),
     (["dft-sweep", "--n", "3", "--nq", "0..1", "--n-precision", str(2**63)], "--n-precision"),
     (["search-run", "--n", "3", "--nq", "1", "--solutions", "1", "--n-precision",
@@ -313,14 +323,19 @@ def test_main_refuses_counts_above_the_int64_limit(argv, flag, monkeypatch, caps
 
 @pytest.mark.parametrize("command", ["dft-run", "search-run"])
 def test_main_runs_at_the_int64_limit(command, tmp_path):
+    # Sampled search measures once per round: it takes no --shots and
+    # reports one shot.
     out = tmp_path / "out.json"
-    argv = [command, "--n", "3", "--nq", "1", "--mode", "sampled", "--shots", str(2**63 - 1),
+    argv = [command, "--n", "3", "--nq", "1", "--mode", "sampled",
             "--n-precision", str(2**63 - 1), "--seed", "1", "--out-json", str(out)]
     if command == "search-run":
         argv += ["--solutions", "1,6"]
+    else:
+        argv += ["--shots", str(2**63 - 1)]
     assert main(argv) == EXIT_OK
-    point = json.loads(out.read_text())["points"][0]
-    assert point["shots"] == 2**63 - 1
+    payload = json.loads(out.read_text())
+    point = payload["points"][0]
+    assert point["shots"] == payload["config"]["shots"] == (1 if command == "search-run" else 2**63 - 1)
     assert point["classical_bits"] == 8 * (2**63 - 1)
     assert point["bits_per_qubit"] == 8 * (2**63 - 1) / 2
 

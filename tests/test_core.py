@@ -26,7 +26,7 @@ from hqsim.core import (
     effect_probability,
     sample_effect,
 )
-from reference import apply_circuit, probed_residual, residual_probes, shifted
+from reference import apply_circuit, gate_matrix, probed_residual, residual_probes, shifted
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -50,10 +50,9 @@ def test_statevector_rejects_wrong_length():
         StateVector(2, np.array([1.0, 0.0]))
 
 
-def test_statevector_rejects_unnormalized_without_flag():
+def test_statevector_rejects_unnormalized():
     with pytest.raises(ValueError):
         StateVector(1, np.array([1.0, 1.0]))
-    StateVector(1, np.array([1.0, 1.0]), unnormalized=True)
 
 
 # --- elementary gates -------------------------------------------------------
@@ -89,13 +88,15 @@ def test_apply_gate_invalid_index():
 
 @pytest.mark.parametrize(
     "gate",
-    [Hadamard(0), PhaseShift(0, 0.37), ControlledPhase(0, 1, 2.2), Swap(0, 1)],
+    [Hadamard(0), PhaseShift(0, 0.37), ControlledPhase(0, 1, 2.2), Swap(0, 1),
+     Hadamard(1), ControlledPhase(1, 0, 2.2), Swap(1, 0)],
 )
 def test_gate_matrices_unitary(gate):
     assert unitarity_deviation([gate]) <= UNITARITY_TOLERANCE
-    m = gate.matrix()
-    # The in-place kernel applies the same matrix.
-    assert np.max(np.abs(circuit_matrix([gate], len(gate.qubits)) - m)) < 1e-15
+    # The in-place kernel applies the gate's matrix, on whichever qubits.
+    num_qubits = max(gate.qubits) + 1
+    got = circuit_matrix([gate], num_qubits)
+    assert np.max(np.abs(got - embedded_matrix(gate, num_qubits))) < 1e-15
 
 
 @pytest.mark.parametrize("gate", [ControlledPhase(1, 1, 0.5), Swap(0, 0)])
@@ -223,20 +224,26 @@ def test_controlled_circuit_with_interior_control():
 
 @pytest.mark.parametrize("control", [None, 0, 1])
 def test_batched_rows_match_single_states(control):
+    # A controlled run equals the batched run where the control is |1> and
+    # returns its input unchanged where the control is |0>, bit for bit.
     rng = np.random.default_rng(17)
     rows = rng.normal(size=(5, 16)) + 1j * rng.normal(size=(5, 16))
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)
     circuit = [Hadamard(3), PhaseShift(2, 0.4), ControlledPhase(3, 2, 1.3), Swap(2, 3)]
     # The batch holds each register as a column.
     batch = rows.T.copy()
-    apply_circuit_batch(batch, circuit, control)
+    apply_circuit_batch(batch, circuit)
+    on = np.ones(16, dtype=bool)
+    if control is not None:
+        on = (np.arange(16) >> (3 - control)) & 1 == 1
     for row, got in zip(rows, batch.T):
         state = StateVector(4, row)
         if control is None:
             want = apply_circuit(state, circuit)
         else:
             want = apply_controlled_circuit(state, control, circuit)
-        assert np.array_equal(got, want.amplitudes)
+        assert np.array_equal(got[on], want.amplitudes[on])
+        assert np.array_equal(row[~on], want.amplitudes[~on])
 
 
 def embedded_matrix(gate, num_qubits):
@@ -244,7 +251,7 @@ def embedded_matrix(gate, num_qubits):
     the entry between two basis states whose other qubits agree."""
     dim = 2**num_qubits
     qs = gate.qubits
-    m = gate.matrix()
+    m = gate_matrix(gate)
 
     def local(index):
         bits = [(index >> (num_qubits - 1 - q)) & 1 for q in qs]
@@ -335,8 +342,12 @@ def test_fused_diagonal_runs_match_dense_matrices(data):
         circuit += swaps()
     if data.draw(st.booleans()):
         circuit.pop()  # end on a run, not on a Hadamard
-    got = np.eye(2**num_qubits, dtype=complex)
-    apply_circuit_batch(got, circuit, control)
+    if control is None:
+        got = circuit_matrix(circuit, num_qubits)
+    else:
+        # Column j is the controlled run on basis state |j>.
+        got = np.array([apply_controlled_circuit(basis_state(num_qubits, j), control, circuit)
+                        .amplitudes for j in range(2**num_qubits)]).T
     assert np.max(np.abs(got - dense_circuit(circuit, num_qubits, control))) < 1e-12
 
 

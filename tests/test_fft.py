@@ -467,3 +467,18 @@ def test_hybrid_resolves_fallback_leaves():
     assert np.max(np.abs(got.values - direct_dft(signal).values)) < 1e-9
     _, _, want_ledger = per_leaf_transform(signal, plan)
     assert ledger.as_dict() == want_ledger.as_dict()
+
+
+def test_fallbacks_near_half_the_node_size_stay_within_the_tolerance():
+    # x[N-k] = -x[k] zeroes the plus reference of pair k, so coefficient k's
+    # real part falls back to the classical sum.  Near k = N/2 its phase
+    # indices k*j reach N**2/2; unless they are reduced modulo N before the
+    # float product, the transform is off by about 1e-8 at n = 18.
+    n = 18
+    N = 2**n
+    values = np.random.default_rng(18).uniform(-1.0, 1.0, N)
+    for k in (N // 2 - 1, N // 2 - 3, N // 2 - 5):
+        values[N - k] = -values[k]
+    got, ledger = hybrid_dft(RealSignal.from_values(values), FftPlan(n=n, n_q=n))
+    assert ledger.classical_fallbacks >= 3
+    assert np.max(np.abs(got.values - N * np.fft.ifft(values))) <= TRANSFORM_TOLERANCE

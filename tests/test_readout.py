@@ -199,10 +199,10 @@ def test_node_circuit_is_compiled_once_per_size():
     evaluate_nodes(blocks)
     before = core._shared_plan.cache_info()
     evaluate_nodes(blocks)
-    evaluate_nodes(blocks[:, :1].copy(), "sampled", 100, [3])
+    evaluate_nodes(blocks[:, :1].copy(), 100, [3])
     after = core._shared_plan.cache_info()
     assert (after.misses, after.hits) == (before.misses, before.hits + 2)
-    steps, _, _ = core._shared_plan(5, None, tuple(build_qft_circuit(5)))
+    steps, _, _ = core._shared_plan(5, tuple(build_qft_circuit(5)))
     assert [diagonal is None for _, _, diagonal in steps] == [True, False] * 4 + [True]
 
 
@@ -283,9 +283,11 @@ def test_sampled_nodes_need_one_seed_per_row():
     # depends on which other columns are zero.
     for seeds in (None, [1], [1, 3], [1, 2, 3, 4]):
         with pytest.raises(ValueError, match="one seed per column"):
-            evaluate_nodes(blocks, "sampled", 100, seeds)
-    values, stderr = evaluate_nodes(blocks, "sampled", 100, [1, 2, 3])
+            evaluate_nodes(blocks, 100, seeds)
+    values, stderr = evaluate_nodes(blocks, 100, [1, 2, 3])
     assert values.shape == stderr.shape == (4, 3)
+    with pytest.raises(ValueError, match="shots must be >= 0"):
+        evaluate_nodes(blocks, -1, [1, 2, 3])
 
 
 def test_sampled_entries_are_one_binomial_draw_each_from_the_row_seed():
@@ -303,12 +305,12 @@ def test_sampled_nodes_depend_only_on_their_own_seed():
     blocks = np.random.default_rng(62).normal(size=(5, 8)).T.copy()
     blocks[:, 2] = 0.0
     seeds = [11, 12, 13, 14, 15]
-    values, stderr = evaluate_nodes(blocks, "sampled", 500, seeds)
+    values, stderr = evaluate_nodes(blocks, 500, seeds)
     for i, seed in enumerate(seeds):
-        alone, alone_stderr = evaluate_nodes(blocks[:, i : i + 1], "sampled", 500, [seed])
+        alone, alone_stderr = evaluate_nodes(blocks[:, i : i + 1], 500, [seed])
         assert np.array_equal(alone[:, 0], values[:, i])
         assert np.array_equal(alone_stderr[:, 0], stderr[:, i])
-    reversed_values, reversed_stderr = evaluate_nodes(blocks[:, ::-1], "sampled", 500, seeds[::-1])
+    reversed_values, reversed_stderr = evaluate_nodes(blocks[:, ::-1], 500, seeds[::-1])
     assert np.array_equal(reversed_values[:, ::-1], values)
     assert np.array_equal(reversed_stderr[:, ::-1], stderr)
 
@@ -325,11 +327,11 @@ def test_zero_columns_leave_the_live_columns_unchanged(n_q):
     blocks[:, zero] = 0.0
     live = ~zero
     assert blocks[:, live].flags.f_contiguous and not blocks[:, live].flags.c_contiguous
-    for mode, shots, seeds in (("exact", 0, None), ("sampled", 300, list(range(L)))):
+    for shots, seeds in ((0, None), (300, list(range(L)))):
         ledger, alone_ledger = CostLedger(), CostLedger()
-        values, stderr = evaluate_nodes(blocks, mode, shots, seeds, ledger)
+        values, stderr = evaluate_nodes(blocks, shots, seeds, ledger)
         live_seeds = None if seeds is None else [s for s, keep in zip(seeds, live) if keep]
-        alone, alone_stderr = evaluate_nodes(blocks[:, live], mode, shots, live_seeds, alone_ledger)
+        alone, alone_stderr = evaluate_nodes(blocks[:, live], shots, live_seeds, alone_ledger)
         assert np.array_equal(values[:, live], alone)
         assert not np.any(values[:, zero])
         if seeds is not None:
@@ -350,7 +352,7 @@ def test_sampled_nodes_make_one_generator_per_live_row(monkeypatch):
     blocks = real_rng(63).normal(size=(4, 16)).T.copy()
     blocks[:, 1] = 0.0
     monkeypatch.setattr(np.random, "default_rng", counting_rng)
-    evaluate_nodes(blocks, "sampled", 200, [5, 6, 7, 8])
+    evaluate_nodes(blocks, 200, [5, 6, 7, 8])
     assert made == [5, 7, 8]
 
 
@@ -445,9 +447,10 @@ def test_ambiguous_reference_falls_back_to_classical():
 
 def classical_coefficient(normalized, k):
     """Per-fallback reference: one amplitude-level coefficient computed
-    classically, one phase vector and one sum per call."""
+    classically, one phase vector and one sum per call; the phase index
+    ``k*j`` is reduced modulo N in integers."""
     N = normalized.size
-    phases = np.exp(2j * np.pi * k * np.arange(N) / N)
+    phases = np.exp(2j * np.pi * ((k * np.arange(N)) & (N - 1)) / N)
     return complex(np.sum(normalized * phases) / math.sqrt(N))
 
 
