@@ -93,7 +93,7 @@ def stderr_miscalibrations(cases, seeds) -> list[tuple[int, int, int, float, flo
         sq_error = np.zeros(signal.size)
         variance = np.zeros(signal.size)
         for seed in seeds:
-            plan = FftPlan(n=signal.n, n_q=n_q, mode="sampled", shots=shots, master_seed=seed)
+            plan = FftPlan(n=signal.n, n_q=n_q, shots=shots, master_seed=seed)
             got, _ = hybrid_dft(signal, plan)
             sq_error += np.abs(got.values - want) ** 2
             variance += got.stderr**2

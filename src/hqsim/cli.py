@@ -295,7 +295,6 @@ def _dft_point(
     plan = FftPlan(
         n=config.n,
         n_q=n_q,
-        mode=config.mode,
         shots=config.shots,
         master_seed=config.master_seed,
         n_precision=config.n_precision,
@@ -373,7 +372,8 @@ def report_json(report: ExperimentReport) -> str:
             "seed": report.config.master_seed,
             "n_precision": report.config.n_precision,
             "input": report.config.input_path,
-            "solutions": list(report.config.solutions) if report.config.solutions else None,
+            "solutions": (None if report.config.solutions is None
+                          else list(report.config.solutions)),
             "random_solutions": report.config.random_solutions,
         },
         "points": report.points,

@@ -69,16 +69,6 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 # Shared by the transform and the search; not re-exported by the package.
-def check_mode(mode: str, shots: int | None = None) -> int:
-    """Validate a probability mode ("exact" or "sampled") and, where given,
-    its shot count; returns the shots a sampled draw takes, 0 in exact mode."""
-    if mode not in ("exact", "sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "sampled" and shots is not None and shots < 1:
-        raise ValueError("sampled mode needs shots >= 1")
-    return shots if mode == "sampled" else 0
-
-
 def derive_seed(*key: int) -> int:
     """The seed of one work unit, from the master seed and the unit's key, so
     that a unit's draws do not depend on how the units are batched."""

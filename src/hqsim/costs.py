@@ -111,6 +111,13 @@ class CostForecast:
                 raise ValueError(f"forecast term {name} is negative")
 
 
+# Shared by the forecasts, the transform and the search.
+def _check_node_size(n: int, n_q: int) -> None:
+    """Raise ``ValueError`` unless ``0 <= n_q <= n``."""
+    if not 0 <= n_q <= n:
+        raise ValueError(f"n_q={n_q} out of range for n={n}")
+
+
 def predict_search_cost(n: int, n_q: int) -> CostForecast:
     """Forecast the partitioned search cost at ``(n, n_q)``.
 
@@ -122,8 +129,7 @@ def predict_search_cost(n: int, n_q: int) -> CostForecast:
     """
     from .search import plan_iterations  # local import avoids a cycle
 
-    if not 0 <= n_q <= n:
-        raise ValueError(f"n_q={n_q} out of range for n={n}")
+    _check_node_size(n, n_q)
     accesses = 2 ** (n - n_q)
     per_node = plan_iterations(2**n_q, 1)
     return CostForecast(
@@ -149,8 +155,7 @@ def predict_dft_cost(n: int, n_q: int) -> CostForecast:
     classical term is the plain FFT cost ``n * 2**n``; at ``n_q = n`` the
     classical term is zero.
     """
-    if not 0 <= n_q <= n:
-        raise ValueError(f"n_q={n_q} out of range for n={n}")
+    _check_node_size(n, n_q)
     leaves = 2 ** (n - n_q)
     prep = n_q**2 * 2**n
     qft = leaves * (n_q * (n_q + 1) // 2 + n_q // 2)

@@ -6,7 +6,9 @@ quantum node (encode, controlled transform, readout, sign rebuild) and the
 results are recombined through ``n - n_q`` classical butterfly levels.  With
 ``n_q = 0`` the whole computation is the plain radix-2 FFT; with
 ``n_q = n`` it is a single node evaluation.  The sign convention is
-``y_k = sum_j x_j exp(+2*pi*i*k*j/N)`` throughout.
+``y_k = sum_j x_j exp(+2*pi*i*k*j/N)`` throughout.  The signal and its
+leaves are one type, :class:`~hqsim.readout.RealSignal`, and a plan's
+``shots`` alone picks exact (0) or sampled node readout.
 
 Every stage works on arrays.  The signal reshaped to ``(2**n_q, R)`` holds
 the leaves as its columns in natural order: column ``c`` is the subsequence
@@ -27,12 +29,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import check_mode, derive_seed
-from .costs import CostLedger
-from .readout import BlockVector, evaluate_nodes
+from .core import derive_seed
+from .costs import CostLedger, _check_node_size
+from .readout import RealSignal, evaluate_nodes
 
 __all__ = [
-    "RealSignal",
     "SpectrumVector",
     "FftPlan",
     "direct_dft",
@@ -40,28 +41,6 @@ __all__ = [
     "butterfly_combine",
     "hybrid_dft",
 ]
-
-
-@dataclass(eq=False)
-class RealSignal:
-    """Real samples, length ``2**n``."""
-
-    values: np.ndarray
-
-    @classmethod
-    def from_values(cls, values) -> "RealSignal":
-        vals = np.asarray(values, dtype=float)
-        if vals.ndim != 1 or vals.size < 1 or vals.size & (vals.size - 1):
-            raise ValueError(f"signal length must be a power of two, got {vals.shape}")
-        return cls(vals)
-
-    @property
-    def n(self) -> int:
-        return self.size.bit_length() - 1
-
-    @property
-    def size(self) -> int:
-        return int(self.values.size)
 
 
 @dataclass(eq=False)
@@ -79,19 +58,20 @@ class SpectrumVector:
 
 @dataclass(frozen=True)
 class FftPlan:
-    """How to run the transform: node size, probability mode, seeding."""
+    """How to run the transform: node size, shots, seeding.  ``shots = 0``
+    reads the nodes exactly; ``shots > 0`` estimates every readout entry
+    from that many draws (sampled mode)."""
 
     n: int
     n_q: int
-    mode: str = "exact"
     shots: int = 0
     master_seed: int = 0
     n_precision: int = 64
 
     def __post_init__(self) -> None:
-        if not 0 <= self.n_q <= self.n:
-            raise ValueError(f"n_q={self.n_q} out of range for n={self.n}")
-        check_mode(self.mode, self.shots)
+        _check_node_size(self.n, self.n_q)
+        if self.shots < 0:
+            raise ValueError(f"shots must be >= 0, got {self.shots}")
 
 
 # Elements of the phase matrix that direct_dft holds at once.
@@ -136,12 +116,11 @@ def _leaf_columns(signal: RealSignal, n_q: int) -> np.ndarray:
     """The ``2**(n-n_q)`` leaves as the columns of one ``(2**n_q, R)`` view,
     in natural order: column ``c`` is leaf ``bitrev(c)`` of
     :func:`decimate_leaves`."""
-    if not 0 <= n_q <= signal.n:
-        raise ValueError(f"n_q={n_q} out of range for n={signal.n}")
+    _check_node_size(signal.n, n_q)
     return signal.values.reshape(2**n_q, 2 ** (signal.n - n_q))
 
 
-def decimate_leaves(signal: RealSignal, n_q: int) -> list[BlockVector]:
+def decimate_leaves(signal: RealSignal, n_q: int) -> list[RealSignal]:
     """Split a signal into ``2**(n-n_q)`` decimation-in-time leaves.
 
     Leaf ``r`` holds the samples whose index is congruent to the
@@ -149,7 +128,7 @@ def decimate_leaves(signal: RealSignal, n_q: int) -> list[BlockVector]:
     so adjacent leaves are even/odd partners at every combine level.
     """
     columns = _leaf_columns(signal, n_q)
-    return [BlockVector.from_values(columns[:, c]) for c in _bit_reversal(columns.shape[1])]
+    return [RealSignal.from_values(columns[:, c]) for c in _bit_reversal(columns.shape[1])]
 
 
 def _combine_level(spec, stderr, roots, ledger):
@@ -232,17 +211,16 @@ def hybrid_dft(signal: RealSignal, plan: FftPlan) -> tuple[SpectrumVector, CostL
         raise ValueError(f"plan built for n={plan.n}, signal has n={signal.n}")
     ledger = CostLedger()
     leaves = _leaf_columns(signal, plan.n_q)
-    shots = check_mode(plan.mode, plan.shots)
     if plan.n_q == 0:
         spec = leaves.astype(complex)
-        stderr = np.zeros(leaves.shape) if shots else None
+        stderr = np.zeros(leaves.shape) if plan.shots else None
     else:
         seeds = None
-        if shots:
+        if plan.shots:
             # Column c is leaf bitrev(c), and a leaf's seed follows its index.
             leaf_of_column = _bit_reversal(leaves.shape[1]).tolist()
             seeds = [derive_seed(plan.master_seed, r) for r in leaf_of_column]
-        spec, stderr = evaluate_nodes(leaves, shots, seeds, ledger)
+        spec, stderr = evaluate_nodes(leaves, plan.shots, seeds, ledger)
     spectrum = _combine_levels(spec, stderr, ledger)
     ledger.classical_bits = 2**plan.n * plan.n_precision
     ledger.qubit_count = plan.n_q + 1

@@ -38,7 +38,10 @@ relabelling, with the circuit's normalization folded into the projector
 weights, so the node stage neither permutes nor rescales the state.
 :func:`execute_schedule` and :func:`rebuild_phases` are batch-of-one
 wrappers round the same code; their :class:`ReadoutRecord` holds a block's
-magnitude and reference entries as two arrays in projector order.
+magnitude and reference entries as two arrays in projector order.  A block
+is a :class:`RealSignal`, the type the transform takes for a whole signal,
+and ``shots`` alone picks the readout: 0 is exact, a positive count is
+sampled mode.
 """
 
 from __future__ import annotations
@@ -53,13 +56,12 @@ from .core import (
     SHARED_MAX_QUBITS,
     StateVector,
     build_qft_circuit,
-    check_mode,
     run_circuit,
 )
 from .costs import CostLedger
 
 __all__ = [
-    "BlockVector",
+    "RealSignal",
     "ReadoutSchedule",
     "ReadoutRecord",
     "SpectrumEstimate",
@@ -79,30 +81,32 @@ EPS_REF_EXACT = 1e-9
 
 
 @dataclass(eq=False)
-class BlockVector:
-    """Real vector of length ``2**n_q``."""
+class RealSignal:
+    """Real samples, length ``2**n``: a whole signal, or one block of it that
+    a node reads."""
 
     values: np.ndarray
 
     @classmethod
-    def from_values(cls, values) -> "BlockVector":
+    def from_values(cls, values) -> "RealSignal":
         vals = np.asarray(values, dtype=float)
         if vals.ndim != 1 or vals.size < 1 or vals.size & (vals.size - 1):
-            raise ValueError(f"block length must be a power of two, got {vals.shape}")
+            raise ValueError(f"signal length must be a power of two, got {vals.shape}")
         return cls(vals)
 
     @property
-    def norm(self) -> float:
-        """The Euclidean norm of ``values``."""
-        return float(_column_norms(self.values[:, None])[0])
-
-    @property
-    def n_q(self) -> int:
-        return int(self.values.size).bit_length() - 1
+    def n(self) -> int:
+        return self.size.bit_length() - 1
 
     @property
     def size(self) -> int:
         return int(self.values.size)
+
+    @property
+    def norm(self) -> float:
+        """The Euclidean norm of ``values``, computed as the batched node
+        stage computes it."""
+        return float(_column_norms(self.values[:, None])[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,7 +148,6 @@ class ReadoutRecord:
     magnitude: np.ndarray
     reference: np.ndarray
     shots: int
-    seed: int
 
 
 @dataclass(eq=False)
@@ -159,14 +162,14 @@ class SpectrumEstimate:
     stderr: np.ndarray | None = None
 
 
-def prepare_block_state(block: BlockVector, ledger: CostLedger | None = None) -> StateVector:
+def prepare_block_state(block: RealSignal, ledger: CostLedger | None = None) -> StateVector:
     """Amplitude-encode a block on the data register.
 
     Charges ``n_q**2 * 2**n_q`` state-prep units; a zero block cannot be
     normalized and must be short-circuited by the caller.
     """
     normalized = _encode(block.values[:, None], np.array([block.norm]), ledger)
-    return StateVector(block.n_q, normalized[:, 0])
+    return StateVector(block.n, normalized[:, 0])
 
 
 def build_schedule(n_q: int) -> ReadoutSchedule:
@@ -475,9 +478,8 @@ def _spread(columns: np.ndarray, live: np.ndarray) -> np.ndarray:
 
 
 def execute_schedule(
-    block: BlockVector,
+    block: RealSignal,
     schedule: ReadoutSchedule,
-    mode: str = "exact",
     shots: int = 0,
     seed: int = 0,
     ledger: CostLedger | None = None,
@@ -487,23 +489,24 @@ def execute_schedule(
     A batch of one through the node stage of :func:`evaluate_nodes`: builds
     ancilla tensor block state, applies the ancilla Hadamard and the
     controlled transform, then evaluates both joint probabilities of each
-    projector, exactly or as a seeded binomial estimate in sampled mode.
-    Projector ``p`` of ``schedule`` fills entry ``p`` of the record's
-    ``magnitude`` and ``reference`` arrays.
+    projector, exactly when ``shots`` is 0 and otherwise as a binomial
+    estimate drawn from ``seed``.  Projector ``p`` of ``schedule`` fills
+    entry ``p`` of the record's ``magnitude`` and ``reference`` arrays.
     """
-    if block.n_q != schedule.n_q:
+    if block.n != schedule.n_q:
         raise ValueError(
-            f"schedule built for n_q={schedule.n_q}, block has n_q={block.n_q}"
+            f"schedule built for n_q={schedule.n_q}, block has n_q={block.n}"
         )
-    shots = check_mode(mode, shots)
+    if shots < 0:
+        raise ValueError(f"shots must be >= 0, got {shots}")
     x = _encode(block.values[:, None], np.array([block.norm]), ledger)
     magnitude, reference = _measure(schedule, x, _reference(schedule, x), shots, [seed], ledger)
-    return ReadoutRecord(schedule, magnitude[:, 0], reference[:, 0], shots, seed)
+    return ReadoutRecord(schedule, magnitude[:, 0], reference[:, 0], shots)
 
 
 def rebuild_phases(
     record: ReadoutRecord,
-    block: BlockVector,
+    block: RealSignal,
     ledger: CostLedger | None = None,
 ) -> SpectrumEstimate:
     """Turn a readout record into signed complex coefficients.
@@ -519,7 +522,7 @@ def rebuild_phases(
     """
     schedule = record.schedule
     N = 2**schedule.n_q
-    if block.n_q != schedule.n_q:
+    if block.n != schedule.n_q:
         raise ValueError("record and block sizes differ")
 
     magnitude = np.asarray(record.magnitude, dtype=float)

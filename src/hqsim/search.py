@@ -56,8 +56,8 @@ from typing import Callable
 
 import numpy as np
 
-from .core import check_mode, derive_seed
-from .costs import CostLedger
+from .core import derive_seed
+from .costs import CostLedger, _check_node_size
 
 __all__ = [
     "SearchOracle",
@@ -123,9 +123,14 @@ class SearchOracle:
 def _num_sublists(n: int, n_q: int) -> int:
     """The ``2**(n-n_q)`` sublists of ``[0, 2**n)``; sublist ``r`` covers
     ``[r * 2**n_q, (r+1) * 2**n_q)``.  Raises unless ``0 <= n_q <= n``."""
-    if not 0 <= n_q <= n:
-        raise ValueError(f"n_q={n_q} out of range for n={n}")
+    _check_node_size(n, n_q)
     return 2 ** (n - n_q)
+
+
+def _check_mode(mode: str) -> None:
+    """Refuse a probability mode other than "exact" and "sampled"."""
+    if mode not in ("exact", "sampled"):
+        raise ValueError(f"unknown mode {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -387,7 +392,7 @@ def search_node(
     candidate classically; the node stops on success or after n_q + 1
     rounds.
     """
-    check_mode(mode)
+    _check_mode(mode)
     if not 0 <= sublist < _num_sublists(oracle.n, n_q):
         raise ValueError(f"sublist {sublist} out of range")
     size = 2**n_q
@@ -480,7 +485,7 @@ def partition_search(
     the sublist on its own solution positions; sampled mode runs call waves
     over the block's counts.  Neither mode builds a per-index array.
     """
-    check_mode(mode)
+    _check_mode(mode)
     size, num_sublists = 2**n_q, _num_sublists(oracle.n, n_q)
     per_block = max(BLOCK_INDICES // size, 1)
     plan = _node_plan(size)

@@ -31,7 +31,6 @@ from hqsim.core import ControlledPhase, Hadamard, PhaseShift, Swap
 from hqsim.costs import fit_scaling_exponent
 from hqsim.hybrid_fft import FftPlan, RealSignal, direct_dft, hybrid_dft
 from hqsim.readout import (
-    BlockVector,
     build_schedule,
     execute_schedule,
     rebuild_phases,
@@ -89,7 +88,7 @@ def test_criterion_2_measurement_schedule_closed_forms():
         schedule = build_schedule(2)
         for _ in range(100):
             values = rng.normal(size=4)
-            block = BlockVector.from_values(values)
+            block = RealSignal.from_values(values)
             record = execute_schedule(block, schedule)
             x = block.values / block.norm
             y = dft_matrix(4) @ x / 2.0
@@ -126,7 +125,7 @@ def test_criterion_3_sign_reconstruction():
             checked = 0
             while checked < 1000:
                 values = rng.normal(size=N)
-                block = BlockVector.from_values(values)
+                block = RealSignal.from_values(values)
                 if min(_references(block.values / block.norm)) < 0.05:
                     continue
                 checked += 1
@@ -138,7 +137,7 @@ def test_criterion_3_sign_reconstruction():
                 assert np.max(np.abs(got - want)) <= 1e-9
         # Ambiguous references are flagged and resolved, never silently wrong.
         values = np.array([1.0, 1.0, 2.0, 1.0, 1.0, -1.0, 1.0, 1.0])
-        block = BlockVector.from_values(values)
+        block = RealSignal.from_values(values)
         record = execute_schedule(block, build_schedule(3))
         estimate = rebuild_phases(record, block)
         assert 1 in estimate.ambiguous
@@ -159,7 +158,7 @@ def test_criterion_4_shot_noise_scaling():
             for seed in range(100):
                 got, _ = hybrid_dft(
                     signal,
-                    FftPlan(n=2, n_q=2, mode="sampled", shots=shots, master_seed=seed),
+                    FftPlan(n=2, n_q=2, shots=shots, master_seed=seed),
                 )
                 sq_errors.append(np.abs(got.values - want) ** 2)
             rmse.append(float(np.sqrt(np.mean(sq_errors))))

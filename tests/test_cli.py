@@ -202,6 +202,19 @@ def test_json_round_trips():
     assert payload["config"]["command"] == "search-sweep"
     assert len(payload["points"]) == 3
     assert all(p["solutions_correct"] for p in payload["points"])
+    assert payload["config"]["solutions"] is None
+
+
+def test_json_keeps_an_empty_solution_list(tmp_path):
+    # An empty --solutions is a search for no solutions, which the config
+    # must tell apart from a run given no solution list at all.
+    out = tmp_path / "run.json"
+    argv = ["search-run", "--n", "4", "--nq", "2", "--solutions", "", "--out-json", str(out)]
+    assert main(argv) == EXIT_OK
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    assert payload["config"]["solutions"] == []
+    assert payload["points"][0]["solutions_found"] == ""
+    assert payload["points"][0]["solutions_correct"] is True
 
 
 def test_large_runs_fall_back_to_fft_oracle(monkeypatch):

@@ -340,22 +340,20 @@ def test_hybrid_memory_accounting():
 def test_plan_validation():
     with pytest.raises(ValueError):
         FftPlan(n=3, n_q=4)
-    with pytest.raises(ValueError):
-        FftPlan(n=3, n_q=1, mode="sampled", shots=0)
-    with pytest.raises(ValueError):
-        FftPlan(n=3, n_q=1, mode="fuzzy")
+    with pytest.raises(ValueError, match="shots must be >= 0"):
+        FftPlan(n=3, n_q=1, shots=-1)
 
 
 def test_hybrid_sampled_mode_is_deterministic_and_annotated():
     rng = np.random.default_rng(14)
     signal = RealSignal.from_values(rng.normal(size=16))
-    plan = FftPlan(n=4, n_q=2, mode="sampled", shots=2000, master_seed=77)
+    plan = FftPlan(n=4, n_q=2, shots=2000, master_seed=77)
     got1, _ = hybrid_dft(signal, plan)
     got2, _ = hybrid_dft(signal, plan)
     assert np.array_equal(got1.values, got2.values)
     assert got1.stderr is not None and got1.stderr.shape == (16,)
     assert np.all(got1.stderr >= 0)
-    other, _ = hybrid_dft(signal, FftPlan(n=4, n_q=2, mode="sampled", shots=2000, master_seed=78))
+    other, _ = hybrid_dft(signal, FftPlan(n=4, n_q=2, shots=2000, master_seed=78))
     assert not np.array_equal(got1.values, other.values)
 
 
@@ -363,7 +361,7 @@ def test_hybrid_sampled_mode_is_close_to_exact():
     rng = np.random.default_rng(15)
     signal = RealSignal.from_values(rng.normal(size=16))
     want = direct_dft(signal).values
-    got, _ = hybrid_dft(signal, FftPlan(n=4, n_q=2, mode="sampled", shots=200000, master_seed=5))
+    got, _ = hybrid_dft(signal, FftPlan(n=4, n_q=2, shots=200000, master_seed=5))
     scale = math.sqrt(float(np.sum(signal.values**2)) * 16)
     assert np.max(np.abs(got.values - want)) < 0.05 * scale
 
@@ -391,7 +389,7 @@ def per_leaf_transform(signal, plan):
     """hybrid_dft rebuilt from batch-of-one calls: execute_schedule and
     rebuild_phases on each nonzero leaf, then pairwise radix-2 combines."""
     ledger = CostLedger()
-    sampled = plan.mode == "sampled"
+    sampled = plan.shots > 0
     spectra, errors = [], []
     for idx, block in enumerate(decimate_leaves(signal, plan.n_q)):
         if plan.n_q == 0 or block.norm == 0.0:
@@ -399,7 +397,7 @@ def per_leaf_transform(signal, plan):
             errors.append(np.zeros(block.size))
             continue
         seed = int(np.random.SeedSequence([plan.master_seed, idx]).generate_state(1)[0])
-        record = execute_schedule(block, build_schedule(plan.n_q), plan.mode, plan.shots, seed, ledger)
+        record = execute_schedule(block, build_schedule(plan.n_q), plan.shots, seed, ledger)
         estimate = rebuild_phases(record, block, ledger)
         ledger.node_accesses += 1
         spectra.append(rescale_to_dft(estimate))
@@ -439,19 +437,18 @@ def _test_signal(kind, n, rng):
 @given(
     st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
     st.sampled_from(["uniform", "integers", "repeated", "spikes"]),
-    st.sampled_from([("exact", 0), ("sampled", 64), ("sampled", 1000)]),
+    st.sampled_from([0, 64, 1000]),
     st.integers(0, 2**32 - 1),
 )
-def test_hybrid_equals_per_leaf_path(sizes, kind, mode_shots, seed):
+def test_hybrid_equals_per_leaf_path(sizes, kind, shots, seed):
     n, n_q = sizes
-    mode, shots = mode_shots
     signal = RealSignal.from_values(_test_signal(kind, n, np.random.default_rng(seed)))
-    plan = FftPlan(n=n, n_q=n_q, mode=mode, shots=shots, master_seed=seed)
+    plan = FftPlan(n=n, n_q=n_q, shots=shots, master_seed=seed)
     got, ledger = hybrid_dft(signal, plan)
     want, want_stderr, want_ledger = per_leaf_transform(signal, plan)
     assert ledger.as_dict() == want_ledger.as_dict()
     assert np.max(np.abs(got.values - want)) <= 1e-12
-    if mode == "sampled":
+    if shots:
         assert np.max(np.abs(got.stderr - want_stderr)) <= 1e-12
     else:
         assert got.stderr is None

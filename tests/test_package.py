@@ -1,9 +1,13 @@
 import importlib
 import importlib.util
 import re
+import shlex
 from pathlib import Path
 
 import hqsim
+from hqsim.cli import EXIT_OK, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 SUBMODULES = ("core", "costs", "hybrid_fft", "readout", "search")
 
@@ -32,8 +36,25 @@ def test_benchmark_trace_targets_resolve():
 
 def test_readme_python_examples_run():
     # Every Python block of the README runs as written.
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
     assert blocks
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {"__name__": "readme_example"})
+
+
+def test_readme_shell_commands_run(tmp_path, monkeypatch):
+    # Every hqsim command of the README's sh blocks exits 0 as written, in a
+    # directory holding the 16-sample signal.csv that one of them reads.
+    readme = README.read_text(encoding="utf-8")
+    commands = [
+        words
+        for block in re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+        for line in block.replace("\\\n", " ").splitlines()
+        if (words := shlex.split(line, comments=True))[:1] == ["hqsim"]
+    ]
+    assert commands
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "signal.csv").write_text("".join(f"{v}\n" for v in range(-8, 8)), encoding="utf-8")
+    for words in commands:
+        assert main(words[1:]) == EXIT_OK, shlex.join(words)

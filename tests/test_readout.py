@@ -18,7 +18,7 @@ from hqsim.core import (
 from hqsim.checks import TRANSFORM_TOLERANCE, round_trip_deviation
 from hqsim.costs import CostLedger
 from hqsim.readout import (
-    BlockVector,
+    RealSignal,
     _classical_coefficients,
     _measure,
     _rebuild,
@@ -58,8 +58,8 @@ def projector_effects(schedule):
 
 
 def readout_pipeline(values, **kwargs):
-    block = BlockVector.from_values(values)
-    schedule = build_schedule(block.n_q)
+    block = RealSignal.from_values(values)
+    schedule = build_schedule(block.n)
     record = execute_schedule(block, schedule, **kwargs)
     return block, record
 
@@ -68,23 +68,23 @@ def readout_pipeline(values, **kwargs):
 
 def test_prepare_delta_block_charges_prep_units():
     ledger = CostLedger()
-    state = prepare_block_state(BlockVector.from_values([1, 0, 0, 0]), ledger)
+    state = prepare_block_state(RealSignal.from_values([1, 0, 0, 0]), ledger)
     assert np.array_equal(state.amplitudes, [1, 0, 0, 0])
     assert ledger.state_prep_units == 16  # n_q=2: 4 * 4
 
 
 def test_prepare_normalizes():
-    state = prepare_block_state(BlockVector.from_values([3, 4, 0, 0]))
+    state = prepare_block_state(RealSignal.from_values([3, 4, 0, 0]))
     assert np.allclose(state.amplitudes, [0.6, 0.8, 0, 0], atol=1e-15)
 
 
 def test_prepare_zero_block_rejected():
     with pytest.raises(ValueError):
-        prepare_block_state(BlockVector.from_values([0, 0, 0, 0]))
+        prepare_block_state(RealSignal.from_values([0, 0, 0, 0]))
 
 
 def test_block_norm_invariant():
-    block = BlockVector.from_values([1.5, -2.0, 0.25, 3.0])
+    block = RealSignal.from_values([1.5, -2.0, 0.25, 3.0])
     assert abs(block.norm**2 - np.sum(block.values**2)) < 1e-12
 
 
@@ -171,7 +171,7 @@ def test_execute_alternating_block_imaginary_magnitude():
 
 def test_execute_charges_gate_and_measurement_units():
     ledger = CostLedger()
-    block = BlockVector.from_values([1, 2, 3, 4])
+    block = RealSignal.from_values([1, 2, 3, 4])
     execute_schedule(block, build_schedule(2), ledger=ledger)
     assert ledger.quantum_gate_units == 2 * 3 // 2 + 1  # 4
     assert ledger.measurement_units == 8
@@ -231,7 +231,7 @@ def test_patched_node_circuit_is_compiled_and_run(monkeypatch):
 
 
 def test_execute_size_mismatch():
-    block = BlockVector.from_values([1, 0])
+    block = RealSignal.from_values([1, 0])
     with pytest.raises(ValueError):
         execute_schedule(block, build_schedule(2))
 
@@ -258,21 +258,21 @@ def test_exact_measurements_reproduce_closed_forms():
 
 
 def test_sampled_mode_is_seeded_and_bounded():
-    block = BlockVector.from_values([3, 2, -2, -1])
+    block = RealSignal.from_values([3, 2, -2, -1])
     schedule = build_schedule(2)
-    r1 = execute_schedule(block, schedule, mode="sampled", shots=2000, seed=5)
-    r2 = execute_schedule(block, schedule, mode="sampled", shots=2000, seed=5)
+    r1 = execute_schedule(block, schedule, shots=2000, seed=5)
+    r2 = execute_schedule(block, schedule, shots=2000, seed=5)
     entries = [np.concatenate([r.magnitude, r.reference]) for r in (r1, r2)]
     assert np.array_equal(*entries)
     assert np.all((0.0 <= entries[0]) & (entries[0] <= 1.0))
-    r3 = execute_schedule(block, schedule, mode="sampled", shots=2000, seed=6)
+    r3 = execute_schedule(block, schedule, shots=2000, seed=6)
     assert not np.array_equal(np.concatenate([r3.magnitude, r3.reference]), entries[0])
 
 
-def test_sampled_mode_requires_shots():
-    block = BlockVector.from_values([1, 0, 0, 0])
-    with pytest.raises(ValueError):
-        execute_schedule(block, build_schedule(2), mode="sampled", shots=0)
+def test_execute_refuses_negative_shots():
+    block = RealSignal.from_values([1, 0, 0, 0])
+    with pytest.raises(ValueError, match="shots must be >= 0"):
+        execute_schedule(block, build_schedule(2), shots=-1)
 
 
 def test_sampled_nodes_need_one_seed_per_row():
@@ -291,10 +291,10 @@ def test_sampled_nodes_need_one_seed_per_row():
 
 
 def test_sampled_entries_are_one_binomial_draw_each_from_the_row_seed():
-    block = BlockVector.from_values([3.0, 2.0, -2.0, -1.0, 0.5, 1.0, 0.0, 4.0])
+    block = RealSignal.from_values([3.0, 2.0, -2.0, -1.0, 0.5, 1.0, 0.0, 4.0])
     schedule = build_schedule(3)
     exact = execute_schedule(block, schedule)
-    sampled = execute_schedule(block, schedule, mode="sampled", shots=1000, seed=21)
+    sampled = execute_schedule(block, schedule, shots=1000, seed=21)
     # Schedule order: each projector's magnitude entry, then its reference.
     p = np.clip(np.stack([exact.magnitude, exact.reference], axis=1).ravel(), 0.0, 1.0)
     want = np.random.default_rng(21).binomial(1000, p) / 1000
@@ -364,7 +364,7 @@ def test_batched_probabilities_match_per_entry_effects(n_q):
     rng = np.random.default_rng(60 + n_q)
     rows = [rng.normal(size=N), rng.integers(-2, 3, size=N).astype(float),
             np.tile([1.0, 1.0, 2.0, 1.0, 1.0, -1.0, 1.0, 1.0], N)[:N], np.eye(N)[N - 1]]
-    blocks = [BlockVector.from_values(v) for v in rows if np.any(v)]
+    blocks = [RealSignal.from_values(v) for v in rows if np.any(v)]
     normalized = np.array([block.values / block.norm for block in blocks]).T.copy()
     schedule = build_schedule(n_q)
     magnitude, reference = _measure(
@@ -526,7 +526,7 @@ def test_sign_robustness_with_solid_references():
     checked = 0
     while checked < 200:
         values = rng.normal(size=N)
-        block = BlockVector.from_values(values)
+        block = RealSignal.from_values(values)
         x = values / block.norm
         refs = [abs(x[0]), abs(x[N // 2])]
         for k in range(1, N // 2):
@@ -554,9 +554,9 @@ def test_erfc_fit_equals_numpy_polyval_bit_for_bit():
 
 
 def test_sampled_rebuild_carries_stderr():
-    block = BlockVector.from_values([3, 2, -2, -1])
+    block = RealSignal.from_values([3, 2, -2, -1])
     schedule = build_schedule(2)
-    record = execute_schedule(block, schedule, mode="sampled", shots=4000, seed=9)
+    record = execute_schedule(block, schedule, shots=4000, seed=9)
     estimate = rebuild_phases(record, block)
     assert estimate.stderr is not None
     assert estimate.stderr.shape == (4,)
