@@ -195,7 +195,10 @@ def parse_args(argv) -> RunConfig:
             raise UsageError("search needs --solutions or --random-solutions")
         if ns.solutions is not None:
             try:
-                sols = tuple(int(tok) for tok in ns.solutions.split(",") if tok.strip())
+                # The first occurrence of each index, as the oracle counts them.
+                sols = tuple(dict.fromkeys(
+                    int(tok) for tok in ns.solutions.split(",") if tok.strip()
+                ))
             except ValueError as exc:
                 raise UsageError(f"--solutions: {exc}") from exc
             for s in sols:

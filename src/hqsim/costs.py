@@ -57,9 +57,9 @@ class CostLedger:
     qubit_count: int = 0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            if getattr(self, f.name) < 0:
-                raise ValueError(f"counter {f.name} must be non-negative")
+        for name in _COUNTERS:
+            if getattr(self, name) < 0:
+                raise ValueError(f"counter {name} must be non-negative")
 
     @property
     def headline_quantum_queries(self) -> int:
@@ -73,11 +73,15 @@ class CostLedger:
         return self.classical_bits / self.qubit_count
 
     def as_dict(self) -> dict[str, int]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in _COUNTERS}
 
     @classmethod
     def field_names(cls) -> tuple[str, ...]:
-        return tuple(f.name for f in fields(cls))
+        return _COUNTERS
+
+
+# The counter names in field order, read once instead of per ledger.
+_COUNTERS = tuple(f.name for f in fields(CostLedger))
 
 
 def merge_ledgers(ledgers) -> CostLedger:
@@ -88,11 +92,11 @@ def merge_ledgers(ledgers) -> CostLedger:
     """
     out = CostLedger()
     for led in ledgers:
-        for f in fields(CostLedger):
-            if f.name == "qubit_count":
+        for name in _COUNTERS:
+            if name == "qubit_count":
                 out.qubit_count = max(out.qubit_count, led.qubit_count)
             else:
-                setattr(out, f.name, getattr(out, f.name) + getattr(led, f.name))
+                setattr(out, name, getattr(out, name) + getattr(led, name))
     return out
 
 

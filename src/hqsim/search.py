@@ -27,8 +27,8 @@ emptiness; after a node gives up, the orchestrator classically sweeps
 whatever indices remain unknown so the returned set is always exact.
 Sweep and retry costs are charged to their own counters.
 
-The simulation reads the oracle once per index, as the sorted positions
-of its solutions, and a block's per-sublist solution counts come from them.
+The simulation reads the oracle once per run, as the sorted positions of
+all its solutions, and every sublist's solution count comes from them.
 Every exact pick takes the lowest free index of its class, so the indices a
 sublist has settled are always its first ``i`` solutions and its first
 ``j`` non-solutions, and its whole run of node calls is a walk over those
@@ -39,10 +39,14 @@ lie below it.  So a node size's round iterations and the walk of each
 solution count are pure: one process-wide memo keyed by node size keeps
 them (see :class:`_NodePlan`), every run charges a count's memoised walk
 once, times the number of its sublists, and a sublist whose walk meets
-such a tie is walked on its own positions.  The memo holds at most one
-5-tuple per (node size, count) seen, at most ``size + 1`` per size.
-Sampled mode runs the sublists of a block in lockstep, one call wave at a
-time, since a round's iteration count depends only on its number.
+such a tie is walked on its own positions.  Exact mode thus bins its counts
+from the positions alone, one run of equal ``position >> n_q`` per nonempty
+sublist, in memory that grows with the number of solutions, not of
+sublists.  The memo holds at most one 5-tuple per (node size, count) seen,
+at most ``size + 1`` per size.  Sampled mode expands the counts into
+per-sublist arrays one block of at most ``BLOCK_INDICES`` indices at a time
+and runs that block's sublists in lockstep, one call wave at a time, since
+a round's iteration count depends only on its number.
 """
 
 from __future__ import annotations
@@ -108,8 +112,7 @@ class SearchOracle:
         if self.solutions is None:
             return np.fromiter(filter(self.membership, range(lo, hi)), dtype=np.int64)
         sols = self._sorted_solutions
-        first, last = np.searchsorted(sols, (lo, hi))
-        return sols[first:last]
+        return sols[sols.searchsorted(lo) : sols.searchsorted(hi)]
 
     @cached_property
     def _sorted_solutions(self) -> np.ndarray:
@@ -456,9 +459,9 @@ def search_node(
     )
 
 
-# Sublists are searched in blocks of at most this many indices, which bounds
-# the memory of a block's solution positions and per-sublist counts whatever
-# n is.
+# Sampled mode runs its call waves over blocks of at most this many indices,
+# which bounds its per-sublist arrays whatever n is.  Exact mode reads only
+# the solution positions and holds no per-sublist array.
 BLOCK_INDICES = 2**12
 
 
@@ -478,51 +481,68 @@ def partition_search(
     count toward the headline query total; everything else lands in the
     retry/repeat/sweep counters.
 
-    The oracle is read once per index, as the sorted positions of its
-    solutions, one block of sublists at a time, and each sublist's solution
-    count is binned from them.  Exact mode charges each sublist its count's
-    walk, memoised for the process, or, where that walk meets a tie, walks
-    the sublist on its own solution positions; sampled mode runs call waves
-    over the block's counts.  Neither mode builds a per-index array.
+    The oracle is read once per run, as the sorted positions of all its
+    solutions.  Exact mode bins the solution counts straight from them, in
+    memory that grows with the solution count: each nonempty sublist is one
+    run of equal ``position >> n_q``, and a count's memoised walk is charged
+    once, times its number of sublists; a sublist whose walk meets a tie is
+    walked on its own positions.  Sampled mode expands the counts into
+    per-sublist arrays one block of :data:`BLOCK_INDICES` indices at a
+    time for its call waves.  Neither mode builds a per-index array.
     """
     _check_mode(mode)
     size, num_sublists = 2**n_q, _num_sublists(oracle.n, n_q)
-    per_block = max(BLOCK_INDICES // size, 1)
     plan = _node_plan(size)
-    orders = _ClassOrders(plan)
     ledger = CostLedger()
-    hist: dict[int, int] = {}  # exact mode: sublists per tie-free count
-    charges = [0] * 5  # exact mode: the sums of _walk's charges
-    found: set[int] = set()
-    for first in range(0, num_sublists, per_block):
-        rows = min(per_block, num_sublists - first)
-        lo = first * size
-        hits = oracle.positions(lo, lo + rows * size)
-        # Node calls and the sweep together certify every solution.
-        found.update(hits.tolist())
-        row = (hits - lo) >> n_q
-        counts = np.bincount(row, minlength=rows)
-        if size == 1:
-            # Degenerate one-element nodes: a single classical test each.
-            ledger.classical_oracle_queries += rows
-        elif mode == "exact":
-            block = np.bincount(counts)
-            # Largest count first: where its walk is not memoised yet, it
-            # fills the call's order table at once.
-            for m in np.flatnonzero(block)[::-1].tolist():
-                if plan.walk(m, orders) is not None:
-                    hist[m] = hist.get(m, 0) + int(block[m])  # charged after the loop
-                    continue
-                # Each of these rows holds m solutions, its i-th at local
-                # position s_i with s_i - i non-solutions below it.
-                local = (hits[counts[row] == m] & (size - 1)).reshape(-1, m)
-                for below in (local - np.arange(m)).tolist():
-                    walk = _walk(plan, orders, m, size - m, below)
-                    charges = [c + w for c, w in zip(charges, walk)]
-        else:
+    hits = oracle.positions(0, 2**oracle.n)
+    # Node calls and the sweep together certify every solution.
+    found = set(hits.tolist())
+    if size == 1:
+        # Degenerate one-element nodes: a single classical test each.
+        ledger.classical_oracle_queries += num_sublists
+    elif mode == "exact":
+        _exact_charges(hits, n_q, num_sublists, plan, ledger)
+    else:
+        per_block = max(BLOCK_INDICES // size, 1)
+        for first in range(0, num_sublists, per_block):
+            rows = min(per_block, num_sublists - first)
+            lo, hi = np.searchsorted(hits, (first * size, (first + rows) * size))
+            counts = np.bincount((hits[lo:hi] >> n_q) - first, minlength=rows)
             _sampled_block(counts, first, master_seed, plan, ledger)
-    for m, sublists in hist.items():
-        charges = [c + sublists * w for c, w in zip(charges, plan.walk(m, orders))]
+    ledger.node_accesses = num_sublists
+    ledger.classical_bits = 2**oracle.n * n_precision
+    ledger.qubit_count = n_q + 1
+    return found, ledger
+
+
+def _exact_charges(hits, n_q, num_sublists, plan, ledger) -> None:
+    """Exact-mode node calls and sweep over every sublist, charged from the
+    sorted solution positions ``hits`` alone."""
+    size = plan.size
+    # Each nonempty sublist is one run of equal rows in the sorted hits;
+    # starts[r] is run r's first hit.  No hits give one run of length 0.
+    row = hits >> n_q
+    bounds = np.concatenate(([0], (row[1:] != row[:-1]).nonzero()[0] + 1, [hits.size]))
+    starts, counts = bounds[:-1], bounds[1:] - bounds[:-1]
+    sublists = np.bincount(counts)  # per solution count
+    sublists[0] = num_sublists - np.count_nonzero(counts)
+    orders = _ClassOrders(plan)
+    charges = [0] * 5  # the sums of _walk's charges
+    # Largest count first: where its walk is not memoised yet, it fills the
+    # call's order table at once.
+    for m in np.flatnonzero(sublists)[::-1].tolist():
+        walk = plan.walk(m, orders)
+        if walk is not None:
+            charges = [c + int(sublists[m]) * w for c, w in zip(charges, walk)]
+            continue
+        # Each of these sublists holds m solutions, its i-th at local
+        # position s_i with s_i - i non-solutions below it.
+        rank = np.arange(m)
+        local = hits[starts[counts == m][:, None] + rank] & (size - 1)
+        below = (local - rank).ravel().tolist()  # row after row, m each
+        for r in range(0, len(below), m):
+            walk = _walk(plan, orders, m, size - m, below[r : r + m])
+            charges = [c + w for c, w in zip(charges, walk)]
     quantum, rounds, repeats, retry, sweep = charges
     ledger.quantum_oracle_queries += quantum
     ledger.measurement_units += rounds
@@ -530,10 +550,6 @@ def partition_search(
     ledger.repeat_node_accesses += repeats
     ledger.retry_queries += retry
     ledger.sweep_queries += sweep
-    ledger.node_accesses = num_sublists
-    ledger.classical_bits = 2**oracle.n * n_precision
-    ledger.qubit_count = n_q + 1
-    return found, ledger
 
 
 def _sampled_block(counts, first, master_seed, plan, ledger) -> None:

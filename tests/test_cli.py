@@ -155,6 +155,13 @@ def test_search_run_point():
     assert point["forecast_node_accesses"] == 4
 
 
+def test_duplicate_solutions_are_listed_once():
+    cfg = parse_args(["search-run", "--n", "3", "--nq", "1", "--solutions", "1,1,2"])
+    payload = json.loads(report_json(run_experiment(cfg)))
+    assert payload["config"]["solutions"] == [1, 2]
+    assert len(payload["config"]["solutions"]) == payload["points"][0]["solutions_expected"]
+
+
 def test_sweep_row_count():
     cfg = parse_args(["dft-sweep", "--n", "6", "--nq", "0..6", "--seed", "2"])
     report = run_experiment(cfg)

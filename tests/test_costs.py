@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,13 @@ from hqsim.costs import (
 def test_ledger_rejects_negative_counters():
     with pytest.raises(ValueError):
         CostLedger(classical_ops=-1)
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(CostLedger)])
+def test_every_counter_refuses_minus_one(name):
+    with pytest.raises(ValueError, match=f"^counter {name} must be non-negative$"):
+        CostLedger(**{name: -1})
+    assert getattr(CostLedger(**{name: 0}), name) == 0
 
 
 def test_merge_empty_is_zero():

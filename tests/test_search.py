@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -895,18 +896,48 @@ def counting(oracle):
 
 
 def test_search_reads_the_oracle_once_per_index(monkeypatch):
-    # Blocks of 64 indices: four blocks, each read in one forward pass.
+    # One positions() read over the whole domain per run, in either mode;
+    # blocks of 64 indices split only sampled mode's call waves, into four.
     monkeypatch.setattr(search, "BLOCK_INDICES", 64)
+    reads = []
+    positions = SearchOracle.positions
+
+    def counted(self, lo, hi):
+        reads.append((lo, hi))
+        return positions(self, lo, hi)
+
+    monkeypatch.setattr(SearchOracle, "positions", counted)
     predicate = SearchOracle(8, lambda g: g % 5 == 1, 51, None)
     for mode in ("exact", "sampled"):
         oracle, calls = counting(predicate)
+        reads.clear()
         found, _ = partition_search(oracle, 3, mode=mode)
         assert calls == list(range(256))
         assert found == {g for g in range(256) if g % 5 == 1}
+        assert reads == [(0, 256)]
         # A set-backed oracle is read from its solutions alone.
         oracle, calls = counting(SearchOracle.from_solutions(8, [7, 9, 200]))
+        reads.clear()
         assert partition_search(oracle, 3, mode=mode)[0] == {7, 9, 200}
         assert calls == []
+        assert reads == [(0, 256)]
+
+
+@pytest.mark.parametrize("n_q", [1, 2])
+def test_exact_search_holds_no_per_sublist_array(n_q):
+    # 2**19 or 2**18 sublists, three of them nonempty: an int64 count per
+    # sublist would take 4 or 2 MiB, and per block of 2**12 indices 16 or
+    # 8 KiB.
+    oracle = SearchOracle.from_solutions(20, [5, 70_000, 1_000_000])
+    warm = partition_search(oracle, n_q)  # fills the plan memo
+    tracemalloc.start()
+    try:
+        found, ledger = partition_search(oracle, n_q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (found, ledger.as_dict()) == (warm[0], warm[1].as_dict())
+    assert peak < 16 * 1024
 
 
 @settings(max_examples=150, deadline=None)
