@@ -19,7 +19,10 @@ contiguous halves of the columns, ``c`` with ``c + R/2``, into ``R/2``
 columns twice as long, in one array operation.  This is the Stockham
 (autosort) arrangement of the Cooley-Tukey levels (Van Loan, *Computational
 Frameworks for the FFT*, SIAM 1992): the batch stays innermost at every
-level and the output comes out in natural order.
+level and the output comes out in natural order.  The levels ping-pong
+between two of the node stage's work arrays (:mod:`hqsim.readout`), kept
+for the last signal size up to 2**16 samples, and only the last level
+writes a new array, the returned spectrum.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 
 from .core import derive_seed
 from .costs import CostLedger, _check_node_size
-from .readout import RealSignal, evaluate_nodes
+from .readout import RealSignal, _evaluate_nodes, _shaped, _work_arrays
 
 __all__ = [
     "SpectrumVector",
@@ -131,16 +134,17 @@ def decimate_leaves(signal: RealSignal, n_q: int) -> list[RealSignal]:
     return [RealSignal.from_values(columns[:, c]) for c in _bit_reversal(columns.shape[1])]
 
 
-def _combine_level(spec, stderr, roots, ledger):
+def _combine_level(spec, stderr, roots, ledger, out):
     """One radix-2 level over the column pairs ``(spec[:, c], spec[:, c + R/2])``
     of an ``(h, R)`` array: ``y_k = even[k % h] + roots[k] * odd[k % h]``;
     one classical op per output coefficient.  ``roots[k + h] = -roots[k]``,
     so each pair takes one product ``roots[k] * odd[k]`` and yields
-    ``even[k]`` plus and minus it, the two halves of a ``(2h, R/2)`` output."""
+    ``even[k]`` plus and minus it, the two halves of a ``(2h, R/2)`` output
+    written into the leading elements of the flat complex ``out``."""
     h, half = spec.shape[0], spec.shape[1] // 2
     even, odd = spec[:, :half], spec[:, half:]
-    product = odd * roots[:h, None]
-    out = np.empty((2, h, half), dtype=complex)
+    out = out[: spec.size].reshape(2, h, half)
+    product = np.multiply(odd, roots[:h, None], out=out[1])
     np.add(even, product, out=out[0])
     np.subtract(even, product, out=out[1])
     spec = out.reshape(2 * h, half)
@@ -162,17 +166,24 @@ def _final_roots(size: int) -> np.ndarray:
     return roots
 
 
-def _combine_levels(spec, stderr, ledger):
+def _combine_levels(spec, stderr, ledger, work):
     """Combine the natural-order columns of ``spec`` level by level into one
     spectrum.
 
     Each level's roots are a strided view of one table of the final size:
     the strides are powers of two, so they equal ``_final_roots(2 * h)``
-    bit for bit.
+    bit for bit.  The levels ping-pong between ``work.r1`` and
+    ``work.product``, which must not hold ``spec``; only the last level
+    writes a new array, the returned spectrum.
     """
     roots = _final_roots(spec.size)
+    if spec.shape[1] == 1:  # no level: the spectrum may be a work array
+        spec = spec.copy()
+    ping, pong = work.r1, work.product
     while spec.shape[1] > 1:
-        spec, stderr = _combine_level(spec, stderr, roots[::spec.shape[1] // 2], ledger)
+        out = ping if spec.shape[1] > 2 else np.empty(spec.size, complex)
+        spec, stderr = _combine_level(spec, stderr, roots[::spec.shape[1] // 2], ledger, out)
+        ping, pong = pong, ping
     return SpectrumVector(spec[:, 0], None if stderr is None else stderr[:, 0])
 
 
@@ -193,7 +204,8 @@ def butterfly_combine(
     if even.stderr is not None and odd.stderr is not None:
         stderr = np.stack([even.stderr, odd.stderr], axis=1)
     values, stderr = _combine_level(
-        np.stack([even.values, odd.values], axis=1), stderr, _final_roots(2 * h), ledger
+        np.stack([even.values, odd.values], axis=1), stderr, _final_roots(2 * h), ledger,
+        np.empty(2 * h, complex),
     )
     return SpectrumVector(values[:, 0], None if stderr is None else stderr[:, 0])
 
@@ -210,9 +222,11 @@ def hybrid_dft(signal: RealSignal, plan: FftPlan) -> tuple[SpectrumVector, CostL
     if plan.n != signal.n:
         raise ValueError(f"plan built for n={plan.n}, signal has n={signal.n}")
     ledger = CostLedger()
+    work = _work_arrays(signal.size)
     leaves = _leaf_columns(signal, plan.n_q)
     if plan.n_q == 0:
-        spec = leaves.astype(complex)
+        spec = _shaped(work.spectrum, leaves.shape)
+        spec[...] = leaves
         stderr = np.zeros(leaves.shape) if plan.shots else None
     else:
         seeds = None
@@ -220,8 +234,8 @@ def hybrid_dft(signal: RealSignal, plan: FftPlan) -> tuple[SpectrumVector, CostL
             # Column c is leaf bitrev(c), and a leaf's seed follows its index.
             leaf_of_column = _bit_reversal(leaves.shape[1]).tolist()
             seeds = [derive_seed(plan.master_seed, r) for r in leaf_of_column]
-        spec, stderr = evaluate_nodes(leaves, plan.shots, seeds, ledger)
-    spectrum = _combine_levels(spec, stderr, ledger)
+        spec, stderr = _evaluate_nodes(work, leaves, plan.shots, seeds, ledger)
+    spectrum = _combine_levels(spec, stderr, ledger, work)
     ledger.classical_bits = 2**plan.n * plan.n_precision
     ledger.qubit_count = plan.n_q + 1
     return spectrum, ledger

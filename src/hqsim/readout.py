@@ -42,6 +42,15 @@ magnitude and reference entries as two arrays in projector order.  A block
 is a :class:`RealSignal`, the type the transform takes for a whole signal,
 and ``shots`` alone picks the readout: 0 is exact, a positive count is
 sampled mode.
+
+Every step of the node stage writes into work arrays, and so do the
+transform's butterfly levels (:mod:`hqsim.hybrid_fft`): one object holds,
+per sample of the signal, four complex arrays that double as float pairs,
+a float temporary and two masks, 74 bytes in all, which the steps reuse in
+order of liveness.  It is kept for the last signal size only, up to 2**16
+samples; a larger transform allocates its own per call.  Only sampled
+mode's draws and standard errors are allocated per call, and every
+returned array is new.
 """
 
 from __future__ import annotations
@@ -106,7 +115,7 @@ class RealSignal:
     def norm(self) -> float:
         """The Euclidean norm of ``values``, computed as the batched node
         stage computes it."""
-        return float(_column_norms(self.values[:, None])[0])
+        return float(_column_norms(np.ascontiguousarray(self.values)[None, :])[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,7 +177,7 @@ def prepare_block_state(block: RealSignal, ledger: CostLedger | None = None) -> 
     Charges ``n_q**2 * 2**n_q`` state-prep units; a zero block cannot be
     normalized and must be short-circuited by the caller.
     """
-    normalized = _encode(block.values[:, None], np.array([block.norm]), ledger)
+    normalized = _encode(block.values[:, None], np.array([block.norm]), ledger, np.empty((block.size, 1)))
     return StateVector(block.n, normalized[:, 0])
 
 
@@ -218,15 +227,49 @@ def _new_schedule(n_q: int) -> ReadoutSchedule:
 _shared_schedule = lru_cache(maxsize=None)(_new_schedule)
 
 
-def _column_norms(blocks: np.ndarray) -> np.ndarray:
-    """Euclidean norm of every column, one dot product per column."""
-    rows = np.ascontiguousarray(blocks.T)
+class _WorkArrays:
+    """The work arrays for ``size`` samples, of which a step takes the
+    leading elements.  Roles that share memory are never live at once.  In
+    order, ``spectrum`` holds ``x | a``, then the node output; ``state`` the
+    circuit state, ``ref``, ``b_abs | plus``, then the spread output; ``r1``
+    the projections, then ``reference | minus``; ``product`` the second
+    projection term, then ``magnitude | values``; the levels then ping-pong
+    between ``r1`` and ``product``.  Threads that run transforms at once
+    would share the kept object."""
+
+    def __init__(self, size: int) -> None:
+        arrays = np.empty((4, size), complex)
+        self.spectrum, self.state, self.r1, self.product = arrays
+        (self.x, self.a, self.b_abs, self.plus, self.reference, self.minus,
+         self.magnitude, self.values) = arrays.view(float).reshape(8, size)
+        self.temp = np.empty(size)
+        self.masks = np.empty((2, size), bool)
+
+
+# Up to 4.6 MB of work arrays are kept; larger ones are allocated per call,
+# so a run keeps nothing the size of a large signal.
+_KEEP_MAX_SIZE = 2**16
+_kept_work = lru_cache(maxsize=1)(_WorkArrays)
+
+
+def _work_arrays(size: int) -> _WorkArrays:
+    return _kept_work(size) if size <= _KEEP_MAX_SIZE else _WorkArrays(size)
+
+
+def _shaped(flat: np.ndarray, shape: tuple) -> np.ndarray:
+    """The leading elements of a work array, in ``shape``."""
+    return flat[: math.prod(shape)].reshape(shape)
+
+
+def _column_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row of a C-contiguous ``(L, N)`` array, one
+    dot product per row."""
     return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
 
 
-def _encode(blocks: np.ndarray, norms: np.ndarray, ledger: CostLedger | None) -> np.ndarray:
-    """Normalized columns; charges ``n_q**2 * 2**n_q`` state-prep units per
-    column."""
+def _encode(blocks: np.ndarray, norms: np.ndarray, ledger: CostLedger | None, out) -> np.ndarray:
+    """Normalized columns, written into ``out``; charges
+    ``n_q**2 * 2**n_q`` state-prep units per column."""
     if np.any(norms == 0.0):
         raise ValueError("zero block cannot be amplitude-encoded")
     N, L = blocks.shape
@@ -235,46 +278,58 @@ def _encode(blocks: np.ndarray, norms: np.ndarray, ledger: CostLedger | None) ->
         raise ValueError("block must span at least one qubit")
     if ledger is not None:
         ledger.state_prep_units += L * n_q**2 * N
-    return blocks / norms
+    return np.divide(blocks, norms, out=out)
 
 
-def _reference(schedule: ReadoutSchedule, x: np.ndarray) -> np.ndarray:
+# Every take below writes into a work array: with the default mode, "raise",
+# numpy takes into a temporary copy first.  The indices are in range.
+def _reference(schedule: ReadoutSchedule, x: np.ndarray, work: _WorkArrays) -> np.ndarray:
     """The classical reference ``a = (x_i + sign * x_j) * scale`` of every
     projector of every column of ``x``, ``(N, L)``: the sum comes before the
     weight, as in the scalar rebuild this replaced."""
     first, second = schedule.indices.T
-    pair = x.take(first, axis=0) + schedule.signs[:, None] * x.take(second, axis=0)
-    return pair * schedule.scales[:, None]
+    a = np.take(x, first, axis=0, out=_shaped(work.a, x.shape), mode="clip")
+    pair = np.take(x, second, axis=0, out=_shaped(work.temp, x.shape), mode="clip")
+    pair *= schedule.signs[:, None]
+    a += pair
+    a *= schedule.scales[:, None]
+    return a
 
 
-def _project(
-    schedule: ReadoutSchedule, columns: np.ndarray, rows: np.ndarray, factor: float
-) -> np.ndarray:
+def _project(schedule: ReadoutSchedule, columns: np.ndarray, rows: np.ndarray, factor: float,
+             work: _WorkArrays) -> np.ndarray:
     """Overlap of every column with every data projector, times ``factor``:
     ``(N, L)`` with one row per projector in projector order.  Basis index
     ``i`` is read from row ``rows[i]``.  The weights multiply before the
     sum, as in :func:`hqsim.core.effect_probability`."""
     first, second = rows[schedule.indices.T]
     scales = schedule.scales * factor
-    return (scales[:, None] * columns.take(first, axis=0)
-            + (scales * schedule.signs)[:, None] * columns.take(second, axis=0))
+    r1 = np.take(columns, first, axis=0, out=_shaped(work.r1, columns.shape), mode="clip")
+    r1 *= scales[:, None]
+    term = np.take(columns, second, axis=0, out=_shaped(work.product, columns.shape), mode="clip")
+    term *= (scales * schedule.signs)[:, None]
+    r1 += term
+    return r1
 
 
-def _by_coefficient(schedule: ReadoutSchedule, values: np.ndarray) -> np.ndarray:
-    """``(N/2+1, L)`` complex columns over coefficients ``0 .. N/2`` from
-    ``(N, L)`` per-projector values: each projector's value goes to the real
-    or imaginary part of the coefficient it yields."""
-    out = np.zeros((2 ** (schedule.n_q - 1) + 1, values.shape[1]), dtype=complex)
-    imaginary = schedule.imaginary
-    out.real[schedule.coefficient[~imaginary]] = values[~imaginary]
-    out.imag[schedule.coefficient[imaginary]] = values[imaginary]
+def _by_coefficient(schedule: ReadoutSchedule, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Rows ``0 .. N/2`` of the complex ``(N, L)`` ``out``, the coefficients
+    from ``(N, L)`` per-projector values: each projector's value goes to the
+    real or imaginary part of the coefficient it yields."""
+    half = out[: 2 ** (schedule.n_q - 1) + 1]
+    half[...] = 0.0
+    # Axis 2 holds each coefficient's real and imaginary part.
+    parts = half.view(float).reshape(half.shape + (2,))
+    parts[schedule.coefficient, :, schedule.imaginary.astype(np.intp)] = values
     return out
 
 
-def _hermitian(half: np.ndarray) -> np.ndarray:
-    """Full columns from coefficients ``0 .. N/2`` of real signals:
-    coefficient ``N-k`` is the conjugate of ``k``."""
-    return np.concatenate([half, np.conj(half[-2:0:-1])], axis=0)
+def _hermitian(columns: np.ndarray) -> np.ndarray:
+    """Rows ``N/2+1 ..`` of ``(N, L)`` coefficients of real signals, filled
+    in: coefficient ``N-k`` is the conjugate of ``k``."""
+    half = columns.shape[0] // 2
+    np.conjugate(columns[half - 1 : 0 : -1], out=columns[half + 1 :])
+    return columns
 
 
 # Chebyshev fit of erfc with fractional error below 1.2e-7 for every
@@ -303,6 +358,7 @@ def _measure(
     shots: int,
     seeds,
     ledger: CostLedger | None,
+    work: _WorkArrays,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Joint probabilities of every normalized column of the C-contiguous
     ``(N, L)`` array ``x``, whose classical references are ``a``: the
@@ -320,7 +376,8 @@ def _measure(
     so a column's estimates depend on its own seed only.
     """
     N, L = x.shape
-    on = x.astype(complex)
+    on = _shaped(work.state, x.shape)
+    on[...] = x
     circuit = build_qft_circuit(schedule.n_q)
     rows, scale = run_circuit(on, circuit)
     if ledger is not None:
@@ -328,12 +385,16 @@ def _measure(
         ledger.measurement_units += L * 2 * N
 
     # Ancilla residual (r0, r1) of each data projector, r0 = a/sqrt(2).
-    r1 = _project(schedule, on, rows, _INV_SQRT2 * scale)
+    r1 = _project(schedule, on, rows, _INV_SQRT2 * scale, work)
     # <ref| r> = r0/sqrt(2) + w*r1, w the conjugate of e^{i*phi}/sqrt(2).
     w = np.exp(-1j * schedule.ancilla_phase) * _INV_SQRT2
-    ref = 0.5 * a + w[:, None] * r1
-    magnitude = r1.real * r1.real + r1.imag * r1.imag
-    reference = ref.real * ref.real + ref.imag * ref.imag
+    temp = _shaped(work.temp, x.shape)
+    ref = np.multiply(w[:, None], r1, out=on)
+    ref += np.multiply(0.5, a, out=temp)
+    magnitude = np.multiply(r1.real, r1.real, out=_shaped(work.magnitude, x.shape))
+    magnitude += np.multiply(r1.imag, r1.imag, out=temp)
+    reference = np.multiply(ref.real, ref.real, out=_shaped(work.reference, x.shape))
+    reference += np.multiply(ref.imag, ref.imag, out=temp)
     if not shots:
         return magnitude, reference
 
@@ -371,6 +432,7 @@ def _rebuild(
     reference: np.ndarray,
     shots: int,
     ledger: CostLedger | None,
+    work: _WorkArrays,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """Signed amplitude-level coefficients of every column of ``x``, whose
     classical references are ``a``.
@@ -382,27 +444,39 @@ def _rebuild(
     ``eps`` is ``EPS_REF_EXACT`` in exact mode and three shot-noise
     deviations, ``3 / sqrt(shots)``, in sampled mode.
     """
-    N = x.shape[0]
-    mag = np.maximum(magnitude, 0.0)
-    b_abs = np.sqrt(2.0 * mag)
-    pair = schedule.signs[:, None] != 0
+    N, _ = shape = x.shape
+    mag = np.maximum(magnitude, 0.0, out=_shaped(work.magnitude, shape))
+    b_abs = np.multiply(2.0, mag, out=_shaped(work.b_abs, shape))
+    np.sqrt(b_abs, out=b_abs)
     # Nearest hypothesis (a + s|b|)**2 / 4 to the reference picks the sign.
-    plus = np.square(a + b_abs) / 4.0
-    minus = np.square(a - b_abs) / 4.0
-    sign = np.where(np.abs(reference - plus) <= np.abs(reference - minus), 1.0, -1.0)
-    values = sign * np.where(pair, b_abs * _INV_SQRT2, b_abs)
+    plus = np.add(a, b_abs, out=_shaped(work.plus, shape))
+    minus = np.subtract(a, b_abs, out=_shaped(work.minus, shape))
+    for hypothesis in (plus, minus):
+        np.square(hypothesis, out=hypothesis)
+        hypothesis /= 4.0
+    values, temp = _shaped(work.values, shape), _shaped(work.temp, shape)
+    np.abs(np.subtract(reference, plus, out=values), out=values)
+    np.abs(np.subtract(reference, minus, out=temp), out=temp)
+    negative = np.greater(values, temp, out=_shaped(work.masks[0], shape))
+    # A pair projector's part is |b|/sqrt(2), its scale times |b|.
+    np.multiply(b_abs, schedule.scales[:, None], out=values)
+    np.negative(values, out=values, where=negative)
 
     eps = 3.0 / math.sqrt(shots) if shots else EPS_REF_EXACT
-    fallback = (np.abs(a) < eps) & (b_abs >= eps)
-    p, columns = np.nonzero(fallback)
-    c = _classical_coefficients(x, columns, schedule.coefficient[p])
-    values[p, columns] = np.where(schedule.imaginary[p], c.imag, c.real)
-    fallbacks = len(p)
+    fallback = np.less(np.abs(a, out=temp), eps, out=negative)
+    fallback &= np.greater_equal(b_abs, eps, out=_shaped(work.masks[1], shape))
+    fallbacks = 0
+    if fallback.any():
+        p, columns = np.nonzero(fallback)
+        c = _classical_coefficients(x, columns, schedule.coefficient[p])
+        values[p, columns] = np.where(schedule.imaginary[p], c.imag, c.real)
+        fallbacks = len(p)
     if ledger is not None:
         ledger.fallback_ops += fallbacks * N
         ledger.classical_fallbacks += fallbacks
 
-    coefficients = _hermitian(_by_coefficient(schedule, values))
+    # The node output overwrites x and a, which are spent.
+    coefficients = _hermitian(_by_coefficient(schedule, values, _shaped(work.spectrum, shape)))
     if not shots:
         return coefficients, None, fallback
 
@@ -410,7 +484,7 @@ def _rebuild(
     # pair projectors; a fallback value carries no shot noise.  A
     # coefficient's variance sums those of its real and imaginary parts.
     spread = np.maximum(1.0 - mag, 0.0) / shots
-    variance = np.where(pair, spread / 4.0, spread / 2.0)
+    variance = np.where(schedule.signs[:, None] != 0, spread / 4.0, spread / 2.0)
     # The sign test picks the wrong hypothesis, an error of twice the part
     # value, when the reference falls on the wrong side of the hypotheses'
     # midpoint (a**2 + |b|**2) / 4 = a**2/4 + m/2, half their gap away.  Both
@@ -422,7 +496,7 @@ def _rebuild(
     flip = 0.5 * _erfc(np.abs(plus - minus) / 2.0 / np.sqrt(2.0 * noise / shots))
     variance += flip * (2.0 * values) ** 2
     variance[fallback] = 0.0
-    parts = _by_coefficient(schedule, variance)
+    parts = _by_coefficient(schedule, variance, np.zeros(shape, complex))
     return coefficients, np.sqrt(_hermitian(parts.real + parts.imag)), fallback
 
 
@@ -446,35 +520,47 @@ def evaluate_nodes(
     mode ignores it.  Charges every node counter as columns times unit, plus
     each fallback.
     """
+    values, stderr = _evaluate_nodes(_work_arrays(blocks.size), blocks, shots, seeds, ledger)
+    return values.copy(), stderr
+
+
+def _evaluate_nodes(work: _WorkArrays, blocks: np.ndarray, shots: int, seeds, ledger):
+    """:func:`evaluate_nodes` in ``work``, whose arrays hold the transforms
+    it returns until the next use of ``work``."""
     if shots < 0:
         raise ValueError(f"shots must be >= 0, got {shots}")
     N, L = blocks.shape
     if shots and (seeds is None or len(seeds) != L):
         raise ValueError(f"sampled mode needs one seed per column, {L} columns")
-    norms = _column_norms(blocks)
+    rows = _shaped(work.temp, (L, N))
+    rows[...] = blocks.T
+    norms = _column_norms(rows)
     live = norms != 0.0
-    # compress returns the live columns C-contiguous, as the in-place circuit
-    # needs them; boolean indexing would return them F-ordered.
-    x = _encode(blocks.compress(live, axis=1), norms[live], ledger)
+    live_columns = np.flatnonzero(live)
+    x = np.take(blocks, live_columns, axis=1, out=_shaped(work.x, (N, live_columns.size)), mode="clip")
+    _encode(x, norms[live], ledger, x)
     schedule = build_schedule(N.bit_length() - 1)
     live_seeds = [seed for seed, keep in zip(seeds, live) if keep] if shots else None
-    a = _reference(schedule, x)
-    magnitude, reference = _measure(schedule, x, a, shots, live_seeds, ledger)
-    coefficients, stderr, _ = _rebuild(schedule, x, a, magnitude, reference, shots, ledger)
+    a = _reference(schedule, x, work)
+    magnitude, reference = _measure(schedule, x, a, shots, live_seeds, ledger, work)
+    coefficients, stderr, _ = _rebuild(schedule, x, a, magnitude, reference, shots, ledger, work)
     if ledger is not None:
         ledger.node_accesses += x.shape[1]
     scale = norms[live] * math.sqrt(N)
-    values = _spread(coefficients * scale, live)
-    return values, None if stderr is None else _spread(stderr * scale, live)
+    coefficients *= scale
+    values = _spread(coefficients, live, _shaped(work.state, blocks.shape))
+    return values, None if stderr is None else _spread(stderr * scale, live, np.empty(blocks.shape))
 
 
-def _spread(columns: np.ndarray, live: np.ndarray) -> np.ndarray:
+def _spread(columns: np.ndarray, live: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The ``(N, L)`` output from the columns of the live blocks, with zeros
-    for the others: one take from the columns behind a zero column."""
-    padded = np.concatenate([np.zeros((columns.shape[0], 1), columns.dtype), columns], axis=1)
-    # Output column j reads padded column 0 when its block is all zero, and
-    # 1 + its rank among the live columns otherwise.
-    return padded.take(np.cumsum(live) * live, axis=1)
+    for the others, written into ``out``; ``columns`` itself when every
+    block is live."""
+    if live.all():
+        return columns
+    out[:, ~live] = 0.0
+    out[:, live] = columns
+    return out
 
 
 def execute_schedule(
@@ -499,9 +585,11 @@ def execute_schedule(
         )
     if shots < 0:
         raise ValueError(f"shots must be >= 0, got {shots}")
-    x = _encode(block.values[:, None], np.array([block.norm]), ledger)
-    magnitude, reference = _measure(schedule, x, _reference(schedule, x), shots, [seed], ledger)
-    return ReadoutRecord(schedule, magnitude[:, 0], reference[:, 0], shots)
+    work = _work_arrays(block.size)
+    x = _encode(block.values[:, None], np.array([block.norm]), ledger, _shaped(work.x, (block.size, 1)))
+    a = _reference(schedule, x, work)
+    magnitude, reference = _measure(schedule, x, a, shots, [seed], ledger, work)
+    return ReadoutRecord(schedule, magnitude[:, 0].copy(), reference[:, 0].copy(), shots)
 
 
 def rebuild_phases(
@@ -529,13 +617,14 @@ def rebuild_phases(
     reference = np.asarray(record.reference, dtype=float)
     if magnitude.shape != (N,) or reference.shape != (N,):
         raise ValueError(f"record needs {N} magnitude and {N} reference entries")
-    x = block.values[:, None] / block.norm
+    work = _work_arrays(N)
+    x = np.divide(block.values[:, None], block.norm, out=_shaped(work.x, (N, 1)))
     coefficients, stderr, fallback = _rebuild(
-        schedule, x, _reference(schedule, x), magnitude[:, None], reference[:, None],
-        record.shots, ledger,
+        schedule, x, _reference(schedule, x, work), magnitude[:, None], reference[:, None],
+        record.shots, ledger, work,
     )
     return SpectrumEstimate(
-        coefficients=coefficients[:, 0],
+        coefficients=coefficients[:, 0].copy(),
         scale=block.norm * math.sqrt(N),
         ambiguous=frozenset(schedule.coefficient[fallback[:, 0]].tolist()),
         classical_fallbacks=int(np.count_nonzero(fallback)),

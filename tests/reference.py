@@ -20,6 +20,7 @@ from hqsim.core import (
     effect_probability,
 )
 from hqsim.hybrid_fft import _combine_levels
+from hqsim.readout import _work_arrays
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -60,7 +61,8 @@ def shifted(gate, offset):
 def classical_fft(signal, ledger=None):
     """The plain radix-2 transform: the butterfly levels alone, on the
     single-sample leaves in natural order."""
-    return _combine_levels(signal.values.astype(complex)[None, :], None, ledger)
+    return _combine_levels(signal.values.astype(complex)[None, :], None, ledger,
+                           _work_arrays(signal.size))
 
 
 # Ancilla outcomes whose probabilities fix a residual (r0, r1) up to its

@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +15,15 @@ from hqsim.checks import (
     transform_deviation,
 )
 from hqsim.costs import CostLedger
-from hqsim.readout import build_schedule, execute_schedule, rebuild_phases, rescale_to_dft
+from hqsim.readout import (
+    _WorkArrays,
+    _work_arrays,
+    build_schedule,
+    evaluate_nodes,
+    execute_schedule,
+    rebuild_phases,
+    rescale_to_dft,
+)
 from hqsim.hybrid_fft import (
     FftPlan,
     RealSignal,
@@ -221,7 +231,8 @@ def test_one_product_levels_equal_two_product_reference(levels, log_width, with_
     ledger = CostLedger()
     natural = bit_reversal(rows)
     got = _combine_levels(
-        spec[natural].T.copy(), None if stderr is None else stderr[natural].T.copy(), ledger
+        spec[natural].T.copy(), None if stderr is None else stderr[natural].T.copy(), ledger,
+        _work_arrays(rows * width),
     )
     want, want_stderr = spec, stderr
     roots = np.exp(2j * np.pi * np.arange(rows * width) / (rows * width))
@@ -479,3 +490,62 @@ def test_fallbacks_near_half_the_node_size_stay_within_the_tolerance():
     got, ledger = hybrid_dft(RealSignal.from_values(values), FftPlan(n=n, n_q=n))
     assert ledger.classical_fallbacks >= 3
     assert np.max(np.abs(got.values - N * np.fft.ifft(values))) <= TRANSFORM_TOLERANCE
+
+
+# --- work arrays ------------------------------------------------------------
+
+@pytest.mark.parametrize("n_q", [2, 4, 8])
+def test_a_warm_transform_allocates_little_beyond_its_spectrum(n_q):
+    # The node stage and all levels but the last write into work arrays kept
+    # from the first call, so a second call of the same size allocates the
+    # returned spectrum (128 KiB at n = 13) and small per-column arrays.
+    signal = RealSignal.from_values(np.random.default_rng(n_q).uniform(-1.0, 1.0, 2**13))
+    plan = FftPlan(n=13, n_q=n_q)
+    hybrid_dft(signal, plan)
+    tracemalloc.start()
+    try:
+        hybrid_dft(signal, plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**13 * 16
+
+
+@pytest.mark.parametrize("shots", [0, 256])
+@pytest.mark.parametrize("n_q", [0, 1, 3, 7])
+def test_kept_results_do_not_change_after_a_later_call_of_the_same_size(n_q, shots):
+    # No returned array may share memory with the kept work arrays, at any
+    # node size, n_q = n (no level) included.
+    n = 7
+    rng = np.random.default_rng(70 + n_q)
+    first, second = (RealSignal.from_values(rng.uniform(-1.0, 1.0, 2**n)) for _ in range(2))
+    plan = FftPlan(n=n, n_q=n_q, shots=shots, master_seed=3)
+    kept = hybrid_dft(first, plan)[0]
+    want = (kept.values.copy(), None if kept.stderr is None else kept.stderr.copy())
+    if n_q:
+        blocks = first.values.reshape(2**n_q, -1)
+        seeds = list(range(blocks.shape[1])) if shots else None
+        nodes = evaluate_nodes(blocks, shots, seeds)
+        want_nodes = tuple(None if v is None else v.copy() for v in nodes)
+        evaluate_nodes(second.values.reshape(2**n_q, -1), shots, seeds)
+        for got, expected in zip(nodes, want_nodes):
+            assert (got is None and expected is None) or np.array_equal(got, expected)
+    hybrid_dft(second, plan)
+    assert np.array_equal(kept.values, want[0])
+    assert (kept.stderr is None and want[1] is None) or np.array_equal(kept.stderr, want[1])
+
+
+@pytest.mark.parametrize("shots", [0, 256])
+def test_work_arrays_above_the_keep_bound_are_not_kept(shots):
+    def kept_sizes():
+        gc.collect()
+        return [work.temp.size for work in gc.get_objects() if isinstance(work, _WorkArrays)]
+
+    small = RealSignal.from_values(np.random.default_rng(13).uniform(-1.0, 1.0, 2**13))
+    hybrid_dft(small, FftPlan(n=13, n_q=4, shots=shots, master_seed=1))
+    assert 2**13 in kept_sizes()
+    large = RealSignal.from_values(np.random.default_rng(17).uniform(-1.0, 1.0, 2**17))
+    got = hybrid_dft(large, FftPlan(n=17, n_q=8, shots=shots, master_seed=1))[0]
+    assert 2**17 not in kept_sizes()
+    if not shots:
+        assert np.max(np.abs(got.values - 2**17 * np.fft.ifft(large.values))) <= TRANSFORM_TOLERANCE

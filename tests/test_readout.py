@@ -23,6 +23,7 @@ from hqsim.readout import (
     _measure,
     _rebuild,
     _reference,
+    _work_arrays,
     build_schedule,
     evaluate_nodes,
     execute_schedule,
@@ -367,8 +368,9 @@ def test_batched_probabilities_match_per_entry_effects(n_q):
     blocks = [RealSignal.from_values(v) for v in rows if np.any(v)]
     normalized = np.array([block.values / block.norm for block in blocks]).T.copy()
     schedule = build_schedule(n_q)
+    work = _work_arrays(normalized.size)
     magnitude, reference = _measure(
-        schedule, normalized, _reference(schedule, normalized), 0, None, None
+        schedule, normalized, _reference(schedule, normalized, work), 0, None, None, work
     )
     circuit = [shifted(gate, 1) for gate in build_qft_circuit(n_q)]
     for row, block in enumerate(blocks):
@@ -476,10 +478,13 @@ def test_rebuild_fallbacks_match_per_fallback_reference():
     x = blocks / np.linalg.norm(blocks, axis=1)[:, None]
     schedule = build_schedule(n_q)
     columns = x.T.copy()
-    a = _reference(schedule, columns)
-    magnitude, reference = _measure(schedule, columns, a, shots, list(range(L)), None)
+    work = _work_arrays(columns.size)
+    a = _reference(schedule, columns, work)
+    magnitude, reference = _measure(schedule, columns, a, shots, list(range(L)), None, work)
     ledger = CostLedger()
-    coefficients, _, fallback = _rebuild(schedule, columns, a, magnitude, reference, shots, ledger)
+    coefficients, _, fallback = _rebuild(
+        schedule, columns, a, magnitude, reference, shots, ledger, work
+    )
     p, rows = np.nonzero(fallback)
     assert len(rows) > 500
     assert ledger.classical_fallbacks == len(rows)

@@ -721,9 +721,10 @@ def test_batched_search_equals_per_sublist_calls(case, mode, master_seed):
     st.integers(0, 8),
 )
 def test_results_do_not_depend_on_the_block_size(case, mode, master_seed, log_block):
-    # Blocks of 2**log_block indices (one sublist at least) give the found
-    # set and ledger of a single block; exact mode's per-count charges add
-    # up across blocks.
+    # Sampled mode's blocks of 2**log_block indices (one sublist at least)
+    # give the found set and ledger of a single block.  Exact mode bins the
+    # counts from the positions alone and never reads BLOCK_INDICES, so for
+    # it this only checks that the constant has no effect.
     oracle, n_q = case
     found, ledger = partition_search(oracle, n_q, mode=mode, master_seed=master_seed)
     with mock.patch.object(search, "BLOCK_INDICES", 2**log_block):
