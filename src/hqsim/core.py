@@ -14,13 +14,14 @@ Conventions, fixed once and used everywhere:
 * Circuits run in place on a ``(2, ..., 2, L)`` tensor whose last axis is a
   batch of registers, so each register is a column of a ``(2**Q, L)`` array
   and every step's inner loop runs along the batch; single states are a
-  batch of one.  A gate list is validated and compiled once per register
-  size into a plan of steps: a Hadamard is an unnormalized butterfly, the
-  phase gates between two Hadamards are one multiply by a precomputed
-  diagonal, and a :class:`Swap` moves no amplitude: it exchanges which
-  tensor axes hold its two qubits.  The circuit's final relabelling and the
-  product of the Hadamards' 1/sqrt(2) factors are applied once, as one
-  permuting copy, or folded by the caller into what it reads.
+  batch of one.  A gate list is validated and compiled into a plan of
+  steps, per call here and once per node size in the readout's kept work
+  arrays: a Hadamard is an unnormalized butterfly, the phase gates between
+  two Hadamards are one multiply by a precomputed diagonal, and a
+  :class:`Swap` moves no amplitude: it exchanges which tensor axes hold its
+  two qubits.  The circuit's final relabelling and the product of the
+  Hadamards' 1/sqrt(2) factors are applied once, as one permuting copy, or
+  folded by the caller into what it reads.
 * Measurement effects are sparse unit vectors on one subsystem; joint
   probabilities are squared overlaps, computed exactly or estimated from a
   seeded binomial draw.  They are the per-entry reference, within 1e-15 and
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -57,12 +57,6 @@ __all__ = [
 ]
 
 MAX_QUBITS = 24
-
-# Circuit plans and readout schedules up to this register size are built
-# once and kept for the process; larger ones are built per call, so a run
-# keeps nothing the size of its nodes.  A plan's diagonals hold about one
-# register state.  Shared with the readout; not re-exported by the package.
-SHARED_MAX_QUBITS = 12
 
 _NORM_TOL = 1e-12
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -158,7 +152,8 @@ def _diagonal_step(run: list, ndim: int) -> tuple:
     return None, at_one, np.exp(diagonal, out=diagonal)
 
 
-def _compile(num_qubits: int, circuit: tuple) -> tuple:
+# Shared with the readout; not re-exported by the package.
+def compile_circuit(num_qubits: int, circuit) -> tuple:
     """Validate a circuit and compile it into ``(steps, rows, scale)``.
 
     Each step is ``(at_zero, at_one, diagonal)``, indices of the gate tensor.
@@ -197,24 +192,13 @@ def _compile(num_qubits: int, circuit: tuple) -> tuple:
     return tuple(steps), rows, math.ldexp(_INV_SQRT2 if hadamards % 2 else 1.0, -(hadamards // 2))
 
 
-_shared_plan = lru_cache(maxsize=64)(_compile)
-
-
 # Shared with the readout; not re-exported by the package.
-def run_circuit(columns: np.ndarray, circuit) -> tuple[np.ndarray, float]:
-    """Run a gate sequence, in place, on every column of a ``(2**Q, L)``
-    C-contiguous complex array, but for its final relabelling and its
-    normalization: returns ``(rows, scale)``, where logical row ``r`` now
-    sits at row ``rows[r]``, short of the factor ``scale``.
+def run_circuit(columns: np.ndarray, steps: tuple) -> None:
+    """Run the steps of a compiled circuit (:func:`compile_circuit`), in
+    place, on every column of a ``(2**Q, L)`` C-contiguous complex array:
+    the circuit but for its final relabelling and its normalization.
     """
-    if columns.ndim != 2 or not columns.flags.c_contiguous or columns.dtype != complex:
-        raise ValueError("columns must be a C-contiguous (2**Q, L) complex array")
-    num_qubits = columns.shape[0].bit_length() - 1
-    if columns.shape[0] != 2**num_qubits or num_qubits < 1:
-        raise ValueError(f"column length {columns.shape[0]} is not a power of two >= 2")
-    compile_plan = _shared_plan if num_qubits <= SHARED_MAX_QUBITS else _compile
-    steps, rows, scale = compile_plan(num_qubits, tuple(circuit))
-    tensor = columns.reshape((2,) * num_qubits + (columns.shape[1],))
+    tensor = columns.reshape((2,) * (columns.shape[0].bit_length() - 1) + (columns.shape[1],))
     for at_zero, at_one, diagonal in steps:
         v1 = tensor[at_one]  # writable views
         if diagonal is None:
@@ -224,7 +208,6 @@ def run_circuit(columns: np.ndarray, circuit) -> tuple[np.ndarray, float]:
             v1 += v0
         else:
             v1 *= diagonal
-    return rows, scale
 
 
 def apply_circuit_batch(columns: np.ndarray, circuit) -> None:
@@ -232,11 +215,17 @@ def apply_circuit_batch(columns: np.ndarray, circuit) -> None:
     C-contiguous complex array; each column is one ``Q``-qubit register.
 
     The columns are viewed as a ``(2, ..., 2, L)`` tensor whose last axis is
-    the batch, so qubit ``q`` sits on axis ``q``.  Once :func:`run_circuit`
-    has run the gates, one permuting copy puts the qubits back in order and
-    applies the normalization.
+    the batch, so qubit ``q`` sits on axis ``q``.  The gates are compiled
+    per call.  Once :func:`run_circuit` has run them, one permuting copy
+    puts the qubits back in order and applies the normalization.
     """
-    rows, scale = run_circuit(columns, circuit)
+    if columns.ndim != 2 or not columns.flags.c_contiguous or columns.dtype != complex:
+        raise ValueError("columns must be a C-contiguous (2**Q, L) complex array")
+    num_qubits = columns.shape[0].bit_length() - 1
+    if columns.shape[0] != 2**num_qubits or num_qubits < 1:
+        raise ValueError(f"column length {columns.shape[0]} is not a power of two >= 2")
+    steps, rows, scale = compile_circuit(num_qubits, circuit)
+    run_circuit(columns, steps)
     columns[...] = columns[rows] * scale
 
 
@@ -256,16 +245,11 @@ def build_qft_circuit(n_q: int) -> list[GateOp]:
 
     The sequence is a Hadamard per qubit, a controlled phase per qubit pair
     (n_q*(n_q-1)/2 of them) and floor(n_q/2) final order-reversing swaps.
-    Gates are immutable: every call returns a new list of the gate objects
-    built on the first call for ``n_q``.
+    Every call builds a new list; the readout builds and compiles it once
+    per node size and kept work arrays.
     """
     if n_q < 1:
         raise ValueError(f"n_q must be >= 1, got {n_q}")
-    return list(_qft_gates(n_q))
-
-
-@lru_cache(maxsize=MAX_QUBITS)
-def _qft_gates(n_q: int) -> tuple[GateOp, ...]:
     gates: list[GateOp] = []
     for i in range(n_q):
         gates.append(Hadamard(i))
@@ -274,7 +258,7 @@ def _qft_gates(n_q: int) -> tuple[GateOp, ...]:
             gates.append(ControlledPhase(control=j, target=i, angle=angle))
     for i in range(n_q // 2):
         gates.append(Swap(i, n_q - 1 - i))
-    return tuple(gates)
+    return gates
 
 
 def apply_controlled_circuit(state: StateVector, control: int, circuit) -> StateVector:

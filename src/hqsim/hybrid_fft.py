@@ -20,15 +20,14 @@ columns twice as long, in one array operation.  This is the Stockham
 (autosort) arrangement of the Cooley-Tukey levels (Van Loan, *Computational
 Frameworks for the FFT*, SIAM 1992): the batch stays innermost at every
 level and the output comes out in natural order.  The levels ping-pong
-between two of the node stage's work arrays (:mod:`hqsim.readout`), kept
-for the last signal size up to 2**16 samples, and only the last level
-writes a new array, the returned spectrum.
+between two of the node stage's work arrays (:mod:`hqsim.readout`), which
+also hold the root table they read, and only the last level writes a new
+array, the returned spectrum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -156,33 +155,29 @@ def _combine_level(spec, stderr, roots, ledger, out):
     return spec, stderr
 
 
-@lru_cache(maxsize=1)
-def _final_roots(size: int) -> np.ndarray:
-    """The ``size`` roots of unity ``exp(+2*pi*i*k/size)``, read-only, kept
-    for the last size asked for only, so repeated transforms of one size
-    build them once."""
-    roots = np.exp(2j * np.pi * np.arange(size) / size)
-    roots.flags.writeable = False
-    return roots
+def _roots(size: int) -> np.ndarray:
+    """The ``size`` roots of unity ``exp(+2*pi*i*k/size)``."""
+    return np.exp(2j * np.pi * np.arange(size) / size)
 
 
 def _combine_levels(spec, stderr, ledger, work):
     """Combine the natural-order columns of ``spec`` level by level into one
     spectrum.
 
-    Each level's roots are a strided view of one table of the final size:
-    the strides are powers of two, so they equal ``_final_roots(2 * h)``
-    bit for bit.  The levels ping-pong between ``work.r1`` and
-    ``work.product``, which must not hold ``spec``; only the last level
-    writes a new array, the returned spectrum.
+    Each level's roots are a strided view of ``work.roots``, the table of
+    ``spec.size``, the size of ``work``: the strides are powers of two, so
+    they equal ``_roots(2 * h)`` bit for bit.  The levels ping-pong between
+    ``work.r1`` and ``work.product``, which must not hold ``spec``; only the
+    last level writes a new array, the returned spectrum.
     """
-    roots = _final_roots(spec.size)
+    if work.roots is None:
+        work.roots = _roots(spec.size)
     if spec.shape[1] == 1:  # no level: the spectrum may be a work array
         spec = spec.copy()
     ping, pong = work.r1, work.product
     while spec.shape[1] > 1:
         out = ping if spec.shape[1] > 2 else np.empty(spec.size, complex)
-        spec, stderr = _combine_level(spec, stderr, roots[::spec.shape[1] // 2], ledger, out)
+        spec, stderr = _combine_level(spec, stderr, work.roots[::spec.shape[1] // 2], ledger, out)
         ping, pong = pong, ping
     return SpectrumVector(spec[:, 0], None if stderr is None else stderr[:, 0])
 
@@ -204,7 +199,7 @@ def butterfly_combine(
     if even.stderr is not None and odd.stderr is not None:
         stderr = np.stack([even.stderr, odd.stderr], axis=1)
     values, stderr = _combine_level(
-        np.stack([even.values, odd.values], axis=1), stderr, _final_roots(2 * h), ledger,
+        np.stack([even.values, odd.values], axis=1), stderr, _roots(2 * h), ledger,
         np.empty(2 * h, complex),
     )
     return SpectrumVector(values[:, 0], None if stderr is None else stderr[:, 0])

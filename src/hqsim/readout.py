@@ -47,10 +47,12 @@ Every step of the node stage writes into work arrays, and so do the
 transform's butterfly levels (:mod:`hqsim.hybrid_fft`): one object holds,
 per sample of the signal, four complex arrays that double as float pairs,
 a float temporary and two masks, 74 bytes in all, which the steps reuse in
-order of liveness.  It is kept for the last signal size only, up to 2**16
-samples; a larger transform allocates its own per call.  Only sampled
-mode's draws and standard errors are allocated per call, and every
-returned array is new.
+order of liveness.  It also holds the root table that the levels read
+and each node size's schedule and compiled circuit, built on first use.
+It is all the transform keeps between calls, and it is kept for the last
+signal size only, up to 2**16 samples; a larger transform builds its own
+per call.  Only sampled mode's draws and standard errors are allocated per
+call, and every returned array is new.
 """
 
 from __future__ import annotations
@@ -62,9 +64,9 @@ from functools import lru_cache
 import numpy as np
 
 from .core import (
-    SHARED_MAX_QUBITS,
     StateVector,
     build_qft_circuit,
+    compile_circuit,
     run_circuit,
 )
 from .costs import CostLedger
@@ -186,19 +188,10 @@ def build_schedule(n_q: int) -> ReadoutSchedule:
 
     Exactly ``N`` pairwise orthogonal data projectors with two entries each:
     the self-conjugate indices 0 and N/2 plus a conjugate pair (+, -) per
-    index below N/2.  Its arrays are read-only: a schedule of up to
-    ``SHARED_MAX_QUBITS`` qubits is shared by every caller.
+    index below N/2.  Its arrays are read-only: the node stage keeps one
+    schedule per node size in its work arrays and shares it with every
+    call.
     """
-    # The shared schedules take under 350 KB in all.  A larger one costs
-    # little next to its own circuit, O(N) against O(N * n_q**2), and keeping
-    # every size of a sweep would hold up to twice the largest schedule for
-    # the rest of the run.
-    if n_q <= SHARED_MAX_QUBITS:
-        return _shared_schedule(n_q)
-    return _new_schedule(n_q)
-
-
-def _new_schedule(n_q: int) -> ReadoutSchedule:
     if n_q < 1:
         raise ValueError(f"n_q must be >= 1, got {n_q}")
     N = 2**n_q
@@ -224,18 +217,17 @@ def _new_schedule(n_q: int) -> ReadoutSchedule:
     return ReadoutSchedule(n_q=n_q, **arrays)
 
 
-_shared_schedule = lru_cache(maxsize=None)(_new_schedule)
-
-
 class _WorkArrays:
     """The work arrays for ``size`` samples, of which a step takes the
-    leading elements.  Roles that share memory are never live at once.  In
-    order, ``spectrum`` holds ``x | a``, then the node output; ``state`` the
-    circuit state, ``ref``, ``b_abs | plus``, then the spread output; ``r1``
-    the projections, then ``reference | minus``; ``product`` the second
-    projection term, then ``magnitude | values``; the levels then ping-pong
-    between ``r1`` and ``product``.  Threads that run transforms at once
-    would share the kept object."""
+    leading elements, with the root table of ``size`` (``roots``, filled in
+    by the levels) and the plan of each node size (``node_plan``).  Roles
+    that share memory are never live at once.  In order, ``spectrum`` holds
+    ``x | a``, then the node output; ``state`` the circuit state, ``ref``,
+    ``b_abs | plus``, then the spread output; ``r1`` the projections, then
+    ``reference | minus``; ``product`` the second projection term, then
+    ``magnitude | values``; the levels then ping-pong between ``r1`` and
+    ``product``.  Threads that run transforms at once would share the kept
+    object."""
 
     def __init__(self, size: int) -> None:
         arrays = np.empty((4, size), complex)
@@ -244,9 +236,21 @@ class _WorkArrays:
          self.magnitude, self.values) = arrays.view(float).reshape(8, size)
         self.temp = np.empty(size)
         self.masks = np.empty((2, size), bool)
+        self.roots = None
+        self.plans = {}
+
+    def node_plan(self, n_q: int) -> tuple:
+        """``(schedule, steps, rows, scale, gates)`` of ``2**n_q``-point
+        nodes, built on first use: the schedule, the compiled transform
+        circuit (:func:`hqsim.core.compile_circuit`) and its gate count."""
+        if n_q not in self.plans:
+            circuit = build_qft_circuit(n_q)
+            self.plans[n_q] = (build_schedule(n_q), *compile_circuit(n_q, circuit), len(circuit))
+        return self.plans[n_q]
 
 
-# Up to 4.6 MB of work arrays are kept; larger ones are allocated per call,
+# At most 4.6 MiB of work arrays, 1 MiB of roots and 8.1 MiB of node plans
+# (every node size up to 16 qubits) are kept; larger ones are built per call,
 # so a run keeps nothing the size of a large signal.
 _KEEP_MAX_SIZE = 2**16
 _kept_work = lru_cache(maxsize=1)(_WorkArrays)
@@ -378,10 +382,10 @@ def _measure(
     N, L = x.shape
     on = _shaped(work.state, x.shape)
     on[...] = x
-    circuit = build_qft_circuit(schedule.n_q)
-    rows, scale = run_circuit(on, circuit)
+    _, steps, rows, scale, gates = work.node_plan(schedule.n_q)
+    run_circuit(on, steps)
     if ledger is not None:
-        ledger.quantum_gate_units += L * len(circuit)
+        ledger.quantum_gate_units += L * gates
         ledger.measurement_units += L * 2 * N
 
     # Ancilla residual (r0, r1) of each data projector, r0 = a/sqrt(2).
@@ -520,6 +524,10 @@ def evaluate_nodes(
     mode ignores it.  Charges every node counter as columns times unit, plus
     each fallback.
     """
+    blocks = np.asarray(blocks, dtype=float)
+    N, _ = blocks.shape
+    if N < 2 or N & (N - 1):
+        raise ValueError(f"column length {N} is not a power of two >= 2")
     values, stderr = _evaluate_nodes(_work_arrays(blocks.size), blocks, shots, seeds, ledger)
     return values.copy(), stderr
 
@@ -539,7 +547,7 @@ def _evaluate_nodes(work: _WorkArrays, blocks: np.ndarray, shots: int, seeds, le
     live_columns = np.flatnonzero(live)
     x = np.take(blocks, live_columns, axis=1, out=_shaped(work.x, (N, live_columns.size)), mode="clip")
     _encode(x, norms[live], ledger, x)
-    schedule = build_schedule(N.bit_length() - 1)
+    schedule = work.node_plan(N.bit_length() - 1)[0]
     live_seeds = [seed for seed, keep in zip(seeds, live) if keep] if shots else None
     a = _reference(schedule, x, work)
     magnitude, reference = _measure(schedule, x, a, shots, live_seeds, ledger, work)

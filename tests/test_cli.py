@@ -341,6 +341,33 @@ def test_main_refuses_counts_above_the_int64_limit(argv, flag, monkeypatch, caps
     assert flag in err and "2**63-1" in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["dft-sweep", "--n", "4", "--nq", "3..1"], "--nq:"),
+    (["dft-run", "--n", "4", "--nq", "x"], "--nq:"),
+    (["dft-run", "--n", "-1", "--nq", "0"], "--n must"),
+    (["search-run", "--n", "3", "--nq", "1", "--solutions", "1", "--random-solutions", "1"],
+     "--solutions and --random-solutions"),
+    (["search-run", "--n", "3", "--nq", "1", "--solutions", "1,a"], "--solutions:"),
+    (["search-run", "--n", "3", "--nq", "1", "--random-solutions", "9"], "--random-solutions:"),
+], ids=["empty-range", "not-an-integer", "negative-n", "two-solution-specs",
+        "bad-solution", "too-many-solutions"])
+def test_main_refuses_malformed_arguments(argv, flag, monkeypatch, capsys):
+    code, err = refused_before_running(argv, monkeypatch, capsys)
+    assert code == EXIT_USAGE
+    assert err.startswith(f"usage error: {flag}")
+
+
+@pytest.mark.parametrize("text, code, message", [
+    ("", EXIT_IO, "no samples"),
+    ("1\n2\n3\n4\n", EXIT_USAGE, "--n 3 does not match input length 2**2"),
+], ids=["empty", "length-mismatch"])
+def test_main_refuses_an_unusable_input_file(text, code, message, tmp_path, capsys):
+    path = tmp_path / "sig.csv"
+    path.write_text(text)
+    assert main(["dft-run", "--n", "3", "--nq", "1", "--input", str(path)]) == code
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["dft-run", "search-run"])
 def test_main_runs_at_the_int64_limit(command, tmp_path):
     # Sampled search measures once per round: it takes no --shots and

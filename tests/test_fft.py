@@ -1,6 +1,7 @@
 import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hqsim.checks import (
     stderr_miscalibrations,
     transform_deviation,
 )
+from hqsim import hybrid_fft, readout
 from hqsim.costs import CostLedger
 from hqsim.readout import (
     _WorkArrays,
@@ -29,7 +31,7 @@ from hqsim.hybrid_fft import (
     RealSignal,
     SpectrumVector,
     _combine_levels,
-    _final_roots,
+    _roots,
     butterfly_combine,
     decimate_leaves,
     direct_dft,
@@ -137,21 +139,22 @@ def test_decimate_rejects_oversized_node():
 
 def test_twiddle_table_invariants():
     for N in (2, 4, 8, 64):
-        roots = _final_roots(N)
+        roots = _roots(N)
         assert roots.shape == (N,)
         assert np.max(np.abs(np.abs(roots) - 1.0)) < 1e-12
         assert np.max(np.abs(roots**N - 1.0)) < 1e-9
 
 
-def test_final_root_table_is_built_once_and_read_only():
+def test_root_table_is_built_once_per_kept_size():
     signal = RealSignal.from_values(np.random.default_rng(8).uniform(-1, 1, 2**7))
     first = hybrid_dft(signal, FftPlan(n=7, n_q=2))[0].values
-    roots = _final_roots(2**7)
-    assert roots is _final_roots(2**7)
-    assert not roots.flags.writeable
+    roots = _work_arrays(2**7).roots
+    hybrid_dft(signal, FftPlan(n=7, n_q=5))
+    assert _work_arrays(2**7).roots is roots
     assert np.array_equal(roots, np.exp(2j * np.pi * np.arange(2**7) / 2**7))
-    # Another size in between replaces the cached table; spectra do not move.
+    # Another size in between replaces the kept table; spectra do not move.
     classical_fft(RealSignal.from_values(np.ones(2**5)))
+    assert _work_arrays(2**7).roots is None
     assert np.array_equal(hybrid_dft(signal, FftPlan(n=7, n_q=2))[0].values, first)
 
 
@@ -188,6 +191,18 @@ def test_butterfly_charges_per_output():
     even = SpectrumVector(np.zeros(8, complex))
     butterfly_combine(even, even, ledger)
     assert ledger.classical_ops == 16
+
+
+def test_butterfly_combines_the_standard_errors_of_both_halves():
+    # Output k and k + h both pair even[k] with odd[k], whose errors add in
+    # quadrature; with one half's errors unknown, the output has none.
+    even = SpectrumVector(np.array([1, 2], complex), np.array([0.3, 0.5]))
+    odd = SpectrumVector(np.array([3, 4], complex), np.array([0.4, 1.2]))
+    got = butterfly_combine(even, odd)
+    paired = np.sqrt(even.stderr**2 + odd.stderr**2)
+    assert np.array_equal(got.stderr, np.concatenate([paired, paired]))
+    assert np.allclose(got.stderr, [0.5, 1.3, 0.5, 1.3], atol=1e-15)
+    assert butterfly_combine(even, SpectrumVector(odd.values)).stderr is None
 
 
 @settings(max_examples=30, deadline=None)
@@ -353,6 +368,8 @@ def test_plan_validation():
         FftPlan(n=3, n_q=4)
     with pytest.raises(ValueError, match="shots must be >= 0"):
         FftPlan(n=3, n_q=1, shots=-1)
+    with pytest.raises(ValueError, match="plan built for n=3, signal has n=2"):
+        hybrid_dft(RealSignal.from_values(np.ones(4)), FftPlan(n=3, n_q=1))
 
 
 def test_hybrid_sampled_mode_is_deterministic_and_annotated():
@@ -549,3 +566,48 @@ def test_work_arrays_above_the_keep_bound_are_not_kept(shots):
     assert 2**17 not in kept_sizes()
     if not shots:
         assert np.max(np.abs(got.values - 2**17 * np.fft.ifft(large.values))) <= TRANSFORM_TOLERANCE
+
+
+def test_transforms_above_the_keep_bound_leave_nothing_held():
+    # Their work arrays, root tables and node plans are dropped on return: a
+    # root table alone would hold 16 MiB at n = 20.
+    signals = [RealSignal.from_values(np.random.default_rng(n).uniform(-1.0, 1.0, 2**n))
+               for n in (17, 20)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for signal, n_q in zip(signals, (8, 0)):
+            hybrid_dft(signal, FftPlan(n=signal.n, n_q=n_q))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 2**20
+
+
+def test_a_second_transform_at_a_kept_size_builds_nothing(monkeypatch):
+    # The benchmark's cycle of node sizes keeps all three plans, and the
+    # root table, in the one kept object.
+    signal = RealSignal.from_values(np.random.default_rng(13).uniform(-1.0, 1.0, 2**13))
+    cycle = (2, 4, 8)
+    want = [hybrid_dft(signal, FftPlan(n=13, n_q=n_q))[0].values for n_q in cycle]
+    assert set(cycle) <= set(_work_arrays(2**13).plans)
+    built = []
+    for module, name in ((readout, "compile_circuit"), (readout, "build_schedule"),
+                         (hybrid_fft, "_roots")):
+        monkeypatch.setattr(module, name, lambda *args, name=name: built.append(name))
+    for n_q, values in zip(cycle, want):
+        assert np.array_equal(hybrid_dft(signal, FftPlan(n=13, n_q=n_q))[0].values, values)
+    assert built == []
+
+
+def test_a_new_size_drops_the_kept_workspace_with_its_plans():
+    signal = RealSignal.from_values(np.random.default_rng(9).uniform(-1.0, 1.0, 2**9))
+    hybrid_dft(signal, FftPlan(n=9, n_q=3))
+    work = _work_arrays(2**9)
+    schedule, steps, rows, _, _ = work.node_plan(3)
+    kept = [weakref.ref(obj) for obj in (work, work.roots, schedule, steps[1][2], rows)]
+    del work, schedule, steps, rows
+    hybrid_dft(RealSignal.from_values(signal.values[:2**8]), FftPlan(n=8, n_q=3))
+    gc.collect()
+    assert [ref() for ref in kept] == [None] * 5

@@ -1,11 +1,11 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from hqsim import core, readout
 from hqsim.core import (
-    SHARED_MAX_QUBITS,
     Hadamard,
     MeasurementEffect,
     PhaseShift,
@@ -144,11 +144,9 @@ def test_schedule_rejects_bad_size():
         build_schedule(0)
 
 
-def test_schedules_are_read_only_and_shared_up_to_the_limit():
-    small, large = build_schedule(3), build_schedule(SHARED_MAX_QUBITS + 1)
-    assert build_schedule(3) is small
-    assert build_schedule(SHARED_MAX_QUBITS + 1) is not large
-    for schedule in (small, large):
+def test_schedules_are_read_only():
+    # The work arrays keep one schedule per node size and share it.
+    for schedule in (build_schedule(3), _work_arrays(8).node_plan(3)[0]):
         for array in (schedule.indices, schedule.signs, schedule.scales,
                       schedule.imaginary, schedule.ancilla_phase):
             with pytest.raises(ValueError, match="read-only"):
@@ -179,50 +177,64 @@ def test_execute_charges_gate_and_measurement_units():
     assert ledger.state_prep_units == 16
 
 
+def patch_node_circuit(monkeypatch, gate):
+    """Append ``gate`` to the node circuit, compiled into work arrays kept
+    apart from the other tests' and dropped afterwards."""
+    monkeypatch.setattr(readout, "build_qft_circuit", lambda n_q: build_qft_circuit(n_q) + [gate])
+    monkeypatch.setattr(readout, "_kept_work", lru_cache(maxsize=1)(readout._WorkArrays))
+
+
+def counting(monkeypatch, module, name):
+    """Count the calls of ``module.name`` from then on."""
+    calls = []
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
 def test_gate_charge_counts_the_circuit_that_ran(monkeypatch):
     # One more gate in the node circuit costs one more unit per live column.
     blocks = np.random.default_rng(63).normal(size=(3, 8)).T.copy()
     blocks[:, 1] = 0.0
     before, after = CostLedger(), CostLedger()
     evaluate_nodes(blocks, ledger=before)
-    monkeypatch.setattr(
-        readout, "build_qft_circuit", lambda n_q: build_qft_circuit(n_q) + [PhaseShift(0, 0.0)]
-    )
+    patch_node_circuit(monkeypatch, PhaseShift(0, 0.0))
     evaluate_nodes(blocks, ledger=after)
     assert after.quantum_gate_units == before.quantum_gate_units + 2
 
 
-def test_node_circuit_is_compiled_once_per_size():
+def test_node_circuit_is_compiled_once_per_size(monkeypatch):
     # The first run at a size may compile its circuit; later runs at that
-    # size, at any batch width, reuse the plan.  Its steps are one butterfly
+    # size, in either mode, reuse the plan.  Its steps are one butterfly
     # per Hadamard and one diagonal between each two.
     blocks = np.random.default_rng(64).normal(size=(4, 32)).T.copy()
     evaluate_nodes(blocks)
-    before = core._shared_plan.cache_info()
+    compiles = counting(monkeypatch, readout, "compile_circuit")
+    schedules = counting(monkeypatch, readout, "build_schedule")
     evaluate_nodes(blocks)
-    evaluate_nodes(blocks[:, :1].copy(), 100, [3])
-    after = core._shared_plan.cache_info()
-    assert (after.misses, after.hits) == (before.misses, before.hits + 2)
-    steps, _, _ = core._shared_plan(5, tuple(build_qft_circuit(5)))
+    evaluate_nodes(blocks, 100, [3, 4, 5, 6])
+    assert compiles == [] and schedules == []
+    steps, _, _ = core.compile_circuit(5, build_qft_circuit(5))
     assert [diagonal is None for _, _, diagonal in steps] == [True, False] * 4 + [True]
 
 
-def test_nodes_above_the_shared_size_compile_per_call():
-    before = core._shared_plan.cache_info()
-    columns = np.zeros((2 ** (SHARED_MAX_QUBITS + 1), 1), dtype=complex)
+def test_apply_circuit_batch_compiles_per_call(monkeypatch):
+    compiles = counting(monkeypatch, core, "compile_circuit")
+    columns = np.zeros((2**13, 1), dtype=complex)
     columns[0] = 1.0
-    core.apply_circuit_batch(columns, build_qft_circuit(SHARED_MAX_QUBITS + 1))
-    assert core._shared_plan.cache_info() == before
-    assert np.allclose(columns[:, 0], 2 ** (-(SHARED_MAX_QUBITS + 1) / 2), atol=1e-15)
+    for _ in range(2):
+        core.apply_circuit_batch(columns, build_qft_circuit(13))
+    assert len(compiles) == 2
+    # The transform of |0> is uniform, and the transform of that is |0>.
+    assert abs(columns[0, 0] - 1.0) < 1e-12
+    assert np.max(np.abs(columns[1:, 0])) < 1e-12
 
 
 def test_patched_node_circuit_is_compiled_and_run(monkeypatch):
-    # A different gate list at a size already compiled gets its own plan.
+    # A different gate list compiled into new work arrays is what runs.
     blocks = np.random.default_rng(65).normal(size=(3, 8)).T.copy()
     values, _ = evaluate_nodes(blocks)
-    monkeypatch.setattr(
-        readout, "build_qft_circuit", lambda n_q: build_qft_circuit(n_q) + [PhaseShift(0, math.pi)]
-    )
+    patch_node_circuit(monkeypatch, PhaseShift(0, math.pi))
     flipped, _ = evaluate_nodes(blocks)
     # The phase negates the rows from N/2 on: coefficient 0 stays, the
     # self-conjugate coefficient N/2 changes sign and the pairs mix.
@@ -289,6 +301,19 @@ def test_sampled_nodes_need_one_seed_per_row():
     assert values.shape == stderr.shape == (4, 3)
     with pytest.raises(ValueError, match="shots must be >= 0"):
         evaluate_nodes(blocks, -1, [1, 2, 3])
+
+
+def test_integer_blocks_are_read_as_floats():
+    blocks = np.array([[1, 2], [3, 4]])
+    values, _ = evaluate_nodes(blocks)
+    assert np.array_equal(values, evaluate_nodes(blocks.astype(float))[0])
+    assert np.allclose(values, [[4, 6], [-2, -2]], atol=1e-12)
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_nodes_refuse_columns_that_are_not_a_power_of_two_above_one(rows):
+    with pytest.raises(ValueError, match=f"column length {rows} is not a power of two >= 2"):
+        evaluate_nodes(np.ones((rows, 2)))
 
 
 def test_sampled_entries_are_one_binomial_draw_each_from_the_row_seed():
@@ -421,6 +446,8 @@ def test_rebuild_conjugate_assembly_is_exact():
 
 def test_rebuild_requires_complete_record():
     block, record = readout_pipeline([1, 2, 3, 4])
+    with pytest.raises(ValueError, match="record and block sizes differ"):
+        rebuild_phases(record, RealSignal.from_values(np.arange(1.0, 9.0)))
     complete = record.reference
     record.reference = complete[:3]
     with pytest.raises(ValueError, match="4 reference entries"):
