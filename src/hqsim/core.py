@@ -11,17 +11,16 @@ Conventions, fixed once and used everywhere:
   :class:`ControlledPhase`, :class:`Swap`) carries the qubits it acts on
   (``qubits``); its action is defined by the compiled step below, and
   :func:`circuit_matrix` gives it as a dense unitary.
-* Circuits run in place on a ``(2, ..., 2, L)`` tensor whose last axis is a
-  batch of registers, so each register is a column of a ``(2**Q, L)`` array
-  and every step's inner loop runs along the batch; single states are a
-  batch of one.  A gate list is validated and compiled into a plan of
-  steps, per call here and once per node size in the readout's kept work
-  arrays: a Hadamard is an unnormalized butterfly, the phase gates between
-  two Hadamards are one multiply by a precomputed diagonal, and a
-  :class:`Swap` moves no amplitude: it exchanges which tensor axes hold its
-  two qubits.  The circuit's final relabelling and the product of the
-  Hadamards' 1/sqrt(2) factors are applied once, as one permuting copy, or
-  folded by the caller into what it reads.
+* Circuits run on the columns of a ``(2**Q, L)`` array, one register each,
+  compiled into a plan of steps per call here and once per node size in the
+  readout's kept work arrays.  A Hadamard is an unnormalized butterfly, out
+  of place: it reads its qubit's two halves from one buffer and writes them
+  as the last axis of the other (Stockham order), so in the transform
+  circuit each qubit's halves are contiguous.  The phase gates between two
+  Hadamards are one multiply by a precomputed diagonal; a :class:`Swap`
+  only relabels axes.  The result lands as an ``(L, 2**Q)`` array, and its
+  relabelling and the Hadamards' 1/sqrt(2) factors are applied once, as one
+  permuting copy, or folded by the caller into what it reads.
 * Measurement effects are sparse unit vectors on one subsystem; joint
   probabilities are squared overlaps, computed exactly or estimated from a
   seeded binomial draw.  They are the per-entry reference, within 1e-15 and
@@ -137,35 +136,39 @@ def _check_qubit(q: int, num_qubits: int) -> None:
         raise ValueError(f"qubit index {q} out of range for {num_qubits} qubits")
 
 
-def _diagonal_step(run: list, ndim: int) -> tuple:
-    """The step of a run of phase gates, each given as (the tensor axes it
-    needs at |1>, its angle): the sum of their phases over the axes the run
-    touches, applied where the axes that every gate needs are |1>."""
-    common = set.intersection(*(axes for axes, _ in run))
-    kept = [axis for axis in range(ndim) if axis not in common]
-    touched = set().union(*(axes for axes, _ in run))
-    phase = np.zeros([2 if axis in touched else 1 for axis in kept] + [1])
-    for axes, angle in run:
-        phase[tuple(slice(1, None) if axis in axes else slice(None) for axis in kept)] += angle
-    at_one = tuple(1 if axis in common else slice(None) for axis in range(ndim))
+def _diagonal_step(run: list, order: list) -> tuple:
+    """The step of a run of phase gates, each given as (the wires it needs at
+    |1>, its angle), on axes holding the wires in ``order``: the sum of their
+    phases over the wires it touches, where the wires all gates need are |1>."""
+    common = set.intersection(*(wires for wires, _ in run))
+    kept = [wire for wire in order if wire not in common]
+    touched = set().union(*(wires for wires, _ in run))
+    phase = np.zeros([2 if wire in touched else 1 for wire in kept])
+    for wires, angle in run:
+        phase[tuple(slice(1, None) if wire in wires else slice(None) for wire in kept)] += angle
+    shape = tuple(-1 if wire == len(order) - 1 else 2 for wire in order)
+    at_one = tuple(1 if wire in common else slice(None) for wire in order)
     diagonal = phase * 1j
-    return None, at_one, np.exp(diagonal, out=diagonal)
+    return shape, at_one, np.exp(diagonal, out=diagonal)
 
 
 # Shared with the readout; not re-exported by the package.
 def compile_circuit(num_qubits: int, circuit) -> tuple:
     """Validate a circuit and compile it into ``(steps, rows, scale)``.
 
-    Each step is ``(at_zero, at_one, diagonal)``, indices of the gate tensor.
-    A Hadamard is a step without a diagonal: an unnormalized butterfly
-    between the |0> and |1> halves of its axis.  The phase gates between two
-    Hadamards are one step, which multiplies the slice where their common
-    qubits are |1> by a diagonal over the rest.  Swaps among them break no
-    run: a swap moves no amplitude, it exchanges which tensor axes hold its
-    two qubits.  Afterwards logical row ``r`` sits at row ``rows[r]``, short
-    of ``scale``, the product of the Hadamards' 1/sqrt(2) factors.
+    The state has an axis per wire: wire ``q`` holds qubit ``q`` at first,
+    and wire ``Q``, the batch, is last.  A Hadamard is the butterfly step
+    ``(shape, out_shape, None)``: it reads the halves of its wire's axis and
+    writes them as the last axis.  The phase gates between two Hadamards are
+    one step, ``(shape, at_one, diagonal)``, a multiply of the slice where
+    their common wires are |1> by a diagonal laid out for the axes of that
+    point.  A swap exchanges which wires hold two qubits.  A last step with
+    a two-axis ``shape`` moves the wires no Hadamard moved behind the batch,
+    so logical row ``r`` of register ``l`` ends at ``[l, rows[r]]`` of the
+    ``(L, 2**Q)`` result, short of the Hadamards' 1/sqrt(2) factors, ``scale``.
     """
-    axes = list(range(num_qubits))  # the axis holding each qubit
+    wires = list(range(num_qubits))  # the wire holding each qubit
+    order = list(range(num_qubits + 1))  # the wire on each tensor axis
     steps, run, hadamards = [], [], 0
     for gate in circuit:
         if len(set(gate.qubits)) != len(gate.qubits):
@@ -173,51 +176,61 @@ def compile_circuit(num_qubits: int, circuit) -> tuple:
         for q in gate.qubits:
             _check_qubit(q, num_qubits)
         if isinstance(gate, Swap):
-            axes[gate.a], axes[gate.b] = axes[gate.b], axes[gate.a]
+            wires[gate.a], wires[gate.b] = wires[gate.b], wires[gate.a]
         elif isinstance(gate, Hadamard):
             if run:
-                steps.append(_diagonal_step(run, num_qubits))
+                steps.append(_diagonal_step(run, order))
                 run = []
-            head = (slice(None),) * axes[gate.target]
-            steps.append((head + (0,), head + (1,), None))
+            axis = order.index(wires[gate.target])
+            head, tail = (-1, 2 ** (num_qubits - axis)) if order.index(num_qubits) < axis else (2**axis, -1)
+            steps.append(((head, 2, tail), (head, tail, 2), None))
+            order.append(order.pop(axis))
             hadamards += 1
         elif isinstance(gate, (PhaseShift, ControlledPhase)):
-            run.append(({axes[q] for q in gate.qubits}, gate.angle))
+            run.append(({wires[q] for q in gate.qubits}, gate.angle))
         else:
             raise TypeError(f"unknown gate {gate!r}")
     if run:
-        steps.append(_diagonal_step(run, num_qubits))
-    rows = np.arange(2**num_qubits).reshape((2,) * num_qubits).transpose(axes).ravel()
+        steps.append(_diagonal_step(run, order))
+    if unmoved := order.index(num_qubits):
+        steps.append(((2**unmoved, -1), (-1, 2**unmoved), None))
+        order = order[unmoved:] + order[:unmoved]
+    position = [order.index(wire) - 1 for wire in wires]
+    rows = np.arange(2**num_qubits).reshape((2,) * num_qubits).transpose(position).ravel()
     rows.flags.writeable = False  # shared by every caller of a kept plan
     return tuple(steps), rows, math.ldexp(_INV_SQRT2 if hadamards % 2 else 1.0, -(hadamards // 2))
 
 
 # Shared with the readout; not re-exported by the package.
-def run_circuit(columns: np.ndarray, steps: tuple) -> None:
-    """Run the steps of a compiled circuit (:func:`compile_circuit`), in
-    place, on every column of a ``(2**Q, L)`` C-contiguous complex array:
-    the circuit but for its final relabelling and its normalization.
-    """
-    tensor = columns.reshape((2,) * (columns.shape[0].bit_length() - 1) + (columns.shape[1],))
-    for at_zero, at_one, diagonal in steps:
-        v1 = tensor[at_one]  # writable views
-        if diagonal is None:
-            v0 = tensor[at_zero]
-            v0 += v1
+def run_circuit(columns: np.ndarray, spare: np.ndarray, steps: tuple) -> np.ndarray:
+    """Run the steps of a compiled circuit (:func:`compile_circuit`) on every
+    column of a ``(2**Q, L)`` C-contiguous complex array, ping-ponging with
+    the like array ``spare``: the circuit but for its final relabelling and
+    its normalization, as an ``(L, 2**Q)`` view of the array written last."""
+    N, L = columns.shape
+    for shape, at, diagonal in steps if L else ():  # an empty batch leaves -1 unknown
+        if diagonal is not None:
+            columns.reshape(shape)[at] *= diagonal
+            continue
+        halves, out = columns.reshape(shape), spare.reshape(at)
+        if halves.ndim == 2:  # the wires no Hadamard moved go behind the batch
+            out[...] = halves.T
+        else:  # |1> rounds as (|0> + |1>) - 2|1>, as in the in-place runner the tests keep
+            v0, v1 = halves[:, 0], halves[:, 1]
+            np.add(v0, v1, out=out[..., 0])
             v1 *= -2.0
-            v1 += v0
-        else:
-            v1 *= diagonal
+            np.add(v1, out[..., 0], out=out[..., 1])
+        columns, spare = spare, columns
+    return columns.reshape(L, N)
 
 
 def apply_circuit_batch(columns: np.ndarray, circuit) -> None:
     """Apply a gate sequence, in place, to every column of a ``(2**Q, L)``
     C-contiguous complex array; each column is one ``Q``-qubit register.
 
-    The columns are viewed as a ``(2, ..., 2, L)`` tensor whose last axis is
-    the batch, so qubit ``q`` sits on axis ``q``.  The gates are compiled
-    per call.  Once :func:`run_circuit` has run them, one permuting copy
-    puts the qubits back in order and applies the normalization.
+    The gates are compiled per call.  Once :func:`run_circuit` has run them,
+    one permuting copy puts the qubits and columns back in order and applies
+    the normalization.
     """
     if columns.ndim != 2 or not columns.flags.c_contiguous or columns.dtype != complex:
         raise ValueError("columns must be a C-contiguous (2**Q, L) complex array")
@@ -225,8 +238,7 @@ def apply_circuit_batch(columns: np.ndarray, circuit) -> None:
     if columns.shape[0] != 2**num_qubits or num_qubits < 1:
         raise ValueError(f"column length {columns.shape[0]} is not a power of two >= 2")
     steps, rows, scale = compile_circuit(num_qubits, circuit)
-    run_circuit(columns, steps)
-    columns[...] = columns[rows] * scale
+    columns[...] = run_circuit(columns, np.empty_like(columns), steps).T[rows] * scale
 
 
 def _apply_to_state(state: StateVector, circuit) -> StateVector:

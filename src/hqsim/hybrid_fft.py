@@ -18,11 +18,12 @@ transforms every column at once, and each butterfly level combines the
 contiguous halves of the columns, ``c`` with ``c + R/2``, into ``R/2``
 columns twice as long, in one array operation.  This is the Stockham
 (autosort) arrangement of the Cooley-Tukey levels (Van Loan, *Computational
-Frameworks for the FFT*, SIAM 1992): the batch stays innermost at every
-level and the output comes out in natural order.  The levels ping-pong
-between two of the node stage's work arrays (:mod:`hqsim.readout`), which
-also hold the root table they read, and only the last level writes a new
-array, the returned spectrum.
+Frameworks for the FFT*, SIAM 1992), and once rows are shorter than their
+count the levels run on one transposed copy, as in the four-step
+arrangement (Bailey, J. Supercomputing 4, 1990).  They ping-pong between two
+of the node stage's work arrays (:mod:`hqsim.readout`), which also hold the
+root table they read, and only the last level writes a new array, the
+returned spectrum, in natural order.
 """
 
 from __future__ import annotations
@@ -134,24 +135,25 @@ def decimate_leaves(signal: RealSignal, n_q: int) -> list[RealSignal]:
 
 
 def _combine_level(spec, stderr, roots, ledger, out):
-    """One radix-2 level over the column pairs ``(spec[:, c], spec[:, c + R/2])``
-    of an ``(h, R)`` array: ``y_k = even[k % h] + roots[k] * odd[k % h]``;
-    one classical op per output coefficient.  ``roots[k + h] = -roots[k]``,
-    so each pair takes one product ``roots[k] * odd[k]`` and yields
-    ``even[k]`` plus and minus it, the two halves of a ``(2h, R/2)`` output
-    written into the leading elements of the flat complex ``out``."""
-    h, half = spec.shape[0], spec.shape[1] // 2
+    """One radix-2 level over the column pairs ``(c, c + R/2)`` of an ``(h, R)``
+    spectrum held as ``(S, R, J)``, coefficient ``s*J + j`` of column ``c``
+    at ``[s, c, j]``: ``y_k = even[k % h] + roots[k] * odd[k % h]``; one
+    classical op per output coefficient.  ``roots[k + h] = -roots[k]``, so
+    each pair takes one product ``roots[k] * odd[k]`` and yields ``even[k]``
+    plus and minus it, the two halves of the ``(2S, R/2, J)`` output written
+    into the leading elements of the flat complex ``out``."""
+    (S, R, J), half = spec.shape, spec.shape[1] // 2
     even, odd = spec[:, :half], spec[:, half:]
-    out = out[: spec.size].reshape(2, h, half)
-    product = np.multiply(odd, roots[:h, None], out=out[1])
+    out = out[: spec.size].reshape(2, S, half, J)
+    product = np.multiply(odd, roots[: S * J].reshape(S, 1, J), out=out[1])
     np.add(even, product, out=out[0])
     np.subtract(even, product, out=out[1])
-    spec = out.reshape(2 * h, half)
+    spec = out.reshape(2 * S, half, J)
     if stderr is not None:
         paired = np.sqrt(stderr[:, :half] ** 2 + stderr[:, half:] ** 2)
         stderr = np.concatenate([paired, paired], axis=0)
     if ledger is not None:
-        ledger.classical_ops += half * 2 * h
+        ledger.classical_ops += spec.size
     return spec, stderr
 
 
@@ -161,25 +163,31 @@ def _roots(size: int) -> np.ndarray:
 
 
 def _combine_levels(spec, stderr, ledger, work):
-    """Combine the natural-order columns of ``spec`` level by level into one
-    spectrum.
+    """Combine the natural-order columns of the ``(h, R)`` array ``spec``
+    level by level into one spectrum.
 
     Each level's roots are a strided view of ``work.roots``, the table of
     ``spec.size``, the size of ``work``: the strides are powers of two, so
-    they equal ``_roots(2 * h)`` bit for bit.  The levels ping-pong between
-    ``work.r1`` and ``work.product``, which must not hold ``spec``; only the
-    last level writes a new array, the returned spectrum.
+    they equal ``_roots(2 * h)`` bit for bit.  The levels hold ``spec`` as
+    ``(h, R, 1)`` while ``R >= h``, then transpose it once, to ``(1, R, h)``;
+    ``stderr`` stays ``(h, R)``.  The transpose and the levels ping-pong
+    between ``work.r1`` and ``work.product``, which must not hold ``spec``;
+    only the last level writes a new array, the returned spectrum.
     """
     if work.roots is None:
         work.roots = _roots(spec.size)
-    if spec.shape[1] == 1:  # no level: the spectrum may be a work array
-        spec = spec.copy()
+    spec = (spec if spec.shape[1] > 1 else spec.copy())[:, :, None]  # no level: spec may be a work array
     ping, pong = work.r1, work.product
     while spec.shape[1] > 1:
-        out = ping if spec.shape[1] > 2 else np.empty(spec.size, complex)
-        spec, stderr = _combine_level(spec, stderr, work.roots[::spec.shape[1] // 2], ledger, out)
+        S, R, J = spec.shape
+        if R < S and J == 1:  # rows shorter than their count: turn them, once
+            turned = _shaped(ping, (1, R, S))
+            turned[0] = spec[:, :, 0].T
+            spec, ping, pong = turned, pong, ping
+        out = ping if R > 2 else np.empty(spec.size, complex)
+        spec, stderr = _combine_level(spec, stderr, work.roots[:: R // 2], ledger, out)
         ping, pong = pong, ping
-    return SpectrumVector(spec[:, 0], None if stderr is None else stderr[:, 0])
+    return SpectrumVector(spec.reshape(-1), None if stderr is None else stderr[:, 0])
 
 
 def butterfly_combine(
@@ -199,10 +207,10 @@ def butterfly_combine(
     if even.stderr is not None and odd.stderr is not None:
         stderr = np.stack([even.stderr, odd.stderr], axis=1)
     values, stderr = _combine_level(
-        np.stack([even.values, odd.values], axis=1), stderr, _roots(2 * h), ledger,
+        np.stack([even.values, odd.values], axis=1)[:, :, None], stderr, _roots(2 * h), ledger,
         np.empty(2 * h, complex),
     )
-    return SpectrumVector(values[:, 0], None if stderr is None else stderr[:, 0])
+    return SpectrumVector(values.reshape(-1), None if stderr is None else stderr[:, 0])
 
 
 def hybrid_dft(signal: RealSignal, plan: FftPlan) -> tuple[SpectrumVector, CostLedger]:

@@ -29,13 +29,14 @@ The layout above is defined once, by :func:`build_schedule`: a
 basis indices and weights it reads, the coefficient part it yields and its
 reference ancilla phase).  The node stage is batched: :func:`evaluate_nodes`
 takes every block of a run as a column of one ``(2**n_q, L)`` array, runs the
-circuit on a ``(2, ..., 2, L)`` tensor with the batch innermost and reads
-every projector of every block as a row of that array, through the
-schedule's arrays, so no effect objects are built per entry.  The ancilla's
+circuit on all of them at once (:mod:`hqsim.core`) and reads every projector
+of every block as a row, through the plan's row maps, so no effect objects
+are built per entry.  The ancilla's
 control-off branch is the encoded block itself, so only the control-on
 branch is simulated; its projections read through the circuit's final
 relabelling, with the circuit's normalization folded into the projector
-weights, so the node stage neither permutes nor rescales the state.
+weights: the node stage copies the circuit's ``(L, N)`` result back to
+``(N, L)`` order once, and neither permutes nor rescales it.
 :func:`execute_schedule` and :func:`rebuild_phases` are batch-of-one
 wrappers round the same code; their :class:`ReadoutRecord` holds a block's
 magnitude and reference entries as two arrays in projector order.  A block
@@ -48,7 +49,7 @@ transform's butterfly levels (:mod:`hqsim.hybrid_fft`): one object holds,
 per sample of the signal, four complex arrays that double as float pairs,
 a float temporary and two masks, 74 bytes in all, which the steps reuse in
 order of liveness.  It also holds the root table that the levels read
-and each node size's schedule and compiled circuit, built on first use.
+and each node size's plan (schedule, circuit, constants), built once.
 It is all the transform keeps between calls, and it is kept for the last
 signal size only, up to 2**16 samples; a larger transform builds its own
 per call.  Only sampled mode's draws and standard errors are allocated per
@@ -217,15 +218,33 @@ def build_schedule(n_q: int) -> ReadoutSchedule:
     return ReadoutSchedule(n_q=n_q, **arrays)
 
 
+class _NodePlan:
+    """What the node stage reads for a schedule and never writes: the compiled
+    transform circuit and its gate count, and per projector its rows of the
+    result with their weights, its ancilla weight and its part (1 imaginary)."""
+
+    def __init__(self, schedule: ReadoutSchedule) -> None:
+        circuit = build_qft_circuit(schedule.n_q)
+        self.schedule, self.gates = schedule, len(circuit)
+        self.steps, rows, scale = compile_circuit(schedule.n_q, circuit)
+        self.first, self.second = rows[schedule.indices.T]
+        scales = schedule.scales * (_INV_SQRT2 * scale)
+        self.weights = scales[:, None], (scales * schedule.signs)[:, None]
+        # <ref| r> = r0/sqrt(2) + w*r1, w the conjugate of e^{i*phi}/sqrt(2).
+        self.ancilla = (np.exp(-1j * schedule.ancilla_phase) * _INV_SQRT2)[:, None]
+        self.part = schedule.imaginary.astype(np.intp)
+
+
 class _WorkArrays:
     """The work arrays for ``size`` samples, of which a step takes the
     leading elements, with the root table of ``size`` (``roots``, filled in
     by the levels) and the plan of each node size (``node_plan``).  Roles
     that share memory are never live at once.  In order, ``spectrum`` holds
-    ``x | a``, then the node output; ``state`` the circuit state, ``ref``,
+    ``x | a``, then the node output; ``state`` and ``r1`` are the circuit's
+    two buffers; ``product`` its result in ``(N, L)`` order, then
+    ``magnitude | values``; ``state`` the second projection term, ``ref``,
     ``b_abs | plus``, then the spread output; ``r1`` the projections, then
-    ``reference | minus``; ``product`` the second projection term, then
-    ``magnitude | values``; the levels then ping-pong between ``r1`` and
+    ``reference | minus``; the levels then ping-pong between ``r1`` and
     ``product``.  Threads that run transforms at once would share the kept
     object."""
 
@@ -239,17 +258,14 @@ class _WorkArrays:
         self.roots = None
         self.plans = {}
 
-    def node_plan(self, n_q: int) -> tuple:
-        """``(schedule, steps, rows, scale, gates)`` of ``2**n_q``-point
-        nodes, built on first use: the schedule, the compiled transform
-        circuit (:func:`hqsim.core.compile_circuit`) and its gate count."""
+    def node_plan(self, n_q: int) -> _NodePlan:
+        """The plan of ``2**n_q``-point nodes, built on first use."""
         if n_q not in self.plans:
-            circuit = build_qft_circuit(n_q)
-            self.plans[n_q] = (build_schedule(n_q), *compile_circuit(n_q, circuit), len(circuit))
+            self.plans[n_q] = _NodePlan(build_schedule(n_q))
         return self.plans[n_q]
 
 
-# At most 4.6 MiB of work arrays, 1 MiB of roots and 8.1 MiB of node plans
+# At most 4.6 MiB of work arrays, 1 MiB of roots and 14.1 MiB of node plans
 # (every node size up to 16 qubits) are kept; larger ones are built per call,
 # so a run keeps nothing the size of a large signal.
 _KEEP_MAX_SIZE = 2**16
@@ -300,31 +316,29 @@ def _reference(schedule: ReadoutSchedule, x: np.ndarray, work: _WorkArrays) -> n
     return a
 
 
-def _project(schedule: ReadoutSchedule, columns: np.ndarray, rows: np.ndarray, factor: float,
-             work: _WorkArrays) -> np.ndarray:
-    """Overlap of every column with every data projector, times ``factor``:
-    ``(N, L)`` with one row per projector in projector order.  Basis index
-    ``i`` is read from row ``rows[i]``.  The weights multiply before the
-    sum, as in :func:`hqsim.core.effect_probability`."""
-    first, second = rows[schedule.indices.T]
-    scales = schedule.scales * factor
-    r1 = np.take(columns, first, axis=0, out=_shaped(work.r1, columns.shape), mode="clip")
-    r1 *= scales[:, None]
-    term = np.take(columns, second, axis=0, out=_shaped(work.product, columns.shape), mode="clip")
-    term *= (scales * schedule.signs)[:, None]
+def _project(plan: _NodePlan, result: np.ndarray, work: _WorkArrays) -> np.ndarray:
+    """Overlap of every register with every data projector, ``(N, L)``, from
+    the circuit's ``(L, N)`` result copied to ``(N, L)`` order; the weights
+    multiply before the sum, as in :func:`hqsim.core.effect_probability`."""
+    columns = _shaped(work.product, result.shape[::-1])
+    columns[...] = result.T
+    r1 = np.take(columns, plan.first, axis=0, out=_shaped(work.r1, columns.shape), mode="clip")
+    r1 *= plan.weights[0]
+    term = np.take(columns, plan.second, axis=0, out=_shaped(work.state, columns.shape), mode="clip")
+    term *= plan.weights[1]
     r1 += term
     return r1
 
 
-def _by_coefficient(schedule: ReadoutSchedule, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _by_coefficient(plan: _NodePlan, values: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Rows ``0 .. N/2`` of the complex ``(N, L)`` ``out``, the coefficients
     from ``(N, L)`` per-projector values: each projector's value goes to the
     real or imaginary part of the coefficient it yields."""
-    half = out[: 2 ** (schedule.n_q - 1) + 1]
+    half = out[: 2 ** (plan.schedule.n_q - 1) + 1]
     half[...] = 0.0
     # Axis 2 holds each coefficient's real and imaginary part.
     parts = half.view(float).reshape(half.shape + (2,))
-    parts[schedule.coefficient, :, schedule.imaginary.astype(np.intp)] = values
+    parts[plan.schedule.coefficient, :, plan.part] = values
     return out
 
 
@@ -356,7 +370,7 @@ def _erfc(x: np.ndarray) -> np.ndarray:
 
 
 def _measure(
-    schedule: ReadoutSchedule,
+    plan: _NodePlan,
     x: np.ndarray,
     a: np.ndarray,
     shots: int,
@@ -382,18 +396,15 @@ def _measure(
     N, L = x.shape
     on = _shaped(work.state, x.shape)
     on[...] = x
-    _, steps, rows, scale, gates = work.node_plan(schedule.n_q)
-    run_circuit(on, steps)
+    result = run_circuit(on, _shaped(work.r1, x.shape), plan.steps)
     if ledger is not None:
-        ledger.quantum_gate_units += L * gates
+        ledger.quantum_gate_units += L * plan.gates
         ledger.measurement_units += L * 2 * N
 
     # Ancilla residual (r0, r1) of each data projector, r0 = a/sqrt(2).
-    r1 = _project(schedule, on, rows, _INV_SQRT2 * scale, work)
-    # <ref| r> = r0/sqrt(2) + w*r1, w the conjugate of e^{i*phi}/sqrt(2).
-    w = np.exp(-1j * schedule.ancilla_phase) * _INV_SQRT2
+    r1 = _project(plan, result, work)
     temp = _shaped(work.temp, x.shape)
-    ref = np.multiply(w[:, None], r1, out=on)
+    ref = np.multiply(plan.ancilla, r1, out=on)
     ref += np.multiply(0.5, a, out=temp)
     magnitude = np.multiply(r1.real, r1.real, out=_shaped(work.magnitude, x.shape))
     magnitude += np.multiply(r1.imag, r1.imag, out=temp)
@@ -422,14 +433,20 @@ def _classical_coefficients(x: np.ndarray, columns: np.ndarray, k: np.ndarray) -
     for start in range(0, len(k), step):
         chunk = slice(start, start + step)
         # N is a power of two, so the mask reduces k*j modulo N.
-        phases = np.exp(2j * np.pi * ((k[chunk, None] * np.arange(N)) & (N - 1)) / N)
-        leaves = np.ascontiguousarray(x[:, columns[chunk]].T)
-        out[chunk] = np.sum(leaves * phases, axis=1) / math.sqrt(N)
+        phases = 2j * np.pi * ((k[chunk, None] * np.arange(N)) & (N - 1)) / N
+        np.multiply(np.exp(phases, out=phases), x[:, columns[chunk]].T, out=phases)
+        out[chunk] = np.sum(phases, axis=1) / math.sqrt(N)
     return out
 
 
+def _flip_signs(values: np.ndarray, negative: np.ndarray, temp: np.ndarray) -> None:
+    """Negate ``values`` where ``negative`` holds, zeros included, by a product
+    with ``1 - 2*negative``: no branch per element."""
+    values *= np.subtract(1.0, np.multiply(negative, 2.0, out=temp), out=temp)
+
+
 def _rebuild(
-    schedule: ReadoutSchedule,
+    plan: _NodePlan,
     x: np.ndarray,
     a: np.ndarray,
     magnitude: np.ndarray,
@@ -463,8 +480,7 @@ def _rebuild(
     np.abs(np.subtract(reference, minus, out=temp), out=temp)
     negative = np.greater(values, temp, out=_shaped(work.masks[0], shape))
     # A pair projector's part is |b|/sqrt(2), its scale times |b|.
-    np.multiply(b_abs, schedule.scales[:, None], out=values)
-    np.negative(values, out=values, where=negative)
+    _flip_signs(np.multiply(b_abs, plan.schedule.scales[:, None], out=values), negative, temp)
 
     eps = 3.0 / math.sqrt(shots) if shots else EPS_REF_EXACT
     fallback = np.less(np.abs(a, out=temp), eps, out=negative)
@@ -472,15 +488,15 @@ def _rebuild(
     fallbacks = 0
     if fallback.any():
         p, columns = np.nonzero(fallback)
-        c = _classical_coefficients(x, columns, schedule.coefficient[p])
-        values[p, columns] = np.where(schedule.imaginary[p], c.imag, c.real)
+        c = _classical_coefficients(x, columns, plan.schedule.coefficient[p])
+        values[p, columns] = np.where(plan.schedule.imaginary[p], c.imag, c.real)
         fallbacks = len(p)
     if ledger is not None:
         ledger.fallback_ops += fallbacks * N
         ledger.classical_fallbacks += fallbacks
 
     # The node output overwrites x and a, which are spent.
-    coefficients = _hermitian(_by_coefficient(schedule, values, _shaped(work.spectrum, shape)))
+    coefficients = _hermitian(_by_coefficient(plan, values, _shaped(work.spectrum, shape)))
     if not shots:
         return coefficients, None, fallback
 
@@ -488,7 +504,7 @@ def _rebuild(
     # pair projectors; a fallback value carries no shot noise.  A
     # coefficient's variance sums those of its real and imaginary parts.
     spread = np.maximum(1.0 - mag, 0.0) / shots
-    variance = np.where(schedule.signs[:, None] != 0, spread / 4.0, spread / 2.0)
+    variance = np.where(plan.schedule.signs[:, None] != 0, spread / 4.0, spread / 2.0)
     # The sign test picks the wrong hypothesis, an error of twice the part
     # value, when the reference falls on the wrong side of the hypotheses'
     # midpoint (a**2 + |b|**2) / 4 = a**2/4 + m/2, half their gap away.  Both
@@ -500,7 +516,7 @@ def _rebuild(
     flip = 0.5 * _erfc(np.abs(plus - minus) / 2.0 / np.sqrt(2.0 * noise / shots))
     variance += flip * (2.0 * values) ** 2
     variance[fallback] = 0.0
-    parts = _by_coefficient(schedule, variance, np.zeros(shape, complex))
+    parts = _by_coefficient(plan, variance, np.zeros(shape, complex))
     return coefficients, np.sqrt(_hermitian(parts.real + parts.imag)), fallback
 
 
@@ -543,21 +559,25 @@ def _evaluate_nodes(work: _WorkArrays, blocks: np.ndarray, shots: int, seeds, le
     rows = _shaped(work.temp, (L, N))
     rows[...] = blocks.T
     norms = _column_norms(rows)
+    if not np.isfinite(norms).all():
+        c = int(np.argmin(np.isfinite(norms)))
+        raise ValueError(f"leaf in column {c} (samples {c}::{L}) is not finite or its squared norm overflows")
     live = norms != 0.0
-    live_columns = np.flatnonzero(live)
-    x = np.take(blocks, live_columns, axis=1, out=_shaped(work.x, (N, live_columns.size)), mode="clip")
-    _encode(x, norms[live], ledger, x)
-    schedule = work.node_plan(N.bit_length() - 1)[0]
+    if not live.all():  # all-live blocks are encoded as they are
+        norms, x = norms[live], _shaped(work.x, (N, np.count_nonzero(live)))
+        blocks = np.take(blocks, np.flatnonzero(live), axis=1, out=x, mode="clip")
+    x = _encode(blocks, norms, ledger, _shaped(work.x, blocks.shape))
+    plan = work.node_plan(N.bit_length() - 1)
     live_seeds = [seed for seed, keep in zip(seeds, live) if keep] if shots else None
-    a = _reference(schedule, x, work)
-    magnitude, reference = _measure(schedule, x, a, shots, live_seeds, ledger, work)
-    coefficients, stderr, _ = _rebuild(schedule, x, a, magnitude, reference, shots, ledger, work)
+    a = _reference(plan.schedule, x, work)
+    magnitude, reference = _measure(plan, x, a, shots, live_seeds, ledger, work)
+    coefficients, stderr, _ = _rebuild(plan, x, a, magnitude, reference, shots, ledger, work)
     if ledger is not None:
         ledger.node_accesses += x.shape[1]
-    scale = norms[live] * math.sqrt(N)
+    scale = norms * math.sqrt(N)
     coefficients *= scale
-    values = _spread(coefficients, live, _shaped(work.state, blocks.shape))
-    return values, None if stderr is None else _spread(stderr * scale, live, np.empty(blocks.shape))
+    values = _spread(coefficients, live, _shaped(work.state, (N, L)))
+    return values, None if stderr is None else _spread(stderr * scale, live, np.empty((N, L)))
 
 
 def _spread(columns: np.ndarray, live: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -596,7 +616,7 @@ def execute_schedule(
     work = _work_arrays(block.size)
     x = _encode(block.values[:, None], np.array([block.norm]), ledger, _shaped(work.x, (block.size, 1)))
     a = _reference(schedule, x, work)
-    magnitude, reference = _measure(schedule, x, a, shots, [seed], ledger, work)
+    magnitude, reference = _measure(_NodePlan(schedule), x, a, shots, [seed], ledger, work)
     return ReadoutRecord(schedule, magnitude[:, 0].copy(), reference[:, 0].copy(), shots)
 
 
@@ -628,7 +648,7 @@ def rebuild_phases(
     work = _work_arrays(N)
     x = np.divide(block.values[:, None], block.norm, out=_shaped(work.x, (N, 1)))
     coefficients, stderr, fallback = _rebuild(
-        schedule, x, _reference(schedule, x, work), magnitude[:, None], reference[:, None],
+        _NodePlan(schedule), x, _reference(schedule, x, work), magnitude[:, None], reference[:, None],
         record.shots, ledger, work,
     )
     return SpectrumEstimate(

@@ -26,7 +26,17 @@ from hqsim.core import (
     effect_probability,
     sample_effect,
 )
-from reference import apply_circuit, gate_matrix, probed_residual, residual_probes, shifted
+from hqsim.core import compile_circuit, run_circuit
+from reference import (
+    apply_circuit,
+    apply_in_place,
+    compile_in_place,
+    gate_matrix,
+    probed_residual,
+    residual_probes,
+    run_in_place,
+    shifted,
+)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -361,6 +371,43 @@ def test_batched_rows_must_be_contiguous():
     # tensor, and the in-place gates would change only the copy.
     with pytest.raises(ValueError):
         apply_circuit_batch(np.asfortranarray(columns), [Hadamard(0)])
+
+
+@pytest.mark.parametrize("n_q", range(1, 13))
+def test_out_of_place_runner_equals_the_in_place_runner_bit_for_bit(n_q):
+    # The transform circuit through the out-of-place runner, read through
+    # its rows from the (L, N) result, against the in-place reference
+    # runner, at every batch width the node stage can meet.
+    N = 2**n_q
+    steps, rows, scale = compile_circuit(n_q, build_qft_circuit(n_q))
+    in_place_steps, in_place_rows, in_place_scale = compile_in_place(n_q, build_qft_circuit(n_q))
+    assert scale == in_place_scale
+    for width in sorted({0, 1, 3, 32, 2 ** (12 - n_q)}):
+        rng = np.random.default_rng(1000 * n_q + width)
+        columns = rng.normal(size=(N, width)) + 1j * rng.normal(size=(N, width))
+        want = columns.copy()
+        run_in_place(want, in_place_steps)
+        result = run_circuit(columns.copy(), np.empty_like(columns), steps)
+        assert result.shape == (width, N)
+        assert result.T[rows].tobytes() == want[in_place_rows].tobytes()
+
+
+def test_out_of_order_hadamards_with_swaps_equal_the_in_place_runner():
+    # Hadamards that find their qubit away from the top axis, swaps between
+    # them, a qubit that no Hadamard moves and phases on every pattern of
+    # axes: slower paths of the same runner, still bit for bit.
+    gates = [
+        Hadamard(3), ControlledPhase(0, 3, 0.3), Swap(0, 2), PhaseShift(4, 1.1), Hadamard(0),
+        Swap(1, 3), ControlledPhase(4, 1, -0.7), PhaseShift(2, 0.4), Hadamard(2), Hadamard(1),
+        ControlledPhase(1, 2, 2.2), Swap(3, 4), Hadamard(3), Hadamard(0), PhaseShift(0, -1.3),
+    ]
+    for width in (1, 3, 32):
+        rng = np.random.default_rng(width)
+        columns = rng.normal(size=(32, width)) + 1j * rng.normal(size=(32, width))
+        want = columns.copy()
+        apply_in_place(want, gates)
+        apply_circuit_batch(columns, gates)
+        assert columns.tobytes() == want.tobytes()
 
 
 # --- projections and effects ------------------------------------------------

@@ -339,6 +339,24 @@ def test_hybrid_ledger_exactness():
         assert ledger.measurement_units == leaves * 2 * 2**n_q
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("shots", [0, 256])
+def test_hybrid_refuses_leaves_that_are_not_finite_or_overflow(shots):
+    # A NaN, an infinity or a leaf whose squared norm overflows would give
+    # an all-NaN spectrum; sample 6 of 16 sits in column 6 % 4 of the
+    # (4, 4) leaves.
+    for bad in (math.nan, math.inf, 1e200):
+        values = np.ones(16)
+        values[6] = bad
+        with pytest.raises(ValueError, match=r"column 2 \(samples 2::4\)"):
+            hybrid_dft(RealSignal.from_values(values), FftPlan(n=4, n_q=2, shots=shots))
+    with pytest.raises(ValueError, match="column 0 "):
+        hybrid_dft(RealSignal.from_values([1e200] * 4), FftPlan(n=2, n_q=1, shots=shots))
+    # With no node the levels alone run, and they do not square the samples.
+    spectrum = hybrid_dft(RealSignal.from_values([1e200] * 4), FftPlan(n=2, n_q=0, shots=shots))[0]
+    assert spectrum.values.tolist() == [4e200, 0, 0, 0]
+
+
 def test_hybrid_zero_leaves_skip_the_node():
     # Only index 1 is nonzero at n=2, n_q=1: leaf (x0, x2) is all zero.
     signal = RealSignal.from_values([0.0, 3.0, 0.0, 0.0])
@@ -605,9 +623,13 @@ def test_a_new_size_drops_the_kept_workspace_with_its_plans():
     signal = RealSignal.from_values(np.random.default_rng(9).uniform(-1.0, 1.0, 2**9))
     hybrid_dft(signal, FftPlan(n=9, n_q=3))
     work = _work_arrays(2**9)
-    schedule, steps, rows, _, _ = work.node_plan(3)
-    kept = [weakref.ref(obj) for obj in (work, work.roots, schedule, steps[1][2], rows)]
-    del work, schedule, steps, rows
+    plan = work.node_plan(3)
+    # The plan's second step is the diagonal of the phase gates after the
+    # first Hadamard; ``first`` is one of its per-call constants.
+    diagonal = plan.steps[1][2]
+    assert isinstance(diagonal, np.ndarray)
+    kept = [weakref.ref(obj) for obj in (work, work.roots, plan, plan.schedule, diagonal, plan.first)]
+    del work, plan, diagonal
     hybrid_dft(RealSignal.from_values(signal.values[:2**8]), FftPlan(n=8, n_q=3))
     gc.collect()
-    assert [ref() for ref in kept] == [None] * 5
+    assert [ref() for ref in kept] == [None] * 6

@@ -19,7 +19,9 @@ from hqsim.checks import TRANSFORM_TOLERANCE, round_trip_deviation
 from hqsim.costs import CostLedger
 from hqsim.readout import (
     RealSignal,
+    EPS_REF_EXACT,
     _classical_coefficients,
+    _flip_signs,
     _measure,
     _rebuild,
     _reference,
@@ -31,7 +33,7 @@ from hqsim.readout import (
     rebuild_phases,
     rescale_to_dft,
 )
-from reference import shifted
+from reference import flip_signs, shifted, signed_parts
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -77,6 +79,19 @@ def test_prepare_delta_block_charges_prep_units():
 def test_prepare_normalizes():
     state = prepare_block_state(RealSignal.from_values([3, 4, 0, 0]))
     assert np.allclose(state.amplitudes, [0.6, 0.8, 0, 0], atol=1e-15)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e200])
+def test_a_leaf_that_is_not_finite_or_overflows_is_refused(bad):
+    # Its norm would be NaN or inf and its spectrum NaN; the refusal names
+    # its column and the samples it holds.
+    blocks = np.ones((8, 5))
+    blocks[3, 2] = bad
+    with pytest.raises(ValueError, match=r"column 2 \(samples 2::5\)"):
+        evaluate_nodes(blocks)
+    with pytest.raises(ValueError, match="column 2 "):
+        evaluate_nodes(blocks, 64, [1, 2, 3, 4, 5])
 
 
 def test_prepare_zero_block_rejected():
@@ -146,7 +161,7 @@ def test_schedule_rejects_bad_size():
 
 def test_schedules_are_read_only():
     # The work arrays keep one schedule per node size and share it.
-    for schedule in (build_schedule(3), _work_arrays(8).node_plan(3)[0]):
+    for schedule in (build_schedule(3), _work_arrays(8).node_plan(3).schedule):
         for array in (schedule.indices, schedule.signs, schedule.scales,
                       schedule.imaginary, schedule.ancilla_phase):
             with pytest.raises(ValueError, match="read-only"):
@@ -206,7 +221,8 @@ def test_gate_charge_counts_the_circuit_that_ran(monkeypatch):
 def test_node_circuit_is_compiled_once_per_size(monkeypatch):
     # The first run at a size may compile its circuit; later runs at that
     # size, in either mode, reuse the plan.  Its steps are one butterfly
-    # per Hadamard and one diagonal between each two.
+    # per Hadamard and one diagonal between each two, and each butterfly
+    # reads the two contiguous halves of the top axis.
     blocks = np.random.default_rng(64).normal(size=(4, 32)).T.copy()
     evaluate_nodes(blocks)
     compiles = counting(monkeypatch, readout, "compile_circuit")
@@ -216,6 +232,7 @@ def test_node_circuit_is_compiled_once_per_size(monkeypatch):
     assert compiles == [] and schedules == []
     steps, _, _ = core.compile_circuit(5, build_qft_circuit(5))
     assert [diagonal is None for _, _, diagonal in steps] == [True, False] * 4 + [True]
+    assert [shape for shape, _, diagonal in steps if diagonal is None] == [(1, 2, -1)] * 5
 
 
 def test_apply_circuit_batch_compiles_per_call(monkeypatch):
@@ -392,10 +409,11 @@ def test_batched_probabilities_match_per_entry_effects(n_q):
             np.tile([1.0, 1.0, 2.0, 1.0, 1.0, -1.0, 1.0, 1.0], N)[:N], np.eye(N)[N - 1]]
     blocks = [RealSignal.from_values(v) for v in rows if np.any(v)]
     normalized = np.array([block.values / block.norm for block in blocks]).T.copy()
-    schedule = build_schedule(n_q)
     work = _work_arrays(normalized.size)
+    plan = work.node_plan(n_q)
+    schedule = plan.schedule
     magnitude, reference = _measure(
-        schedule, normalized, _reference(schedule, normalized, work), 0, None, None, work
+        plan, normalized, _reference(schedule, normalized, work), 0, None, None, work
     )
     circuit = [shifted(gate, 1) for gate in build_qft_circuit(n_q)]
     for row, block in enumerate(blocks):
@@ -496,6 +514,67 @@ def test_batched_fallbacks_match_per_fallback_reference(n_q, count):
     assert np.array_equal(_classical_coefficients(x.T.copy(), rows, k), want)
 
 
+def crafted_entries():
+    """Classical references ``a`` and entries of eight projectors in four
+    columns: exact ties between the two hypotheses, zero ``|b|`` (from a
+    zero, a negative zero and a negative magnitude entry), clear negative
+    and positive decisions, and fallback rows."""
+    a = np.empty((8, 4))
+    magnitude = np.empty((8, 4))
+    reference = np.empty((8, 4))
+    # Column 0: a = 1/2 and |b| = 1/4, so the hypotheses are 9/64 and 1/64
+    # and a reference at 5/64 or at a hypothesis' far side ties or decides.
+    a[:, 0], magnitude[:, 0] = 0.5, 0.03125
+    reference[:, 0] = [0.078125, 0.078125, 0.015625, 0.140625, 0.0, 0.2, 0.078125, 0.01]
+    # Column 1: |b| = 0, so the hypotheses coincide, whatever the reference.
+    a[:, 1] = [0.3, -0.3, 0.25, -0.25, 0.5, -0.5, 1e-3, -1e-3]
+    magnitude[:, 1] = [0.0, -0.0, -1e-18, 0.0, -0.0, 0.0, -1e-30, 0.0]
+    reference[:, 1] = [0.0225, 0.5, 0.0, 0.9, 0.0625, 0.0, 0.3, 1e-7]
+    # Column 2: a negative and a positive decision on each projector.
+    a[:, 2], magnitude[:, 2] = -0.125, 0.0078125
+    reference[:, 2] = np.tile([np.square(-0.125 + 0.125) / 4, np.square(-0.25) / 4], 4)
+    # Column 3: |a| below the threshold with |b| above it falls back.
+    a[:, 3] = [1e-12, -1e-12, 0.0, 0.2, 1e-10, -0.0, 0.4, 1e-12]
+    magnitude[:, 3] = [0.1, 0.02, 0.3, 0.1, 1e-20, 0.05, 0.0, 0.2]
+    reference[:, 3] = 0.05
+    return a, magnitude, reference
+
+
+def test_rebuild_signs_equal_the_masked_formula_on_crafted_entries():
+    # Ties go to the plus sign, |b| = 0 keeps the sign of zero that the
+    # masked negation gave, and the fallback rows are the same ones.
+    a, magnitude, reference = crafted_entries()
+    b_abs = np.sqrt(2.0 * np.maximum(magnitude, 0.0))
+    ties = np.abs(reference - np.square(a + b_abs) / 4) == np.abs(reference - np.square(a - b_abs) / 4)
+    assert ties[[0, 1, 6], 0].all() and ties[:, 1].all()
+    x = np.random.default_rng(73).normal(size=(8, 4))
+    x /= np.linalg.norm(x, axis=0)
+    work = _work_arrays(x.size)
+    plan = work.node_plan(3)
+    coefficients, _, fallback = _rebuild(plan, x, a, magnitude, reference, 0, None, work)
+    want, want_fallback = signed_parts(plan.schedule, a, magnitude, reference, EPS_REF_EXACT)
+    assert np.array_equal(fallback, want_fallback)
+    assert fallback[:, 3].sum() == 5 and not fallback[:, :3].any()
+    rows = coefficients[plan.schedule.coefficient]
+    got = np.where(plan.schedule.imaginary[:, None], rows.imag, rows.real)
+    assert got[~fallback].tobytes() == want[~fallback].tobytes()
+    assert np.array_equal(np.signbit(got[~fallback]), np.signbit(want[~fallback]))
+    # Column 2 decides both ways, so the comparison covers flipped signs.
+    assert (got[:, 2] < 0).any() and (got[:, 2] > 0).any()
+
+
+def test_sign_flip_negates_zeros_as_the_masked_negation_does():
+    # With |b| = 0 the hypotheses tie, so a negative decision on a zero part
+    # never comes out of the rebuild; the flip itself must still give -0.0.
+    values = np.array([0.0, 0.0, 1.5, 2.0, 0.0, -0.0, -0.0, np.inf])
+    negative = np.array([True, False, True, False, True, True, False, True])
+    got = values.copy()
+    _flip_signs(got, negative, np.empty(values.size))
+    want = flip_signs(values.copy(), negative)
+    assert got.tobytes() == want.tobytes()
+    assert np.signbit(got).tolist() == [True, False, True, False, True, False, True, True]
+
+
 def test_rebuild_fallbacks_match_per_fallback_reference():
     # At 64 shots the sign test needs |a| >= 3/8, so sampled rows take many
     # fallbacks; each must equal the per-fallback reference bit for bit.
@@ -503,14 +582,15 @@ def test_rebuild_fallbacks_match_per_fallback_reference():
     rng = np.random.default_rng(72)
     blocks = rng.normal(size=(L, 2**n_q))
     x = blocks / np.linalg.norm(blocks, axis=1)[:, None]
-    schedule = build_schedule(n_q)
     columns = x.T.copy()
     work = _work_arrays(columns.size)
+    plan = work.node_plan(n_q)
+    schedule = plan.schedule
     a = _reference(schedule, columns, work)
-    magnitude, reference = _measure(schedule, columns, a, shots, list(range(L)), None, work)
+    magnitude, reference = _measure(plan, columns, a, shots, list(range(L)), None, work)
     ledger = CostLedger()
     coefficients, _, fallback = _rebuild(
-        schedule, columns, a, magnitude, reference, shots, ledger, work
+        plan, columns, a, magnitude, reference, shots, ledger, work
     )
     p, rows = np.nonzero(fallback)
     assert len(rows) > 500
