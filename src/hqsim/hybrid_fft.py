@@ -167,15 +167,14 @@ def _combine_levels(spec, stderr, ledger, work):
     level by level into one spectrum.
 
     Each level's roots are a strided view of ``work.roots``, the table of
-    ``spec.size``, the size of ``work``: the strides are powers of two, so
-    they equal ``_roots(2 * h)`` bit for bit.  The levels hold ``spec`` as
-    ``(h, R, 1)`` while ``R >= h``, then transpose it once, to ``(1, R, h)``;
-    ``stderr`` stays ``(h, R)``.  The transpose and the levels ping-pong
-    between ``work.r1`` and ``work.product``, which must not hold ``spec``;
-    only the last level writes a new array, the returned spectrum.
+    ``spec.size``, the size of ``work``, built by the first level: the
+    strides are powers of two, so they equal ``_roots(2 * h)`` bit for bit.
+    The levels hold ``spec`` as ``(h, R, 1)`` while ``R >= h``, then
+    transpose it once, to ``(1, R, h)``; ``stderr`` stays ``(h, R)``.  The
+    transpose and the levels ping-pong between ``work.r1`` and
+    ``work.product``, which must not hold ``spec``; only the last level
+    writes a new array, the returned spectrum.
     """
-    if work.roots is None:
-        work.roots = _roots(spec.size)
     spec = (spec if spec.shape[1] > 1 else spec.copy())[:, :, None]  # no level: spec may be a work array
     ping, pong = work.r1, work.product
     while spec.shape[1] > 1:
@@ -185,6 +184,8 @@ def _combine_levels(spec, stderr, ledger, work):
             turned[0] = spec[:, :, 0].T
             spec, ping, pong = turned, pong, ping
         out = ping if R > 2 else np.empty(spec.size, complex)
+        if work.roots is None:
+            work.roots = _roots(spec.size)
         spec, stderr = _combine_level(spec, stderr, work.roots[:: R // 2], ledger, out)
         ping, pong = pong, ping
     return SpectrumVector(spec.reshape(-1), None if stderr is None else stderr[:, 0])

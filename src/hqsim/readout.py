@@ -237,16 +237,16 @@ class _NodePlan:
 
 class _WorkArrays:
     """The work arrays for ``size`` samples, of which a step takes the
-    leading elements, with the root table of ``size`` (``roots``, filled in
-    by the levels) and the plan of each node size (``node_plan``).  Roles
-    that share memory are never live at once.  In order, ``spectrum`` holds
-    ``x | a``, then the node output; ``state`` and ``r1`` are the circuit's
-    two buffers; ``product`` its result in ``(N, L)`` order, then
-    ``magnitude | values``; ``state`` the second projection term, ``ref``,
-    ``b_abs | plus``, then the spread output; ``r1`` the projections, then
-    ``reference | minus``; the levels then ping-pong between ``r1`` and
-    ``product``.  Threads that run transforms at once would share the kept
-    object."""
+    leading elements, with the root table of ``size`` (``roots``, built by
+    the first butterfly level, so a transform with no level builds none) and
+    the plan of each node size (``node_plan``).  Roles that share memory are
+    never live at once.  In order, ``spectrum`` holds ``x | a``, then the
+    node output; ``state`` and ``r1`` are the circuit's two buffers;
+    ``product`` its result in ``(N, L)`` order, then ``magnitude | values``;
+    ``state`` the second projection term, ``ref``, ``b_abs | plus``, then
+    the spread output; ``r1`` the projections, then ``reference | minus``;
+    the levels then ping-pong between ``r1`` and ``product``.  Threads that
+    run transforms at once would share the kept object."""
 
     def __init__(self, size: int) -> None:
         arrays = np.empty((4, size), complex)
@@ -425,8 +425,12 @@ def _measure(
 
 def _classical_coefficients(x: np.ndarray, columns: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Amplitude-level coefficient ``k[i]`` of column ``x[:, columns[i]]``,
-    computed classically with 2**n_q ops; at most 2**16 phases are held at
-    once."""
+    computed classically with 2**n_q ops.  Rows are summed in chunks of
+    ``max(1, 2**16 // N)``, so a chunk holds ``max(2**16, N)`` phases at most:
+    above 2**16 samples a chunk is one row, the whole leaf.  A chunk's index
+    products and phases take about 24 bytes per phase, and the previous
+    chunk's phases are still held while they are built, so the peak is about
+    40 bytes per phase, whatever the number of rows."""
     N = x.shape[0]
     out = np.empty(len(k), dtype=complex)
     step = max(1, 2**16 // N)

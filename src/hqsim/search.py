@@ -36,17 +36,19 @@ two counts.  Positions enter only at an exact tie with both classes free,
 where the ``i``-th solution lies below the ``j``-th non-solution exactly
 when ``s_i - i <= j``, ``s_i`` its position, since ``s_i - i`` non-solutions
 lie below it.  So a node size's round iterations and the walk of each
-solution count are pure: one process-wide memo keyed by node size keeps
-them (see :class:`_NodePlan`), every run charges a count's memoised walk
-once, times the number of its sublists, and a sublist whose walk meets
-such a tie is walked on its own positions.  Exact mode thus bins its counts
-from the positions alone, one run of equal ``position >> n_q`` per nonempty
-sublist, in memory that grows with the number of solutions, not of
-sublists.  The memo holds at most one 5-tuple per (node size, count) seen,
-at most ``size + 1`` per size.  Sampled mode expands the counts into
-per-sublist arrays one block of at most ``BLOCK_INDICES`` indices at a time
-and runs that block's sublists in lockstep, one call wave at a time, since
-a round's iteration count depends only on its number.
+solution count are pure: ``functools.cache`` keeps one :class:`_NodePlan`
+per node size, holding them, for the whole process.  Every run charges a
+count's memoised walk once, times the number of its sublists, and a
+sublist whose walk meets such a tie is walked on its own positions.  A run
+builds one class-order table, at the largest count whose walk it has to
+take, and drops it on return.  Exact mode thus bins its counts from the
+positions alone, one run of equal ``position >> n_q`` per nonempty sublist,
+in memory that grows with the number of solutions, not of sublists.  The
+memo holds at most one 5-tuple per (node size, count) seen, at most
+``size + 1`` per size.  Sampled mode expands the counts into per-sublist
+arrays one block of at most ``BLOCK_INDICES`` indices at a time and runs
+that block's sublists in lockstep, one call wave at a time, since a round's
+iteration count depends only on its number.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from __future__ import annotations
 import math
 from bisect import insort
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate
 from typing import Callable
 
@@ -214,7 +216,7 @@ def _class_order_table(n_total: int, counts: np.ndarray, steps) -> np.ndarray:
     among them), and the rows ``m = 0`` and ``m = N``, are taken from
     :func:`class_orders` instead.  ``t = 0`` is a tie.
     """
-    t = np.asarray(steps)
+    t, counts = np.asarray(steps), np.asarray(counts)
     theta = np.arctan2(np.sqrt(counts), np.sqrt(n_total - counts))[:, None]
     low, high = np.sin(2 * t * theta), np.sin((2 * t + 2) * theta)
     table = (np.sign(low) * np.sign(high)).astype(np.int8)
@@ -228,11 +230,11 @@ def _class_order_table(n_total: int, counts: np.ndarray, steps) -> np.ndarray:
 class _NodePlan:
     """The pure plan of a node of ``size`` entries: the iteration counts of
     its ``n_q + 1`` rounds (round k plans for an assumed solution count of
-    ``2**(k-1)``) and the memoised walk of every solution count seen so far.
-    :func:`_node_plan` keeps one per size for the whole process, so a second
-    search at a size re-plans nothing and re-walks no count; the walks it
-    keeps are at most ``size + 1`` small tuples.  The class-order table a
-    walk reads is per call (:class:`_ClassOrders`) and is never kept here."""
+    ``2**(k-1)``) and ``_walks``, the :func:`_walk` of each solution count
+    walked so far, None where it meets a tie.  :func:`_node_plan` keeps one
+    per size for the whole process, so a second search at a size re-plans
+    nothing and re-walks no count; its walks are at most ``size + 1`` small
+    tuples.  The class-order table a walk reads is never kept here."""
 
     def __init__(self, size: int) -> None:
         self.size = size
@@ -242,41 +244,9 @@ class _NodePlan:
         self.spent_after = tuple(accumulate(self.iterations, initial=0))  # first r rounds
         self._walks: dict[int, tuple[int, ...] | None] = {}
 
-    def walk(self, m: int, orders: _ClassOrders) -> tuple[int, ...] | None:
-        """:func:`_walk` of a sublist with ``m`` solutions, memoised; None
-        where it meets a tie, so the sublist's positions decide.  ``orders``
-        is read only where ``m`` has not been walked yet."""
-        if m not in self._walks:
-            self._walks[m] = _walk(self, orders, m, self.size - m)
-        return self._walks[m]
-
 
 # Node size -> its plan, for the whole process; see _NodePlan.
-_PLANS: dict[int, _NodePlan] = {}
-
-
-def _node_plan(size: int) -> _NodePlan:
-    plan = _PLANS.get(size)
-    if plan is None:
-        plan = _PLANS[size] = _NodePlan(size)
-    return plan
-
-
-class _ClassOrders:
-    """One call's exact class order of every round of ``plan`` per
-    unfound-solution count.  The table grows to ``m`` in one array
-    expression on first need and goes with the call."""
-
-    def __init__(self, plan: _NodePlan) -> None:
-        self.plan = plan
-        self._table = np.zeros((0, len(plan.iterations)), dtype=np.int8)
-
-    def __call__(self, m: int) -> list[int]:
-        if m >= len(self._table):
-            counts = np.arange(len(self._table), m + 1)
-            rows = _class_order_table(self.plan.size, counts, self.plan.iterations)
-            self._table = np.concatenate((self._table, rows))
-        return self._table[m].tolist()
+_node_plan = cache(_NodePlan)
 
 
 def _exact_call(orders, i, j, sols, nons, below):
@@ -309,11 +279,13 @@ def _exact_call(orders, i, j, sols, nons, below):
     return False, len(orders), j
 
 
-def _walk(plan, orders, sols, nons, below=None):
+def _walk(plan, table, sols, nons, below=None):
     """Exact-mode node calls on one sublist until a call fails or nothing is
     left unsettled; each call's verified solution leaves the node's oracle.
-    ``orders`` gives each call's class orders, by unfound-solution count, and
-    ``below`` the non-solutions below each solution (see :func:`_exact_call`).
+    Row ``m`` of ``table`` holds the class orders of a call with ``m``
+    unfound solutions (:func:`_class_order_table` over ``plan.iterations``),
+    and ``below`` the non-solutions below each solution (see
+    :func:`_exact_call`).
 
     Returns the sublist's charges ``(quantum queries, rounds, repeat node
     accesses, retry queries, sweep queries)``; every round is one
@@ -323,7 +295,7 @@ def _walk(plan, orders, sols, nons, below=None):
     """
     i = j = quantum = rounds = calls = headline = 0
     while True:
-        call = _exact_call(orders(sols - i), i, j, sols, nons, below)
+        call = _exact_call(table[sols - i].tolist(), i, j, sols, nons, below)
         if call is None:
             return None
         verified, used, j = call
@@ -416,9 +388,9 @@ def search_node(
     elif mode == "exact":
         sol = np.flatnonzero(mask & ~settled).tolist()
         non = np.flatnonzero(~mask & ~settled).tolist()
+        orders = _class_order_table(size, [np.count_nonzero(mask)], plan.iterations)[0]
         ok, used, j = _exact_call(
-            _ClassOrders(plan)(int(np.count_nonzero(mask))), 0, 0, len(sol), len(non),
-            np.searchsorted(non, sol).tolist(),
+            orders.tolist(), 0, 0, len(sol), len(non), np.searchsorted(non, sol).tolist()
         )
         ledger.quantum_oracle_queries += plan.spent_after[used]
         ledger.measurement_units += used
@@ -506,7 +478,7 @@ def partition_search(
         per_block = max(BLOCK_INDICES // size, 1)
         for first in range(0, num_sublists, per_block):
             rows = min(per_block, num_sublists - first)
-            lo, hi = np.searchsorted(hits, (first * size, (first + rows) * size))
+            lo, hi = hits.searchsorted(first * size), hits.searchsorted((first + rows) * size)
             counts = np.bincount((hits[lo:hi] >> n_q) - first, minlength=rows)
             _sampled_block(counts, first, master_seed, plan, ledger)
     ledger.node_accesses = num_sublists
@@ -526,12 +498,15 @@ def _exact_charges(hits, n_q, num_sublists, plan, ledger) -> None:
     starts, counts = bounds[:-1], bounds[1:] - bounds[:-1]
     sublists = np.bincount(counts)  # per solution count
     sublists[0] = num_sublists - np.count_nonzero(counts)
-    orders = _ClassOrders(plan)
+    table = None
     charges = [0] * 5  # the sums of _walk's charges
-    # Largest count first: where its walk is not memoised yet, it fills the
-    # call's order table at once.
     for m in np.flatnonzero(sublists)[::-1].tolist():
-        walk = plan.walk(m, orders)
+        if plan._walks.get(m) is None:  # not walked yet, or a tie: class orders are read
+            if table is None:  # counts come largest first, so it has every later row
+                table = _class_order_table(size, np.arange(m + 1), plan.iterations)
+            if m not in plan._walks:
+                plan._walks[m] = _walk(plan, table, m, size - m)
+        walk = plan._walks[m]
         if walk is not None:
             charges = [c + int(sublists[m]) * w for c, w in zip(charges, walk)]
             continue
@@ -541,7 +516,7 @@ def _exact_charges(hits, n_q, num_sublists, plan, ledger) -> None:
         local = hits[starts[counts == m][:, None] + rank] & (size - 1)
         below = (local - rank).ravel().tolist()  # row after row, m each
         for r in range(0, len(below), m):
-            walk = _walk(plan, orders, m, size - m, below[r : r + m])
+            walk = _walk(plan, table, m, size - m, below[r : r + m])
             charges = [c + w for c, w in zip(charges, walk)]
     quantum, rounds, repeats, retry, sweep = charges
     ledger.quantum_oracle_queries += quantum

@@ -158,6 +158,24 @@ def test_root_table_is_built_once_per_kept_size():
     assert np.array_equal(hybrid_dft(signal, FftPlan(n=7, n_q=2))[0].values, first)
 
 
+@pytest.mark.parametrize("shots", [0, 256])
+def test_a_transform_with_no_level_builds_no_root_table(shots):
+    signal = RealSignal.from_values(np.random.default_rng(9).uniform(-1, 1, 2**6))
+    readout._kept_work.cache_clear()
+    hybrid_dft(signal, FftPlan(n=6, n_q=6, shots=shots))
+    assert _work_arrays(2**6).roots is None
+    got = hybrid_dft(signal, FftPlan(n=6, n_q=3, shots=shots))
+    assert np.array_equal(_work_arrays(2**6).roots, _roots(2**6))
+    # The same bits as a run whose table was built before its node stage.
+    readout._kept_work.cache_clear()
+    _work_arrays(2**6).roots = _roots(2**6)
+    want = hybrid_dft(signal, FftPlan(n=6, n_q=3, shots=shots))
+    assert np.array_equal(got[0].values, want[0].values)
+    assert got[1].as_dict() == want[1].as_dict()
+    if shots:
+        assert np.array_equal(got[0].stderr, want[0].stderr)
+
+
 def test_butterfly_frozen_example():
     even = SpectrumVector(np.array([4, -2], complex))
     odd = SpectrumVector(np.array([6, -2], complex))

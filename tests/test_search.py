@@ -21,10 +21,10 @@ from hqsim.search import (
     GroverOutcome,
     SearchOracle,
     _class_order_table,
-    _ClassOrders,
     _exact_call,
     _NodePlan,
     _node_calls,
+    _walk,
     class_orders,
     grover_step,
     partition_search,
@@ -206,11 +206,12 @@ def test_class_order_table_equals_the_integer_orders(size):
     assert [tuple(row) for row in table.tolist()] == [
         class_orders(size, m, steps) for m in range(size + 1)
     ]
-    plan = _NodePlan(size)
-    orders = _ClassOrders(plan)
-    assert [orders(m) for m in range(size, -1, -1)] == [
-        list(class_orders(size, m, plan.iterations)) for m in range(size, -1, -1)
-    ]
+    # The one-count row that search_node reads, over the node's rounds.
+    rounds = _NodePlan(size).iterations
+    for m in range(size + 1):
+        row = _class_order_table(size, [m], rounds)
+        assert row.shape == (1, len(rounds))
+        assert tuple(row[0].tolist()) == class_orders(size, m, rounds)
 
 
 @st.composite
@@ -755,7 +756,8 @@ def test_tie_free_counts_give_placement_independent_ledgers(n):
     # all of them at n <= 3, twelve random ones per count at n = 4.
     size = 2**n
     plan = _NodePlan(size)
-    tie_free = [m for m in range(size + 1) if plan.walk(m, _ClassOrders(plan)) is not None]
+    table = _class_order_table(size, np.arange(size + 1), plan.iterations)
+    tie_free = [m for m in range(size + 1) if _walk(plan, table, m, size - m) is not None]
     assert 0 in tie_free and 1 in tie_free and size // 2 not in tie_free
     rng = np.random.default_rng(n)
     layouts = {m: [] for m in tie_free}
@@ -810,12 +812,13 @@ def test_partition_search_pinned_ledgers(oracle, n_q, mode, seed, counters):
 # --- the process-wide plan memo ----------------------------------------------
 
 @pytest.fixture
-def fresh_plans(monkeypatch):
-    """An empty plan memo for one test, so that a warm memo cannot hide a
-    patch of the plan internals, and a patched plan cannot outlive the
-    test."""
-    monkeypatch.setattr(search, "_PLANS", {})
-    return search._PLANS
+def fresh_plans():
+    """The plan memo, emptied before and after one test, so that a warm memo
+    cannot hide a patch of the plan internals, and a patched plan cannot
+    outlive the test."""
+    search._node_plan.cache_clear()
+    yield search._node_plan
+    search._node_plan.cache_clear()
 
 
 def counting_calls(monkeypatch, name):
@@ -842,7 +845,8 @@ def test_a_second_search_replans_and_rewalks_nothing(fresh_plans, monkeypatch):
     partition_search(second, 3, mode="sampled", master_seed=2)
     search_node(second, 3, 0)
     assert (len(planned), len(walked)) == (4, 4)
-    assert list(fresh_plans) == [8]
+    assert fresh_plans.cache_info().currsize == 1
+    assert set(fresh_plans(8)._walks) == {0, 1, 2}
 
 
 def test_tie_walks_are_not_memoised_by_position(fresh_plans, monkeypatch):
@@ -851,7 +855,8 @@ def test_tie_walks_are_not_memoised_by_position(fresh_plans, monkeypatch):
     walked = counting_calls(monkeypatch, "_walk")
     for _ in range(2):
         partition_search(SearchOracle.from_solutions(3, [0, 1, 6, 7]), 2)
-    assert fresh_plans[4]._walks == {2: None}
+    assert fresh_plans.cache_info().currsize == 1
+    assert fresh_plans(4)._walks == {2: None}
     assert len(walked) == 1 + 2 * 2
 
 
@@ -859,7 +864,8 @@ def test_the_memo_keeps_no_class_order_table(fresh_plans):
     oracle = SearchOracle.random(10, 300, seed=4)
     partition_search(oracle, 5)
     search_node(oracle, 5, 3)
-    plan = fresh_plans[32]
+    assert fresh_plans.cache_info().currsize == 1
+    plan = fresh_plans(32)
     assert set(vars(plan)) == {"size", "iterations", "spent_after", "_walks"}
     assert all(isinstance(v, int) for v in plan.iterations + plan.spent_after)
     assert all(
@@ -874,16 +880,62 @@ def test_the_memo_keeps_no_class_order_table(fresh_plans):
     min_size=2, max_size=5,
 ))
 def test_searches_on_a_warm_memo_equal_searches_on_a_cold_one(runs):
-    search._PLANS.clear()
+    search._node_plan.cache_clear()
     warm = [
         partition_search(oracle, n_q, mode=mode, master_seed=seed)
         for (oracle, n_q), mode, seed in runs
     ]
     for ((oracle, n_q), mode, seed), (found, ledger) in zip(runs, warm):
-        search._PLANS.clear()
+        search._node_plan.cache_clear()
         cold_found, cold_ledger = partition_search(oracle, n_q, mode=mode, master_seed=seed)
         assert found == cold_found
         assert ledger.as_dict() == cold_ledger.as_dict()
+
+
+def building_class_orders():
+    return mock.patch.object(search, "_class_order_table", wraps=_class_order_table)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sublist_oracles())
+def test_a_cold_run_builds_one_class_order_table(case):
+    # Counts are visited largest first, so the largest one builds the rows
+    # of every smaller count, tie counts included, in one table.
+    oracle, n_q = case
+    search._node_plan.cache_clear()
+    with building_class_orders() as built:
+        partition_search(oracle, n_q)
+    if n_q == 0:  # one-element nodes walk nothing
+        assert built.call_count == 0
+        return
+    (args, _), = built.call_args_list
+    largest = np.bincount(oracle.positions(0, 2**oracle.n) >> n_q, minlength=1).max()
+    assert args[1].tolist() == list(range(largest + 1))
+
+
+def test_a_warm_run_builds_class_orders_only_for_ties(fresh_plans):
+    partition_search(SearchOracle.from_solutions(8, [3, 77, 200]), 3)
+    assert fresh_plans(8)._walks.keys() == {0, 1}
+    assert None not in fresh_plans(8)._walks.values()
+    with building_class_orders() as built:
+        partition_search(SearchOracle.from_solutions(8, [5, 90, 130, 250]), 3)
+    assert built.call_count == 0
+    # A memoised tie still reads its rows, walked on the positions.
+    tie = SearchOracle.from_solutions(3, [0, 1, 6, 7])
+    partition_search(tie, 2)
+    with building_class_orders() as built:
+        partition_search(tie, 2)
+    assert built.call_count == 1
+
+
+def test_search_node_builds_the_class_orders_of_its_own_count_only():
+    # Sublist 0 holds 1, 5 and 6; with 5 excluded its node sees 2 solutions.
+    oracle = SearchOracle.from_solutions(6, [1, 5, 6, 40])
+    with building_class_orders() as built:
+        search_node(oracle, 3, 0, exclude_solutions=frozenset({5}))
+        search_node(oracle, 3, 0, mode="sampled", seed=3)
+    (args, _), = built.call_args_list
+    assert list(args[1]) == [2]
 
 
 def counting(oracle):
