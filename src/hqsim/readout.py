@@ -405,11 +405,12 @@ def _measure(
     r1 = _project(plan, result, work)
     temp = _shaped(work.temp, x.shape)
     ref = np.multiply(plan.ancilla, r1, out=on)
-    ref += np.multiply(0.5, a, out=temp)
-    magnitude = np.multiply(r1.real, r1.real, out=_shaped(work.magnitude, x.shape))
-    magnitude += np.multiply(r1.imag, r1.imag, out=temp)
-    reference = np.multiply(ref.real, ref.real, out=_shaped(work.reference, x.shape))
-    reference += np.multiply(ref.imag, ref.imag, out=temp)
+    ref.real += np.multiply(0.5, a, out=temp)
+    # r1 and ref are spent: square their parts in place, then add the pairs.
+    for pairs in (r1.view(float), ref.view(float)):
+        np.square(pairs, out=pairs)
+    magnitude = np.add(r1.real, r1.imag, out=_shaped(work.magnitude, x.shape))
+    reference = np.add(ref.real, ref.imag, out=_shaped(work.reference, x.shape))
     if not shots:
         return magnitude, reference
 
@@ -426,27 +427,25 @@ def _measure(
 def _classical_coefficients(x: np.ndarray, columns: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Amplitude-level coefficient ``k[i]`` of column ``x[:, columns[i]]``,
     computed classically with 2**n_q ops.  Rows are summed in chunks of
-    ``max(1, 2**16 // N)``, so a chunk holds ``max(2**16, N)`` phases at most:
-    above 2**16 samples a chunk is one row, the whole leaf.  A chunk's index
-    products and phases take about 24 bytes per phase, and the previous
-    chunk's phases are still held while they are built, so the peak is about
-    40 bytes per phase, whatever the number of rows."""
+    ``max(1, 2**16 // N)``, and a row longer than 2**16 samples in blocks of
+    2**16 samples whose sums are added in order, so a block holds at most
+    2**16 phases.  A block's index products and phases take about 24 bytes
+    per phase, and the previous block's phases are still held while they
+    are built, so the peak is about 40 bytes per phase, 2.5 MiB at most,
+    whatever the number of rows or the leaf size."""
     N = x.shape[0]
     out = np.empty(len(k), dtype=complex)
-    step = max(1, 2**16 // N)
+    step, width = max(1, 2**16 // N), min(N, 2**16)
     for start in range(0, len(k), step):
         chunk = slice(start, start + step)
-        # N is a power of two, so the mask reduces k*j modulo N.
-        phases = 2j * np.pi * ((k[chunk, None] * np.arange(N)) & (N - 1)) / N
-        np.multiply(np.exp(phases, out=phases), x[:, columns[chunk]].T, out=phases)
-        out[chunk] = np.sum(phases, axis=1) / math.sqrt(N)
+        total = complex(-0.0, -0.0)  # the identity of float addition: one block keeps its bits
+        for j in range(0, N, width):
+            # N is a power of two, so the mask reduces k*j modulo N.
+            phases = 2j * np.pi * ((k[chunk, None] * np.arange(j, j + width)) & (N - 1)) / N
+            np.multiply(np.exp(phases, out=phases), x[j : j + width, columns[chunk]].T, out=phases)
+            total = total + np.sum(phases, axis=1)
+        out[chunk] = total / math.sqrt(N)
     return out
-
-
-def _flip_signs(values: np.ndarray, negative: np.ndarray, temp: np.ndarray) -> None:
-    """Negate ``values`` where ``negative`` holds, zeros included, by a product
-    with ``1 - 2*negative``: no branch per element."""
-    values *= np.subtract(1.0, np.multiply(negative, 2.0, out=temp), out=temp)
 
 
 def _rebuild(
@@ -478,16 +477,17 @@ def _rebuild(
     minus = np.subtract(a, b_abs, out=_shaped(work.minus, shape))
     for hypothesis in (plus, minus):
         np.square(hypothesis, out=hypothesis)
-        hypothesis /= 4.0
+        hypothesis *= 0.25
     values, temp = _shaped(work.values, shape), _shaped(work.temp, shape)
-    np.abs(np.subtract(reference, plus, out=values), out=values)
+    # |ref - minus| - |ref - plus| is negative exactly where minus is nearer;
+    # a tie gives +0, so plus wins.  The part takes that sign, zeros included.
     np.abs(np.subtract(reference, minus, out=temp), out=temp)
-    negative = np.greater(values, temp, out=_shaped(work.masks[0], shape))
+    temp -= np.abs(np.subtract(reference, plus, out=values), out=values)
     # A pair projector's part is |b|/sqrt(2), its scale times |b|.
-    _flip_signs(np.multiply(b_abs, plan.schedule.scales[:, None], out=values), negative, temp)
+    np.copysign(np.multiply(b_abs, plan.schedule.scales[:, None], out=values), temp, out=values)
 
     eps = 3.0 / math.sqrt(shots) if shots else EPS_REF_EXACT
-    fallback = np.less(np.abs(a, out=temp), eps, out=negative)
+    fallback = np.less(np.abs(a, out=temp), eps, out=_shaped(work.masks[0], shape))
     fallback &= np.greater_equal(b_abs, eps, out=_shaped(work.masks[1], shape))
     fallbacks = 0
     if fallback.any():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -21,7 +22,6 @@ from hqsim.readout import (
     RealSignal,
     EPS_REF_EXACT,
     _classical_coefficients,
-    _flip_signs,
     _measure,
     _rebuild,
     _reference,
@@ -514,6 +514,24 @@ def test_batched_fallbacks_match_per_fallback_reference(n_q, count):
     assert np.array_equal(_classical_coefficients(x.T.copy(), rows, k), want)
 
 
+def test_a_fallback_row_above_2_16_samples_is_summed_in_bounded_blocks():
+    # One row of a 2**20-sample leaf: its column gather, index products and
+    # phases at once would hold about 24 MiB; in blocks of 2**16 samples the
+    # peak stays under 4 MiB, and the block sums agree with one whole sum.
+    N = 2**20
+    x = np.random.default_rng(20).normal(size=(N, 2))
+    x /= np.linalg.norm(x, axis=0)
+    k = np.array([N // 2 - 1])
+    tracemalloc.start()
+    try:
+        got = _classical_coefficients(x, np.array([1]), k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
+    assert abs(got[0] - classical_coefficient(x[:, 1], int(k[0]))) < 1e-15
+
+
 def crafted_entries():
     """Classical references ``a`` and entries of eight projectors in four
     columns: exact ties between the two hypotheses, zero ``|b|`` (from a
@@ -563,16 +581,31 @@ def test_rebuild_signs_equal_the_masked_formula_on_crafted_entries():
     assert (got[:, 2] < 0).any() and (got[:, 2] > 0).any()
 
 
-def test_sign_flip_negates_zeros_as_the_masked_negation_does():
-    # With |b| = 0 the hypotheses tie, so a negative decision on a zero part
-    # never comes out of the rebuild; the flip itself must still give -0.0.
-    values = np.array([0.0, 0.0, 1.5, 2.0, 0.0, -0.0, -0.0, np.inf])
-    negative = np.array([True, False, True, False, True, True, False, True])
-    got = values.copy()
-    _flip_signs(got, negative, np.empty(values.size))
-    want = flip_signs(values.copy(), negative)
+def test_rebuild_signs_one_ulp_from_a_tie_as_the_masked_negation_does():
+    # The rebuild gives each part the sign of |ref - minus| - |ref - plus|.
+    # With a = 1/2 and |b| = 1/4 the hypotheses are 9/64 and 1/64: at 5/64
+    # they tie and plus wins, and one or two ulp either side must decide as
+    # the masked negation's comparison does.  Column 1 has |b| = 0, a tie
+    # whatever the reference, so its parts are +0.
+    tie = 0.078125
+    steps = [tie]
+    for _ in range(2):
+        steps = [np.nextafter(steps[0], 0.0)] + steps + [np.nextafter(steps[-1], 1.0)]
+    a = np.full((8, 2), 0.5)
+    magnitude = np.tile([[0.03125, 0.0]], (8, 1))
+    reference = np.tile(np.array(steps + [tie] * 3)[:, None], (1, 2))
+    x = np.random.default_rng(74).normal(size=(8, 2))
+    x /= np.linalg.norm(x, axis=0)
+    work = _work_arrays(x.size)
+    plan = work.node_plan(3)
+    coefficients, _, fallback = _rebuild(plan, x, a, magnitude, reference, 0, None, work)
+    want, _ = signed_parts(plan.schedule, a, magnitude, reference, EPS_REF_EXACT)
+    assert not fallback.any()
+    rows = coefficients[plan.schedule.coefficient]
+    got = np.where(plan.schedule.imaginary[:, None], rows.imag, rows.real)
     assert got.tobytes() == want.tobytes()
-    assert np.signbit(got).tolist() == [True, False, True, False, True, False, True, True]
+    assert np.signbit(got[:, 0]).tolist() == [True, True, False, False, False, False, False, False]
+    assert got[:, 1].tobytes() == np.zeros(8).tobytes()
 
 
 def test_rebuild_fallbacks_match_per_fallback_reference():

@@ -214,6 +214,29 @@ def test_class_order_table_equals_the_integer_orders(size):
         assert tuple(row[0].tolist()) == class_orders(size, m, rounds)
 
 
+def test_class_order_table_rows_do_not_depend_on_their_block():
+    # 8,193 counts span three blocks of 4,096: each row equals the row of
+    # its count computed alone.
+    size = 2**13
+    rounds = _NodePlan(size).iterations
+    table = _class_order_table(size, np.arange(size + 1), rounds)
+    alone = np.concatenate([_class_order_table(size, [m], rounds) for m in range(size + 1)])
+    assert table.dtype == np.int8 and np.array_equal(table, alone)
+
+
+def test_class_order_table_holds_its_temporaries_in_bounded_blocks():
+    # 262,145 counts of a 2**20-entry node: its float temporaries at once
+    # took about 219 MiB, for a table of 5.5 MiB.
+    steps = _NodePlan(2**20).iterations
+    tracemalloc.start()
+    try:
+        _class_order_table(2**20, np.arange(2**18 + 1), steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 @st.composite
 def node_rows(draw):
     """Rows of one node size, each with a random solution mask and a random
