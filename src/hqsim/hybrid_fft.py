@@ -4,7 +4,7 @@ A length-``2**n`` real signal is decimated in time down to ``2**(n-n_q)``
 leaves of size ``2**n_q``.  Each nonzero leaf is evaluated on a simulated
 quantum node (encode, controlled transform, readout, sign rebuild) and the
 results are recombined through ``n - n_q`` classical butterfly levels.  With
-``n_q = 0`` the whole computation is the plain radix-2 FFT; with
+``n_q = 0`` the whole computation is a plain FFT; with
 ``n_q = n`` it is a single node evaluation.  The sign convention is
 ``y_k = sum_j x_j exp(+2*pi*i*k*j/N)`` throughout.  The signal and its
 leaves are one type, :class:`~hqsim.readout.RealSignal`, and a plan's
@@ -14,16 +14,16 @@ Every stage works on arrays.  The signal reshaped to ``(2**n_q, R)`` holds
 the leaves as its columns in natural order: column ``c`` is the subsequence
 of samples congruent to ``c`` modulo ``R = 2**(n-n_q)``, so no permutation
 is needed.  The batched node stage (:func:`~hqsim.readout.evaluate_nodes`)
-transforms every column at once, and each butterfly level combines the
-contiguous halves of the columns, ``c`` with ``c + R/2``, into ``R/2``
-columns twice as long, in one array operation.  This is the Stockham
-(autosort) arrangement of the Cooley-Tukey levels (Van Loan, *Computational
-Frameworks for the FFT*, SIAM 1992), and once rows are shorter than their
-count the levels run on one transposed copy, as in the four-step
-arrangement (Bailey, J. Supercomputing 4, 1990).  They ping-pong between two
-of the node stage's work arrays (:mod:`hqsim.readout`), which also hold the
-root table they read, and only the last level writes a new array, the
-returned spectrum, in natural order.
+transforms every column at once.  The ``n - n_q`` butterfly levels that
+combine the columns compute one linear map, which runs in the four-step
+arrangement (Bailey, "FFTs in external or hierarchical memory",
+J. Supercomputing 4, 1990): one pass multiplies the transposed leaf spectra
+by their twiddles, into one of the node stage's work arrays
+(:mod:`hqsim.readout`), which also keep each node size's twiddle table, and
+one ``R``-point transform, numpy's inverse FFT without scaling, writes the
+returned spectrum in natural order.  The ledger charges one classical op
+per coefficient per level, and sampled standard errors combine level by
+level.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from .core import derive_seed
 from .costs import CostLedger, _check_node_size
-from .readout import RealSignal, _evaluate_nodes, _shaped, _work_arrays
+from .readout import _KEEP_MAX_SIZE, RealSignal, _WorkArrays, _evaluate_nodes, _shaped, _work_arrays
 
 __all__ = [
     "SpectrumVector",
@@ -134,61 +134,62 @@ def decimate_leaves(signal: RealSignal, n_q: int) -> list[RealSignal]:
     return [RealSignal.from_values(columns[:, c]) for c in _bit_reversal(columns.shape[1])]
 
 
-def _combine_level(spec, stderr, roots, ledger, out):
-    """One radix-2 level over the column pairs ``(c, c + R/2)`` of an ``(h, R)``
-    spectrum held as ``(S, R, J)``, coefficient ``s*J + j`` of column ``c``
-    at ``[s, c, j]``: ``y_k = even[k % h] + roots[k] * odd[k % h]``; one
-    classical op per output coefficient.  ``roots[k + h] = -roots[k]``, so
-    each pair takes one product ``roots[k] * odd[k]`` and yields ``even[k]``
-    plus and minus it, the two halves of the ``(2S, R/2, J)`` output written
-    into the leading elements of the flat complex ``out``."""
-    (S, R, J), half = spec.shape, spec.shape[1] // 2
-    even, odd = spec[:, :half], spec[:, half:]
-    out = out[: spec.size].reshape(2, S, half, J)
-    product = np.multiply(odd, roots[: S * J].reshape(S, 1, J), out=out[1])
-    np.add(even, product, out=out[0])
-    np.subtract(even, product, out=out[1])
-    spec = out.reshape(2 * S, half, J)
-    if stderr is not None:
-        paired = np.sqrt(stderr[:, :half] ** 2 + stderr[:, half:] ** 2)
-        stderr = np.concatenate([paired, paired], axis=0)
-    if ledger is not None:
-        ledger.classical_ops += spec.size
-    return spec, stderr
+def _twiddles(h: int, N: int, entries: np.ndarray) -> np.ndarray:
+    """The twiddles of the flat ``entries`` of an ``(N/h, h)`` array: entry
+    ``c*h + k1`` is ``exp(+2*pi*i*c*k1/N)``, whose phase index ``c*k1`` is
+    below N."""
+    c, k1 = np.divmod(entries, h)
+    return np.exp(2j * np.pi * (c * k1) / N)
 
 
-def _roots(size: int) -> np.ndarray:
-    """The ``size`` roots of unity ``exp(+2*pi*i*k/size)``."""
-    return np.exp(2j * np.pi * np.arange(size) / size)
+def _twiddled(spec, work):
+    """The ``(h, R)`` leaf spectra transposed to ``(R, h)`` and multiplied by
+    their twiddles, written into ``work.r1``, which must not hold ``spec``.
+    Up to ``_KEEP_MAX_SIZE`` entries, the table of each ``h`` is built once
+    into ``work.twiddles``; above it, the twiddles are built per call in
+    blocks of ``_KEEP_MAX_SIZE`` entries."""
+    (h, R), N = spec.shape, spec.size
+    t = _shaped(work.r1, (R, h))
+    if N <= _KEEP_MAX_SIZE:
+        if h not in work.twiddles:
+            work.twiddles[h] = _twiddles(h, N, np.arange(N)).reshape(R, h)
+        return np.multiply(spec.T, work.twiddles[h], out=t)
+    t[...] = spec.T
+    flat = t.reshape(-1)
+    for start in range(0, N, _KEEP_MAX_SIZE):
+        flat[start : start + _KEEP_MAX_SIZE] *= _twiddles(h, N, np.arange(start, start + _KEEP_MAX_SIZE))
+    return t
 
 
 def _combine_levels(spec, stderr, ledger, work):
-    """Combine the natural-order columns of the ``(h, R)`` array ``spec``
-    level by level into one spectrum.
+    """Combine the natural-order leaf spectra, the columns of the ``(h, R)``
+    array ``spec``, into one spectrum of ``N = h*R`` coefficients.
 
-    Each level's roots are a strided view of ``work.roots``, the table of
-    ``spec.size``, the size of ``work``, built by the first level: the
-    strides are powers of two, so they equal ``_roots(2 * h)`` bit for bit.
-    The levels hold ``spec`` as ``(h, R, 1)`` while ``R >= h``, then
-    transpose it once, to ``(1, R, h)``; ``stderr`` stays ``(h, R)``.  The
-    transpose and the levels ping-pong between ``work.r1`` and
-    ``work.product``, which must not hold ``spec``; only the last level
-    writes a new array, the returned spectrum.
+    The ``log2(R)`` radix-2 levels compute one linear map, which the
+    four-step arrangement runs as one twiddle pass and one ``R``-point
+    transform: ``y[k1 + h*k2] = sum_c w_R**(c*k2) * w_N**(c*k1) *
+    spec[k1, c]``, ``w_M = exp(+2*pi*i/M)``.  numpy's inverse FFT without
+    scaling is that transform along axis 0 of the ``(R, h)`` twiddled array
+    (:func:`_twiddled`), and its ``(R, h)`` result is the spectrum in
+    natural order, the only new array.  The ledger is charged one classical
+    op per coefficient per level.  ``stderr``, ``(h, R)``, is combined
+    level by level: columns ``c`` and ``c + R/2`` add in quadrature, and the
+    sum is the error of both outputs they give.
     """
-    spec = (spec if spec.shape[1] > 1 else spec.copy())[:, :, None]  # no level: spec may be a work array
-    ping, pong = work.r1, work.product
-    while spec.shape[1] > 1:
-        S, R, J = spec.shape
-        if R < S and J == 1:  # rows shorter than their count: turn them, once
-            turned = _shaped(ping, (1, R, S))
-            turned[0] = spec[:, :, 0].T
-            spec, ping, pong = turned, pong, ping
-        out = ping if R > 2 else np.empty(spec.size, complex)
-        if work.roots is None:
-            work.roots = _roots(spec.size)
-        spec, stderr = _combine_level(spec, stderr, work.roots[:: R // 2], ledger, out)
-        ping, pong = pong, ping
-    return SpectrumVector(spec.reshape(-1), None if stderr is None else stderr[:, 0])
+    h, R = spec.shape
+    if R == 1:
+        values = spec[:, 0].astype(complex)  # a copy: spec may be a work array
+    else:
+        values = np.fft.ifft(_twiddled(spec, work), axis=0, norm="forward").reshape(-1)
+        if ledger is not None:
+            ledger.classical_ops += (R.bit_length() - 1) * spec.size
+    if stderr is not None:
+        while stderr.shape[1] > 1:
+            half = stderr.shape[1] // 2
+            paired = np.sqrt(stderr[:, :half] ** 2 + stderr[:, half:] ** 2)
+            stderr = np.concatenate([paired, paired], axis=0)
+        stderr = stderr[:, 0]
+    return SpectrumVector(values, stderr)
 
 
 def butterfly_combine(
@@ -207,11 +208,8 @@ def butterfly_combine(
     stderr = None
     if even.stderr is not None and odd.stderr is not None:
         stderr = np.stack([even.stderr, odd.stderr], axis=1)
-    values, stderr = _combine_level(
-        np.stack([even.values, odd.values], axis=1)[:, :, None], stderr, _roots(2 * h), ledger,
-        np.empty(2 * h, complex),
-    )
-    return SpectrumVector(values.reshape(-1), None if stderr is None else stderr[:, 0])
+    spec = np.stack([even.values, odd.values], axis=1)
+    return _combine_levels(spec, stderr, ledger, _WorkArrays(2 * h))
 
 
 def hybrid_dft(signal: RealSignal, plan: FftPlan) -> tuple[SpectrumVector, CostLedger]:
@@ -229,9 +227,7 @@ def hybrid_dft(signal: RealSignal, plan: FftPlan) -> tuple[SpectrumVector, CostL
     work = _work_arrays(signal.size)
     leaves = _leaf_columns(signal, plan.n_q)
     if plan.n_q == 0:
-        spec = _shaped(work.spectrum, leaves.shape)
-        spec[...] = leaves
-        stderr = np.zeros(leaves.shape) if plan.shots else None
+        spec, stderr = leaves, (np.zeros(leaves.shape) if plan.shots else None)
     else:
         seeds = None
         if plan.shots:

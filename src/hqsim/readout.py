@@ -44,15 +44,15 @@ is a :class:`RealSignal`, the type the transform takes for a whole signal,
 and ``shots`` alone picks the readout: 0 is exact, a positive count is
 sampled mode.
 
-Every step of the node stage writes into work arrays, and so do the
-transform's butterfly levels (:mod:`hqsim.hybrid_fft`): one object holds,
-per sample of the signal, four complex arrays that double as float pairs,
-a float temporary and two masks, 74 bytes in all, which the steps reuse in
-order of liveness.  It also holds the root table that the levels read
-and each node size's plan (schedule, circuit, constants), built once.
-It is all the transform keeps between calls, and it is kept for the last
-signal size only, up to 2**16 samples; a larger transform builds its own
-per call.  Only sampled mode's draws and standard errors are allocated per
+Every step of the node stage writes into work arrays, and so does the
+twiddle pass of the transform's butterfly levels (:mod:`hqsim.hybrid_fft`):
+one object holds, per sample of the signal, four complex arrays that double
+as float pairs, a float temporary and two masks, 74 bytes in all, which the
+steps reuse in order of liveness.  It also holds each node size's twiddle
+table, which the levels read, and its plan (schedule, circuit, constants),
+each built once.  It is all the transform keeps between calls, and it is
+kept for the last signal size only, up to 2**16 samples; a larger transform
+builds its own per call, and its twiddles per call in blocks.  Only sampled mode's draws and standard errors are allocated per
 call, and every returned array is new.
 """
 
@@ -237,15 +237,15 @@ class _NodePlan:
 
 class _WorkArrays:
     """The work arrays for ``size`` samples, of which a step takes the
-    leading elements, with the root table of ``size`` (``roots``, built by
-    the first butterfly level, so a transform with no level builds none) and
-    the plan of each node size (``node_plan``).  Roles that share memory are
+    leading elements, with the twiddle table of each node size ``h``
+    (``twiddles[h]``, built by the butterfly levels, so a transform with no
+    level builds none) and the plan of each node size (``node_plan``).  Roles that share memory are
     never live at once.  In order, ``spectrum`` holds ``x | a``, then the
     node output; ``state`` and ``r1`` are the circuit's two buffers;
     ``product`` its result in ``(N, L)`` order, then ``magnitude | values``;
     ``state`` the second projection term, ``ref``, ``b_abs | plus``, then
-    the spread output; ``r1`` the projections, then ``reference | minus``;
-    the levels then ping-pong between ``r1`` and ``product``.  Threads that
+    the spread output; ``r1`` the projections, then ``reference | minus``,
+    then the levels' twiddled leaf spectra.  Threads that
     run transforms at once would share the kept object."""
 
     def __init__(self, size: int) -> None:
@@ -255,7 +255,7 @@ class _WorkArrays:
          self.magnitude, self.values) = arrays.view(float).reshape(8, size)
         self.temp = np.empty(size)
         self.masks = np.empty((2, size), bool)
-        self.roots = None
+        self.twiddles = {}
         self.plans = {}
 
     def node_plan(self, n_q: int) -> _NodePlan:
@@ -265,8 +265,9 @@ class _WorkArrays:
         return self.plans[n_q]
 
 
-# At most 4.6 MiB of work arrays, 1 MiB of roots and 14.1 MiB of node plans
-# (every node size up to 16 qubits) are kept; larger ones are built per call,
+# At most 4.6 MiB of work arrays, 16 MiB of twiddle tables (1 MiB for each
+# node size below 16 qubits) and 14.1 MiB of node plans (every node size up
+# to 16 qubits), 34.7 MiB in all, are kept; larger ones are built per call,
 # so a run keeps nothing the size of a large signal.
 _KEEP_MAX_SIZE = 2**16
 _kept_work = lru_cache(maxsize=1)(_WorkArrays)

@@ -1,9 +1,9 @@
 """Test-side stand-ins for what the package does not offer: each gate's
 dense matrix, a circuit run on one state, an in-place circuit runner that
 the out-of-place one must match bit for bit, gates re-targeted by a qubit
-offset, the plain radix-2 transform, the readout's sign rebuild written with
-a masked negation, and a projection's ancilla residual read through joint
-probabilities."""
+offset, the plain radix-2 transform level by level, the readout's sign
+rebuild written with a masked negation, and a projection's ancilla residual
+read through joint probabilities."""
 
 import cmath
 import dataclasses
@@ -21,8 +21,7 @@ from hqsim.core import (
     apply_circuit_batch,
     effect_probability,
 )
-from hqsim.hybrid_fft import _combine_levels
-from hqsim.readout import _work_arrays
+from hqsim.hybrid_fft import SpectrumVector
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -140,11 +139,35 @@ def shifted(gate, offset):
     return dataclasses.replace(gate, **qubits)
 
 
+def bit_reversal(count):
+    """Bit-reversed order of ``range(count)``, a power of two."""
+    bits = count.bit_length() - 1
+    return np.array([int(format(i, f"0{bits}b")[::-1], 2) if bits else 0 for i in range(count)])
+
+
+def two_product_level(spec, stderr, roots):
+    """Reference radix-2 level, one product per output coefficient:
+    ``y_k = even[k % h] + roots[k] * odd[k % h]``."""
+    pairs, h = spec.shape[0] // 2, spec.shape[1]
+    spec = (spec[0::2, None, :] + roots.reshape(2, h) * spec[1::2, None, :]).reshape(pairs, 2 * h)
+    if stderr is not None:
+        half = np.sqrt(stderr[0::2] ** 2 + stderr[1::2] ** 2)
+        stderr = np.concatenate([half, half], axis=1)
+    return spec, stderr
+
+
 def classical_fft(signal, ledger=None):
-    """The plain radix-2 transform: the butterfly levels alone, on the
-    single-sample leaves in natural order."""
-    return _combine_levels(signal.values.astype(complex)[None, :], None, ledger,
-                           _work_arrays(signal.size))
+    """The plain radix-2 transform: the single-sample leaves in bit-reversed
+    order, combined by :func:`two_product_level` one level at a time, one
+    classical op per output coefficient per level."""
+    N = signal.size
+    spec = signal.values.astype(complex)[bit_reversal(N), None]
+    roots = np.exp(2j * np.pi * np.arange(N) / N)
+    while spec.shape[0] > 1:
+        spec, _ = two_product_level(spec, None, roots[:: spec.shape[0] // 2])
+        if ledger is not None:
+            ledger.classical_ops += N
+    return SpectrumVector(spec[0])
 
 
 # Ancilla outcomes whose probabilities fix a residual (r0, r1) up to its

@@ -236,14 +236,28 @@ def test_fft_oracle_does_not_run_the_butterfly_levels(monkeypatch, tmp_path):
     # A fault in the levels must show in the deviation: a reference that ran
     # the same levels would carry the same fault and read 0.
     monkeypatch.setattr(hqsim.cli, "DIRECT_ORACLE_MAX_N", 3)
-    level = hqsim.hybrid_fft._combine_level
+    levels = hqsim.hybrid_fft._combine_levels
 
-    def faulty_level(*args):
-        spec, stderr = level(*args)
-        spec[0] += 1.0
-        return spec, stderr
+    def faulty_levels(*args):
+        spectrum = levels(*args)
+        spectrum.values[0] += 1.0
+        return spectrum
 
-    monkeypatch.setattr(hqsim.hybrid_fft, "_combine_level", faulty_level)
+    monkeypatch.setattr(hqsim.hybrid_fft, "_combine_levels", faulty_levels)
+    out = tmp_path / "run.json"
+    assert main(["dft-run", "--n", "4", "--nq", "0", "--out-json", str(out)]) == EXIT_OK
+    point = json.loads(out.read_text())["points"][0]
+    assert point["deviation_oracle"] == "fft"
+    assert point["deviation"] >= 0.5
+
+
+def test_fft_oracle_does_not_call_the_inverse_fft_of_the_levels(monkeypatch, tmp_path):
+    # The levels' R-point transform is numpy's ifft.  Doubling its output
+    # doubles the spectrum; an oracle built on ifft would double too, and
+    # the deviation would read 0.
+    monkeypatch.setattr(hqsim.cli, "DIRECT_ORACLE_MAX_N", 3)
+    ifft = np.fft.ifft
+    monkeypatch.setattr(hqsim.hybrid_fft.np.fft, "ifft", lambda *args, **kwargs: 2.0 * ifft(*args, **kwargs))
     out = tmp_path / "run.json"
     assert main(["dft-run", "--n", "4", "--nq", "0", "--out-json", str(out)]) == EXIT_OK
     point = json.loads(out.read_text())["points"][0]

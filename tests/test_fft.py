@@ -31,13 +31,13 @@ from hqsim.hybrid_fft import (
     RealSignal,
     SpectrumVector,
     _combine_levels,
-    _roots,
+    _twiddles,
     butterfly_combine,
     decimate_leaves,
     direct_dft,
     hybrid_dft,
 )
-from reference import classical_fft
+from reference import bit_reversal, classical_fft, two_product_level
 
 
 def test_direct_dft_delta():
@@ -138,23 +138,35 @@ def test_decimate_rejects_oversized_node():
 # --- twiddles and butterflies ----------------------------------------------
 
 def test_twiddle_table_invariants():
-    for N in (2, 4, 8, 64):
-        roots = _roots(N)
-        assert roots.shape == (N,)
-        assert np.max(np.abs(np.abs(roots) - 1.0)) < 1e-12
-        assert np.max(np.abs(roots**N - 1.0)) < 1e-9
+    # Entry (c, k1) of the (N/h, h) table is w_N**(c*k1), a root of unity;
+    # row 0 is exactly 1, and entries built in blocks equal the whole table.
+    for h, N in ((1, 2), (2, 4), (4, 8), (8, 64), (64, 64), (4, 2**10)):
+        table = _twiddles(h, N, np.arange(N)).reshape(N // h, h)
+        assert np.max(np.abs(np.abs(table) - 1.0)) < 1e-12
+        assert np.max(np.abs(table**N - 1.0)) < 1e-9
+        assert np.array_equal(table[0], np.ones(h))
+        want = np.exp(2j * np.pi * np.outer(np.arange(N // h), np.arange(h)) / N)
+        assert np.max(np.abs(table - want)) < 1e-15
+        step = min(N, 4)
+        blocks = [_twiddles(h, N, np.arange(start, start + step)) for start in range(0, N, step)]
+        assert np.concatenate(blocks).tobytes() == table.tobytes()
 
 
 def test_root_table_is_built_once_per_kept_size():
+    # The levels' roots of unity: one twiddle table per kept size and node
+    # size, built on first use.
     signal = RealSignal.from_values(np.random.default_rng(8).uniform(-1, 1, 2**7))
     first = hybrid_dft(signal, FftPlan(n=7, n_q=2))[0].values
-    roots = _work_arrays(2**7).roots
+    tables = _work_arrays(2**7).twiddles
+    table = tables[4]
     hybrid_dft(signal, FftPlan(n=7, n_q=5))
-    assert _work_arrays(2**7).roots is roots
-    assert np.array_equal(roots, np.exp(2j * np.pi * np.arange(2**7) / 2**7))
-    # Another size in between replaces the kept table; spectra do not move.
-    classical_fft(RealSignal.from_values(np.ones(2**5)))
-    assert _work_arrays(2**7).roots is None
+    hybrid_dft(signal, FftPlan(n=7, n_q=2))
+    assert _work_arrays(2**7).twiddles is tables
+    assert sorted(tables) == [4, 32] and tables[4] is table
+    assert np.array_equal(table, np.exp(2j * np.pi * np.outer(np.arange(32), np.arange(4)) / 2**7))
+    # Another size in between replaces the kept tables; spectra do not move.
+    hybrid_dft(RealSignal.from_values(np.ones(2**5)), FftPlan(n=5, n_q=0))
+    assert _work_arrays(2**7).twiddles == {}
     assert np.array_equal(hybrid_dft(signal, FftPlan(n=7, n_q=2))[0].values, first)
 
 
@@ -163,17 +175,33 @@ def test_a_transform_with_no_level_builds_no_root_table(shots):
     signal = RealSignal.from_values(np.random.default_rng(9).uniform(-1, 1, 2**6))
     readout._kept_work.cache_clear()
     hybrid_dft(signal, FftPlan(n=6, n_q=6, shots=shots))
-    assert _work_arrays(2**6).roots is None
+    assert _work_arrays(2**6).twiddles == {}
     got = hybrid_dft(signal, FftPlan(n=6, n_q=3, shots=shots))
-    assert np.array_equal(_work_arrays(2**6).roots, _roots(2**6))
+    assert list(_work_arrays(2**6).twiddles) == [8]
     # The same bits as a run whose table was built before its node stage.
     readout._kept_work.cache_clear()
-    _work_arrays(2**6).roots = _roots(2**6)
+    _work_arrays(2**6).twiddles[8] = _twiddles(8, 2**6, np.arange(2**6)).reshape(8, 8)
     want = hybrid_dft(signal, FftPlan(n=6, n_q=3, shots=shots))
     assert np.array_equal(got[0].values, want[0].values)
     assert got[1].as_dict() == want[1].as_dict()
     if shots:
         assert np.array_equal(got[0].stderr, want[0].stderr)
+
+
+def test_twiddles_above_the_keep_bound_are_built_in_blocks(monkeypatch):
+    # Above 2**16 samples no table is kept: the twiddles are built per call,
+    # 2**16 entries at a time, and applied block by block.
+    built = []
+
+    def recorded(h, N, entries):
+        built.append(entries.size)
+        return _twiddles(h, N, entries)
+
+    monkeypatch.setattr(hybrid_fft, "_twiddles", recorded)
+    values = np.random.default_rng(17).uniform(-1.0, 1.0, 2**17)
+    got = hybrid_dft(RealSignal.from_values(values), FftPlan(n=17, n_q=8))[0]
+    assert built == [2**16, 2**16]
+    assert np.max(np.abs(got.values - 2**17 * np.fft.ifft(values))) <= TRANSFORM_TOLERANCE
 
 
 def test_butterfly_frozen_example():
@@ -232,23 +260,6 @@ def test_butterfly_recombination_equals_direct(n, seed):
     assert np.max(np.abs(classical_fft(signal).values - direct_dft(signal).values)) < 1e-9
 
 
-def two_product_level(spec, stderr, roots):
-    """Reference radix-2 level, one product per output coefficient:
-    ``y_k = even[k % h] + roots[k] * odd[k % h]``."""
-    pairs, h = spec.shape[0] // 2, spec.shape[1]
-    spec = (spec[0::2, None, :] + roots.reshape(2, h) * spec[1::2, None, :]).reshape(pairs, 2 * h)
-    if stderr is not None:
-        half = np.sqrt(stderr[0::2] ** 2 + stderr[1::2] ** 2)
-        stderr = np.concatenate([half, half], axis=1)
-    return spec, stderr
-
-
-def bit_reversal(count):
-    """Bit-reversed order of ``range(count)``, a power of two."""
-    bits = count.bit_length() - 1
-    return np.array([int(format(i, f"0{bits}b")[::-1], 2) if bits else 0 for i in range(count)])
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 7), st.integers(0, 5), st.booleans(), st.integers(0, 2**31 - 1))
 def test_one_product_levels_equal_two_product_reference(levels, log_width, with_stderr, seed):
@@ -282,10 +293,13 @@ def test_one_product_levels_equal_two_product_reference(levels, log_width, with_
 # --- the hybrid pipeline ----------------------------------------------------
 
 def test_hybrid_nq0_equals_classical_fft():
+    # The radix-2 reference takes other roundings than one 16-point
+    # transform, so the spectra agree within a bound relative to their norm.
     rng = np.random.default_rng(7)
     signal = RealSignal.from_values(rng.normal(size=16))
     got, ledger = hybrid_dft(signal, FftPlan(n=4, n_q=0))
-    assert np.array_equal(got.values, classical_fft(signal).values)
+    want = classical_fft(signal).values
+    assert np.max(np.abs(got.values - want)) <= 1e-15 * np.linalg.norm(want)
     assert ledger.quantum_gate_units == 0
     assert ledger.state_prep_units == 0
     assert ledger.classical_ops == 4 * 16
@@ -605,8 +619,9 @@ def test_work_arrays_above_the_keep_bound_are_not_kept(shots):
 
 
 def test_transforms_above_the_keep_bound_leave_nothing_held():
-    # Their work arrays, root tables and node plans are dropped on return: a
-    # root table alone would hold 16 MiB at n = 20.
+    # Their work arrays and node plans are dropped on return, and their
+    # twiddles are built per call in blocks: a table of them would hold
+    # 16 MiB at n = 20.
     signals = [RealSignal.from_values(np.random.default_rng(n).uniform(-1.0, 1.0, 2**n))
                for n in (17, 20)]
     gc.collect()
@@ -622,15 +637,15 @@ def test_transforms_above_the_keep_bound_leave_nothing_held():
 
 
 def test_a_second_transform_at_a_kept_size_builds_nothing(monkeypatch):
-    # The benchmark's cycle of node sizes keeps all three plans, and the
-    # root table, in the one kept object.
+    # The benchmark's cycle of node sizes keeps all three plans, and their
+    # twiddle tables, in the one kept object.
     signal = RealSignal.from_values(np.random.default_rng(13).uniform(-1.0, 1.0, 2**13))
     cycle = (2, 4, 8)
     want = [hybrid_dft(signal, FftPlan(n=13, n_q=n_q))[0].values for n_q in cycle]
     assert set(cycle) <= set(_work_arrays(2**13).plans)
     built = []
     for module, name in ((readout, "compile_circuit"), (readout, "build_schedule"),
-                         (hybrid_fft, "_roots")):
+                         (hybrid_fft, "_twiddles")):
         monkeypatch.setattr(module, name, lambda *args, name=name: built.append(name))
     for n_q, values in zip(cycle, want):
         assert np.array_equal(hybrid_dft(signal, FftPlan(n=13, n_q=n_q))[0].values, values)
@@ -646,7 +661,7 @@ def test_a_new_size_drops_the_kept_workspace_with_its_plans():
     # first Hadamard; ``first`` is one of its per-call constants.
     diagonal = plan.steps[1][2]
     assert isinstance(diagonal, np.ndarray)
-    kept = [weakref.ref(obj) for obj in (work, work.roots, plan, plan.schedule, diagonal, plan.first)]
+    kept = [weakref.ref(obj) for obj in (work, work.twiddles[8], plan, plan.schedule, diagonal, plan.first)]
     del work, plan, diagonal
     hybrid_dft(RealSignal.from_values(signal.values[:2**8]), FftPlan(n=8, n_q=3))
     gc.collect()
