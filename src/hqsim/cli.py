@@ -51,9 +51,9 @@ EXIT_IO = 4
 MAX_COUNT = 2**63 - 1
 
 # Beyond this the O(N**2) reference is skipped and deviation is measured
-# against numpy's real-input FFT instead (see _fft_reference).  The butterfly
-# levels run numpy's complex inverse FFT, so a reference built on that would
-# share their faults; the real-input transform runs other kernels.
+# against numpy's real-input FFT instead.  The butterfly levels run numpy's
+# complex inverse FFT, so a reference built on that would share their
+# faults; the real-input transform runs other kernels.
 DIRECT_ORACLE_MAX_N = 14
 
 
@@ -327,14 +327,6 @@ def _search_point(config: RunConfig, oracle: SearchOracle, n_q: int) -> dict:
     )
 
 
-def _fft_reference(values: np.ndarray) -> np.ndarray:
-    """``y_k = sum_j x_j exp(+2*pi*i*k*j/N)`` of real ``x`` from numpy's
-    real-input FFT: the conjugate of ``rfft`` for ``k <= N/2``, and
-    ``y_{N-k} = conj(y_k)`` for the rest."""
-    half = np.fft.rfft(values)
-    return np.concatenate([np.conj(half), half[-2:0:-1]])
-
-
 def run_experiment(config: RunConfig) -> ExperimentReport:
     """Execute every sweep point; deterministic for a fixed config."""
     report = ExperimentReport(config=config)
@@ -344,7 +336,10 @@ def run_experiment(config: RunConfig) -> ExperimentReport:
         if config.n <= DIRECT_ORACLE_MAX_N:
             reference, oracle_name = direct_dft(signal).values, "direct"
         else:
-            reference, oracle_name = _fft_reference(signal.values), "fft"
+            # For real x and the +i sign convention, y_k = conj(rfft(x)[k]) for
+            # k <= N/2, and y_{N-k} = conj(y_k).
+            half = np.fft.rfft(signal.values)
+            reference, oracle_name = np.concatenate([np.conj(half), half[-2:0:-1]]), "fft"
         for n_q in config.nq_values:
             report.points.append(_dft_point(config, signal, n_q, reference, oracle_name))
     else:

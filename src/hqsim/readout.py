@@ -52,8 +52,9 @@ steps reuse in order of liveness.  It also holds each node size's twiddle
 table, which the levels read, and its plan (schedule, circuit, constants),
 each built once.  It is all the transform keeps between calls, and it is
 kept for the last signal size only, up to 2**16 samples; a larger transform
-builds its own per call, and its twiddles per call in blocks.  Only sampled mode's draws and standard errors are allocated per
-call, and every returned array is new.
+builds its own per call, and its twiddles per call in blocks.  Only sampled
+mode's draws and standard errors are allocated per call, and every returned
+array is new.
 """
 
 from __future__ import annotations
@@ -239,14 +240,14 @@ class _WorkArrays:
     """The work arrays for ``size`` samples, of which a step takes the
     leading elements, with the twiddle table of each node size ``h``
     (``twiddles[h]``, built by the butterfly levels, so a transform with no
-    level builds none) and the plan of each node size (``node_plan``).  Roles that share memory are
-    never live at once.  In order, ``spectrum`` holds ``x | a``, then the
+    level builds none) and the plan of each node size (``node_plan``).
+    Roles that share memory are never live at once.  In order, ``spectrum`` holds ``x | a``, then the
     node output; ``state`` and ``r1`` are the circuit's two buffers;
     ``product`` its result in ``(N, L)`` order, then ``magnitude | values``;
     ``state`` the second projection term, ``ref``, ``b_abs | plus``, then
     the spread output; ``r1`` the projections, then ``reference | minus``,
-    then the levels' twiddled leaf spectra.  Threads that
-    run transforms at once would share the kept object."""
+    then the levels' twiddled leaf spectra.  Threads that run transforms at
+    once would share the kept object."""
 
     def __init__(self, size: int) -> None:
         arrays = np.empty((4, size), complex)
