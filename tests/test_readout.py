@@ -33,7 +33,7 @@ from hqsim.readout import (
     rebuild_phases,
     rescale_to_dft,
 )
-from reference import flip_signs, shifted, signed_parts
+from reference import shifted, signed_parts
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
