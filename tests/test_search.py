@@ -225,8 +225,8 @@ def test_class_order_table_rows_do_not_depend_on_their_block():
 
 
 def test_class_order_table_holds_its_temporaries_in_bounded_blocks():
-    # 262,145 counts of a 2**20-entry node: its float temporaries at once
-    # took about 219 MiB, for a table of 5.5 MiB.
+    # 262,145 counts of a 2**20-entry node: their float temporaries, all at
+    # once, would take about 219 MiB, for a table of 5.5 MiB.
     steps = _NodePlan(2**20).iterations
     tracemalloc.start()
     try:
