@@ -34,7 +34,7 @@ import numpy as np
 
 from .core import derive_seed
 from .costs import CostLedger, _check_node_size
-from .readout import _KEEP_MAX_SIZE, RealSignal, _WorkArrays, _evaluate_nodes, _shaped, _work_arrays
+from .readout import RealSignal, _WorkArrays, _evaluate_nodes, _shaped, _work_arrays
 
 __all__ = [
     "SpectrumVector",
@@ -77,8 +77,8 @@ class FftPlan:
             raise ValueError(f"shots must be >= 0, got {self.shots}")
 
 
-# Elements of the phase matrix that direct_dft holds at once.
-_DIRECT_BLOCK_ELEMENTS = 2**16
+# Elements of one temporary block: direct_dft's phases, or per-call twiddles.
+_BLOCK_ELEMENTS = 2**16
 
 
 def direct_dft(signal: RealSignal) -> SpectrumVector:
@@ -88,7 +88,7 @@ def direct_dft(signal: RealSignal) -> SpectrumVector:
     table of the N roots of unity, so no phase is a large float product.
     The signal is real, so only ``k <= N/2`` is summed and ``out[N-k]`` is
     the conjugate of ``out[k]``.  Rows are taken in blocks, so temporaries
-    stay within ``_DIRECT_BLOCK_ELEMENTS`` elements per block.  The root
+    stay within ``_BLOCK_ELEMENTS`` elements per block.  The root
     table is built here, not shared with the butterflies this reference
     checks.
     """
@@ -98,7 +98,7 @@ def direct_dft(signal: RealSignal) -> SpectrumVector:
     x = signal.values.astype(complex)
     out = np.empty(N, dtype=complex)
     half = N // 2 + 1
-    rows = max(1, _DIRECT_BLOCK_ELEMENTS // N)
+    rows = max(1, _BLOCK_ELEMENTS // N)
     for start in range(0, half, rows):
         k = np.arange(start, min(start + rows, half))
         # N is a power of two, so the mask reduces k*j modulo N.
@@ -144,20 +144,19 @@ def _twiddles(h: int, N: int, entries: np.ndarray) -> np.ndarray:
 
 def _twiddled(spec, work):
     """The ``(h, R)`` leaf spectra transposed to ``(R, h)`` and multiplied by
-    their twiddles, written into ``work.r1``, which must not hold ``spec``.
-    Up to ``_KEEP_MAX_SIZE`` entries, the table of each ``h`` is built once
-    into ``work.twiddles``; above it, the twiddles are built per call in
-    blocks of ``_KEEP_MAX_SIZE`` entries."""
+    their twiddles into ``work.r1``, which must not hold ``spec``.  The kept
+    workspace keeps each ``h``'s table in ``work.twiddles``; one built per
+    call has none, and builds its twiddles in blocks of ``_BLOCK_ELEMENTS``."""
     (h, R), N = spec.shape, spec.size
     t = _shaped(work.r1, (R, h))
-    if N <= _KEEP_MAX_SIZE:
+    if work.twiddles is not None:
         if h not in work.twiddles:
             work.twiddles[h] = _twiddles(h, N, np.arange(N)).reshape(R, h)
         return np.multiply(spec.T, work.twiddles[h], out=t)
     t[...] = spec.T
     flat = t.reshape(-1)
-    for start in range(0, N, _KEEP_MAX_SIZE):
-        flat[start : start + _KEEP_MAX_SIZE] *= _twiddles(h, N, np.arange(start, start + _KEEP_MAX_SIZE))
+    for start in range(0, N, _BLOCK_ELEMENTS):
+        flat[start : start + _BLOCK_ELEMENTS] *= _twiddles(h, N, np.arange(start, min(start + _BLOCK_ELEMENTS, N)))
     return t
 
 
@@ -171,16 +170,22 @@ def _combine_levels(spec, stderr, ledger, work):
     spec[k1, c]``, ``w_M = exp(+2*pi*i/M)``.  numpy's inverse FFT without
     scaling is that transform along axis 0 of the ``(R, h)`` twiddled array
     (:func:`_twiddled`), and its ``(R, h)`` result is the spectrum in
-    natural order, the only new array.  The ledger is charged one classical
-    op per coefficient per level.  ``stderr``, ``(h, R)``, is combined
-    level by level: columns ``c`` and ``c + R/2`` add in quadrature, and the
-    sum is the error of both outputs they give.
+    natural order, the only new array held at once.  The ledger charges one
+    classical op per coefficient per level.  ``stderr``, ``(h, R)``, combines
+    level by level: columns ``c`` and ``c + R/2`` add in quadrature into the
+    error of both outputs they give.
     """
     h, R = spec.shape
     if R == 1:
         values = spec[:, 0].astype(complex)  # a copy: spec may be a work array
     else:
-        values = np.fft.ifft(_twiddled(spec, work), axis=0, norm="forward").reshape(-1)
+        values = np.fft.ifft(t := _twiddled(spec, work), axis=0, norm="forward")
+        if not values.flags.c_contiguous:
+            # numpy 1.x returns a transposed view: reorder it in t, dead by now.
+            t[...] = values
+            del values
+            values = t.copy()
+        values = values.reshape(-1)
         if ledger is not None:
             ledger.classical_ops += (R.bit_length() - 1) * spec.size
     if stderr is not None:

@@ -48,13 +48,12 @@ Every step of the node stage writes into work arrays, and so does the
 twiddle pass of the transform's butterfly levels (:mod:`hqsim.hybrid_fft`):
 one object holds, per sample of the signal, four complex arrays that double
 as float pairs, a float temporary and two masks, 74 bytes in all, which the
-steps reuse in order of liveness.  It also holds each node size's twiddle
-table, which the levels read, and its plan (schedule, circuit, constants),
-each built once.  It is all the transform keeps between calls, and it is
-kept for the last signal size only, up to 2**16 samples; a larger transform
-builds its own per call, and its twiddles per call in blocks.  Only sampled
-mode's draws and standard errors are allocated per call, and every returned
-array is new.
+steps reuse in order of liveness, and each node size's plan (schedule,
+circuit, constants) and twiddle table, built once.  It is all the transform
+keeps between calls, kept for the last signal size only, up to 2**16
+samples; a larger transform builds its own per call, with no twiddle table.
+Only sampled mode's draws and standard errors are allocated per call, and
+every returned array is new.
 """
 
 from __future__ import annotations
@@ -238,25 +237,25 @@ class _NodePlan:
 
 class _WorkArrays:
     """The work arrays for ``size`` samples, of which a step takes the
-    leading elements, with the twiddle table of each node size ``h``
-    (``twiddles[h]``, built by the butterfly levels, so a transform with no
-    level builds none) and the plan of each node size (``node_plan``).
-    Roles that share memory are never live at once.  In order, ``spectrum`` holds ``x | a``, then the
-    node output; ``state`` and ``r1`` are the circuit's two buffers;
+    leading elements, with the plan of each node size (``node_plan``) and,
+    in the kept object only (else None), each node size's twiddle table
+    ``twiddles[h]``, built by the butterfly levels.  Roles that share
+    memory are never live at once.  In order, ``spectrum`` holds ``x | a``,
+    then the node output; ``state`` and ``r1`` are the circuit's two buffers;
     ``product`` its result in ``(N, L)`` order, then ``magnitude | values``;
     ``state`` the second projection term, ``ref``, ``b_abs | plus``, then
     the spread output; ``r1`` the projections, then ``reference | minus``,
     then the levels' twiddled leaf spectra.  Threads that run transforms at
     once would share the kept object."""
 
-    def __init__(self, size: int) -> None:
+    def __init__(self, size: int, kept: bool = False) -> None:
         arrays = np.empty((4, size), complex)
         self.spectrum, self.state, self.r1, self.product = arrays
         (self.x, self.a, self.b_abs, self.plus, self.reference, self.minus,
          self.magnitude, self.values) = arrays.view(float).reshape(8, size)
         self.temp = np.empty(size)
         self.masks = np.empty((2, size), bool)
-        self.twiddles = {}
+        self.twiddles = {} if kept else None
         self.plans = {}
 
     def node_plan(self, n_q: int) -> _NodePlan:
@@ -271,7 +270,7 @@ class _WorkArrays:
 # to 16 qubits), 34.7 MiB in all, are kept; larger ones are built per call,
 # so a run keeps nothing the size of a large signal.
 _KEEP_MAX_SIZE = 2**16
-_kept_work = lru_cache(maxsize=1)(_WorkArrays)
+_kept_work = lru_cache(maxsize=1)(lambda size: _WorkArrays(size, kept=True))
 
 
 def _work_arrays(size: int) -> _WorkArrays:

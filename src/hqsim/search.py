@@ -207,8 +207,7 @@ _ORDER_BLOCK = 2**12
 
 def _class_order_table(n_total: int, counts: np.ndarray, steps) -> np.ndarray:
     """:func:`class_orders` of every solution count in ``counts``, as one
-    int8 ``(counts, steps)`` array computed in floats where they are exact,
-    ``_ORDER_BLOCK`` counts at a time.
+    int8 ``(counts, steps)`` array computed in floats where they are exact.
 
     For ``0 < m < N`` the order is ``sign(sin(2t*theta) * sin((2t+2)*theta))``,
     ``sin(theta)**2 = m/N``: ``|a_sol|**2 - |a_non|**2`` is that product over

@@ -563,7 +563,7 @@ def test_fallbacks_near_half_the_node_size_stay_within_the_tolerance():
 
 @pytest.mark.parametrize("n_q", [2, 4, 8])
 def test_a_warm_transform_allocates_little_beyond_its_spectrum(n_q):
-    # The node stage and all levels but the last write into work arrays kept
+    # The node stage and the levels' twiddle pass write into work arrays kept
     # from the first call, so a second call of the same size allocates the
     # returned spectrum (128 KiB at n = 13) and small per-column arrays.
     signal = RealSignal.from_values(np.random.default_rng(n_q).uniform(-1.0, 1.0, 2**13))
@@ -575,6 +575,34 @@ def test_a_warm_transform_allocates_little_beyond_its_spectrum(n_q):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak <= 2 * 2**13 * 16
+
+
+@pytest.mark.parametrize("n_q", [2, 4, 8])
+def test_a_warm_transform_holds_one_spectrum_when_ifft_returns_a_transposed_view(n_q, monkeypatch):
+    # numpy 1.x's ifft along axis 0 transforms a C-order copy of its input
+    # with that axis last and returns a transposed view of the copy.  The
+    # returned spectrum must still be C-ordered, with the same bits, and the
+    # peak within the bound of the test above.
+    ifft = np.fft.ifft
+
+    def transposed_view_ifft(a, axis, norm):
+        result = np.ascontiguousarray(np.swapaxes(a, axis, -1))
+        for row in result:
+            row[...] = ifft(row, norm=norm)
+        return np.swapaxes(result, axis, -1)
+
+    signal = RealSignal.from_values(np.random.default_rng(n_q).uniform(-1.0, 1.0, 2**13))
+    plan = FftPlan(n=13, n_q=n_q)
+    want = hybrid_dft(signal, plan)[0].values
+    monkeypatch.setattr(hybrid_fft.np.fft, "ifft", transposed_view_ifft)
+    tracemalloc.start()
+    try:
+        got = hybrid_dft(signal, plan)[0].values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.flags.c_contiguous and np.array_equal(got, want)
     assert peak <= 2 * 2**13 * 16
 
 
