@@ -157,8 +157,10 @@ def search_misses(oracles) -> list[tuple[int, int, list[int]]]:
     """Exact partitioned searches, at every ``0 <= n_q <= n`` of each
     set-backed oracle and of its predicate-only twin (the same
     ``membership`` without ``solutions``), where either run misses the
-    solution set or the two charge different ledgers: ``(n, n_q, indices
-    found or missed in error by either run)`` per failing ``n_q``."""
+    solution set, the two charge different ledgers, or either ledger breaks
+    the identity ``classical_oracle_queries + sweep_queries == 2**n`` (each
+    index is verified, ruled out or swept once): ``(n, n_q, indices found
+    or missed in error by either run)`` per failing ``n_q``."""
     misses = []
     for oracle in oracles:
         truth = set(oracle.solutions)
@@ -166,8 +168,10 @@ def search_misses(oracles) -> list[tuple[int, int, list[int]]]:
         for n_q in range(oracle.n + 1):
             found, ledger = partition_search(oracle, n_q)
             twin_found, twin_ledger = partition_search(twin, n_q)
-            if found != truth or twin_found != truth or ledger != twin_ledger:
-                misses.append((oracle.n, n_q, sorted((found ^ truth) | (twin_found ^ truth))))
+            wrong = (found ^ truth) | (twin_found ^ truth)
+            enumerated = {run.classical_oracle_queries + run.sweep_queries for run in (ledger, twin_ledger)}
+            if wrong or ledger != twin_ledger or enumerated != {2**oracle.n}:
+                misses.append((oracle.n, n_q, sorted(wrong)))
     return misses
 
 

@@ -22,8 +22,8 @@ by their twiddles, into one of the node stage's work arrays
 (:mod:`hqsim.readout`), which also keep each node size's twiddle table, and
 one ``R``-point transform, numpy's inverse FFT without scaling, writes the
 returned spectrum in natural order.  The ledger charges one classical op
-per coefficient per level, and sampled standard errors combine level by
-level.
+per coefficient per level; sampled standard errors add in quadrature, to
+``sqrt(sum_c stderr[k1, c]**2)`` at every coefficient ``k1 + h*k2``.
 """
 
 from __future__ import annotations
@@ -160,7 +160,7 @@ def _twiddled(spec, work):
     return t
 
 
-def _combine_levels(spec, stderr, ledger, work):
+def _combine_levels(spec, ledger, work):
     """Combine the natural-order leaf spectra, the columns of the ``(h, R)``
     array ``spec``, into one spectrum of ``N = h*R`` coefficients.
 
@@ -171,30 +171,27 @@ def _combine_levels(spec, stderr, ledger, work):
     scaling is that transform along axis 0 of the ``(R, h)`` twiddled array
     (:func:`_twiddled`), and its ``(R, h)`` result is the spectrum in
     natural order, the only new array held at once.  The ledger charges one
-    classical op per coefficient per level.  ``stderr``, ``(h, R)``, combines
-    level by level: columns ``c`` and ``c + R/2`` add in quadrature into the
-    error of both outputs they give.
+    classical op per coefficient per level.
     """
     h, R = spec.shape
     if R == 1:
-        values = spec[:, 0].astype(complex)  # a copy: spec may be a work array
-    else:
-        values = np.fft.ifft(t := _twiddled(spec, work), axis=0, norm="forward")
-        if not values.flags.c_contiguous:
-            # numpy 1.x returns a transposed view: reorder it in t, dead by now.
-            t[...] = values
-            del values
-            values = t.copy()
-        values = values.reshape(-1)
-        if ledger is not None:
-            ledger.classical_ops += (R.bit_length() - 1) * spec.size
-    if stderr is not None:
-        while stderr.shape[1] > 1:
-            half = stderr.shape[1] // 2
-            paired = np.sqrt(stderr[:, :half] ** 2 + stderr[:, half:] ** 2)
-            stderr = np.concatenate([paired, paired], axis=0)
-        stderr = stderr[:, 0]
-    return SpectrumVector(values, stderr)
+        return spec[:, 0].astype(complex)  # a copy: spec may be a work array
+    values = np.fft.ifft(t := _twiddled(spec, work), axis=0, norm="forward")
+    if not values.flags.c_contiguous:
+        # numpy 1.x returns a transposed view: reorder it in t, dead by now.
+        t[...] = values
+        del values
+        values = t.copy()
+    if ledger is not None:
+        ledger.classical_ops += (R.bit_length() - 1) * spec.size
+    return values.reshape(-1)
+
+
+def _combined_stderr(stderr):
+    """The errors of :func:`_combine_levels`' outputs from the ``(h, R)`` leaf
+    errors; twiddles have modulus one, and one leaf's errors pass through."""
+    R = stderr.shape[1]
+    return stderr[:, 0] if R == 1 else np.tile(np.sqrt(np.sum(stderr * stderr, axis=1)), R)
 
 
 def butterfly_combine(
@@ -212,9 +209,9 @@ def butterfly_combine(
         raise ValueError(f"half sizes differ: {h} vs {odd.size}")
     stderr = None
     if even.stderr is not None and odd.stderr is not None:
-        stderr = np.stack([even.stderr, odd.stderr], axis=1)
+        stderr = _combined_stderr(np.stack([even.stderr, odd.stderr], axis=1))
     spec = np.stack([even.values, odd.values], axis=1)
-    return _combine_levels(spec, stderr, ledger, _WorkArrays(2 * h))
+    return SpectrumVector(_combine_levels(spec, ledger, _WorkArrays(2 * h)), stderr)
 
 
 def hybrid_dft(signal: RealSignal, plan: FftPlan) -> tuple[SpectrumVector, CostLedger]:
@@ -240,7 +237,8 @@ def hybrid_dft(signal: RealSignal, plan: FftPlan) -> tuple[SpectrumVector, CostL
             leaf_of_column = _bit_reversal(leaves.shape[1]).tolist()
             seeds = [derive_seed(plan.master_seed, r) for r in leaf_of_column]
         spec, stderr = _evaluate_nodes(work, leaves, plan.shots, seeds, ledger)
-    spectrum = _combine_levels(spec, stderr, ledger, work)
+    values = _combine_levels(spec, ledger, work)
+    spectrum = SpectrumVector(values, None if stderr is None else _combined_stderr(stderr))
     ledger.classical_bits = 2**plan.n * plan.n_precision
     ledger.qubit_count = plan.n_q + 1
     return spectrum, ledger

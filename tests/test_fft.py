@@ -5,7 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hqsim.checks import (
@@ -31,6 +31,7 @@ from hqsim.hybrid_fft import (
     RealSignal,
     SpectrumVector,
     _combine_levels,
+    _combined_stderr,
     _twiddles,
     butterfly_combine,
     decimate_leaves,
@@ -262,32 +263,43 @@ def test_butterfly_recombination_equals_direct(n, seed):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 7), st.integers(0, 5), st.booleans(), st.integers(0, 2**31 - 1))
+@example(16, 2, True, 0)
 def test_one_product_levels_equal_two_product_reference(levels, log_width, with_stderr, seed):
     # roots[k + h] = -roots[k] only up to rounding, so the spectra agree
-    # within a bound relative to the row norm; stderr and the charge match
-    # exactly.  The reference pairs adjacent rows of leaves in bit-reversed
-    # order; the levels under test take the same leaves as columns in
-    # natural order, column c holding leaf bitrev(c).
+    # within a bound relative to the row norm, and the closed-form stderr
+    # sums its squares in another order than the level-by-level reference,
+    # so it agrees within a bound relative to each coefficient, and exactly
+    # at one level or none; the charge matches exactly.  The reference
+    # pairs adjacent rows of leaves in bit-reversed order; the levels under
+    # test take the same leaves as columns in natural order, column c
+    # holding leaf bitrev(c).
     rows, width = 2**levels, 2**log_width
     rng = np.random.default_rng(seed)
     spec = rng.normal(size=(rows, width)) + 1j * rng.normal(size=(rows, width))
     stderr = rng.uniform(0.0, 1.0, (rows, width)) if with_stderr else None
     ledger = CostLedger()
     natural = bit_reversal(rows)
-    got = _combine_levels(
-        spec[natural].T.copy(), None if stderr is None else stderr[natural].T.copy(), ledger,
-        _work_arrays(rows * width),
-    )
+    got = _combine_levels(spec[natural].T.copy(), ledger, _work_arrays(rows * width))
     want, want_stderr = spec, stderr
     roots = np.exp(2j * np.pi * np.arange(rows * width) / (rows * width))
     while want.shape[0] > 1:
         want, want_stderr = two_product_level(want, want_stderr, roots[::want.shape[0] // 2])
-    assert np.max(np.abs(got.values - want[0])) <= 1e-15 * np.linalg.norm(want[0])
+    assert np.max(np.abs(got - want[0])) <= 1e-15 * np.linalg.norm(want[0])
     if with_stderr:
-        assert np.array_equal(got.stderr, want_stderr[0])
-    else:
-        assert got.stderr is None
+        got_stderr = _combined_stderr(stderr[natural].T.copy())
+        assert np.all(np.abs(got_stderr - want_stderr[0]) <= 1e-15 * want_stderr[0])
+        assert levels > 1 or np.array_equal(got_stderr, want_stderr[0])
     assert ledger.classical_ops == levels * rows * width
+
+
+@pytest.mark.parametrize("n, n_q", [(4, 1), (5, 4), (6, 2), (8, 3), (9, 6)])
+def test_sampled_stderr_has_the_leaf_period(n, n_q):
+    # Coefficients k1 + h*k2 share leaf coefficient k1 of every leaf, so the
+    # combined error repeats with period h = 2**n_q.
+    signal = RealSignal.from_values(np.random.default_rng(n).uniform(-1.0, 1.0, 2**n))
+    stderr = hybrid_dft(signal, FftPlan(n=n, n_q=n_q, shots=64, master_seed=n_q))[0].stderr
+    rows = stderr.reshape(2 ** (n - n_q), 2**n_q)
+    assert np.array_equal(rows, np.broadcast_to(rows[0], rows.shape))
 
 
 # --- the hybrid pipeline ----------------------------------------------------

@@ -551,6 +551,37 @@ def test_search_misses_checks_the_predicate_only_twin(monkeypatch):
     assert search_misses([oracle]) == [(4, n_q, [3]) for n_q in range(5)]
 
 
+def test_search_misses_checks_the_enumeration_identity(monkeypatch):
+    # Exact mode verifies, rules out or sweeps each index once, so dropping
+    # one sweep query from both runs keeps their solution sets and equal
+    # ledgers but breaks classical_oracle_queries + sweep_queries == 2**n.
+    charges = search._exact_charges
+
+    def short_sweep(hits, n_q, num_sublists, plan, ledger):
+        charges(hits, n_q, num_sublists, plan, ledger)
+        if ledger.sweep_queries:
+            ledger.sweep_queries -= 1
+
+    monkeypatch.setattr(search, "_exact_charges", short_sweep)
+    rng = np.random.default_rng(29)
+    oracles = [SearchOracle.random(n, int(rng.integers(0, 2**n + 1)), seed=n) for n in range(2, 7)]
+    misses = search_misses(oracles)
+    assert misses and all(wrong == [] for _, _, wrong in misses)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 2**31 - 1), st.integers(0, 2**31 - 1))
+def test_sampled_search_enumerates_every_index_at_least_once(n, placement, master_seed):
+    # Sampled calls may measure settled indices again, so the exact
+    # enumeration identity becomes a lower bound.
+    rng = np.random.default_rng(placement)
+    oracle = SearchOracle.random(n, int(rng.integers(0, 2**n + 1)), seed=placement)
+    n_q = int(rng.integers(0, n + 1))
+    found, ledger = partition_search(oracle, n_q, mode="sampled", master_seed=master_seed)
+    assert found == set(oracle.solutions)
+    assert ledger.classical_oracle_queries + ledger.sweep_queries >= 2**n
+
+
 def test_partition_search_is_deterministic():
     oracle = SearchOracle.random(6, 9, seed=5)
     a, la = partition_search(oracle, 3, master_seed=11)
