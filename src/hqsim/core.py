@@ -215,11 +215,10 @@ def run_circuit(columns: np.ndarray, spare: np.ndarray, steps: tuple) -> np.ndar
         halves, out = columns.reshape(shape), spare.reshape(at)
         if halves.ndim == 2:  # the wires no Hadamard moved go behind the batch
             out[...] = halves.T
-        else:  # |1> rounds as (|0> + |1>) - 2|1>, as in the in-place runner the tests keep
+        else:  # |1> rounds once, as |0> - |1>, as in the in-place runner the tests keep
             v0, v1 = halves[:, 0], halves[:, 1]
             np.add(v0, v1, out=out[..., 0])
-            v1 *= -2.0
-            np.add(v1, out[..., 0], out=out[..., 1])
+            np.subtract(v0, v1, out=out[..., 1])
         columns, spare = spare, columns
     return columns.reshape(L, N)
 

@@ -28,32 +28,25 @@ The layout above is defined once, by :func:`build_schedule`: a
 :class:`ReadoutSchedule` holds it as arrays, one row per projector (the
 basis indices and weights it reads, the coefficient part it yields and its
 reference ancilla phase).  The node stage is batched: :func:`evaluate_nodes`
-takes every block of a run as a column of one ``(2**n_q, L)`` array, runs the
-circuit on all of them at once (:mod:`hqsim.core`) and reads every projector
-of every block as a row, through the plan's row maps, so no effect objects
-are built per entry.  The ancilla's
-control-off branch is the encoded block itself, so only the control-on
-branch is simulated; its projections read through the circuit's final
-relabelling, with the circuit's normalization folded into the projector
-weights: the node stage copies the circuit's ``(L, N)`` result back to
-``(N, L)`` order once, and neither permutes nor rescales it.
-:func:`execute_schedule` and :func:`rebuild_phases` are batch-of-one
-wrappers round the same code; their :class:`ReadoutRecord` holds a block's
-magnitude and reference entries as two arrays in projector order.  A block
-is a :class:`RealSignal`, the type the transform takes for a whole signal,
-and ``shots`` alone picks the readout: 0 is exact, a positive count is
-sampled mode.
+runs the circuit on every block of a run at once, each a column of one
+``(2**n_q, L)`` array (:mod:`hqsim.core`), and reads the layout as pairs:
+rows ``k`` and ``N-k`` of a block's result, read once and weighted, give the
+plus and minus projections as their sum and difference.  Only the ancilla's
+control-on branch is simulated, as the control-off branch is the encoded
+block itself.  The ``(L, N)`` result is copied back to ``(N, L)`` order once
+and read through the circuit's final relabelling, with its normalization
+folded into the weights.  :func:`execute_schedule` and
+:func:`rebuild_phases` are batch-of-one wrappers round the same code; their
+:class:`ReadoutRecord` holds a block's magnitude and reference entries as
+two arrays in projector order.  A block is a :class:`RealSignal`, the type
+the transform takes for a whole signal, and ``shots`` alone picks the
+readout: 0 is exact, a positive count is sampled mode.
 
-Every step of the node stage writes into work arrays, and so does the
-twiddle pass of the transform's butterfly levels (:mod:`hqsim.hybrid_fft`):
-one object holds, per sample of the signal, four complex arrays that double
-as float pairs, a float temporary and two masks, 74 bytes in all, which the
-steps reuse in order of liveness, and each node size's plan (schedule,
-circuit, constants) and twiddle table, built once.  It is all the transform
-keeps between calls, kept for the last signal size only, up to 2**16
-samples; a larger transform builds its own per call, with no twiddle table.
-Only sampled mode's draws and standard errors are allocated per call, and
-every returned array is new.
+Every step of the node stage, and the twiddle pass of the transform's
+butterfly levels (:mod:`hqsim.hybrid_fft`), writes into one object of work
+arrays, 74 bytes per sample, which also holds each node size's plan and
+twiddle table (see :class:`_WorkArrays`).  Only sampled mode's draws and
+standard errors are allocated per call, and every returned array is new.
 """
 
 from __future__ import annotations
@@ -220,19 +213,20 @@ def build_schedule(n_q: int) -> ReadoutSchedule:
 
 class _NodePlan:
     """What the node stage reads for a schedule and never writes: the compiled
-    transform circuit and its gate count, and per projector its rows of the
-    result with their weights, its ancilla weight and its part (1 imaginary)."""
+    transform circuit and its gate count, the result rows of index ``k`` and
+    of ``N-k`` for ``k < N/2`` (``rows[0]`` and ``rows[1]``, whose ``k = 0``
+    entries are 0 and N/2), the weight of a self-conjugate and of a pair
+    projector, and the ancilla weights of a plus and of a minus projector."""
 
     def __init__(self, schedule: ReadoutSchedule) -> None:
         circuit = build_qft_circuit(schedule.n_q)
         self.schedule, self.gates = schedule, len(circuit)
         self.steps, rows, scale = compile_circuit(schedule.n_q, circuit)
-        self.first, self.second = rows[schedule.indices.T]
-        scales = schedule.scales * (_INV_SQRT2 * scale)
-        self.weights = scales[:, None], (scales * schedule.signs)[:, None]
+        half = rows.size // 2
+        self.rows = np.stack([rows[:half], np.concatenate([rows[half : half + 1], rows[: half : -1]])])
+        self.weights = _INV_SQRT2 * scale, _INV_SQRT2 * (_INV_SQRT2 * scale)
         # <ref| r> = r0/sqrt(2) + w*r1, w the conjugate of e^{i*phi}/sqrt(2).
-        self.ancilla = (np.exp(-1j * schedule.ancilla_phase) * _INV_SQRT2)[:, None]
-        self.part = schedule.imaginary.astype(np.intp)
+        self.ancilla = (np.exp(-1j * np.array([0.0, math.pi / 2])) * _INV_SQRT2)[:, None]
 
 
 class _WorkArrays:
@@ -243,8 +237,8 @@ class _WorkArrays:
     memory are never live at once.  In order, ``spectrum`` holds ``x | a``,
     then the node output; ``state`` and ``r1`` are the circuit's two buffers;
     ``product`` its result in ``(N, L)`` order, then ``magnitude | values``;
-    ``state`` the second projection term, ``ref``, ``b_abs | plus``, then
-    the spread output; ``r1`` the projections, then ``reference | minus``,
+    ``state`` the pair terms, ``ref``, ``b_abs | plus``, then the spread
+    output; ``r1`` the projections, then ``reference | minus``,
     then the levels' twiddled leaf spectra.  Threads that run transforms at
     once would share the kept object."""
 
@@ -265,10 +259,10 @@ class _WorkArrays:
         return self.plans[n_q]
 
 
-# At most 4.6 MiB of work arrays, 16 MiB of twiddle tables (1 MiB for each
-# node size below 16 qubits) and 14.1 MiB of node plans (every node size up
-# to 16 qubits), 34.7 MiB in all, are kept; larger ones are built per call,
-# so a run keeps nothing the size of a large signal.
+# Kept for the last signal size only: at most 4.6 MiB of work arrays, 16 MiB
+# of twiddle tables (1 MiB for each node size below 16 qubits) and 8.1 MiB of
+# node plans (every node size up to 16 qubits), 28.7 MiB in all; larger ones
+# are built per call, so a run keeps nothing the size of a large signal.
 _KEEP_MAX_SIZE = 2**16
 _kept_work = lru_cache(maxsize=1)(lambda size: _WorkArrays(size, kept=True))
 
@@ -284,7 +278,9 @@ def _shaped(flat: np.ndarray, shape: tuple) -> np.ndarray:
 
 def _column_norms(rows: np.ndarray) -> np.ndarray:
     """Euclidean norm of every row of a C-contiguous ``(L, N)`` array, one
-    dot product per row."""
+    dot product per row.  The rows are contiguous copies because ``matmul``
+    on them gives each row the same bits whatever ``L`` is; ``einsum``,
+    ``add.reduce`` and a strided ``matmul`` are faster but do not."""
     return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
 
 
@@ -302,18 +298,22 @@ def _encode(blocks: np.ndarray, norms: np.ndarray, ledger: CostLedger | None, ou
     return np.divide(blocks, norms, out=out)
 
 
-# Every take below writes into a work array: with the default mode, "raise",
-# numpy takes into a temporary copy first.  The indices are in range.
-def _reference(schedule: ReadoutSchedule, x: np.ndarray, work: _WorkArrays) -> np.ndarray:
+def _pairs(rows: np.ndarray) -> np.ndarray:
+    """``(N, L)`` rows in projector order as ``(N/2, 2, L)``: ``[0]`` holds
+    the self-conjugate rows, ``[k]`` the plus and minus rows of pair ``k``."""
+    return rows.reshape(rows.shape[0] // 2, 2, rows.shape[1])
+
+
+def _reference(x: np.ndarray, work: _WorkArrays) -> np.ndarray:
     """The classical reference ``a = (x_i + sign * x_j) * scale`` of every
     projector of every column of ``x``, ``(N, L)``: the sum comes before the
     weight, as in the scalar rebuild this replaced."""
-    first, second = schedule.indices.T
-    a = np.take(x, first, axis=0, out=_shaped(work.a, x.shape), mode="clip")
-    pair = np.take(x, second, axis=0, out=_shaped(work.temp, x.shape), mode="clip")
-    pair *= schedule.signs[:, None]
-    a += pair
-    a *= schedule.scales[:, None]
+    half, a = x.shape[0] // 2, _shaped(work.a, x.shape)
+    pairs, k, conjugate = _pairs(a), x[1:half], x[:half:-1]
+    pairs[0] = x[::half]
+    np.add(k, conjugate, out=pairs[1:, 0])
+    np.subtract(k, conjugate, out=pairs[1:, 1])
+    pairs[1:] *= _INV_SQRT2
     return a
 
 
@@ -323,23 +323,27 @@ def _project(plan: _NodePlan, result: np.ndarray, work: _WorkArrays) -> np.ndarr
     multiply before the sum, as in :func:`hqsim.core.effect_probability`."""
     columns = _shaped(work.product, result.shape[::-1])
     columns[...] = result.T
-    r1 = np.take(columns, plan.first, axis=0, out=_shaped(work.r1, columns.shape), mode="clip")
-    r1 *= plan.weights[0]
-    term = np.take(columns, plan.second, axis=0, out=_shaped(work.state, columns.shape), mode="clip")
-    term *= plan.weights[1]
-    r1 += term
-    return r1
+    N, L = columns.shape
+    # The take writes into a work array: with the default mode, "raise",
+    # numpy takes into a temporary copy first.  The indices are in range.
+    terms = _shaped(work.state, (2, N // 2, L))
+    np.take(columns, plan.rows, axis=0, out=terms, mode="clip")
+    r1 = _pairs(_shaped(work.r1, (N, L)))
+    np.multiply(terms[:, 0], plan.weights[0], out=r1[0])
+    k, conjugate = np.multiply(terms[:, 1:], plan.weights[1], out=terms[:, 1:])
+    np.add(k, conjugate, out=r1[1:, 0])
+    np.subtract(k, conjugate, out=r1[1:, 1])
+    return r1.reshape(N, L)
 
 
-def _by_coefficient(plan: _NodePlan, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _by_coefficient(values: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Rows ``0 .. N/2`` of the complex ``(N, L)`` ``out``, the coefficients
     from ``(N, L)`` per-projector values: each projector's value goes to the
     real or imaginary part of the coefficient it yields."""
-    half = out[: 2 ** (plan.schedule.n_q - 1) + 1]
-    half[...] = 0.0
-    # Axis 2 holds each coefficient's real and imaginary part.
-    parts = half.view(float).reshape(half.shape + (2,))
-    parts[plan.schedule.coefficient, :, plan.part] = values
+    half, pairs = values.shape[0] // 2, _pairs(values)
+    out[::half] = pairs[0]
+    out[1:half].real = pairs[1:, 0]
+    out[1:half].imag = pairs[1:, 1]
     return out
 
 
@@ -387,12 +391,10 @@ def _measure(
     The ancilla Hadamard on |0> leaves ``x/sqrt(2)`` in both ancilla
     branches.  The control-off branch stays there, so its projections are
     ``a/sqrt(2)``; the controlled transform runs on the control-on branch of
-    every column in one batch and is read through the circuit's final
-    relabelling, with its normalization folded into the projector weights.
-    ``shots = 0`` gives exact values.  Otherwise each entry is a binomial
-    estimate: column ``i`` makes one generator from ``seeds[i]`` and draws
-    one binomial per entry from it, over its 2N entries in schedule order,
-    so a column's estimates depend on its own seed only.
+    every column in one batch.  ``shots = 0`` gives exact values.  Otherwise
+    column ``i`` draws one binomial estimate per entry, over its 2N entries
+    in schedule order, from one generator made from ``seeds[i]``, so a
+    column's estimates depend on its own seed only.
     """
     N, L = x.shape
     on = _shaped(work.state, x.shape)
@@ -404,9 +406,10 @@ def _measure(
 
     # Ancilla residual (r0, r1) of each data projector, r0 = a/sqrt(2).
     r1 = _project(plan, result, work)
-    temp = _shaped(work.temp, x.shape)
-    ref = np.multiply(plan.ancilla, r1, out=on)
-    ref.real += np.multiply(0.5, a, out=temp)
+    # Even rows take the plus weight, odd rows the minus one but for row 1.
+    ref = np.multiply(_pairs(r1), plan.ancilla, out=_pairs(on)).reshape(x.shape)
+    np.multiply(r1[1], plan.ancilla[0], out=ref[1])
+    ref.real += np.multiply(0.5, a, out=_shaped(work.temp, x.shape))
     # r1 and ref are spent: square their parts in place, then add the pairs.
     for pairs in (r1.view(float), ref.view(float)):
         np.square(pairs, out=pairs)
@@ -430,10 +433,8 @@ def _classical_coefficients(x: np.ndarray, columns: np.ndarray, k: np.ndarray) -
     computed classically with 2**n_q ops.  Rows are summed in chunks of
     ``max(1, 2**16 // N)``, and a row longer than 2**16 samples in blocks of
     2**16 samples whose sums are added in order, so a block holds at most
-    2**16 phases.  A block's index products and phases take about 24 bytes
-    per phase, and the previous block's phases are still held while they
-    are built, so the peak is about 40 bytes per phase, 2.5 MiB at most,
-    whatever the number of rows or the leaf size."""
+    2**16 phases, about 40 bytes each at the peak with the previous block's
+    (2.5 MiB), whatever the number of rows or the leaf size."""
     N = x.shape[0]
     out = np.empty(len(k), dtype=complex)
     step, width = max(1, 2**16 // N), min(N, 2**16)
@@ -450,7 +451,7 @@ def _classical_coefficients(x: np.ndarray, columns: np.ndarray, k: np.ndarray) -
 
 
 def _rebuild(
-    plan: _NodePlan,
+    schedule: ReadoutSchedule,
     x: np.ndarray,
     a: np.ndarray,
     magnitude: np.ndarray,
@@ -459,33 +460,35 @@ def _rebuild(
     ledger: CostLedger | None,
     work: _WorkArrays,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """Signed amplitude-level coefficients of every column of ``x``, whose
-    classical references are ``a``.
+    """Signed amplitude-level parts of every column of ``x``, whose classical
+    references are ``a``.
 
-    Returns the ``(N, L)`` coefficients, their standard errors when
-    ``shots`` is nonzero (sampled mode) or None, and the ``(N, L)`` mask of
-    projectors resolved by the classical fallback, one row per projector.
-    ``|a| < eps`` is a fallback unless ``|b|`` is below ``eps`` too, where
-    ``eps`` is ``EPS_REF_EXACT`` in exact mode and three shot-noise
-    deviations, ``3 / sqrt(shots)``, in sampled mode.
+    Returns the ``(N, L)`` parts, one row per projector, the standard errors
+    of the ``(N, L)`` coefficients when ``shots`` is nonzero (sampled mode)
+    or None, and the ``(N, L)`` mask of projectors resolved by the classical
+    fallback.  ``|a| < eps`` is a fallback unless ``|b|`` is below ``eps``
+    too, where ``eps`` is ``EPS_REF_EXACT`` in exact mode and three
+    shot-noise deviations, ``3 / sqrt(shots)``, in sampled mode.
     """
     N, _ = shape = x.shape
     mag = np.maximum(magnitude, 0.0, out=_shaped(work.magnitude, shape))
     b_abs = np.multiply(2.0, mag, out=_shaped(work.b_abs, shape))
     np.sqrt(b_abs, out=b_abs)
     # Nearest hypothesis (a + s|b|)**2 / 4 to the reference picks the sign.
+    # plus and minus hold the hypotheses times 4 and are compared with 4
+    # times the reference: a power of two scales every difference exactly.
     plus = np.add(a, b_abs, out=_shaped(work.plus, shape))
     minus = np.subtract(a, b_abs, out=_shaped(work.minus, shape))
     for hypothesis in (plus, minus):
         np.square(hypothesis, out=hypothesis)
-        hypothesis *= 0.25
     values, temp = _shaped(work.values, shape), _shaped(work.temp, shape)
-    # |ref - minus| - |ref - plus| is negative exactly where minus is nearer;
+    quadruple = np.multiply(4.0, reference, out=values)
+    # |4ref - minus| - |4ref - plus| is negative exactly where minus is nearer;
     # a tie gives +0, so plus wins.  The part takes that sign, zeros included.
-    np.abs(np.subtract(reference, minus, out=temp), out=temp)
-    temp -= np.abs(np.subtract(reference, plus, out=values), out=values)
+    np.abs(np.subtract(quadruple, minus, out=temp), out=temp)
+    temp -= np.abs(np.subtract(quadruple, plus, out=values), out=values)
     # A pair projector's part is |b|/sqrt(2), its scale times |b|.
-    np.copysign(np.multiply(b_abs, plan.schedule.scales[:, None], out=values), temp, out=values)
+    np.copysign(b_abs, temp, out=values)[2:] *= _INV_SQRT2
 
     eps = 3.0 / math.sqrt(shots) if shots else EPS_REF_EXACT
     fallback = np.less(np.abs(a, out=temp), eps, out=_shaped(work.masks[0], shape))
@@ -493,36 +496,34 @@ def _rebuild(
     fallbacks = 0
     if fallback.any():
         p, columns = np.nonzero(fallback)
-        c = _classical_coefficients(x, columns, plan.schedule.coefficient[p])
-        values[p, columns] = np.where(plan.schedule.imaginary[p], c.imag, c.real)
+        c = _classical_coefficients(x, columns, schedule.coefficient[p])
+        values[p, columns] = np.where(schedule.imaginary[p], c.imag, c.real)
         fallbacks = len(p)
     if ledger is not None:
         ledger.fallback_ops += fallbacks * N
         ledger.classical_fallbacks += fallbacks
 
-    # The node output overwrites x and a, which are spent.
-    coefficients = _hermitian(_by_coefficient(plan, values, _shaped(work.spectrum, shape)))
     if not shots:
-        return coefficients, None, fallback
-
+        return values, None, fallback
     # The part value is |b| on self-conjugate projectors and |b|/sqrt(2) on
     # pair projectors; a fallback value carries no shot noise.  A
     # coefficient's variance sums those of its real and imaginary parts.
     spread = np.maximum(1.0 - mag, 0.0) / shots
-    variance = np.where(plan.schedule.signs[:, None] != 0, spread / 4.0, spread / 2.0)
+    variance = np.where(schedule.signs[:, None] != 0, spread / 4.0, spread / 2.0)
     # The sign test picks the wrong hypothesis, an error of twice the part
     # value, when the reference falls on the wrong side of the hypotheses'
     # midpoint (a**2 + |b|**2) / 4 = a**2/4 + m/2, half their gap away.  Both
     # the reference and m carry shot noise, each at least one count's worth
-    # so that an entry read as 0 or 1 claims no certainty.
+    # so that an entry read as 0 or 1 claims no certainty.  The gap is
+    # (plus - minus) / 4.
     floor = 1.0 / shots
     noise = np.maximum(reference * (1.0 - reference), floor)
     noise += np.maximum(mag * (1.0 - mag), floor) / 4.0
-    flip = 0.5 * _erfc(np.abs(plus - minus) / 2.0 / np.sqrt(2.0 * noise / shots))
+    flip = 0.5 * _erfc(np.abs(plus - minus) / 8.0 / np.sqrt(2.0 * noise / shots))
     variance += flip * (2.0 * values) ** 2
     variance[fallback] = 0.0
-    parts = _by_coefficient(plan, variance, np.zeros(shape, complex))
-    return coefficients, np.sqrt(_hermitian(parts.real + parts.imag)), fallback
+    parts = _by_coefficient(variance, np.zeros(shape, complex))
+    return values, np.sqrt(_hermitian(parts.real + parts.imag)), fallback
 
 
 def evaluate_nodes(
@@ -531,8 +532,7 @@ def evaluate_nodes(
     seeds=None,
     ledger: CostLedger | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """The node stage for every column of a ``(2**n_q, L)`` real block
-    array.
+    """The node stage for every column of a ``(2**n_q, L)`` real block array.
 
     Encodes the nonzero columns, runs the readout circuit and schedule on
     all of them as one batch, rebuilds their signs and undoes both
@@ -574,13 +574,20 @@ def _evaluate_nodes(work: _WorkArrays, blocks: np.ndarray, shots: int, seeds, le
     x = _encode(blocks, norms, ledger, _shaped(work.x, blocks.shape))
     plan = work.node_plan(N.bit_length() - 1)
     live_seeds = [seed for seed, keep in zip(seeds, live) if keep] if shots else None
-    a = _reference(plan.schedule, x, work)
+    a = _reference(x, work)
     magnitude, reference = _measure(plan, x, a, shots, live_seeds, ledger, work)
-    coefficients, stderr, _ = _rebuild(plan, x, a, magnitude, reference, shots, ledger, work)
+    parts, stderr, _ = _rebuild(plan.schedule, x, a, magnitude, reference, shots, ledger, work)
     if ledger is not None:
         ledger.node_accesses += x.shape[1]
+    # Exact mode scales the parts as floats.  Sampled mode, whose parts are
+    # often exactly 0, scales the complex coefficients, whose signs of zero
+    # its seeded outputs keep.  The output overwrites x and a.
     scale = norms * math.sqrt(N)
-    coefficients *= scale
+    if not shots:
+        parts *= scale
+    coefficients = _hermitian(_by_coefficient(parts, _shaped(work.spectrum, parts.shape)))
+    if shots:
+        coefficients *= scale
     values = _spread(coefficients, live, _shaped(work.state, (N, L)))
     return values, None if stderr is None else _spread(stderr * scale, live, np.empty((N, L)))
 
@@ -613,14 +620,12 @@ def execute_schedule(
     entry ``p`` of the record's ``magnitude`` and ``reference`` arrays.
     """
     if block.n != schedule.n_q:
-        raise ValueError(
-            f"schedule built for n_q={schedule.n_q}, block has n_q={block.n}"
-        )
+        raise ValueError(f"schedule built for n_q={schedule.n_q}, block has n_q={block.n}")
     if shots < 0:
         raise ValueError(f"shots must be >= 0, got {shots}")
     work = _work_arrays(block.size)
     x = _encode(block.values[:, None], np.array([block.norm]), ledger, _shaped(work.x, (block.size, 1)))
-    a = _reference(schedule, x, work)
+    a = _reference(x, work)
     magnitude, reference = _measure(_NodePlan(schedule), x, a, shots, [seed], ledger, work)
     return ReadoutRecord(schedule, magnitude[:, 0].copy(), reference[:, 0].copy(), shots)
 
@@ -641,23 +646,19 @@ def rebuild_phases(
     counter.  Raises ``ValueError`` unless the record holds ``2**n_q``
     entries of each kind.
     """
-    schedule = record.schedule
-    N = 2**schedule.n_q
+    schedule, N = record.schedule, 2**record.schedule.n_q
     if block.n != schedule.n_q:
         raise ValueError("record and block sizes differ")
-
     magnitude = np.asarray(record.magnitude, dtype=float)
     reference = np.asarray(record.reference, dtype=float)
     if magnitude.shape != (N,) or reference.shape != (N,):
         raise ValueError(f"record needs {N} magnitude and {N} reference entries")
     work = _work_arrays(N)
     x = np.divide(block.values[:, None], block.norm, out=_shaped(work.x, (N, 1)))
-    coefficients, stderr, fallback = _rebuild(
-        _NodePlan(schedule), x, _reference(schedule, x, work), magnitude[:, None], reference[:, None],
-        record.shots, ledger, work,
-    )
+    parts, stderr, fallback = _rebuild(schedule, x, _reference(x, work), magnitude[:, None],
+                                       reference[:, None], record.shots, ledger, work)
     return SpectrumEstimate(
-        coefficients=coefficients[:, 0].copy(),
+        coefficients=_hermitian(_by_coefficient(parts, np.empty((N, 1), complex)))[:, 0],
         scale=block.norm * math.sqrt(N),
         ambiguous=frozenset(schedule.coefficient[fallback[:, 0]].tolist()),
         classical_fallbacks=int(np.count_nonzero(fallback)),

@@ -1,9 +1,11 @@
 """Test-side stand-ins for what the package does not offer: each gate's
 dense matrix, a circuit run on one state, an in-place circuit runner that
 the out-of-place one must match bit for bit, gates re-targeted by a qubit
-offset, the plain radix-2 transform level by level, the readout's sign
-rebuild written with a masked negation, and a projection's ancilla residual
-read through joint probabilities."""
+offset, the plain radix-2 transform level by level, the readout's node
+stage read through the schedule's per-projector index maps, which its pair
+form must match bit for bit, the readout's sign rebuild written with a
+masked negation, and a projection's ancilla residual read through joint
+probabilities."""
 
 import cmath
 import dataclasses
@@ -99,9 +101,9 @@ def run_in_place(columns, steps):
         v1 = tensor[at_one]  # writable views
         if diagonal is None:
             v0 = tensor[at_zero]
+            difference = v0 - v1
             v0 += v1
-            v1 *= -2.0
-            v1 += v0
+            v1[...] = difference
         else:
             v1 *= diagonal
 
@@ -111,6 +113,47 @@ def apply_in_place(columns, circuit):
     steps, rows, scale = compile_in_place(columns.shape[0].bit_length() - 1, circuit)
     run_in_place(columns, steps)
     columns[...] = columns[rows] * scale
+
+
+def schedule_references(schedule, x):
+    """The classical reference ``(x_i + sign * x_j) * scale`` of every
+    projector of every column of ``x``, ``(N, L)``, through the schedule's
+    index maps: the sum before the weight."""
+    first, second = schedule.indices.T
+    return (x[first] + x[second] * schedule.signs[:, None]) * schedule.scales[:, None]
+
+
+def schedule_projections(schedule, rows, scale, result):
+    """Overlap of every register with every data projector, ``(N, L)``, from
+    a compiled circuit's ``(L, N)`` result, whose logical row ``r`` is at
+    ``rows[r]`` short of ``scale``: each projector weights its two rows
+    before their sum."""
+    columns = result.T
+    first, second = rows[schedule.indices.T]
+    weights = schedule.scales * (INV_SQRT2 * scale)
+    return columns[first] * weights[:, None] + columns[second] * (weights * schedule.signs)[:, None]
+
+
+def schedule_entries(schedule, a, projections):
+    """The exact magnitude and reference entries, ``(N, L)`` each, of
+    projectors whose classical references are ``a`` and whose control-on
+    overlaps are ``projections``: the squared ancilla residual ``|r1|**2``
+    and ``|r0/sqrt(2) + w*r1|**2`` with ``r0 = a/sqrt(2)`` and ``w`` the
+    conjugate of ``e^{i*ancilla_phase}/sqrt(2)``."""
+    ancilla = np.exp(-1j * schedule.ancilla_phase) * INV_SQRT2
+    ref = ancilla[:, None] * projections
+    ref.real += 0.5 * a
+    return tuple(np.square(z.real) + np.square(z.imag) for z in (projections, ref))
+
+
+def schedule_coefficients(schedule, values):
+    """Coefficients ``0 .. N/2`` from ``(N, L)`` per-projector values: each
+    projector's value goes to the real or imaginary part of the coefficient
+    it yields, and the self-conjugate ones have imaginary part +0."""
+    N, L = values.shape
+    parts = np.zeros((N // 2 + 1, L, 2))
+    parts[schedule.coefficient, :, schedule.imaginary.astype(np.intp)] = values
+    return parts.view(complex)[..., 0]
 
 
 def flip_signs(values, negative):

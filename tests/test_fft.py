@@ -698,10 +698,11 @@ def test_a_new_size_drops_the_kept_workspace_with_its_plans():
     work = _work_arrays(2**9)
     plan = work.node_plan(3)
     # The plan's second step is the diagonal of the phase gates after the
-    # first Hadamard; ``first`` is one of its per-call constants.
+    # first Hadamard; ``rows``, whose first row maps each index k to its
+    # result row, is one of its per-call constants.
     diagonal = plan.steps[1][2]
     assert isinstance(diagonal, np.ndarray)
-    kept = [weakref.ref(obj) for obj in (work, work.twiddles[8], plan, plan.schedule, diagonal, plan.first)]
+    kept = [weakref.ref(obj) for obj in (work, work.twiddles[8], plan, plan.schedule, diagonal, plan.rows)]
     del work, plan, diagonal
     hybrid_dft(RealSignal.from_values(signal.values[:2**8]), FftPlan(n=8, n_q=3))
     gc.collect()

@@ -14,15 +14,19 @@ from hqsim.core import (
     apply_controlled_circuit,
     apply_gate,
     build_qft_circuit,
+    compile_circuit,
     effect_probability,
+    run_circuit,
 )
 from hqsim.checks import TRANSFORM_TOLERANCE, round_trip_deviation
 from hqsim.costs import CostLedger
 from hqsim.readout import (
     RealSignal,
     EPS_REF_EXACT,
+    _by_coefficient,
     _classical_coefficients,
     _measure,
+    _project,
     _rebuild,
     _reference,
     _work_arrays,
@@ -33,7 +37,14 @@ from hqsim.readout import (
     rebuild_phases,
     rescale_to_dft,
 )
-from reference import shifted, signed_parts
+from reference import (
+    schedule_coefficients,
+    schedule_entries,
+    schedule_projections,
+    schedule_references,
+    shifted,
+    signed_parts,
+)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -413,7 +424,7 @@ def test_batched_probabilities_match_per_entry_effects(n_q):
     plan = work.node_plan(n_q)
     schedule = plan.schedule
     magnitude, reference = _measure(
-        plan, normalized, _reference(schedule, normalized, work), 0, None, None, work
+        plan, normalized, _reference(normalized, work), 0, None, None, work
     )
     circuit = [shifted(gate, 1) for gate in build_qft_circuit(n_q)]
     for row, block in enumerate(blocks):
@@ -428,6 +439,39 @@ def test_batched_probabilities_match_per_entry_effects(n_q):
             ancilla = MeasurementEffect.superposition(1, [(0, INV_SQRT2), (1, phase * INV_SQRT2)])
             want = effect_probability(state, projector, ancilla)
             assert abs(reference[p, row] - want) <= 1e-15
+
+
+@pytest.mark.parametrize("L", [1, 3, 37])
+@pytest.mark.parametrize("n_q", range(1, 11))
+def test_pair_form_equals_the_schedule_definition_bit_for_bit(n_q, L):
+    # The node stage reads pair (k, N-k) once; the schedule defines every
+    # projector by its own index maps and weights.  Both must give the same
+    # bytes, signs of zero included, with -0.0 samples and a zero leaf.
+    # At n_q = 1 there is no pair.
+    N = 2**n_q
+    rng = np.random.default_rng(90 + n_q)
+    x = rng.normal(size=(N, L))
+    x[rng.random((N, L)) < 0.25] = -0.0
+    if L > 1:
+        x[:, -1] = np.where(np.arange(N) % 2, -0.0, 0.0)
+    work = _work_arrays(x.size)
+    plan = work.node_plan(n_q)
+    schedule = plan.schedule
+    a = _reference(x, work).copy()
+    assert a.tobytes() == schedule_references(schedule, x).tobytes()
+
+    steps, rows, scale = compile_circuit(n_q, build_qft_circuit(n_q))
+    result = run_circuit(x.astype(complex), np.empty((N, L), complex), steps)
+    projections = schedule_projections(schedule, rows, scale, result)
+    assert _project(plan, result, work).tobytes() == projections.tobytes()
+    entries = _measure(plan, x, a, 0, None, None, work)
+    for got, want in zip(entries, schedule_entries(schedule, a, projections)):
+        assert got.tobytes() == want.tobytes()
+
+    values = rng.normal(size=(N, L))
+    values[rng.random((N, L)) < 0.25] = -0.0
+    got = _by_coefficient(values, np.empty((N, L), complex))[: N // 2 + 1]
+    assert got.tobytes() == schedule_coefficients(schedule, values).tobytes()
 
 
 # --- phase rebuilding -------------------------------------------------------
@@ -569,12 +613,10 @@ def test_rebuild_signs_equal_the_masked_formula_on_crafted_entries():
     x /= np.linalg.norm(x, axis=0)
     work = _work_arrays(x.size)
     plan = work.node_plan(3)
-    coefficients, _, fallback = _rebuild(plan, x, a, magnitude, reference, 0, None, work)
+    got, _, fallback = _rebuild(plan.schedule, x, a, magnitude, reference, 0, None, work)
     want, want_fallback = signed_parts(plan.schedule, a, magnitude, reference, EPS_REF_EXACT)
     assert np.array_equal(fallback, want_fallback)
     assert fallback[:, 3].sum() == 5 and not fallback[:, :3].any()
-    rows = coefficients[plan.schedule.coefficient]
-    got = np.where(plan.schedule.imaginary[:, None], rows.imag, rows.real)
     assert got[~fallback].tobytes() == want[~fallback].tobytes()
     assert np.array_equal(np.signbit(got[~fallback]), np.signbit(want[~fallback]))
     # Column 2 decides both ways, so the comparison covers flipped signs.
@@ -598,11 +640,9 @@ def test_rebuild_signs_one_ulp_from_a_tie_as_the_masked_negation_does():
     x /= np.linalg.norm(x, axis=0)
     work = _work_arrays(x.size)
     plan = work.node_plan(3)
-    coefficients, _, fallback = _rebuild(plan, x, a, magnitude, reference, 0, None, work)
+    got, _, fallback = _rebuild(plan.schedule, x, a, magnitude, reference, 0, None, work)
     want, _ = signed_parts(plan.schedule, a, magnitude, reference, EPS_REF_EXACT)
     assert not fallback.any()
-    rows = coefficients[plan.schedule.coefficient]
-    got = np.where(plan.schedule.imaginary[:, None], rows.imag, rows.real)
     assert got.tobytes() == want.tobytes()
     assert np.signbit(got[:, 0]).tolist() == [True, True, False, False, False, False, False, False]
     assert got[:, 1].tobytes() == np.zeros(8).tobytes()
@@ -619,11 +659,11 @@ def test_rebuild_fallbacks_match_per_fallback_reference():
     work = _work_arrays(columns.size)
     plan = work.node_plan(n_q)
     schedule = plan.schedule
-    a = _reference(schedule, columns, work)
+    a = _reference(columns, work)
     magnitude, reference = _measure(plan, columns, a, shots, list(range(L)), None, work)
     ledger = CostLedger()
-    coefficients, _, fallback = _rebuild(
-        plan, columns, a, magnitude, reference, shots, ledger, work
+    parts, _, fallback = _rebuild(
+        schedule, columns, a, magnitude, reference, shots, ledger, work
     )
     p, rows = np.nonzero(fallback)
     assert len(rows) > 500
@@ -632,9 +672,7 @@ def test_rebuild_fallbacks_match_per_fallback_reference():
     k = schedule.coefficient[p]
     want = np.array([classical_coefficient(x[row], kk) for row, kk in zip(rows.tolist(), k.tolist())])
     imaginary = schedule.imaginary[p]
-    got = coefficients[k, rows]
-    assert np.array_equal(np.where(imaginary, got.imag, got.real),
-                          np.where(imaginary, want.imag, want.real))
+    assert np.array_equal(parts[p, rows], np.where(imaginary, want.imag, want.real))
 
 
 def test_rescale_examples():
