@@ -29,9 +29,10 @@ The layout above is defined once, by :func:`build_schedule`: a
 basis indices and weights it reads, the coefficient part it yields and its
 reference ancilla phase).  The node stage is batched: :func:`evaluate_nodes`
 runs the circuit on every block of a run at once, each a column of one
-``(2**n_q, L)`` array (:mod:`hqsim.core`), and reads the layout as pairs:
-rows ``k`` and ``N-k`` of a block's result, read once and weighted, give the
-plus and minus projections as their sum and difference.  Only the ancilla's
+``(2**n_q, L)`` array (:mod:`hqsim.core`), and reads the schedule as
+pairs, in its row order and with its weights: rows ``k`` and ``N-k`` of a
+block's result, read once and weighted, give the plus and minus
+projections as their sum and difference.  Only the ancilla's
 control-on branch is simulated, as the control-off branch is the encoded
 block itself.  The ``(L, N)`` result is copied back to ``(N, L)`` order once
 and read through the circuit's final relabelling, with its normalization
@@ -215,8 +216,8 @@ class _NodePlan:
     """What the node stage reads for a schedule and never writes: the compiled
     transform circuit and its gate count, the result rows of index ``k`` and
     of ``N-k`` for ``k < N/2`` (``rows[0]`` and ``rows[1]``, whose ``k = 0``
-    entries are 0 and N/2), the weight of a self-conjugate and of a pair
-    projector, and the ancilla weights of a plus and of a minus projector."""
+    entries are 0 and N/2), and the schedule's weights and ancilla weights
+    of the self-conjugate projectors (``[0]``) and of a pair's (``[1]``)."""
 
     def __init__(self, schedule: ReadoutSchedule) -> None:
         circuit = build_qft_circuit(schedule.n_q)
@@ -224,9 +225,12 @@ class _NodePlan:
         self.steps, rows, scale = compile_circuit(schedule.n_q, circuit)
         half = rows.size // 2
         self.rows = np.stack([rows[:half], np.concatenate([rows[half : half + 1], rows[: half : -1]])])
-        self.weights = _INV_SQRT2 * scale, _INV_SQRT2 * (_INV_SQRT2 * scale)
+        # Rows 0 and 1, then the last pair's, which every pair shares (at
+        # N = 2, with no pair, rows 0 and 1 again).
+        self.weights = schedule.scales[[0, -1]] * (_INV_SQRT2 * scale)
         # <ref| r> = r0/sqrt(2) + w*r1, w the conjugate of e^{i*phi}/sqrt(2).
-        self.ancilla = (np.exp(-1j * np.array([0.0, math.pi / 2])) * _INV_SQRT2)[:, None]
+        phases = schedule.ancilla_phase.reshape(-1, 2)[[0, -1]]
+        self.ancilla = (np.exp(-1j * phases) * _INV_SQRT2)[..., None]
 
 
 class _WorkArrays:
@@ -304,7 +308,7 @@ def _pairs(rows: np.ndarray) -> np.ndarray:
     return rows.reshape(rows.shape[0] // 2, 2, rows.shape[1])
 
 
-def _reference(x: np.ndarray, work: _WorkArrays) -> np.ndarray:
+def _reference(schedule: ReadoutSchedule, x: np.ndarray, work: _WorkArrays) -> np.ndarray:
     """The classical reference ``a = (x_i + sign * x_j) * scale`` of every
     projector of every column of ``x``, ``(N, L)``: the sum comes before the
     weight, as in the scalar rebuild this replaced."""
@@ -313,7 +317,7 @@ def _reference(x: np.ndarray, work: _WorkArrays) -> np.ndarray:
     pairs[0] = x[::half]
     np.add(k, conjugate, out=pairs[1:, 0])
     np.subtract(k, conjugate, out=pairs[1:, 1])
-    pairs[1:] *= _INV_SQRT2
+    pairs[1:] *= schedule.scales[-1]  # the pair weight; rows 0 and 1 have 1
     return a
 
 
@@ -406,9 +410,10 @@ def _measure(
 
     # Ancilla residual (r0, r1) of each data projector, r0 = a/sqrt(2).
     r1 = _project(plan, result, work)
-    # Even rows take the plus weight, odd rows the minus one but for row 1.
-    ref = np.multiply(_pairs(r1), plan.ancilla, out=_pairs(on)).reshape(x.shape)
-    np.multiply(r1[1], plan.ancilla[0], out=ref[1])
+    # Rows 0 and 1 take their own ancilla weights, every pair a pair's.
+    ref = on  # the circuit's input is spent
+    np.multiply(r1[:2], plan.ancilla[0], out=ref[:2])
+    np.multiply(_pairs(r1)[1:], plan.ancilla[1], out=_pairs(ref)[1:])
     ref.real += np.multiply(0.5, a, out=_shaped(work.temp, x.shape))
     # r1 and ref are spent: square their parts in place, then add the pairs.
     for pairs in (r1.view(float), ref.view(float)):
@@ -487,8 +492,8 @@ def _rebuild(
     # a tie gives +0, so plus wins.  The part takes that sign, zeros included.
     np.abs(np.subtract(quadruple, minus, out=temp), out=temp)
     temp -= np.abs(np.subtract(quadruple, plus, out=values), out=values)
-    # A pair projector's part is |b|/sqrt(2), its scale times |b|.
-    np.copysign(b_abs, temp, out=values)[2:] *= _INV_SQRT2
+    # A projector's part is its scale times |b|, 1 on rows 0 and 1.
+    np.copysign(b_abs, temp, out=values)[2:] *= schedule.scales[-1]
 
     eps = 3.0 / math.sqrt(shots) if shots else EPS_REF_EXACT
     fallback = np.less(np.abs(a, out=temp), eps, out=_shaped(work.masks[0], shape))
@@ -574,20 +579,15 @@ def _evaluate_nodes(work: _WorkArrays, blocks: np.ndarray, shots: int, seeds, le
     x = _encode(blocks, norms, ledger, _shaped(work.x, blocks.shape))
     plan = work.node_plan(N.bit_length() - 1)
     live_seeds = [seed for seed, keep in zip(seeds, live) if keep] if shots else None
-    a = _reference(x, work)
+    a = _reference(plan.schedule, x, work)
     magnitude, reference = _measure(plan, x, a, shots, live_seeds, ledger, work)
     parts, stderr, _ = _rebuild(plan.schedule, x, a, magnitude, reference, shots, ledger, work)
     if ledger is not None:
         ledger.node_accesses += x.shape[1]
-    # Exact mode scales the parts as floats.  Sampled mode, whose parts are
-    # often exactly 0, scales the complex coefficients, whose signs of zero
-    # its seeded outputs keep.  The output overwrites x and a.
-    scale = norms * math.sqrt(N)
-    if not shots:
-        parts *= scale
+    # The output overwrites x and a.
     coefficients = _hermitian(_by_coefficient(parts, _shaped(work.spectrum, parts.shape)))
-    if shots:
-        coefficients *= scale
+    scale = norms * math.sqrt(N)
+    coefficients *= scale
     values = _spread(coefficients, live, _shaped(work.state, (N, L)))
     return values, None if stderr is None else _spread(stderr * scale, live, np.empty((N, L)))
 
@@ -625,7 +625,7 @@ def execute_schedule(
         raise ValueError(f"shots must be >= 0, got {shots}")
     work = _work_arrays(block.size)
     x = _encode(block.values[:, None], np.array([block.norm]), ledger, _shaped(work.x, (block.size, 1)))
-    a = _reference(x, work)
+    a = _reference(schedule, x, work)
     magnitude, reference = _measure(_NodePlan(schedule), x, a, shots, [seed], ledger, work)
     return ReadoutRecord(schedule, magnitude[:, 0].copy(), reference[:, 0].copy(), shots)
 
@@ -655,7 +655,7 @@ def rebuild_phases(
         raise ValueError(f"record needs {N} magnitude and {N} reference entries")
     work = _work_arrays(N)
     x = np.divide(block.values[:, None], block.norm, out=_shaped(work.x, (N, 1)))
-    parts, stderr, fallback = _rebuild(schedule, x, _reference(x, work), magnitude[:, None],
+    parts, stderr, fallback = _rebuild(schedule, x, _reference(schedule, x, work), magnitude[:, None],
                                        reference[:, None], record.shots, ledger, work)
     return SpectrumEstimate(
         coefficients=_hermitian(_by_coefficient(parts, np.empty((N, 1), complex)))[:, 0],

@@ -3,7 +3,7 @@ dense matrix, a circuit run on one state, an in-place circuit runner that
 the out-of-place one must match bit for bit, gates re-targeted by a qubit
 offset, the plain radix-2 transform level by level, the readout's node
 stage read through the schedule's per-projector index maps, which its pair
-form must match bit for bit, the readout's sign rebuild written with a
+form and its output must match bit for bit, the readout's sign rebuild written with a
 masked negation, and a projection's ancilla residual read through joint
 probabilities."""
 
@@ -154,6 +154,17 @@ def schedule_coefficients(schedule, values):
     parts = np.zeros((N // 2 + 1, L, 2))
     parts[schedule.coefficient, :, schedule.imaginary.astype(np.intp)] = values
     return parts.view(complex)[..., 0]
+
+
+def schedule_spectrum(schedule, values, scale):
+    """A node's output from ``(N, L)`` per-projector values: the
+    coefficients, those above N/2 the conjugates of those below, each
+    column's then multiplied by its ``scale`` as a complex number."""
+    N = values.shape[0]
+    coefficients = np.empty(values.shape, complex)
+    coefficients[: N // 2 + 1] = schedule_coefficients(schedule, values)
+    coefficients[N // 2 + 1 :] = np.conjugate(coefficients[N // 2 - 1 : 0 : -1])
+    return coefficients * (scale + 0j)
 
 
 def flip_signs(values, negative):

@@ -42,6 +42,7 @@ from reference import (
     schedule_entries,
     schedule_projections,
     schedule_references,
+    schedule_spectrum,
     shifted,
     signed_parts,
 )
@@ -424,7 +425,7 @@ def test_batched_probabilities_match_per_entry_effects(n_q):
     plan = work.node_plan(n_q)
     schedule = plan.schedule
     magnitude, reference = _measure(
-        plan, normalized, _reference(normalized, work), 0, None, None, work
+        plan, normalized, _reference(schedule, normalized, work), 0, None, None, work
     )
     circuit = [shifted(gate, 1) for gate in build_qft_circuit(n_q)]
     for row, block in enumerate(blocks):
@@ -457,7 +458,7 @@ def test_pair_form_equals_the_schedule_definition_bit_for_bit(n_q, L):
     work = _work_arrays(x.size)
     plan = work.node_plan(n_q)
     schedule = plan.schedule
-    a = _reference(x, work).copy()
+    a = _reference(schedule, x, work).copy()
     assert a.tobytes() == schedule_references(schedule, x).tobytes()
 
     steps, rows, scale = compile_circuit(n_q, build_qft_circuit(n_q))
@@ -472,6 +473,31 @@ def test_pair_form_equals_the_schedule_definition_bit_for_bit(n_q, L):
     values[rng.random((N, L)) < 0.25] = -0.0
     got = _by_coefficient(values, np.empty((N, L), complex))[: N // 2 + 1]
     assert got.tobytes() == schedule_coefficients(schedule, values).tobytes()
+
+
+@pytest.mark.parametrize("n_q", range(1, 9))
+def test_exact_nodes_scale_their_coefficients_after_the_conjugation(n_q):
+    # Impulse and constant leaves read imaginary parts of exactly +-0.  With
+    # a real part >= 0, a complex multiply by the scale after the conjugation
+    # gives +0 in both halves; scaling the parts first would leave -0 in the
+    # conjugate half.
+    N = 2**n_q
+    rng = np.random.default_rng(40 + n_q)
+    even = rng.normal(size=N)
+    even[1:] += even[:0:-1]
+    blocks = np.stack([np.eye(N)[0], np.ones(N), 3.0 * np.eye(N)[N // 2], even,
+                       rng.normal(size=N)], axis=1)
+    got, _ = evaluate_nodes(blocks)
+    assert got[:, :2].imag.tobytes() == np.zeros((N, 2)).tobytes()
+    norms = np.array([RealSignal.from_values(b).norm for b in blocks.T])
+    x = blocks / norms
+    work = _work_arrays(x.size)
+    plan = work.node_plan(n_q)
+    a = _reference(plan.schedule, x, work).copy()
+    magnitude, reference = (e.copy() for e in _measure(plan, x, a, 0, None, None, work))
+    parts, _, _ = _rebuild(plan.schedule, x, a, magnitude, reference, 0, None, work)
+    want = schedule_spectrum(plan.schedule, parts, norms * math.sqrt(N))
+    assert got.tobytes() == want.tobytes()
 
 
 # --- phase rebuilding -------------------------------------------------------
@@ -659,7 +685,7 @@ def test_rebuild_fallbacks_match_per_fallback_reference():
     work = _work_arrays(columns.size)
     plan = work.node_plan(n_q)
     schedule = plan.schedule
-    a = _reference(columns, work)
+    a = _reference(schedule, columns, work)
     magnitude, reference = _measure(plan, columns, a, shots, list(range(L)), None, work)
     ledger = CostLedger()
     parts, _, fallback = _rebuild(
