@@ -26,8 +26,13 @@ Conventions, fixed once and used everywhere:
   seeded binomial draw.  They are the per-entry reference, within 1e-15 and
   not bit for bit, for the batched readout's exact probabilities in
   :mod:`hqsim.readout`.  They do not reproduce its sampled draws:
-  :func:`sample_effect` makes a generator per entry, while the readout
-  draws all entries of a node from one generator.
+  :func:`sample_effect` seeds a generator per entry, while the readout
+  draws all entries of a node from the node's own Philox stream.
+* Sampled units (a transform's leaf, a search's node call) draw from
+  counter-based streams (Salmon et al., "Parallel random numbers: as easy
+  as 1, 2, 3", SC'11): key ``k < 2**128`` is ``Philox(key=k)``'s stream.
+  :func:`run_key` puts a run's master seed above 64 unit-index bits, and
+  :func:`unit_streams` resets one bit generator per call to each key.
 """
 
 from __future__ import annotations
@@ -62,10 +67,31 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 # Shared by the transform and the search; not re-exported by the package.
-def derive_seed(*key: int) -> int:
-    """The seed of one work unit, from the master seed and the unit's key, so
-    that a unit's draws do not depend on how the units are batched."""
-    return int(np.random.SeedSequence(key).generate_state(1)[0])
+def check_seed(value, name: str, bits: int | None = None) -> int:
+    """``value`` as an int; ``ValueError`` naming ``name`` unless it is an
+    integer from 0, and below ``2**bits`` when ``bits`` is given."""
+    whole = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not whole or value < 0 or bits and int(value) >> bits:
+        bound = f"2**{bits}" if bits else "inf"
+        raise ValueError(f"{name} must be an integer in [0, {bound}), got {value!r}")
+    return int(value)
+
+
+def run_key(master_seed: int) -> int:
+    """The high word of every unit key of a run: one ``SeedSequence`` word of
+    ``master_seed``, above the 64 bits that index the unit."""
+    return int(np.random.SeedSequence(master_seed).generate_state(1, np.uint64)[0]) << 64
+
+
+def unit_streams(keys):
+    """Yield, for each key, one Generator on one Philox bit generator reset to
+    the start of that key's stream, which draws as ``Generator(Philox(key=key))``."""
+    bits = np.random.Philox(0)
+    generator, state = np.random.Generator(bits), bits.state  # counter 0, buffer empty
+    for key in keys:
+        state["state"]["key"] = (key & (2**64 - 1), key >> 64)
+        bits.state = state
+        yield generator
 
 
 @dataclass(frozen=True)

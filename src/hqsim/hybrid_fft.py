@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import derive_seed
+from .core import check_seed, run_key
 from .costs import CostLedger, _check_node_size
 from .readout import RealSignal, _WorkArrays, _evaluate_nodes, _shaped, _work_arrays
 
@@ -73,6 +73,7 @@ class FftPlan:
 
     def __post_init__(self) -> None:
         _check_node_size(self.n, self.n_q)
+        check_seed(self.master_seed, "master_seed")
         if self.shots < 0:
             raise ValueError(f"shots must be >= 0, got {self.shots}")
 
@@ -219,9 +220,9 @@ def hybrid_dft(signal: RealSignal, plan: FftPlan) -> tuple[SpectrumVector, CostL
 
     Zero leaves short-circuit to zero spectra without touching the node.
     With ``n_q = 0`` the quantum stage is skipped entirely and the plain FFT
-    levels run on the single-sample leaves.  Leaf seeds derive from (master
-    seed, leaf index), so results do not depend on how the leaves are
-    batched.
+    levels run on the single-sample leaves.  Leaf ``r`` draws from the
+    Philox key ``run_key(master_seed) + r`` (:mod:`hqsim.core`), so results
+    do not depend on how the leaves are batched.
     """
     if plan.n != signal.n:
         raise ValueError(f"plan built for n={plan.n}, signal has n={signal.n}")
@@ -233,9 +234,9 @@ def hybrid_dft(signal: RealSignal, plan: FftPlan) -> tuple[SpectrumVector, CostL
     else:
         seeds = None
         if plan.shots:
-            # Column c is leaf bitrev(c), and a leaf's seed follows its index.
-            leaf_of_column = _bit_reversal(leaves.shape[1]).tolist()
-            seeds = [derive_seed(plan.master_seed, r) for r in leaf_of_column]
+            # Column c is leaf bitrev(c), and a leaf's key follows its index.
+            key = run_key(plan.master_seed)
+            seeds = [key + r for r in _bit_reversal(leaves.shape[1]).tolist()]
         spec, stderr = _evaluate_nodes(work, leaves, plan.shots, seeds, ledger)
     values = _combine_levels(spec, ledger, work)
     spectrum = SpectrumVector(values, None if stderr is None else _combined_stderr(stderr))

@@ -48,7 +48,8 @@ memo holds at most one 5-tuple per (node size, count) seen, at most
 ``size + 1`` per size.  Sampled mode expands the counts into per-sublist
 arrays one block of at most ``BLOCK_INDICES`` indices at a time and runs
 that block's sublists in lockstep, one call wave at a time, since a round's
-iteration count depends only on its number.
+iteration count depends only on its number; each (sublist, call) draws from
+its own Philox stream (see :mod:`hqsim.core`).
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import derive_seed
+from .core import check_seed, run_key, unit_streams
 from .costs import CostLedger, _check_node_size
 
 __all__ = [
@@ -324,8 +325,8 @@ def _node_calls(unfound, settled, plan, seeds, ledger):
     lockstep, on counts alone: row i holds ``unfound[i]`` unfound solutions,
     and ``settled[i]`` settled indices in the rest of its node.
 
-    Row i's generator, seeded ``seeds[i]``, draws two uniforms per round up
-    front, so its draws depend on its seed alone.  Round k runs
+    Row i draws two uniforms per round up front from the Philox stream keyed
+    ``seeds[i]``, so its draws depend on its key alone.  Round k runs
     ``plan.iterations[k]`` steps; its first uniform picks the unfound class
     with probability ``sin**2((2t+1)*theta)`` (always where the rest class is
     empty), its second a uniform rank in the winning class.  A row stops
@@ -335,7 +336,9 @@ def _node_calls(unfound, settled, plan, seeds, ledger):
     it verified, its rounds, and each round's rank (valid up to ``rounds``).
     """
     size, steps = plan.size, np.array(plan.iterations)
-    draws = np.array([np.random.default_rng(s).random((len(steps), 2)) for s in seeds])
+    draws = np.empty((len(seeds), len(steps), 2))
+    for row, rng in zip(draws, unit_streams(seeds)):
+        rng.random(out=row)
     theta = np.arcsin(np.sqrt(unfound / size))
     won = draws[..., 0] < np.sin(np.multiply.outer(theta, 2 * steps + 1)) ** 2
     won[unfound == size] = True  # exactly, whatever sin rounds to
@@ -372,9 +375,10 @@ def search_node(
     known already and never measured in exact mode.  Each round runs a
     planned number of amplification steps, measures, and verifies the
     candidate classically; the node stops on success or after n_q + 1
-    rounds.
+    rounds.  Sampled mode draws from the Philox key ``seed``, below 2**128.
     """
     _check_mode(mode)
+    seed = check_seed(seed, "seed", 128)
     if not 0 <= sublist < _num_sublists(oracle.n, n_q):
         raise ValueError(f"sublist {sublist} out of range")
     size = 2**n_q
@@ -467,9 +471,11 @@ def partition_search(
     once, times its number of sublists; a sublist whose walk meets a tie is
     walked on its own positions.  Sampled mode expands the counts into
     per-sublist arrays one block of :data:`BLOCK_INDICES` indices at a
-    time for its call waves.  Neither mode builds a per-index array.
+    time for its call waves, each (sublist, call) from its own Philox key
+    (:func:`_sampled_block`).  Neither mode builds a per-index array.
     """
     _check_mode(mode)
+    check_seed(master_seed, "master_seed")
     size, num_sublists = 2**n_q, _num_sublists(oracle.n, n_q)
     plan = _node_plan(size)
     ledger = CostLedger()
@@ -482,12 +488,12 @@ def partition_search(
     elif mode == "exact":
         _exact_charges(hits, n_q, num_sublists, plan, ledger)
     else:
-        per_block = max(BLOCK_INDICES // size, 1)
+        per_block, key = max(BLOCK_INDICES // size, 1), run_key(master_seed)
         for first in range(0, num_sublists, per_block):
             rows = min(per_block, num_sublists - first)
             lo, hi = hits.searchsorted(first * size), hits.searchsorted((first + rows) * size)
             counts = np.bincount((hits[lo:hi] >> n_q) - first, minlength=rows)
-            _sampled_block(counts, first, master_seed, plan, ledger)
+            _sampled_block(counts, first, key, plan, ledger)
     ledger.node_accesses = num_sublists
     ledger.classical_bits = 2**oracle.n * n_precision
     ledger.qubit_count = n_q + 1
@@ -534,20 +540,21 @@ def _exact_charges(hits, n_q, num_sublists, plan, ledger) -> None:
     ledger.sweep_queries += sweep
 
 
-def _sampled_block(counts, first, master_seed, plan, ledger) -> None:
+def _sampled_block(counts, first, key, plan, ledger) -> None:
     """Sampled-mode node calls over one block of sublists, holding
     ``counts`` solutions each, then its sweep.
 
     Calls run in waves: call 0 on every sublist, call c on those whose call
     c-1 verified and that still hold unknown indices.  Sublist ``first + r``
-    draws call c from the seed ``derive_seed(master_seed, first + r, c)``.
+    draws call c from the Philox key ``key + (first + r) * 2**32 + c``, where
+    ``key`` is ``run_key(master_seed)`` (:mod:`hqsim.core`).
     """
     found = np.zeros_like(counts)
     settled = np.zeros_like(counts)  # found solutions and ruled-out non-solutions
     active = np.arange(len(counts))
     call = 0
     while active.size:
-        seeds = [derive_seed(master_seed, first + a, call) for a in active.tolist()]
+        seeds = [key + (first + a) * 2**32 + call for a in active.tolist()]
         unfound, known = counts[active] - found[active], settled[active]
         verified, rounds, _ = _node_calls(unfound, known, plan, seeds, ledger)
         spent = np.take(plan.spent_after, rounds)

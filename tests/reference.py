@@ -4,8 +4,8 @@ the out-of-place one must match bit for bit, gates re-targeted by a qubit
 offset, the plain radix-2 transform level by level, the readout's node
 stage read through the schedule's per-projector index maps, which its pair
 form and its output must match bit for bit, the readout's sign rebuild written with a
-masked negation, and a projection's ancilla residual read through joint
-probabilities."""
+masked negation, a projection's ancilla residual read through joint
+probabilities, and the documented Philox key of a sampled unit."""
 
 import cmath
 import dataclasses
@@ -242,3 +242,11 @@ def probed_residual(state, data_effect):
 def residual_probes(residual):
     """The probe probabilities that the ancilla residual ``residual`` gives."""
     return np.array([abs(a.overlap_with(residual)) ** 2 for a in ANCILLA_PROBES])
+
+
+def unit_key(master_seed, index):
+    """The documented Philox key of a sampled unit: one 64-bit
+    ``SeedSequence`` word of the master seed times 2**64, plus the unit's
+    index (leaf ``r``: ``r``; call ``c`` of sublist ``r``: ``r * 2**32 + c``)."""
+    word = np.random.SeedSequence(master_seed).generate_state(1, np.uint64)[0]
+    return int(word) * 2**64 + int(index)

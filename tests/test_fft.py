@@ -38,7 +38,7 @@ from hqsim.hybrid_fft import (
     direct_dft,
     hybrid_dft,
 )
-from reference import bit_reversal, classical_fft, two_product_level
+from reference import bit_reversal, classical_fft, two_product_level, unit_key
 
 
 def test_direct_dft_delta():
@@ -129,6 +129,14 @@ def test_decimate_two_levels_first_block():
     # Bit-reversed residues: leaves are (0,4), (2,6), (1,5), (3,7).
     assert [list(b.values) for b in blocks] == [
         [0.0, 4.0], [2.0, 6.0], [1.0, 5.0], [3.0, 7.0]]
+
+
+@pytest.mark.parametrize("shots", [0, 64])
+@pytest.mark.parametrize("bad", [-1, 1.5, True, None])
+def test_plan_refuses_a_bad_master_seed_in_both_modes(shots, bad):
+    with pytest.raises(ValueError, match="master_seed"):
+        FftPlan(n=4, n_q=2, shots=shots, master_seed=bad)
+    assert FftPlan(n=4, n_q=2, shots=shots, master_seed=2**200).master_seed == 2**200
 
 
 def test_decimate_rejects_oversized_node():
@@ -486,7 +494,7 @@ def per_leaf_transform(signal, plan):
             spectra.append(block.values.astype(complex))
             errors.append(np.zeros(block.size))
             continue
-        seed = int(np.random.SeedSequence([plan.master_seed, idx]).generate_state(1)[0])
+        seed = unit_key(plan.master_seed, idx)
         record = execute_schedule(block, build_schedule(plan.n_q), plan.shots, seed, ledger)
         estimate = rebuild_phases(record, block, ledger)
         ledger.node_accesses += 1
@@ -542,6 +550,35 @@ def test_hybrid_equals_per_leaf_path(sizes, kind, shots, seed):
         assert np.max(np.abs(got.stderr - want_stderr)) <= 1e-12
     else:
         assert got.stderr is None
+
+
+@pytest.mark.parametrize("n, n_q, master_seed", [(6, 2, 0), (8, 3, 7), (11, 4, 1), (7, 7, 2**40 + 3)])
+def test_sampled_leaves_draw_from_their_documented_keys(n, n_q, master_seed):
+    # Column c of the (2**n_q, R) leaf array is leaf bitrev(c), and it draws
+    # from the key of (master seed, leaf): the spectrum and its errors are,
+    # byte for byte, the levels applied to evaluate_nodes of the columns.
+    signal = RealSignal.from_values(np.random.default_rng(n).uniform(-1.0, 1.0, 2**n))
+    got, _ = hybrid_dft(signal, FftPlan(n=n, n_q=n_q, shots=256, master_seed=master_seed))
+    columns = signal.values.reshape(2**n_q, -1)
+    leaves = bit_reversal(columns.shape[1])
+    spec, stderr = evaluate_nodes(columns, 256, [unit_key(master_seed, r) for r in leaves])
+    want = _combine_levels(spec, None, _work_arrays(signal.size))
+    assert got.values.tobytes() == want.tobytes()
+    assert got.stderr.tobytes() == _combined_stderr(stderr).tobytes()
+    if leaves.size > 1:  # the keys in column order give other draws
+        natural, _ = evaluate_nodes(columns, 256, [unit_key(master_seed, r) for r in range(leaves.size)])
+        assert natural.tobytes() != spec.tobytes()
+
+
+def test_sampled_transform_builds_no_generator_per_leaf(counted_draws):
+    # One SeedSequence, one Philox and one Generator per run; the zero leaf
+    # draws nothing, and each live column resets the stream to its leaf's key.
+    made, keys = counted_draws
+    values = np.arange(1.0, 65.0)
+    values[5::16] = 0.0  # column 5 holds leaf bitrev(5) = 10
+    hybrid_dft(RealSignal.from_values(values), FftPlan(n=6, n_q=2, shots=64, master_seed=3))
+    assert made == ["SeedSequence", "Philox", "Generator"]
+    assert keys == [unit_key(3, r) for r in bit_reversal(16) if r != 10]
 
 
 def test_hybrid_resolves_fallback_leaves():

@@ -317,6 +317,30 @@ def test_execute_refuses_negative_shots():
         execute_schedule(block, build_schedule(2), shots=-1)
 
 
+BAD_KEYS = [-1, 2**128, 1.5, True, "1", None]
+
+
+@pytest.mark.parametrize("bad", BAD_KEYS)
+def test_nodes_refuse_a_seed_that_is_not_a_key_before_any_work(bad):
+    # A seed is a Philox key, an integer in [0, 2**128); 2**128 - 1 is one.
+    blocks = np.random.default_rng(61).normal(size=(2, 4)).T.copy()
+    ledger = CostLedger()
+    with pytest.raises(ValueError, match="seeds"):
+        evaluate_nodes(blocks, 10, [1, bad], ledger)
+    assert ledger == CostLedger()
+    assert evaluate_nodes(blocks, 10, [np.uint64(1), 2**128 - 1])[0].shape == (4, 2)
+
+
+@pytest.mark.parametrize("bad", BAD_KEYS)
+def test_execute_refuses_a_seed_that_is_not_a_key_before_any_work(bad):
+    block = RealSignal.from_values([1.0, 2.0, 0.0, 3.0])
+    ledger = CostLedger()
+    for shots in (0, 100):
+        with pytest.raises(ValueError, match="seed"):
+            execute_schedule(block, build_schedule(2), shots, bad, ledger)
+    assert ledger == CostLedger()
+
+
 def test_sampled_nodes_need_one_seed_per_row():
     # Each block is a column of the node stage's input.
     blocks = np.random.default_rng(61).normal(size=(3, 4)).T.copy()
@@ -352,7 +376,20 @@ def test_sampled_entries_are_one_binomial_draw_each_from_the_row_seed():
     sampled = execute_schedule(block, schedule, shots=1000, seed=21)
     # Schedule order: each projector's magnitude entry, then its reference.
     p = np.clip(np.stack([exact.magnitude, exact.reference], axis=1).ravel(), 0.0, 1.0)
-    want = np.random.default_rng(21).binomial(1000, p) / 1000
+    want = np.random.Generator(np.random.Philox(key=21)).binomial(1000, p) / 1000
+    assert np.stack([sampled.magnitude, sampled.reference], axis=1).ravel().tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("n_q", [1, 2])
+def test_small_nodes_draw_their_entries_one_by_one_as_one_row_draw(n_q):
+    # Up to N = 4 each entry is one scalar binomial call; the draws must be
+    # those of one call on the whole row, as larger nodes make.
+    block = RealSignal.from_values([3.0, -2.0, 0.5, -1.0][: 2**n_q])
+    schedule = build_schedule(n_q)
+    exact = execute_schedule(block, schedule)
+    sampled = execute_schedule(block, schedule, shots=1000, seed=2**100 + 21)
+    p = np.clip(np.stack([exact.magnitude, exact.reference], axis=1).ravel(), 0.0, 1.0)
+    want = np.random.Generator(np.random.Philox(key=2**100 + 21)).binomial(1000, p) / 1000
     assert np.stack([sampled.magnitude, sampled.reference], axis=1).ravel().tolist() == want.tolist()
 
 
@@ -396,19 +433,17 @@ def test_zero_columns_leave_the_live_columns_unchanged(n_q):
         assert ledger.node_accesses == np.count_nonzero(live)
 
 
-def test_sampled_nodes_make_one_generator_per_live_row(monkeypatch):
-    real_rng = np.random.default_rng
-    made = []
-
-    def counting_rng(seed=None):
-        made.append(seed)
-        return real_rng(seed)
-
-    blocks = real_rng(63).normal(size=(4, 16)).T.copy()
+def test_sampled_nodes_reset_one_generator_to_each_live_row_key(counted_draws):
+    # One Philox bit generator and one Generator per call, none per row, and
+    # no SeedSequence or default_rng at all; the zero column draws nothing,
+    # and the live rows reset the stream to their own keys, in order.
+    made, keys = counted_draws
+    blocks = np.random.Generator(np.random.PCG64(63)).normal(size=(4, 16)).T.copy()
     blocks[:, 1] = 0.0
-    monkeypatch.setattr(np.random, "default_rng", counting_rng)
-    evaluate_nodes(blocks, 200, [5, 6, 7, 8])
-    assert made == [5, 7, 8]
+    made.clear()
+    evaluate_nodes(blocks, 200, [5, 6, 7, 2**127 + 8])
+    assert made == ["Philox", "Generator"]
+    assert keys == [5, 7, 2**127 + 8]
 
 
 @pytest.mark.parametrize("n_q", [1, 2, 3, 4, 5, 8])

@@ -15,7 +15,6 @@ from hqsim.checks import (
     search_misses,
 )
 from hqsim import search
-from hqsim.core import derive_seed
 from hqsim.costs import CostLedger
 from hqsim.search import (
     GroverOutcome,
@@ -31,6 +30,7 @@ from hqsim.search import (
     plan_iterations,
     search_node,
 )
+from reference import unit_key
 
 
 def uniform(size):
@@ -371,6 +371,26 @@ def test_node_refuses_skip_candidates_out_of_range():
                 search_node(oracle, 2, 0, mode=mode, skip_candidates=frozenset({candidate}))
 
 
+@pytest.mark.parametrize("bad", [-1, 2**128, 1.5, True, None])
+def test_node_refuses_a_seed_that_is_not_a_key_before_any_work(bad):
+    oracle = SearchOracle.from_solutions(4, [3])
+    ledger = CostLedger()
+    for mode in ("exact", "sampled"):
+        with pytest.raises(ValueError, match="seed"):
+            search_node(oracle, 2, 0, mode=mode, seed=bad, ledger=ledger)
+    assert ledger == CostLedger()
+    assert search_node(oracle, 2, 0, mode="sampled", seed=2**128 - 1).verified in (True, False)
+
+
+@pytest.mark.parametrize("bad", [-1, 1.5, True, None])
+def test_search_refuses_a_bad_master_seed_in_both_modes(bad):
+    oracle = SearchOracle(4, mock.Mock(return_value=False), 0)
+    for mode in ("exact", "sampled"):
+        with pytest.raises(ValueError, match="master_seed"):
+            partition_search(oracle, 2, mode=mode, master_seed=bad)
+    oracle.membership.assert_not_called()
+
+
 def test_node_sampled_mode_seeded():
     oracle = SearchOracle.from_solutions(4, [5])
     a = search_node(oracle, 2, 1, mode="sampled", seed=3)
@@ -422,7 +442,7 @@ def test_node_calls_draw_the_class_then_a_uniform_rank(m, known):
     size, rows = 16, 4000
     plan = _NodePlan(size)
     settled = np.full(rows, known)
-    seeds = [derive_seed(9, m, r) for r in range(rows)]
+    seeds = [unit_key(9, m * 2**32 + r) for r in range(rows)]
     verified, rounds, ranks = _node_calls(np.full(rows, m), settled, plan, seeds, CostLedger())
     won = verified & (rounds == 1)
     p = math.sin((2 * plan.iterations[0] + 1) * math.asin(math.sqrt(m / size))) ** 2
@@ -684,7 +704,7 @@ def reference_search(oracle, n_q, mode, master_seed):
         found_local, known_non = set(), set()
         call = 0
         while len(found_local) + len(known_non) < size:
-            seed = derive_seed(master_seed, r, call)
+            seed = unit_key(master_seed, r * 2**32 + call)
             if mode == "exact":
                 outcome = reference_exact_node(oracle, n_q, r, ledger, found_local, known_non)
             elif mode == "rows":
@@ -832,7 +852,8 @@ def test_tie_free_counts_give_placement_independent_ledgers(n):
 
 
 # Ledgers of hand-picked runs, recorded from the per-sublist implementation;
-# the sampled one re-recorded from the class-then-rank draw.
+# the sampled one re-recorded from the class-then-rank draw on the per-call
+# Philox streams.
 PINNED_LEDGERS = [
     (SearchOracle.from_solutions(8, [3, 77, 200, 201]), 3, "exact", 0,
      dict(quantum_oracle_queries=104, classical_oracle_queries=132, measurement_units=132,
@@ -847,8 +868,8 @@ PINNED_LEDGERS = [
           node_accesses=8, retry_queries=29, repeat_node_accesses=11, sweep_queries=24,
           classical_bits=4096, qubit_count=4)),
     (SearchOracle.random(7, 20, seed=3), 3, "sampled", 5,
-     dict(quantum_oracle_queries=94, classical_oracle_queries=90, measurement_units=90,
-          node_accesses=16, retry_queries=67, repeat_node_accesses=20, sweep_queries=58,
+     dict(quantum_oracle_queries=93, classical_oracle_queries=90, measurement_units=90,
+          node_accesses=16, retry_queries=67, repeat_node_accesses=20, sweep_queries=61,
           classical_bits=8192, qubit_count=4)),
 ]
 
@@ -885,6 +906,26 @@ def counting_calls(monkeypatch, name):
 
     monkeypatch.setattr(search, name, counted)
     return calls
+
+
+def test_sampled_search_builds_no_generator_per_sublist_call(counted_draws, monkeypatch):
+    # One SeedSequence per run, one Philox and one Generator per call wave,
+    # and within a wave a reset to the key of each (sublist, call), in order.
+    made, keys = counted_draws
+    waves = counting_calls(monkeypatch, "_node_calls")
+    oracle = SearchOracle.from_solutions(8, [3, 4, 5, 9, 17, 18, 100, 101, 102, 103, 250])
+    partition_search(oracle, 3, mode="sampled", master_seed=11)
+    assert made == ["SeedSequence"] + ["Philox", "Generator"] * len(waves)
+    assert keys == [key for wave in waves for key in wave[3]]
+    # Wave c holds call c of the sublists still active, in order.
+    previous = list(range(32))
+    for call, wave in enumerate(waves):
+        sublists = [(key - unit_key(11, 0)) >> 32 for key in wave[3]]
+        assert wave[3] == [unit_key(11, r * 2**32 + call) for r in sublists]
+        assert sublists == sorted(set(sublists) & set(previous))
+        previous = sublists
+    assert len(previous) < len(waves[0][3]) == 32
+    assert len(keys) > 2 * len(waves) > 2
 
 
 def test_a_second_search_replans_and_rewalks_nothing(fresh_plans, monkeypatch):
