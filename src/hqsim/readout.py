@@ -58,7 +58,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import StateVector, build_qft_circuit, check_seed, compile_circuit, run_circuit, unit_streams
+from .core import (
+    StateVector,
+    build_qft_circuit,
+    check_seed,
+    compile_circuit,
+    run_circuit,
+    unit_streams,
+)
 from .costs import CostLedger
 
 __all__ = [
@@ -373,8 +380,15 @@ def _erfc(x: np.ndarray) -> np.ndarray:
     return t * np.exp(fit - x * x)
 
 
-def _measure(plan: _NodePlan, x: np.ndarray, a: np.ndarray, shots: int, seeds, ledger: CostLedger | None,
-             work: _WorkArrays) -> tuple[np.ndarray, np.ndarray]:
+def _measure(
+    plan: _NodePlan,
+    x: np.ndarray,
+    a: np.ndarray,
+    shots: int,
+    seeds,
+    ledger: CostLedger | None,
+    work: _WorkArrays,
+) -> tuple[np.ndarray, np.ndarray]:
     """Joint probabilities of every normalized column of the C-contiguous
     ``(N, L)`` array ``x``, whose classical references are ``a``: the
     magnitude and the reference entry of each projector, two ``(N, L)``
@@ -417,9 +431,7 @@ def _measure(plan: _NodePlan, x: np.ndarray, a: np.ndarray, shots: int, seeds, l
     probabilities = np.clip(probabilities, 0.0, 1.0)
     counts = np.empty((L, 2 * N))
     for row, p, rng in zip(counts, probabilities, unit_streams(seeds)):
-        # numpy checks an array p in about 10 µs and a scalar in under 1: the
-        # same draws, in the same order, are cheaper one by one up to N = 4.
-        row[...] = rng.binomial(shots, p) if N > 4 else [rng.binomial(shots, q) for q in p.tolist()]
+        row[...] = rng.binomial(shots, p)
     estimates = counts / shots
     return estimates[:, 0::2].T, estimates[:, 1::2].T
 
@@ -522,8 +534,12 @@ def _rebuild(
     return values, np.sqrt(_hermitian(parts.real + parts.imag)), fallback
 
 
-def evaluate_nodes(blocks: np.ndarray, shots: int = 0, seeds=None,
-                   ledger: CostLedger | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+def evaluate_nodes(
+    blocks: np.ndarray,
+    shots: int = 0,
+    seeds=None,
+    ledger: CostLedger | None = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
     """The node stage for every column of a ``(2**n_q, L)`` real block array.
 
     Encodes the nonzero columns, runs the readout circuit and schedule on
@@ -592,8 +608,13 @@ def _spread(columns: np.ndarray, live: np.ndarray, out: np.ndarray) -> np.ndarra
     return out
 
 
-def execute_schedule(block: RealSignal, schedule: ReadoutSchedule, shots: int = 0, seed: int = 0,
-                     ledger: CostLedger | None = None) -> ReadoutRecord:
+def execute_schedule(
+    block: RealSignal,
+    schedule: ReadoutSchedule,
+    shots: int = 0,
+    seed: int = 0,
+    ledger: CostLedger | None = None,
+) -> ReadoutRecord:
     """Run the readout circuit on one block and fill every schedule entry.
 
     A batch of one through the node stage of :func:`evaluate_nodes`: builds

@@ -380,19 +380,6 @@ def test_sampled_entries_are_one_binomial_draw_each_from_the_row_seed():
     assert np.stack([sampled.magnitude, sampled.reference], axis=1).ravel().tolist() == want.tolist()
 
 
-@pytest.mark.parametrize("n_q", [1, 2])
-def test_small_nodes_draw_their_entries_one_by_one_as_one_row_draw(n_q):
-    # Up to N = 4 each entry is one scalar binomial call; the draws must be
-    # those of one call on the whole row, as larger nodes make.
-    block = RealSignal.from_values([3.0, -2.0, 0.5, -1.0][: 2**n_q])
-    schedule = build_schedule(n_q)
-    exact = execute_schedule(block, schedule)
-    sampled = execute_schedule(block, schedule, shots=1000, seed=2**100 + 21)
-    p = np.clip(np.stack([exact.magnitude, exact.reference], axis=1).ravel(), 0.0, 1.0)
-    want = np.random.Generator(np.random.Philox(key=2**100 + 21)).binomial(1000, p) / 1000
-    assert np.stack([sampled.magnitude, sampled.reference], axis=1).ravel().tolist() == want.tolist()
-
-
 def test_sampled_nodes_depend_only_on_their_own_seed():
     blocks = np.random.default_rng(62).normal(size=(5, 8)).T.copy()
     blocks[:, 2] = 0.0
