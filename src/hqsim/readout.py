@@ -185,9 +185,8 @@ def build_schedule(n_q: int) -> ReadoutSchedule:
 
     Exactly ``N`` pairwise orthogonal data projectors with two entries each:
     the self-conjugate indices 0 and N/2 plus a conjugate pair (+, -) per
-    index below N/2.  Its arrays are read-only: the node stage keeps one
-    schedule per node size in its work arrays and shares it with every
-    call.
+    index below N/2.  Its arrays are read-only, so the records that share a
+    schedule cannot change it; a node plan keeps none of them.
     """
     if n_q < 1:
         raise ValueError(f"n_q must be >= 1, got {n_q}")
@@ -215,15 +214,15 @@ def build_schedule(n_q: int) -> ReadoutSchedule:
 
 
 class _NodePlan:
-    """What the node stage reads for a schedule and never writes: the compiled
-    transform circuit and its gate count, the result rows of index ``k`` and
-    of ``N-k`` for ``k < N/2`` (``rows[0]`` and ``rows[1]``, whose ``k = 0``
-    entries are 0 and N/2), and the schedule's weights and ancilla weights
-    of the self-conjugate projectors (``[0]``) and of a pair's (``[1]``)."""
+    """What the node stage reads for a schedule and never writes, and none of
+    its arrays: the compiled circuit (phase diagonals, 16 bytes per sample)
+    and gate count, the result rows of ``k`` and ``N-k`` for ``k < N/2``
+    (``rows``, 8 bytes per sample; ``k = 0`` reads 0 and N/2), the pair
+    weight, and the weights and ancilla weights of rows 0 and 1 and of a pair."""
 
     def __init__(self, schedule: ReadoutSchedule) -> None:
         circuit = build_qft_circuit(schedule.n_q)
-        self.schedule, self.gates = schedule, len(circuit)
+        self.gates, self.pair_weight = len(circuit), schedule.scales[-1]
         self.steps, rows, scale = compile_circuit(schedule.n_q, circuit)
         half = rows.size // 2
         self.rows = np.stack([rows[:half], np.concatenate([rows[half : half + 1], rows[: half : -1]])])
@@ -237,16 +236,16 @@ class _NodePlan:
 
 class _WorkArrays:
     """The work arrays for ``size`` samples, of which a step takes the
-    leading elements, with the plan of each node size (``node_plan``) and,
-    in the kept object only (else None), each node size's twiddle table
-    ``twiddles[h]``, built by the butterfly levels.  Roles that share
-    memory are never live at once.  In order, ``spectrum`` holds ``x | a``,
-    then the node output; ``state`` and ``r1`` are the circuit's two buffers;
-    ``product`` its result in ``(N, L)`` order, then ``magnitude | values``;
-    ``state`` the pair terms, ``ref``, ``b_abs | plus``, then the spread
-    output; ``r1`` the projections, then ``reference | minus``,
-    then the levels' twiddled leaf spectra.  Threads that run transforms at
-    once would share the kept object."""
+    leading elements, with the plan of each node size (``node_plan``, 24
+    bytes per node sample) and, in the kept object only (else None), each
+    node size's twiddle table ``twiddles[h]``, built by the butterfly
+    levels.  Roles that share memory are never live at once.  In order,
+    ``spectrum`` holds ``x | a``, then the node output; ``state`` and ``r1``
+    are the circuit's two buffers; ``product`` its result in ``(N, L)``
+    order, then ``magnitude | values``; ``state`` the pair terms, ``ref``,
+    ``b_abs | plus``, then the spread output; ``r1`` the projections, then
+    ``reference | minus``, then the levels' twiddled leaf spectra.  Threads
+    that run transforms at once would share the kept object."""
 
     def __init__(self, size: int, kept: bool = False) -> None:
         arrays = np.empty((4, size), complex)
@@ -266,8 +265,8 @@ class _WorkArrays:
 
 
 # Kept for the last signal size only: at most 4.6 MiB of work arrays, 16 MiB
-# of twiddle tables (1 MiB for each node size below 16 qubits) and 8.1 MiB of
-# node plans (every node size up to 16 qubits), 28.7 MiB in all; larger ones
+# of twiddle tables (1 MiB for each node size below 16 qubits) and 3.2 MiB of
+# node plans (every node size up to 16 qubits), 23.8 MiB in all; larger ones
 # are built per call, so a run keeps nothing the size of a large signal.
 _KEEP_MAX_SIZE = 2**16
 _kept_work = lru_cache(maxsize=1)(lambda size: _WorkArrays(size, kept=True))
@@ -310,16 +309,16 @@ def _pairs(rows: np.ndarray) -> np.ndarray:
     return rows.reshape(rows.shape[0] // 2, 2, rows.shape[1])
 
 
-def _reference(schedule: ReadoutSchedule, x: np.ndarray, work: _WorkArrays) -> np.ndarray:
+def _reference(pair_weight: float, x: np.ndarray, work: _WorkArrays) -> np.ndarray:
     """The classical reference ``a = (x_i + sign * x_j) * scale`` of every
-    projector of every column of ``x``, ``(N, L)``: the sum comes before the
-    weight, as in the scalar rebuild this replaced."""
+    projector of every column of ``x``, ``(N, L)``, ``scale`` 1 on rows 0
+    and 1 and ``pair_weight`` on pairs: the sum comes before the weight."""
     half, a = x.shape[0] // 2, _shaped(work.a, x.shape)
     pairs, k, conjugate = _pairs(a), x[1:half], x[:half:-1]
     pairs[0] = x[::half]
     np.add(k, conjugate, out=pairs[1:, 0])
     np.subtract(k, conjugate, out=pairs[1:, 1])
-    pairs[1:] *= schedule.scales[-1]  # the pair weight; rows 0 and 1 have 1
+    pairs[1:] *= pair_weight
     return a
 
 
@@ -459,7 +458,7 @@ def _classical_coefficients(x: np.ndarray, columns: np.ndarray, k: np.ndarray) -
 
 
 def _rebuild(
-    schedule: ReadoutSchedule,
+    pair_weight: float,
     x: np.ndarray,
     a: np.ndarray,
     magnitude: np.ndarray,
@@ -496,17 +495,17 @@ def _rebuild(
     np.abs(np.subtract(quadruple, minus, out=temp), out=temp)
     temp -= np.abs(np.subtract(quadruple, plus, out=values), out=values)
     # A projector's part is its scale times |b|, 1 on rows 0 and 1.
-    np.copysign(b_abs, temp, out=values)[2:] *= schedule.scales[-1]
+    np.copysign(b_abs, temp, out=values)[2:] *= pair_weight
 
     eps = 3.0 / math.sqrt(shots) if shots else EPS_REF_EXACT
     fallback = np.less(np.abs(a, out=temp), eps, out=_shaped(work.masks[0], shape))
     fallback &= np.greater_equal(b_abs, eps, out=_shaped(work.masks[1], shape))
-    fallbacks = 0
-    if fallback.any():
+    fallbacks = int(np.count_nonzero(fallback))
+    if fallbacks:
         p, columns = np.nonzero(fallback)
-        c = _classical_coefficients(x, columns, schedule.coefficient[p])
-        values[p, columns] = np.where(schedule.imaginary[p], c.imag, c.real)
-        fallbacks = len(p)
+        k, part = np.divmod(p, 2)  # pair 0 holds coefficients 0 and N/2, pair k both parts of k
+        c = _classical_coefficients(x, columns, np.where(k, k, part * (N // 2)))
+        values[p, columns] = np.where((k > 0) & (part == 1), c.imag, c.real)
     if ledger is not None:
         ledger.fallback_ops += fallbacks * N
         ledger.classical_fallbacks += fallbacks
@@ -517,7 +516,7 @@ def _rebuild(
     # pair projectors; a fallback value carries no shot noise.  A
     # coefficient's variance sums those of its real and imaginary parts.
     spread = np.maximum(1.0 - mag, 0.0) / shots
-    variance = np.where(schedule.signs[:, None] != 0, spread / 4.0, spread / 2.0)
+    variance = np.concatenate([spread[:2] / 2.0, spread[2:] / 4.0])
     # The sign test picks the wrong hypothesis, an error of twice the part
     # value, when the reference falls on the wrong side of the hypotheses'
     # midpoint (a**2 + |b|**2) / 4 = a**2/4 + m/2, half their gap away.  Both
@@ -584,9 +583,9 @@ def _evaluate_nodes(work: _WorkArrays, blocks: np.ndarray, shots: int, seeds, le
     x = _encode(blocks, norms, ledger, _shaped(work.x, blocks.shape))
     plan = work.node_plan(N.bit_length() - 1)
     live_seeds = [seed for seed, keep in zip(seeds, live) if keep] if shots else None
-    a = _reference(plan.schedule, x, work)
+    a = _reference(plan.pair_weight, x, work)
     magnitude, reference = _measure(plan, x, a, shots, live_seeds, ledger, work)
-    parts, stderr, _ = _rebuild(plan.schedule, x, a, magnitude, reference, shots, ledger, work)
+    parts, stderr, _ = _rebuild(plan.pair_weight, x, a, magnitude, reference, shots, ledger, work)
     if ledger is not None:
         ledger.node_accesses += x.shape[1]
     # The output overwrites x and a.
@@ -630,10 +629,10 @@ def execute_schedule(
         raise ValueError(f"schedule built for n_q={schedule.n_q}, block has n_q={block.n}")
     if shots < 0:
         raise ValueError(f"shots must be >= 0, got {shots}")
-    work = _work_arrays(block.size)
+    work, plan = _work_arrays(block.size), _NodePlan(schedule)
     x = _encode(block.values[:, None], np.array([block.norm]), ledger, _shaped(work.x, (block.size, 1)))
-    a = _reference(schedule, x, work)
-    magnitude, reference = _measure(_NodePlan(schedule), x, a, shots, [seed], ledger, work)
+    a = _reference(plan.pair_weight, x, work)
+    magnitude, reference = _measure(plan, x, a, shots, [seed], ledger, work)
     return ReadoutRecord(schedule, magnitude[:, 0].copy(), reference[:, 0].copy(), shots)
 
 
@@ -660,9 +659,9 @@ def rebuild_phases(
     reference = np.asarray(record.reference, dtype=float)
     if magnitude.shape != (N,) or reference.shape != (N,):
         raise ValueError(f"record needs {N} magnitude and {N} reference entries")
-    work = _work_arrays(N)
+    work, pair_weight = _work_arrays(N), schedule.scales[-1]
     x = np.divide(block.values[:, None], block.norm, out=_shaped(work.x, (N, 1)))
-    parts, stderr, fallback = _rebuild(schedule, x, _reference(schedule, x, work), magnitude[:, None],
+    parts, stderr, fallback = _rebuild(pair_weight, x, _reference(pair_weight, x, work), magnitude[:, None],
                                        reference[:, None], record.shots, ledger, work)
     return SpectrumEstimate(
         coefficients=_hermitian(_by_coefficient(parts, np.empty((N, 1), complex)))[:, 0],

@@ -1,5 +1,7 @@
+import gc
 import math
 import tracemalloc
+import weakref
 from functools import lru_cache
 
 import numpy as np
@@ -25,6 +27,7 @@ from hqsim.readout import (
     EPS_REF_EXACT,
     _by_coefficient,
     _classical_coefficients,
+    _NodePlan,
     _measure,
     _project,
     _rebuild,
@@ -172,12 +175,37 @@ def test_schedule_rejects_bad_size():
 
 
 def test_schedules_are_read_only():
-    # The work arrays keep one schedule per node size and share it.
-    for schedule in (build_schedule(3), _work_arrays(8).node_plan(3).schedule):
-        for array in (schedule.indices, schedule.signs, schedule.scales,
-                      schedule.imaginary, schedule.ancilla_phase):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0] = array[1]
+    schedule = build_schedule(3)
+    for array in (schedule.indices, schedule.signs, schedule.scales,
+                  schedule.imaginary, schedule.ancilla_phase):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[1]
+
+
+def test_a_node_plan_keeps_its_pair_form_and_none_of_its_schedule(monkeypatch):
+    # A plan holds its row maps (8 bytes per sample) and its circuit's phase
+    # diagonals (16); the schedule's per-projector arrays would add 41.
+    gc.collect()
+    tracemalloc.start()
+    try:
+        plan = _NodePlan(build_schedule(16))
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 26 * 2**16
+    assert plan.pair_weight == INV_SQRT2
+    # The schedule a kept plan is built from is not kept with it.
+    built = []
+
+    def build(n_q):
+        built.append(weakref.ref(schedule := build_schedule(n_q)))
+        return schedule
+
+    monkeypatch.setattr(readout, "build_schedule", build)
+    plan = readout._WorkArrays(2**5).node_plan(5)
+    gc.collect()
+    assert plan.rows.shape == (2, 16) and [ref() for ref in built] == [None]
 
 
 # --- schedule execution -----------------------------------------------------
@@ -444,10 +472,9 @@ def test_batched_probabilities_match_per_entry_effects(n_q):
     blocks = [RealSignal.from_values(v) for v in rows if np.any(v)]
     normalized = np.array([block.values / block.norm for block in blocks]).T.copy()
     work = _work_arrays(normalized.size)
-    plan = work.node_plan(n_q)
-    schedule = plan.schedule
+    plan, schedule = work.node_plan(n_q), build_schedule(n_q)
     magnitude, reference = _measure(
-        plan, normalized, _reference(schedule, normalized, work), 0, None, None, work
+        plan, normalized, _reference(plan.pair_weight, normalized, work), 0, None, None, work
     )
     circuit = [shifted(gate, 1) for gate in build_qft_circuit(n_q)]
     for row, block in enumerate(blocks):
@@ -478,9 +505,8 @@ def test_pair_form_equals_the_schedule_definition_bit_for_bit(n_q, L):
     if L > 1:
         x[:, -1] = np.where(np.arange(N) % 2, -0.0, 0.0)
     work = _work_arrays(x.size)
-    plan = work.node_plan(n_q)
-    schedule = plan.schedule
-    a = _reference(schedule, x, work).copy()
+    plan, schedule = work.node_plan(n_q), build_schedule(n_q)
+    a = _reference(plan.pair_weight, x, work).copy()
     assert a.tobytes() == schedule_references(schedule, x).tobytes()
 
     steps, rows, scale = compile_circuit(n_q, build_qft_circuit(n_q))
@@ -515,10 +541,10 @@ def test_exact_nodes_scale_their_coefficients_after_the_conjugation(n_q):
     x = blocks / norms
     work = _work_arrays(x.size)
     plan = work.node_plan(n_q)
-    a = _reference(plan.schedule, x, work).copy()
+    a = _reference(plan.pair_weight, x, work).copy()
     magnitude, reference = (e.copy() for e in _measure(plan, x, a, 0, None, None, work))
-    parts, _, _ = _rebuild(plan.schedule, x, a, magnitude, reference, 0, None, work)
-    want = schedule_spectrum(plan.schedule, parts, norms * math.sqrt(N))
+    parts, _, _ = _rebuild(plan.pair_weight, x, a, magnitude, reference, 0, None, work)
+    want = schedule_spectrum(build_schedule(n_q), parts, norms * math.sqrt(N))
     assert got.tobytes() == want.tobytes()
 
 
@@ -661,8 +687,8 @@ def test_rebuild_signs_equal_the_masked_formula_on_crafted_entries():
     x /= np.linalg.norm(x, axis=0)
     work = _work_arrays(x.size)
     plan = work.node_plan(3)
-    got, _, fallback = _rebuild(plan.schedule, x, a, magnitude, reference, 0, None, work)
-    want, want_fallback = signed_parts(plan.schedule, a, magnitude, reference, EPS_REF_EXACT)
+    got, _, fallback = _rebuild(plan.pair_weight, x, a, magnitude, reference, 0, None, work)
+    want, want_fallback = signed_parts(build_schedule(3), a, magnitude, reference, EPS_REF_EXACT)
     assert np.array_equal(fallback, want_fallback)
     assert fallback[:, 3].sum() == 5 and not fallback[:, :3].any()
     assert got[~fallback].tobytes() == want[~fallback].tobytes()
@@ -688,8 +714,8 @@ def test_rebuild_signs_one_ulp_from_a_tie_as_the_masked_negation_does():
     x /= np.linalg.norm(x, axis=0)
     work = _work_arrays(x.size)
     plan = work.node_plan(3)
-    got, _, fallback = _rebuild(plan.schedule, x, a, magnitude, reference, 0, None, work)
-    want, _ = signed_parts(plan.schedule, a, magnitude, reference, EPS_REF_EXACT)
+    got, _, fallback = _rebuild(plan.pair_weight, x, a, magnitude, reference, 0, None, work)
+    want, _ = signed_parts(build_schedule(3), a, magnitude, reference, EPS_REF_EXACT)
     assert not fallback.any()
     assert got.tobytes() == want.tobytes()
     assert np.signbit(got[:, 0]).tolist() == [True, True, False, False, False, False, False, False]
@@ -705,13 +731,12 @@ def test_rebuild_fallbacks_match_per_fallback_reference():
     x = blocks / np.linalg.norm(blocks, axis=1)[:, None]
     columns = x.T.copy()
     work = _work_arrays(columns.size)
-    plan = work.node_plan(n_q)
-    schedule = plan.schedule
-    a = _reference(schedule, columns, work)
+    plan, schedule = work.node_plan(n_q), build_schedule(n_q)
+    a = _reference(plan.pair_weight, columns, work)
     magnitude, reference = _measure(plan, columns, a, shots, list(range(L)), None, work)
     ledger = CostLedger()
     parts, _, fallback = _rebuild(
-        schedule, columns, a, magnitude, reference, shots, ledger, work
+        plan.pair_weight, columns, a, magnitude, reference, shots, ledger, work
     )
     p, rows = np.nonzero(fallback)
     assert len(rows) > 500
