@@ -24,19 +24,19 @@ When the classical reference ``a`` is too small to separate the two sign
 hypotheses, that single coefficient is computed classically instead and the
 fallback is charged to the ledger.
 
-The layout above is defined once, by :func:`build_schedule`: a
-:class:`ReadoutSchedule` holds it as arrays, one row per projector (the
-basis indices and weights it reads, the coefficient part it yields and its
-reference ancilla phase).  The node stage is batched: :func:`evaluate_nodes`
-runs the circuit on every block of a run at once, each a column of one
-``(2**n_q, L)`` array (:mod:`hqsim.core`), and reads the schedule as
-pairs, in its row order and with its weights: rows ``k`` and ``N-k`` of a
-block's result, read once and weighted, give the plus and minus
-projections as their sum and difference.  Only the ancilla's
-control-on branch is simulated, as the control-off branch is the encoded
-block itself.  The ``(L, N)`` result is copied back to ``(N, L)`` order once
-and read through the circuit's final relabelling, with its normalization
-folded into the weights.  :func:`execute_schedule` and
+The layout above is defined once, by its projector order and the weights and
+ancilla phases ``SELF_SCALE``, ``PAIR_SCALE``, ``PLUS_PHASE`` and
+``MINUS_PHASE``; :func:`build_schedule` writes it out as a
+:class:`ReadoutSchedule`, one row per projector.  The node stage is batched:
+:func:`evaluate_nodes` runs the circuit on every block of a run at once,
+each a column of one ``(2**n_q, L)`` array (:mod:`hqsim.core`), and reads
+the layout as pairs, in projector order and with those constants, building
+no schedule: rows ``k`` and ``N-k`` of a block's result, read once and
+weighted, give the plus and minus projections as their sum and difference.
+Only the ancilla's control-on branch is simulated, as the control-off branch
+is the encoded block itself.  The ``(L, N)`` result is copied back to
+``(N, L)`` order once and read through the circuit's final relabelling, with
+its normalization folded into the weights.  :func:`execute_schedule` and
 :func:`rebuild_phases` are batch-of-one wrappers round the same code; their
 :class:`ReadoutRecord` holds a block's magnitude and reference entries as
 two arrays in projector order.  A block is a :class:`RealSignal`, the type
@@ -82,6 +82,11 @@ __all__ = [
 ]
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+# The layout's weights (see ReadoutSchedule): the scales of a self-conjugate
+# and of a pair projector, and the reference ancilla phases of a plus and of
+# a minus projector, whose residual carries i*sqrt(2) times the imaginary part.
+SELF_SCALE, PAIR_SCALE, PLUS_PHASE, MINUS_PHASE = 1.0, _INV_SQRT2, 0.0, math.pi / 2
 
 # Exact mode's sign-test threshold: a classical reference ``|a|`` below it
 # does not separate the two sign hypotheses (see _rebuild).
@@ -186,10 +191,18 @@ def build_schedule(n_q: int) -> ReadoutSchedule:
     Exactly ``N`` pairwise orthogonal data projectors with two entries each:
     the self-conjugate indices 0 and N/2 plus a conjugate pair (+, -) per
     index below N/2.  Its arrays are read-only, so the records that share a
-    schedule cannot change it; a node plan keeps none of them.
+    schedule cannot change it; the node stage builds none.
     """
     if n_q < 1:
         raise ValueError(f"n_q must be >= 1, got {n_q}")
+    arrays = _layout(n_q)
+    for array in arrays.values():
+        array.flags.writeable = False
+    return ReadoutSchedule(n_q=n_q, **arrays)
+
+
+def _layout(n_q: int) -> dict:
+    """The writable arrays of ``build_schedule(n_q)``, by field name."""
     N = 2**n_q
     p = np.arange(N)
     # Projectors 0 and 1 read the self-conjugate indices 0 and N/2; from
@@ -199,38 +212,30 @@ def build_schedule(n_q: int) -> ReadoutSchedule:
     first = np.where(self_conjugate, p * (N // 2), p // 2)
     signs = np.where(self_conjugate, 0.0, 1.0 - 2.0 * (p % 2))
     imaginary = signs < 0
-    arrays = dict(
+    return dict(
         indices=np.stack([first, np.where(self_conjugate, first, N - first)], axis=1),
         signs=signs,
-        scales=np.where(self_conjugate, 1.0, _INV_SQRT2),
+        scales=np.where(self_conjugate, SELF_SCALE, PAIR_SCALE),
         imaginary=imaginary,
-        # The minus projectors' residual carries i*sqrt(2) times the
-        # imaginary part, so their reference ancilla is rotated by pi/2.
-        ancilla_phase=np.where(imaginary, math.pi / 2, 0.0),
+        ancilla_phase=np.where(imaginary, MINUS_PHASE, PLUS_PHASE),
     )
-    for array in arrays.values():
-        array.flags.writeable = False
-    return ReadoutSchedule(n_q=n_q, **arrays)
 
 
 class _NodePlan:
-    """What the node stage reads for a schedule and never writes, and none of
-    its arrays: the compiled circuit (phase diagonals, 16 bytes per sample)
-    and gate count, the result rows of ``k`` and ``N-k`` for ``k < N/2``
-    (``rows``, 8 bytes per sample; ``k = 0`` reads 0 and N/2), the pair
-    weight, and the weights and ancilla weights of rows 0 and 1 and of a pair."""
+    """What the node stage reads for ``2**n_q``-point nodes and never writes:
+    the compiled circuit (phase diagonals, 16 bytes per sample) and gate
+    count, the result rows of ``k`` and ``N-k`` for ``k < N/2`` (``rows``, 8
+    bytes per sample; ``k = 0`` reads 0 and N/2), and the layout's weights
+    and ancilla weights of rows 0 and 1 and of a pair."""
 
-    def __init__(self, schedule: ReadoutSchedule) -> None:
-        circuit = build_qft_circuit(schedule.n_q)
-        self.gates, self.pair_weight = len(circuit), schedule.scales[-1]
-        self.steps, rows, scale = compile_circuit(schedule.n_q, circuit)
+    def __init__(self, n_q: int) -> None:
+        self.steps, rows, scale = compile_circuit(n_q, circuit := build_qft_circuit(n_q))
+        self.gates = len(circuit)
         half = rows.size // 2
         self.rows = np.stack([rows[:half], np.concatenate([rows[half : half + 1], rows[: half : -1]])])
-        # Rows 0 and 1, then the last pair's, which every pair shares (at
-        # N = 2, with no pair, rows 0 and 1 again).
-        self.weights = schedule.scales[[0, -1]] * (_INV_SQRT2 * scale)
+        self.weights = np.array([SELF_SCALE, PAIR_SCALE]) * (_INV_SQRT2 * scale)
         # <ref| r> = r0/sqrt(2) + w*r1, w the conjugate of e^{i*phi}/sqrt(2).
-        phases = schedule.ancilla_phase.reshape(-1, 2)[[0, -1]]
+        phases = np.array([[PLUS_PHASE, PLUS_PHASE], [PLUS_PHASE, MINUS_PHASE]])
         self.ancilla = (np.exp(-1j * phases) * _INV_SQRT2)[..., None]
 
 
@@ -260,7 +265,7 @@ class _WorkArrays:
     def node_plan(self, n_q: int) -> _NodePlan:
         """The plan of ``2**n_q``-point nodes, built on first use."""
         if n_q not in self.plans:
-            self.plans[n_q] = _NodePlan(build_schedule(n_q))
+            self.plans[n_q] = _NodePlan(n_q)
         return self.plans[n_q]
 
 
@@ -309,16 +314,16 @@ def _pairs(rows: np.ndarray) -> np.ndarray:
     return rows.reshape(rows.shape[0] // 2, 2, rows.shape[1])
 
 
-def _reference(pair_weight: float, x: np.ndarray, work: _WorkArrays) -> np.ndarray:
+def _reference(x: np.ndarray, work: _WorkArrays) -> np.ndarray:
     """The classical reference ``a = (x_i + sign * x_j) * scale`` of every
     projector of every column of ``x``, ``(N, L)``, ``scale`` 1 on rows 0
-    and 1 and ``pair_weight`` on pairs: the sum comes before the weight."""
+    and 1 and ``PAIR_SCALE`` on pairs: the sum comes before the weight."""
     half, a = x.shape[0] // 2, _shaped(work.a, x.shape)
     pairs, k, conjugate = _pairs(a), x[1:half], x[:half:-1]
     pairs[0] = x[::half]
     np.add(k, conjugate, out=pairs[1:, 0])
     np.subtract(k, conjugate, out=pairs[1:, 1])
-    pairs[1:] *= pair_weight
+    pairs[1:] *= PAIR_SCALE
     return a
 
 
@@ -458,7 +463,6 @@ def _classical_coefficients(x: np.ndarray, columns: np.ndarray, k: np.ndarray) -
 
 
 def _rebuild(
-    pair_weight: float,
     x: np.ndarray,
     a: np.ndarray,
     magnitude: np.ndarray,
@@ -495,7 +499,7 @@ def _rebuild(
     np.abs(np.subtract(quadruple, minus, out=temp), out=temp)
     temp -= np.abs(np.subtract(quadruple, plus, out=values), out=values)
     # A projector's part is its scale times |b|, 1 on rows 0 and 1.
-    np.copysign(b_abs, temp, out=values)[2:] *= pair_weight
+    np.copysign(b_abs, temp, out=values)[2:] *= PAIR_SCALE
 
     eps = 3.0 / math.sqrt(shots) if shots else EPS_REF_EXACT
     fallback = np.less(np.abs(a, out=temp), eps, out=_shaped(work.masks[0], shape))
@@ -583,9 +587,9 @@ def _evaluate_nodes(work: _WorkArrays, blocks: np.ndarray, shots: int, seeds, le
     x = _encode(blocks, norms, ledger, _shaped(work.x, blocks.shape))
     plan = work.node_plan(N.bit_length() - 1)
     live_seeds = [seed for seed, keep in zip(seeds, live) if keep] if shots else None
-    a = _reference(plan.pair_weight, x, work)
+    a = _reference(x, work)
     magnitude, reference = _measure(plan, x, a, shots, live_seeds, ledger, work)
-    parts, stderr, _ = _rebuild(plan.pair_weight, x, a, magnitude, reference, shots, ledger, work)
+    parts, stderr, _ = _rebuild(x, a, magnitude, reference, shots, ledger, work)
     if ledger is not None:
         ledger.node_accesses += x.shape[1]
     # The output overwrites x and a.
@@ -622,17 +626,19 @@ def execute_schedule(
     projector, exactly when ``shots`` is 0 and otherwise as a binomial
     estimate drawn from the Philox stream keyed ``seed``, an integer in
     ``[0, 2**128)``.  Projector ``p`` of ``schedule`` fills entry ``p`` of
-    the record's ``magnitude`` and ``reference`` arrays.
+    the record's ``magnitude`` and ``reference`` arrays.  Raises
+    ``ValueError`` for a schedule other than ``build_schedule(block.n)``.
     """
     seed = check_seed(seed, "seed", 128)
-    if block.n != schedule.n_q:
-        raise ValueError(f"schedule built for n_q={schedule.n_q}, block has n_q={block.n}")
+    layout = _layout(block.n)
+    if schedule.n_q != block.n or not all(np.array_equal(getattr(schedule, k), v) for k, v in layout.items()):
+        raise ValueError(f"schedule is not build_schedule({block.n}), the one layout a node runs")
     if shots < 0:
         raise ValueError(f"shots must be >= 0, got {shots}")
-    work, plan = _work_arrays(block.size), _NodePlan(schedule)
+    work = _work_arrays(block.size)
     x = _encode(block.values[:, None], np.array([block.norm]), ledger, _shaped(work.x, (block.size, 1)))
-    a = _reference(plan.pair_weight, x, work)
-    magnitude, reference = _measure(plan, x, a, shots, [seed], ledger, work)
+    a = _reference(x, work)
+    magnitude, reference = _measure(work.node_plan(block.n), x, a, shots, [seed], ledger, work)
     return ReadoutRecord(schedule, magnitude[:, 0].copy(), reference[:, 0].copy(), shots)
 
 
@@ -659,10 +665,10 @@ def rebuild_phases(
     reference = np.asarray(record.reference, dtype=float)
     if magnitude.shape != (N,) or reference.shape != (N,):
         raise ValueError(f"record needs {N} magnitude and {N} reference entries")
-    work, pair_weight = _work_arrays(N), schedule.scales[-1]
+    work = _work_arrays(N)
     x = np.divide(block.values[:, None], block.norm, out=_shaped(work.x, (N, 1)))
-    parts, stderr, fallback = _rebuild(pair_weight, x, _reference(pair_weight, x, work), magnitude[:, None],
-                                       reference[:, None], record.shots, ledger, work)
+    parts, stderr, fallback = _rebuild(x, _reference(x, work), magnitude[:, None], reference[:, None],
+                                       record.shots, ledger, work)
     return SpectrumEstimate(
         coefficients=_hermitian(_by_coefficient(parts, np.empty((N, 1), complex)))[:, 0],
         scale=block.norm * math.sqrt(N),

@@ -1,7 +1,7 @@
+import dataclasses
 import gc
 import math
 import tracemalloc
-import weakref
 from functools import lru_cache
 
 import numpy as np
@@ -22,6 +22,7 @@ from hqsim.core import (
 )
 from hqsim.checks import TRANSFORM_TOLERANCE, round_trip_deviation
 from hqsim.costs import CostLedger
+from hqsim.hybrid_fft import FftPlan, hybrid_dft
 from hqsim.readout import (
     RealSignal,
     EPS_REF_EXACT,
@@ -188,24 +189,52 @@ def test_a_node_plan_keeps_its_pair_form_and_none_of_its_schedule(monkeypatch):
     gc.collect()
     tracemalloc.start()
     try:
-        plan = _NodePlan(build_schedule(16))
+        plan = _NodePlan(16)
         gc.collect()
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert held <= 26 * 2**16
-    assert plan.pair_weight == INV_SQRT2
-    # The schedule a kept plan is built from is not kept with it.
-    built = []
-
-    def build(n_q):
-        built.append(weakref.ref(schedule := build_schedule(n_q)))
-        return schedule
-
-    monkeypatch.setattr(readout, "build_schedule", build)
+    assert plan.weights[1] == INV_SQRT2 * plan.weights[0] and readout.PAIR_SCALE == INV_SQRT2
+    # A plan is built from its node size alone: neither a kept plan nor the
+    # per-unit wrapper, whose schedule is given, builds a schedule.
+    schedule = build_schedule(5)
+    schedules = counting(monkeypatch, readout, "build_schedule")
     plan = readout._WorkArrays(2**5).node_plan(5)
-    gc.collect()
-    assert plan.rows.shape == (2, 16) and [ref() for ref in built] == [None]
+    execute_schedule(RealSignal.from_values(np.arange(1.0, 33.0)), schedule, 100, 3)
+    assert plan.rows.shape == (2, 16) and schedules == []
+
+
+def test_the_schedule_and_the_node_plan_read_the_same_weights(monkeypatch):
+    # One definition of the layout's weights: changing a constant changes
+    # the schedule's arrays and the plan's weights alike.
+    before = _NodePlan(3)
+    monkeypatch.setattr(readout, "PAIR_SCALE", 0.5)
+    monkeypatch.setattr(readout, "MINUS_PHASE", math.pi)
+    schedule, plan = build_schedule(3), _NodePlan(3)
+    assert schedule.scales.tolist() == [1.0, 1.0] + [0.5] * 6
+    assert schedule.ancilla_phase.tolist() == [0.0, 0.0] + [0.0, math.pi] * 3
+    assert plan.weights.tolist() == [before.weights[0], 0.5 * before.weights[0]]
+    assert np.allclose(plan.ancilla[1, :, 0], [INV_SQRT2, -INV_SQRT2], atol=1e-16)
+    assert plan.ancilla[0].tolist() == before.ancilla[0].tolist()
+
+
+def test_the_transform_builds_no_schedule(monkeypatch):
+    # The node stage reads the layout in its pair form only: no
+    # ReadoutSchedule is constructed by a transform, a node batch or a plan,
+    # in work arrays that hold no plan yet.
+    fresh = lru_cache(maxsize=1)(lambda size: readout._WorkArrays(size, kept=True))
+    monkeypatch.setattr(readout, "_kept_work", fresh)
+    constructed = counting(monkeypatch, readout.ReadoutSchedule, "__init__")
+    signal = RealSignal.from_values(np.random.default_rng(66).uniform(-1.0, 1.0, 2**7))
+    for n_q in range(8):
+        for shots in (0, 64):
+            hybrid_dft(signal, FftPlan(n=7, n_q=n_q, shots=shots, master_seed=2))
+    evaluate_nodes(signal.values.reshape(8, 16), 64, list(range(16)))
+    readout._WorkArrays(2**6).node_plan(6)
+    assert constructed == []
+    build_schedule(2)
+    assert len(constructed) == 1
 
 
 # --- schedule execution -----------------------------------------------------
@@ -243,7 +272,7 @@ def counting(monkeypatch, module, name):
     """Count the calls of ``module.name`` from then on."""
     calls = []
     original = getattr(module, name)
-    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or original(*args))
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs))
     return calls
 
 
@@ -304,6 +333,26 @@ def test_execute_size_mismatch():
     block = RealSignal.from_values([1, 0])
     with pytest.raises(ValueError):
         execute_schedule(block, build_schedule(2))
+
+
+def test_execute_refuses_a_schedule_the_node_would_not_run():
+    # The node stage runs build_schedule's layout only, so a schedule with
+    # other arrays, or another size, is refused, not partly read.
+    block, schedule = RealSignal.from_values(np.arange(1.0, 9.0)), build_schedule(3)
+    ledger = CostLedger()
+    for changed in (
+        dataclasses.replace(schedule, scales=np.where(schedule.signs == 0, 1.0, 0.5)),
+        dataclasses.replace(schedule, ancilla_phase=np.zeros(8)),
+        dataclasses.replace(schedule, signs=-schedule.signs),
+        dataclasses.replace(schedule, indices=schedule.indices[:, ::-1]),
+        dataclasses.replace(schedule, imaginary=~schedule.imaginary),
+        dataclasses.replace(schedule, n_q=2),
+    ):
+        with pytest.raises(ValueError, match=r"not build_schedule\(3\)"):
+            execute_schedule(block, changed, ledger=ledger)
+    assert ledger == CostLedger()
+    record = execute_schedule(block, dataclasses.replace(schedule, scales=schedule.scales.copy()))
+    assert record.magnitude.tobytes() == execute_schedule(block, schedule).magnitude.tobytes()
 
 
 def test_exact_measurements_reproduce_closed_forms():
@@ -474,7 +523,7 @@ def test_batched_probabilities_match_per_entry_effects(n_q):
     work = _work_arrays(normalized.size)
     plan, schedule = work.node_plan(n_q), build_schedule(n_q)
     magnitude, reference = _measure(
-        plan, normalized, _reference(plan.pair_weight, normalized, work), 0, None, None, work
+        plan, normalized, _reference(normalized, work), 0, None, None, work
     )
     circuit = [shifted(gate, 1) for gate in build_qft_circuit(n_q)]
     for row, block in enumerate(blocks):
@@ -506,7 +555,7 @@ def test_pair_form_equals_the_schedule_definition_bit_for_bit(n_q, L):
         x[:, -1] = np.where(np.arange(N) % 2, -0.0, 0.0)
     work = _work_arrays(x.size)
     plan, schedule = work.node_plan(n_q), build_schedule(n_q)
-    a = _reference(plan.pair_weight, x, work).copy()
+    a = _reference(x, work).copy()
     assert a.tobytes() == schedule_references(schedule, x).tobytes()
 
     steps, rows, scale = compile_circuit(n_q, build_qft_circuit(n_q))
@@ -541,9 +590,9 @@ def test_exact_nodes_scale_their_coefficients_after_the_conjugation(n_q):
     x = blocks / norms
     work = _work_arrays(x.size)
     plan = work.node_plan(n_q)
-    a = _reference(plan.pair_weight, x, work).copy()
+    a = _reference(x, work).copy()
     magnitude, reference = (e.copy() for e in _measure(plan, x, a, 0, None, None, work))
-    parts, _, _ = _rebuild(plan.pair_weight, x, a, magnitude, reference, 0, None, work)
+    parts, _, _ = _rebuild(x, a, magnitude, reference, 0, None, work)
     want = schedule_spectrum(build_schedule(n_q), parts, norms * math.sqrt(N))
     assert got.tobytes() == want.tobytes()
 
@@ -687,7 +736,7 @@ def test_rebuild_signs_equal_the_masked_formula_on_crafted_entries():
     x /= np.linalg.norm(x, axis=0)
     work = _work_arrays(x.size)
     plan = work.node_plan(3)
-    got, _, fallback = _rebuild(plan.pair_weight, x, a, magnitude, reference, 0, None, work)
+    got, _, fallback = _rebuild(x, a, magnitude, reference, 0, None, work)
     want, want_fallback = signed_parts(build_schedule(3), a, magnitude, reference, EPS_REF_EXACT)
     assert np.array_equal(fallback, want_fallback)
     assert fallback[:, 3].sum() == 5 and not fallback[:, :3].any()
@@ -714,7 +763,7 @@ def test_rebuild_signs_one_ulp_from_a_tie_as_the_masked_negation_does():
     x /= np.linalg.norm(x, axis=0)
     work = _work_arrays(x.size)
     plan = work.node_plan(3)
-    got, _, fallback = _rebuild(plan.pair_weight, x, a, magnitude, reference, 0, None, work)
+    got, _, fallback = _rebuild(x, a, magnitude, reference, 0, None, work)
     want, _ = signed_parts(build_schedule(3), a, magnitude, reference, EPS_REF_EXACT)
     assert not fallback.any()
     assert got.tobytes() == want.tobytes()
@@ -732,12 +781,10 @@ def test_rebuild_fallbacks_match_per_fallback_reference():
     columns = x.T.copy()
     work = _work_arrays(columns.size)
     plan, schedule = work.node_plan(n_q), build_schedule(n_q)
-    a = _reference(plan.pair_weight, columns, work)
+    a = _reference(columns, work)
     magnitude, reference = _measure(plan, columns, a, shots, list(range(L)), None, work)
     ledger = CostLedger()
-    parts, _, fallback = _rebuild(
-        plan.pair_weight, columns, a, magnitude, reference, shots, ledger, work
-    )
+    parts, _, fallback = _rebuild(columns, a, magnitude, reference, shots, ledger, work)
     p, rows = np.nonzero(fallback)
     assert len(rows) > 500
     assert ledger.classical_fallbacks == len(rows)
