@@ -11,7 +11,9 @@ the forecast terms, not merely proportional:
 
 Retry, repeat-access, residual-sweep and classical-fallback costs live in
 their own counters so the headline counters stay directly comparable to the
-forecasts.
+forecasts.  A node with ``k`` classical fallbacks is charged the cheaper of
+the two classical conventions, ``min(k, n_q) * 2**n_q`` fallback ops: ``k``
+direct sums of ``2**n_q`` ops, or one ``2**n_q``-point transform.
 """
 
 from __future__ import annotations

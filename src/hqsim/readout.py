@@ -21,8 +21,9 @@ by construction.
 
 All stored values are joint probabilities of (projection, ancilla outcome).
 When the classical reference ``a`` is too small to separate the two sign
-hypotheses, that single coefficient is computed classically instead and the
-fallback is charged to the ledger.
+hypotheses, that single coefficient is computed classically instead: by a
+direct sum of N ops, or, for a block with more than ``n_q`` fallbacks, by one
+classical transform of it, so ``k`` of them cost ``min(k, n_q) * N`` ops.
 
 The layout above is defined once, by its projector order and the weights and
 ancilla phases ``SELF_SCALE``, ``PAIR_SCALE``, ``PLUS_PHASE`` and
@@ -442,7 +443,7 @@ def _measure(
 
 def _classical_coefficients(x: np.ndarray, columns: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Amplitude-level coefficient ``k[i]`` of column ``x[:, columns[i]]``,
-    computed classically with 2**n_q ops.  Rows are summed in chunks of
+    each a direct sum of 2**n_q terms.  Rows are summed in chunks of
     ``max(1, 2**16 // N)``, and a row longer than 2**16 samples in blocks of
     2**16 samples whose sums are added in order, so a block holds at most
     2**16 phases, about 40 bytes each at the peak with the previous block's
@@ -459,6 +460,33 @@ def _classical_coefficients(x: np.ndarray, columns: np.ndarray, k: np.ndarray) -
             np.multiply(np.exp(phases, out=phases), x[j : j + width, columns[chunk]].T, out=phases)
             total = total + np.sum(phases, axis=1)
         out[chunk] = total / math.sqrt(N)
+    return out
+
+
+def _transformed_coefficients(x: np.ndarray, columns: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """:func:`_classical_coefficients` from one classical transform of each
+    column, for ``columns`` in ascending order: blocks of ``max(1, 2**16 //
+    N)`` columns take one unnormalized inverse FFT each.  A column longer
+    than 2**16 samples is done four-step (Bailey, 1990): with ``R = N /
+    2**16``, coefficient ``k`` is the sum over ``j < R`` of ``w**(j*k)``,
+    ``w = exp(2*pi*i/N)``, times coefficient ``k mod 2**16`` of the
+    transform of ``x[j::R]``, so no temporary holds more than 2**16
+    samples.  No ``rfft``: it is the CLI's reference transform."""
+    N = x.shape[0]
+    step, R = max(1, 2**16 // N), max(1, N // 2**16)
+    leaves, first, leaf = np.unique(columns, return_index=True, return_inverse=True)
+    edges = np.append(first[::step], len(k))
+    out = np.empty(len(k), dtype=complex)
+    for b, start in enumerate(range(0, leaves.size, step)):
+        pick, block = slice(edges[b], edges[b + 1]), leaves[start : start + step]
+        rows, at = k[pick], leaf[pick] - start
+        total = complex(-0.0, -0.0)  # the identity of float addition
+        for j in range(R):
+            # Keep the requested rows only, so two transforms are never live at once.
+            term = np.fft.ifft(x[j::R, block], axis=0, norm="forward")[rows & (N // R - 1), at]
+            # N is a power of two, so the mask reduces j*k modulo N.
+            total = total + (np.exp(2j * np.pi * ((j * rows) & (N - 1)) / N) * term if j else term)
+        out[pick] = total / math.sqrt(N)
     return out
 
 
@@ -504,14 +532,22 @@ def _rebuild(
     eps = 3.0 / math.sqrt(shots) if shots else EPS_REF_EXACT
     fallback = np.less(np.abs(a, out=temp), eps, out=_shaped(work.masks[0], shape))
     fallback &= np.greater_equal(b_abs, eps, out=_shaped(work.masks[1], shape))
-    fallbacks = int(np.count_nonzero(fallback))
+    fallbacks, charged = int(np.count_nonzero(fallback)), 0
     if fallbacks:
-        p, columns = np.nonzero(fallback)
+        columns, p = np.nonzero(fallback.T)  # by column: a leaf's fallbacks are adjacent
         k, part = np.divmod(p, 2)  # pair 0 holds coefficients 0 and N/2, pair k both parts of k
-        c = _classical_coefficients(x, columns, np.where(k, k, part * (N // 2)))
+        coefficient = np.where(k, k, part * (N // 2))
+        # A leaf's fallbacks take the cheaper classical cost: one N-point
+        # transform, n_q*N ops, above n_q of them, else N ops each.
+        n_q, per_leaf = N.bit_length() - 1, np.bincount(columns)
+        transform = (per_leaf > n_q)[columns]
+        c = np.empty(fallbacks, dtype=complex)
+        c[transform] = _transformed_coefficients(x, columns[transform], coefficient[transform])
+        c[~transform] = _classical_coefficients(x, columns[~transform], coefficient[~transform])
         values[p, columns] = np.where((k > 0) & (part == 1), c.imag, c.real)
+        charged = int(np.minimum(per_leaf, n_q).sum()) * N
     if ledger is not None:
-        ledger.fallback_ops += fallbacks * N
+        ledger.fallback_ops += charged
         ledger.classical_fallbacks += fallbacks
 
     if not shots:
@@ -555,7 +591,8 @@ def evaluate_nodes(
     the Philox key of its draws, an integer in ``[0, 2**128)``; sampled mode
     raises ``ValueError`` without exactly that many, and exact mode draws
     nothing from them.  Charges every node counter as columns times unit,
-    plus each fallback.
+    plus ``min(k, n_q) * 2**n_q`` fallback ops for a column with ``k``
+    fallbacks.
     """
     blocks = np.asarray(blocks, dtype=float)
     N, _ = blocks.shape
@@ -654,9 +691,9 @@ def rebuild_phases(
     sign comes from whichever hypothesis ``(a + s|b|)**2 / 4`` lies nearest
     the reference entry.  When ``|a|`` is below the sign-test threshold the
     hypotheses coincide; the coefficient is flagged ambiguous and evaluated
-    classically instead, charging ``2**n_q`` classical ops to the fallback
-    counter.  Raises ``ValueError`` unless the record holds ``2**n_q``
-    entries of each kind.
+    classically instead, ``k`` of them charging ``min(k, n_q) * 2**n_q``
+    classical ops to the fallback counter.  Raises ``ValueError`` unless the
+    record holds ``2**n_q`` entries of each kind.
     """
     schedule, N = record.schedule, 2**record.schedule.n_q
     if block.n != schedule.n_q:

@@ -4,8 +4,9 @@ the out-of-place one must match bit for bit, gates re-targeted by a qubit
 offset, the plain radix-2 transform level by level, the readout's node
 stage read through the schedule's per-projector index maps, which its pair
 form and its output must match bit for bit, the readout's sign rebuild written with a
-masked negation, a projection's ancilla residual read through joint
-probabilities, and the documented Philox key of a sampled unit."""
+masked negation, a fallback coefficient read from numpy's inverse FFT, a
+projection's ancilla residual read through joint probabilities, and the
+documented Philox key of a sampled unit."""
 
 import cmath
 import dataclasses
@@ -222,6 +223,13 @@ def classical_fft(signal, ledger=None):
         if ledger is not None:
             ledger.classical_ops += N
     return SpectrumVector(spec[0])
+
+
+def transformed_coefficient(normalized, k):
+    """Amplitude-level coefficient ``k`` of one normalized column from one
+    unnormalized inverse FFT, as a leaf with more fallbacks than qubits
+    computes it."""
+    return complex((np.fft.ifft(normalized, norm="forward") / math.sqrt(normalized.size))[k])
 
 
 # Ancilla outcomes whose probabilities fix a residual (r0, r1) up to its

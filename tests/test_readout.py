@@ -33,6 +33,7 @@ from hqsim.readout import (
     _project,
     _rebuild,
     _reference,
+    _transformed_coefficients,
     _work_arrays,
     build_schedule,
     evaluate_nodes,
@@ -49,6 +50,7 @@ from reference import (
     schedule_spectrum,
     shifted,
     signed_parts,
+    transformed_coefficient,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -651,6 +653,7 @@ def test_ambiguous_reference_falls_back_to_classical():
     estimate = rebuild_phases(record, block, ledger)
     assert 1 in estimate.ambiguous
     assert estimate.classical_fallbacks >= 1
+    assert estimate.classical_fallbacks <= 3  # at most n_q: direct sums of N ops each
     assert ledger.classical_fallbacks == estimate.classical_fallbacks
     assert ledger.fallback_ops == 8 * estimate.classical_fallbacks
     # The fallback is never silently wrong.
@@ -697,6 +700,72 @@ def test_a_fallback_row_above_2_16_samples_is_summed_in_bounded_blocks():
         tracemalloc.stop()
     assert peak <= 4 * 2**20
     assert abs(got[0] - classical_coefficient(x[:, 1], int(k[0]))) < 1e-15
+
+
+def test_a_leaf_above_2_16_samples_is_transformed_four_step_in_bounded_blocks():
+    # x[N-k] = -x[k] zeroes the plus reference of pair k: 20 fallbacks in one
+    # 2**17-sample leaf, more than its 17 qubits, so the leaf takes one
+    # transform, four-step from two decimated halves of 2**16 samples.  No
+    # temporary holds the whole leaf: the peak stays under 4 MiB.
+    N = 2**17
+    values = np.random.default_rng(17).uniform(-1.0, 1.0, N)
+    k = N // 2 - 1 - 2 * np.arange(20)
+    values[N - k] = -values[k]
+    ledger = CostLedger()
+    evaluate_nodes(values[:, None], ledger=ledger)
+    assert ledger.classical_fallbacks == 20
+    assert ledger.fallback_ops == 17 * N
+    x = np.stack([values, -values], axis=1) / np.linalg.norm(values)
+    columns = np.ones(k.size, dtype=int)
+    tracemalloc.start()
+    try:
+        got = _transformed_coefficients(x, columns, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
+    assert np.max(np.abs(got - _classical_coefficients(x, columns, k))) <= 1e-15
+
+
+def rebuilt(x, a, magnitude, reference, shots):
+    """The parts, fallback mask and ledger of :func:`_rebuild` on copies."""
+    ledger = CostLedger()
+    work = _work_arrays(x.size)
+    parts, _, fallback = _rebuild(x, a.copy(), magnitude.copy(), reference.copy(), shots, ledger, work)
+    return parts.copy(), fallback.copy(), ledger
+
+
+@pytest.mark.parametrize("n_q", range(1, 7))
+def test_each_leaf_takes_the_cheaper_classical_cost(n_q, monkeypatch):
+    # Random sampled batches: a leaf with k fallbacks is charged min(k, n_q)
+    # * N ops, and above n_q it takes one transform.  That changes neither
+    # which projectors fall back nor, beyond 1e-15, their values, against a
+    # run that sums every fallback directly.  At n_q = 1 both entries of a
+    # leaf fall back together too rarely to reach the transform: their
+    # magnitude probabilities sum to 1/2.
+    N, L = 2**n_q, 256
+    rng = np.random.default_rng(40 + n_q)
+    paths = np.zeros(2, dtype=int)
+    for shots in (16, 64, 256, 1024):
+        blocks = rng.normal(size=(N, L))
+        x = blocks / np.linalg.norm(blocks, axis=0)
+        work = _work_arrays(x.size)
+        a = _reference(x, work).copy()
+        magnitude, reference = _measure(work.node_plan(n_q), x, a, shots, list(range(L)), None, work)
+        magnitude, reference = magnitude.copy(), reference.copy()
+        got, fallback, ledger = rebuilt(x, a, magnitude, reference, shots)
+        with monkeypatch.context() as patch:
+            patch.setattr(readout, "_transformed_coefficients", _classical_coefficients)
+            want, want_fallback, want_ledger = rebuilt(x, a, magnitude, reference, shots)
+        assert np.array_equal(fallback, want_fallback)
+        assert ledger.classical_fallbacks == want_ledger.classical_fallbacks == np.count_nonzero(fallback)
+        per_leaf = np.count_nonzero(fallback, axis=0)
+        assert ledger.fallback_ops == np.minimum(per_leaf, n_q).sum() * N <= per_leaf.sum() * N
+        transformed = np.broadcast_to(per_leaf > n_q, fallback.shape)
+        assert got[~transformed].tobytes() == want[~transformed].tobytes()
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-15
+        paths += [np.count_nonzero(per_leaf > n_q), np.count_nonzero((per_leaf > 0) & (per_leaf <= n_q))]
+    assert paths[1] > 0 and (paths[0] > 0 or n_q == 1)
 
 
 def crafted_entries():
@@ -773,7 +842,10 @@ def test_rebuild_signs_one_ulp_from_a_tie_as_the_masked_negation_does():
 
 def test_rebuild_fallbacks_match_per_fallback_reference():
     # At 64 shots the sign test needs |a| >= 3/8, so sampled rows take many
-    # fallbacks; each must equal the per-fallback reference bit for bit.
+    # fallbacks.  A leaf with at most n_q of them sums each directly, bit for
+    # bit as the per-fallback reference; a leaf with more takes one inverse
+    # FFT, bit for bit as numpy's, within 1e-15 of the direct sums.  Each leaf
+    # is charged the cheaper cost, min(k, n_q) * N ops for k fallbacks.
     n_q, shots, L = 3, 64, 400
     rng = np.random.default_rng(72)
     blocks = rng.normal(size=(L, 2**n_q))
@@ -786,13 +858,20 @@ def test_rebuild_fallbacks_match_per_fallback_reference():
     ledger = CostLedger()
     parts, _, fallback = _rebuild(columns, a, magnitude, reference, shots, ledger, work)
     p, rows = np.nonzero(fallback)
+    per_leaf = np.count_nonzero(fallback, axis=0)
     assert len(rows) > 500
     assert ledger.classical_fallbacks == len(rows)
-    assert ledger.fallback_ops == len(rows) * 2**n_q
-    k = schedule.coefficient[p]
-    want = np.array([classical_coefficient(x[row], kk) for row, kk in zip(rows.tolist(), k.tolist())])
-    imaginary = schedule.imaginary[p]
-    assert np.array_equal(parts[p, rows], np.where(imaginary, want.imag, want.real))
+    assert ledger.fallback_ops == np.minimum(per_leaf, n_q).sum() * 2**n_q
+    k, imaginary = schedule.coefficient[p], schedule.imaginary[p]
+    pairs = list(zip(rows.tolist(), k.tolist()))
+    direct = np.array([classical_coefficient(x[row], kk) for row, kk in pairs])
+    transformed = np.array([transformed_coefficient(x[row], kk) for row, kk in pairs])
+    got = parts[p, rows]
+    fft = per_leaf[rows] > n_q
+    assert fft.any() and not fft.all()
+    assert np.array_equal(got[~fft], np.where(imaginary, direct.imag, direct.real)[~fft])
+    assert np.array_equal(got[fft], np.where(imaginary, transformed.imag, transformed.real)[fft])
+    assert np.max(np.abs(got - np.where(imaginary, direct.imag, direct.real))) <= 1e-15
 
 
 def test_rescale_examples():
